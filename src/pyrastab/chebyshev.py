@@ -15,6 +15,7 @@ from numpy.polynomial import chebyshev as cheb
 __all__ = [
     "lobatto_nodes",
     "barycentric_weights",
+    "interp_rows",
     "interp_row",
     "chebyshev_coefficients",
     "cumulative_matrix",
@@ -39,26 +40,37 @@ def barycentric_weights(m: int) -> np.ndarray:
     return w
 
 
-def interp_row(nodes: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
-    """Row ell with interpolant(s) = ell @ values_at_nodes."""
-    diff = s - nodes
+def interp_rows(nodes: np.ndarray, weights: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows ell_k with interpolant(s_k) = ell_k @ values_at_nodes, shape
+    (S, M); a point within 1e-14 times the span of a node gets that
+    node's unit vector."""
+    s = np.asarray(s, dtype=float)
+    diff = s[:, None] - nodes
     span = nodes[-1] - nodes[0]
     hit = np.abs(diff) <= 1e-14 * span
-    if np.any(hit):
-        row = np.zeros(len(nodes))
-        row[int(np.argmax(hit))] = 1.0
-        return row
-    row = weights / diff
-    return row / row.sum()
+    on_node = hit.any(axis=1)
+    diff[hit] = 1.0  # placeholder; those rows are replaced below
+    rows = weights / diff
+    rows[on_node] = 0.0
+    rows[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def interp_row(nodes: np.ndarray, weights: np.ndarray, s: float) -> np.ndarray:
+    """Row ell with interpolant(s) = ell @ values_at_nodes."""
+    return interp_rows(nodes, weights, np.array([s]))[0]
 
 
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients a with p = sum a_n T_n matching values at ascending
-    Lobatto nodes on [-1, 1] (DCT-I through an even extension)."""
+    Lobatto nodes on [-1, 1] (DCT-I through an even extension).  A 2-D
+    ``values`` holds one function per column and gives one coefficient
+    column each."""
     v = np.asarray(values, dtype=float)[::-1]  # descending = cos(k pi / (m-1))
     m = len(v)
     ext = np.concatenate([v, v[-2:0:-1]])
-    f = np.fft.rfft(ext).real / (m - 1)
+    f = np.fft.rfft(ext, axis=0).real / (m - 1)
     a = f[:m].copy()
     a[0] *= 0.5
     a[-1] *= 0.5
@@ -67,15 +79,11 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
 
 def cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
     """Matrix Q with (Q v)_i = integral from nodes[0] to nodes[i] of the
-    polynomial interpolating v at the nodes."""
+    polynomial interpolating v at the nodes (all columns at once, from the
+    coefficients of the identity)."""
     nodes = np.asarray(nodes, dtype=float)
     m = len(nodes)
     unit = lobatto_nodes(m, -1.0, 1.0)
     scale = 0.5 * (nodes[-1] - nodes[0])
-    q = np.empty((m, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        anti = cheb.chebint(chebyshev_coefficients(e))
-        q[:, j] = (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)) * scale
-    return q
+    anti = cheb.chebint(chebyshev_coefficients(np.eye(m)))
+    return (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)[:, None]).T * scale

@@ -86,8 +86,8 @@ def _analyze_equilibrium(problem, tol, region):
 def _analyze_periodic(problem, tol, nodes):
     mono = ode_monodromy(problem)
     report = multipliers(mono, tol)
-    verdicts = periodic_verdicts(problem, tol)
-    inv = check_determining_invariance(problem, nodes=nodes, tol=tol)
+    verdicts = periodic_verdicts(problem, tol, monodromy=mono)
+    inv = check_determining_invariance(problem, nodes=nodes, tol=tol, monodromy=mono)
     return {
         "kind": "periodic-linear",
         "multipliers": report,

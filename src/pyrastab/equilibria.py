@@ -46,6 +46,7 @@ __all__ = [
     "odd_number_verdict",
     "commuting_real_spectrum_verdict",
     "commuting_gain_verdict",
+    "real_delayed_root",
     "equilibrium_verdicts",
     "HopfBranch",
     "HopfCurveFamily",
@@ -603,7 +604,7 @@ def _restricted_gain_eigenvalues(
     return np.linalg.eigvals(restricted)
 
 
-def _real_delayed_root(rate: float, gain: float, delay: float) -> float:
+def real_delayed_root(rate: float, gain: float, delay: float) -> float:
     """Positive solution m of m = rate + gain (1 - exp(-m T)).
 
     g(0) = -rate < 0 and g(m) > 0 for m >= rate + 2|gain| + 1, so a root
@@ -674,7 +675,7 @@ def commuting_real_spectrum_verdict(
     eig, n = hits[0]
     ks = _restricted_gain_eigenvalues(jac, gain, eig, tol)
     k = float(ks[np.argmin(np.abs(ks.imag))].real)
-    m = _real_delayed_root(eig.real, k, delay)
+    m = real_delayed_root(eig.real, k, delay)
     witness = complex(m, 2.0 * np.pi * n / delay)
     return Verdict.from_hypotheses("commuting-real-spectrum", hyps, witness)
 

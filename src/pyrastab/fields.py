@@ -4,7 +4,9 @@ Three field flavors cover everything the analyses need: fields parsed from
 expression strings (with exact forward-mode Jacobians), plain linear
 fields, and linear fields with a time-periodic coefficient.  Periodic
 coefficients known only through uniform samples are reconstructed by
-trigonometric interpolation.
+trigonometric interpolation.  The two coefficient classes evaluate a
+whole array of times at once through ``batch``; their scalar call is the
+one-time case of it.
 """
 
 from __future__ import annotations
@@ -159,7 +161,11 @@ class ConstantCoefficient:
         return self.matrix.shape[0]
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.matrix
+        return self.batch(np.array([t]))[0]
+
+    def batch(self, times: np.ndarray) -> np.ndarray:
+        """The matrix at every time: a read-only (S, n, n) broadcast."""
+        return np.broadcast_to(self.matrix, (len(times),) + self.matrix.shape)
 
 
 class TrigCoefficient:
@@ -198,6 +204,14 @@ class TrigCoefficient:
         return self.samples.shape[1]
 
     def __call__(self, t: float) -> np.ndarray:
+        return self.batch(np.array([t]))[0]
+
+    def batch(self, times: np.ndarray) -> np.ndarray:
+        """The interpolant at every time, shape (S, n, n): one product of
+        the (S, modes) phase table with the Fourier coefficients."""
+        times = np.asarray(times, dtype=float)
+        n = self.dimension
         k = np.arange(self._coef.shape[0])
-        phase = self._weights * np.exp(2j * np.pi * k * (t / self.period))
-        return np.tensordot(phase, self._coef, axes=([0], [0])).real / self._m
+        phase = self._weights * np.exp(2j * np.pi * k * (times[:, None] / self.period))
+        vals = phase @ self._coef.reshape(len(k), n * n)
+        return vals.real.reshape(len(times), n, n) / self._m

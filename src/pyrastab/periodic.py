@@ -8,6 +8,15 @@ Chebyshev-Lobatto grid in two independent ways -- a variation-of-constants
 integral form and direct time stepping of the interpolated history basis
 -- which must agree; their disagreement is reported and fenced by a
 tolerance, so a coarse grid fails loudly instead of lying.
+
+All of them march with one RK4 routine, ``_rk4``.  The coefficient (and
+the delayed source of the stepped form) is evaluated in batches of a
+fixed number of times rather than once per stage, and snapshots are
+stored only at the grid indices the caller reads, so memory stays
+bounded however fine the grid.  The fundamental solution used by the
+integral form and the history basis of the stepped form are two separate
+marches over the same grid, never one stacked march, so the cross-check
+compares two constructions that share only their sampled coefficients.
 """
 
 from __future__ import annotations
@@ -17,10 +26,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
-from .chebyshev import barycentric_weights, cumulative_matrix, interp_row, lobatto_nodes
-from .equilibria import find_roots, scalar_characteristic
+from .chebyshev import barycentric_weights, cumulative_matrix, interp_rows, lobatto_nodes
+from .equilibria import find_roots, real_delayed_root, scalar_characteristic
 from .errors import (
     CrossCheckError,
     InconclusiveMultiplicityError,
@@ -59,54 +67,78 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # time stepping
 
+# Times per batched evaluation of a coefficient or a delayed source; bounds
+# the temporaries of those evaluations (phase tables, interpolation rows)
+# independently of the grid.
+_BLOCK = 256
 
-def _rk4_matrix(afun: Callable[[float], np.ndarray], times: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Solve Y' = A(t) Y through ``times``; returns values at every grid point."""
-    out = np.empty((len(times),) + y0.shape)
-    out[0] = y0
-    y = y0
-    for i in range(len(times) - 1):
-        t = times[i]
-        h = times[i + 1] - t
-        a1 = afun(t)
-        a2 = afun(t + 0.5 * h)
-        a4 = afun(t + h)
-        k1 = a1 @ y
-        k2 = a2 @ (y + 0.5 * h * k1)
-        k3 = a2 @ (y + 0.5 * h * k2)
-        k4 = a4 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("fundamental-solution integration blew up")
-    return out
+_Stages = tuple[np.ndarray, np.ndarray]
 
 
-def _rk4_affine(
-    afun: Callable[[float], np.ndarray],
-    rfun: Callable[[float], np.ndarray],
+def _stage_coefficients(
+    coefficient_on: Callable[[np.ndarray], np.ndarray], times: np.ndarray
+) -> _Stages:
+    """A at the grid points and at the step midpoints of ``times``, every
+    coefficient an RK4 march over that grid reads; ``coefficient_on`` is
+    called on _BLOCK times at a time."""
+
+    def sampled(x: np.ndarray) -> np.ndarray:
+        blocks = range(0, len(x), _BLOCK)
+        return np.concatenate([coefficient_on(x[lo : lo + _BLOCK]) for lo in blocks])
+
+    return sampled(times), sampled(times[:-1] + 0.5 * np.diff(times))
+
+
+def _rk4(
     times: np.ndarray,
-    u0: np.ndarray,
-) -> list[np.ndarray]:
-    """Solve U' = A(t) U + R(t) through ``times``; returns values at every
-    grid point (as a list: U may be a wide matrix)."""
-    out = [u0]
-    u = u0
-    for i in range(len(times) - 1):
-        t = times[i]
-        h = times[i + 1] - t
-        a1, r1 = afun(t), rfun(t)
-        a2, r2 = afun(t + 0.5 * h), rfun(t + 0.5 * h)
-        a4, r4 = afun(t + h), rfun(t + h)
-        k1 = a1 @ u + r1
-        k2 = a2 @ (u + 0.5 * h * k1) + r2
-        k3 = a2 @ (u + 0.5 * h * k2) + r2
-        k4 = a4 @ (u + h * k3) + r4
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(u)
-    if not np.all(np.isfinite(out[-1])):
-        raise NumericalError("history propagation blew up")
-    return out
+    stages: _Stages,
+    y0: np.ndarray,
+    keep: np.ndarray | list[int],
+    source: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """Classical RK4 for Y' = A(t) Y + R(t) through ``times``; returns Y at
+    the grid indices ``keep``, stacked in their order.
+
+    ``stages`` holds A at the grid points and midpoints (see
+    ``_stage_coefficients``).  ``source`` maps an array of times to R
+    (S, n, w); it is evaluated per block of _BLOCK steps, at the block's
+    grid points and midpoints.  Only the kept snapshots are stored.
+    """
+    kept, slot = np.unique(np.arange(len(times))[keep], return_inverse=True)
+    slot_of = {int(k): j for j, k in enumerate(kept)}
+    out = np.empty((len(kept),) + y0.shape)
+    if 0 in slot_of:
+        out[slot_of[0]] = y0
+    affine = source is not None
+    y = y0
+    for lo in range(0, len(times) - 1, _BLOCK):
+        hi = min(lo + _BLOCK, len(times) - 1)
+        t = times[lo : hi + 1]
+        steps = np.diff(t)
+        a, a_mid = stages[0][lo : hi + 1], stages[1][lo:hi]
+        if affine:
+            r, r_mid = source(t), source(t[:-1] + 0.5 * steps)
+        for i, h in enumerate(steps.tolist()):
+            a2 = a_mid[i]
+            k1 = a[i] @ y
+            if affine:
+                k1 += r[i]
+            k2 = a2 @ (y + 0.5 * h * k1)
+            if affine:
+                k2 += r_mid[i]
+            k3 = a2 @ (y + 0.5 * h * k2)
+            if affine:
+                k3 += r_mid[i]
+            k4 = a[i + 1] @ (y + h * k3)
+            if affine:
+                k4 += r[i + 1]
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            j = slot_of.get(lo + i + 1)
+            if j is not None:
+                out[j] = y
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(out))):
+        raise NumericalError("RK4 march blew up")
+    return out[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +185,9 @@ class MonodromyODE:
         t0 = times[idx]
         if r - t0 <= 1e-13 * self.period:
             return self.values[idx].copy()
-        afun = self._afun
-        seg = _rk4_matrix(afun, np.array([t0, r]), self.values[idx])
-        return seg[-1]
-
-    @property
-    def _afun(self) -> Callable[[float], np.ndarray]:
-        return self.problem.coefficient_at
+        times = np.array([t0, r])
+        stages = _stage_coefficients(self.problem.coefficient_on, times)
+        return _rk4(times, stages, self.values[idx], [1])[0]
 
 
 def ode_monodromy(
@@ -167,17 +195,29 @@ def ode_monodromy(
 ) -> MonodromyODE:
     """Monodromy of the uncontrolled system (the delayed difference term
     vanishes on periodic solutions, so the gain plays no role here)."""
-    if steps < 16:
-        raise InputError("steps must be at least 16")
-    n = problem.dimension
+    steps = _integer_at_least(steps, "steps", 16)
+    eye = np.eye(problem.dimension)
     period = problem.period
-    afun = problem.coefficient_at
     times = np.linspace(0.0, period, steps + 1)
-    values = _rk4_matrix(afun, times, np.eye(n))
-    coarse = _rk4_matrix(afun, np.linspace(0.0, period, steps // 2 + 1), np.eye(n))
+    stages = _stage_coefficients(problem.coefficient_on, times)
+    values = _rk4(times, stages, eye, np.arange(steps + 1))
+    coarse_times = np.linspace(0.0, period, steps // 2 + 1)
+    stages = _stage_coefficients(problem.coefficient_on, coarse_times)
+    coarse = _rk4(coarse_times, stages, eye, [-1])
     scale = max(1.0, spectral_norm(values[-1]))
     err = spectral_norm(values[-1] - coarse[-1]) / (15.0 * scale)
     return MonodromyODE(problem, times, values, float(err))
+
+
+def _own_monodromy(
+    problem: PeriodicLinearProblem, monodromy: MonodromyODE | None
+) -> MonodromyODE:
+    """``monodromy`` if given (it must belong to ``problem``), else a new one."""
+    if monodromy is None:
+        return ode_monodromy(problem)
+    if monodromy.problem is not problem:
+        raise InputError("the monodromy was built for a different problem")
+    return monodromy
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +424,14 @@ def _aligned_times(marks: np.ndarray, period: float, steps: int) -> np.ndarray:
     return grid
 
 
+def _integer_at_least(value, what: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{what} must be at least {least}, got {value}")
+    return int(value)
+
+
 def dde_monodromy(
     problem: PeriodicLinearProblem,
     alpha: float = 1.0,
@@ -408,9 +456,16 @@ def dde_monodromy(
     the delayed term from the interpolated history.  Both land on the
     same operator up to discretization error; a relative gap above
     tol_xcheck raises CrossCheckError.
+
+    Both forms run on one time grid that contains every quadrature mark,
+    as two separate RK4 marches: Y alone for the integral form, the
+    history basis U for the stepped form.  They share only the samples of
+    A + alpha K, taken in batches of a fixed number of times.  U's delayed
+    source kron(ell(t - T), -alpha K) is evaluated per block of steps, and
+    each march keeps its snapshots only at the marks it reads, so memory
+    does not grow with the step count.
     """
-    if nodes < 4:
-        raise InputError("need at least four history nodes")
+    nodes = _integer_at_least(nodes, "nodes", 4)
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
     if steps is None:
@@ -419,6 +474,7 @@ def dde_monodromy(
         # fixed step budget would let its RK4 error outrun the spectral
         # integral form and trip the cross-check on refinement.
         steps = max(2048, nodes * nodes)
+    steps = _integer_at_least(steps, "steps", 16)
     n = problem.dimension
     period = problem.period
     gain = alpha * problem.feedback.gain
@@ -428,11 +484,7 @@ def dde_monodromy(
     sigma = lobatto_nodes(fine, -period, 0.0)  # sigma[2i] == theta[i]
     marks = period + sigma
 
-    def afun(t: float) -> np.ndarray:
-        return problem.coefficient_at(t) + gain
-
     times = _aligned_times(marks, period, steps)
-    fundamental = _rk4_matrix(afun, times, np.eye(n))
     mark_idx = np.searchsorted(times, marks)
     mark_idx = np.clip(mark_idx, 0, len(times) - 1)
     for i, m in enumerate(marks):
@@ -441,36 +493,33 @@ def dde_monodromy(
         mark_idx[i] = lo + int(np.argmin(np.abs(times[lo : hi + 1] - m)))
         if abs(times[mark_idx[i]] - m) > 1e-10 * period:
             raise NumericalError("history node missing from the time grid")
-    y_fine = fundamental[mark_idx]      # Y(T + sigma_p)
-    y_marks = y_fine[::2]               # Y(T + theta_i)
+
+    # the two forms march separately and share only these samples of A + alpha K
+    stages = _stage_coefficients(lambda t: problem.coefficient_on(t) + gain, times)
 
     # --- integral form -----------------------------------------------------
+    y_fine = _rk4(times, stages, np.eye(n), mark_idx)  # Y(T + sigma_p)
+    y_marks = y_fine[::2]                               # Y(T + theta_i)
     quad_fine = cumulative_matrix(sigma)
-    w_fine = np.empty((fine, n, n))
-    for p in range(fine):
-        w_fine[p] = np.linalg.solve(y_fine[p], gain)
-    resample = np.empty((fine, nodes))
-    for p in range(fine):
-        resample[p] = interp_row(theta, weights, sigma[p])
-    cumulative = np.einsum("qp,pmn,pj->qjmn", quad_fine, w_fine, resample)
-    big = -np.einsum("imn,ijnk->imjk", y_marks, cumulative[::2])
+    w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
+    resample = interp_rows(theta, weights, sigma)
+    # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
+    integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
+    cumulative = quad_fine[::2] @ integrand.reshape(fine, nodes * n * n)
+    big = -np.einsum("imn,ijnk->imjk", y_marks, cumulative.reshape(nodes, nodes, n, n))
     big[:, :, nodes - 1, :] += y_marks
     integral_form = big.reshape(nodes * n, nodes * n)
 
     # --- stepped form -------------------------------------------------------
-    eye = np.eye(n)
+    def delayed(t: np.ndarray) -> np.ndarray:
+        # -alpha K x(t - T) = kron(ell(t - T), -alpha K) @ phi, node-major
+        rows = interp_rows(theta, weights, t - period)
+        return (rows[:, None, :, None] * -gain[:, None, :]).reshape(len(t), n, nodes * n)
 
-    def dmat(s: float) -> np.ndarray:
-        return np.kron(interp_row(theta, weights, s), eye)
-
-    def rfun(t: float) -> np.ndarray:
-        return -gain @ dmat(t - period)
-
-    u0 = dmat(0.0)
-    u_values = _rk4_affine(afun, rfun, times, u0)
-    stepped = np.empty_like(integral_form)
-    for i in range(nodes):
-        stepped[i * n : (i + 1) * n, :] = u_values[mark_idx[2 * i]]
+    u0 = np.zeros((n, nodes * n))
+    u0[:, (nodes - 1) * n :] = np.eye(n)  # x(0) is the history's last node
+    u_marks = _rk4(times, stages, u0, mark_idx[::2], source=delayed)
+    stepped = u_marks.reshape(nodes * n, nodes * n)
 
     gap = spectral_norm(integral_form - stepped) / max(1.0, spectral_norm(integral_form))
     if gap > tol.tol_xcheck:
@@ -501,14 +550,16 @@ def check_determining_invariance(
     alpha: float = 1.0,
     nodes: int = 64,
     tol: Tolerances = DEFAULT,
+    monodromy: MonodromyODE | None = None,
 ) -> DeterminingInvariance:
     """Geometric multiplicity of multiplier 1, uncontrolled vs controlled.
 
     The controlled value is recomputed on a doubled grid; if refinement
     changes it the discretization has not converged and the check raises
-    rather than certify a wrong dimension.
+    rather than certify a wrong dimension.  ``monodromy`` is the problem's
+    ODE monodromy when the caller has already built it.
     """
-    mono = ode_monodromy(problem)
+    mono = _own_monodromy(problem, monodromy)
     _, g_ode = cluster_multiplicity(mono.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
     gs = []
     for m in (nodes, 2 * nodes):
@@ -710,6 +761,7 @@ def _real_unstable_exponent(report: MultiplierReport, period: float, tol: Tolera
 def periodic_verdicts(
     problem: PeriodicLinearProblem,
     tol: Tolerances = DEFAULT,
+    monodromy: MonodromyODE | None = None,
 ) -> tuple[Verdict, ...]:
     """The three exclusion rules for a periodic orbit's linearization.
 
@@ -717,9 +769,10 @@ def periodic_verdicts(
     count of real multipliers above 1); the commuting rule with real gain
     spectrum, where an odd-dimensional unstable eigenspace waives the
     spectral condition; and the commuting rule with no spectral condition
-    at all.  All three reuse one monodromy and one Floquet decomposition.
+    at all.  All three reuse one monodromy (``monodromy`` when the caller
+    has already built it) and one Floquet decomposition.
     """
-    mono = ode_monodromy(problem)
+    mono = _own_monodromy(problem, monodromy)
     rep = multipliers(mono, tol)
     gain = problem.feedback.gain
     period = problem.period
@@ -824,13 +877,7 @@ def periodic_verdicts(
             if not real_pairs:
                 return None
             k = float(real_pairs[0].gain_eigenvalue.real)
-            hi = exponent + 2.0 * abs(k) + 1.0
-
-            def fn(m: float) -> float:
-                return m - exponent - k * (1.0 - np.exp(-m * period))
-
-            root = scipy.optimize.brentq(fn, 0.0, hi, xtol=1e-14, rtol=1e-15)
-            return complex(np.exp(root * period))
+            return complex(np.exp(real_delayed_root(exponent, k, period) * period))
         k = complex(pairs[0].gain_eigenvalue)
         rep_s = find_roots(scalar_characteristic(exponent, k, period), tol=tol)
         if rep_s.dominant is None:

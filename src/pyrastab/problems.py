@@ -147,7 +147,22 @@ class PeriodicLinearProblem:
         return self.feedback.dimension
 
     def coefficient_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.coefficient(float(t)), dtype=float)
+        return self.coefficient_on(np.array([float(t)]))[0]
+
+    def coefficient_on(self, times: np.ndarray) -> np.ndarray:
+        """A(t) at every time, shape (S, n, n).
+
+        Uses the coefficient's own ``batch`` evaluation when it has one;
+        a plain callable is called once per time."""
+        times = np.asarray(times, dtype=float)
+        batch = getattr(self.coefficient, "batch", None)
+        if batch is not None:
+            return np.asarray(batch(times), dtype=float)
+        n = self.dimension
+        out = np.empty((len(times), n, n))
+        for i, t in enumerate(times):
+            out[i] = self.coefficient(float(t))
+        return out
 
 
 def validate_equilibrium(

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from pyrastab.chebyshev import (
     barycentric_weights,
     chebyshev_coefficients,
     cumulative_matrix,
     interp_row,
+    interp_rows,
     lobatto_nodes,
 )
 
@@ -92,3 +96,44 @@ def test_cumulative_matrix_starts_at_zero():
     nodes = lobatto_nodes(7, -1.0, 5.0)
     q = cumulative_matrix(nodes)
     assert q[0] == pytest.approx(np.zeros(7), abs=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+    st.lists(st.integers(0, 39), max_size=10),
+)
+def test_interp_rows_match_interp_row(m, fractions, node_picks):
+    nodes = lobatto_nodes(m, -3.0, 0.5)
+    w = barycentric_weights(m)
+    picks = [j % m for j in node_picks]
+    s = np.concatenate([-3.0 + 3.5 * np.array(fractions), nodes[picks]])
+    rows = interp_rows(nodes, w, s)
+    assert rows.shape == (len(s), m)
+    for row, x in zip(rows, s):
+        assert np.array_equal(row, interp_row(nodes, w, float(x)))
+    for row, j in zip(rows[len(fractions):], picks):
+        expect = np.zeros(m)
+        expect[j] = 1.0
+        assert np.array_equal(row, expect)
+
+
+def _cumulative_by_columns(nodes):
+    m = len(nodes)
+    unit = lobatto_nodes(m, -1.0, 1.0)
+    scale = 0.5 * (nodes[-1] - nodes[0])
+    q = np.empty((m, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        anti = cheb.chebint(chebyshev_coefficients(e))
+        q[:, j] = (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)) * scale
+    return q
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 33, 64, 127])
+def test_cumulative_matrix_matches_column_loop(m):
+    nodes = lobatto_nodes(m, -2.0 * np.pi, 0.0)
+    ref = _cumulative_by_columns(nodes)
+    assert np.max(np.abs(cumulative_matrix(nodes) - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pyrastab import cli, periodic
 from pyrastab.benchmarks import get_case
 from pyrastab.cli import main
 from pyrastab.problemio import document_digest
@@ -54,6 +55,40 @@ def test_analyze_periodic_envelope(case_file, capsys):
     det = res["determining"]
     assert det["equal"] is True
     assert det["g_ode"] == 2 and det["g_dde"] == 2
+
+
+def test_analyze_periodic_builds_ode_monodromy_once(case_file, capsys, monkeypatch):
+    path = case_file("trig-periodic")
+    builds = []
+    build = periodic.ode_monodromy
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ode_monodromy", counted)
+    monkeypatch.setattr(periodic, "ode_monodromy", counted)
+    code, shared, _ = _run(capsys, ["analyze", path])
+    assert code == 0
+    assert len(builds) == 1
+
+    # the same analysis with every consumer building its own monodromy
+    monkeypatch.setattr(
+        cli, "periodic_verdicts",
+        lambda problem, tol, monodromy: periodic.periodic_verdicts(problem, tol),
+    )
+    monkeypatch.setattr(
+        cli, "check_determining_invariance",
+        lambda problem, nodes, tol, monodromy: periodic.check_determining_invariance(
+            problem, nodes=nodes, tol=tol
+        ),
+    )
+    code, separate, _ = _run(capsys, ["analyze", path])
+    assert code == 0
+    assert len(builds) == 4
+    a, b = json.loads(shared), json.loads(separate)
+    a.pop("timing_s"), b.pop("timing_s")
+    assert a == b
 
 
 def test_analyze_is_deterministic_up_to_timing(case_file, capsys):

@@ -89,6 +89,70 @@ def test_constructed_orbit_monodromy_is_exponential():
     assert np.max(np.abs(mono.matrix - expect)) < 1e-9
 
 
+def _stage_loop(afun, rfun, times, y0):
+    """Textbook RK4 for Y' = A(t) Y + R(t), one step at a time, every value kept."""
+    out = [y0]
+    y = y0
+    for t, t_next in zip(times[:-1], times[1:]):
+        h = t_next - t
+        a1, a2, a4 = afun(t), afun(t + 0.5 * h), afun(t + h)
+        r1, r2, r4 = rfun(t), rfun(t + 0.5 * h), rfun(t + h)
+        k1 = a1 @ y + r1
+        k2 = a2 @ (y + 0.5 * h * k1) + r2
+        k3 = a2 @ (y + 0.5 * h * k2) + r2
+        k4 = a4 @ (y + h * k3) + r4
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_ode_monodromy_matches_stage_loop_reference():
+    # constant coefficients are sampled exactly, so the batched march must
+    # reproduce the textbook loop bit for bit
+    prob = get_case("center-periodic").problem()
+    times = np.linspace(0.0, prob.period, 65)
+    a = prob.coefficient_at(0.0)
+    ref = _stage_loop(lambda t: a, lambda t: 0.0, times, np.eye(2))
+    assert np.array_equal(ode_monodromy(prob, steps=64).values, ref)
+    # a time-varying plain callable: the loop reads A(t + h) where the march
+    # reuses A at the next grid point, which may differ in the last bit
+    prob = get_case("trig-periodic").problem()
+    coeff = prob.coefficient
+    plain = _periodic(lambda t: coeff(t), prob.period, prob.feedback.gain)
+    ref = _stage_loop(coeff, lambda t: 0.0, times, np.eye(2))
+    assert np.max(np.abs(ode_monodromy(plain, steps=64).values - ref)) <= 1e-14
+
+
+def test_dde_stepped_form_matches_stage_loop_reference():
+    from pyrastab.chebyshev import barycentric_weights, interp_row, lobatto_nodes
+
+    prob = get_case("trig-periodic").problem()
+    nodes, steps, period = 6, 64, prob.period
+    gain = prob.feedback.gain
+    theta = lobatto_nodes(nodes, -period, 0.0)
+    weights = barycentric_weights(nodes)
+    marks = period + lobatto_nodes(2 * nodes - 1, -period, 0.0)
+    times = np.union1d(np.linspace(0.0, period, steps + 1), marks)
+    times = times[np.concatenate([[True], np.diff(times) > 1e-13 * period])]
+    times[-1] = period
+
+    def history(s):
+        return np.kron(interp_row(theta, weights, s), np.eye(2))
+
+    u = _stage_loop(
+        lambda t: prob.coefficient_at(t) + gain,
+        lambda t: -gain @ history(t - period),
+        times,
+        history(0.0),
+    )
+    idx = [int(np.argmin(np.abs(times - m))) for m in marks[::2]]
+    ref = np.concatenate([u[i] for i in idx])
+    # a grid this coarse fails the cross-check; only the stepped form is compared
+    loose = DEFAULT.replace(tol_xcheck=1.0)
+    got = dde_monodromy(prob, nodes=nodes, tol=loose, steps=steps).matrix_stepped
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # --- Floquet decomposition ------------------------------------------------------
 
 
@@ -194,6 +258,47 @@ def test_dde_monodromy_rejects_bad_nodes():
         dde_monodromy(prob, nodes=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"nodes": 8.5},
+        {"nodes": 8.0},
+        {"nodes": "8"},
+        {"nodes": True},
+        {"steps": -5},
+        {"steps": 0},
+        {"steps": 15},
+        {"steps": 100.5},
+        {"steps": 64.0},
+    ],
+)
+def test_dde_monodromy_rejects_non_integer_or_small_counts(kwargs):
+    prob = _scalar_problem()
+    with pytest.raises(InputError):
+        dde_monodromy(prob, **{"nodes": 8, **kwargs})
+
+
+def test_dde_monodromy_accepts_numpy_integer_counts():
+    prob = _scalar_problem()
+    a = dde_monodromy(prob, nodes=np.int64(8), steps=np.int32(256))
+    b = dde_monodromy(prob, nodes=8, steps=256)
+    assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_dde_monodromy_plain_callable_matches_batched_coefficient():
+    # a coefficient without a batched evaluation goes through the
+    # per-time fallback and must give the same operator
+    trig = get_case("trig-periodic").problem()
+    coeff = trig.coefficient
+    plain = _periodic(lambda t: coeff(t), trig.period, trig.feedback.gain)
+    a = dde_monodromy(trig, nodes=16)
+    b = dde_monodromy(plain, nodes=16)
+    assert b.cross_residual <= DEFAULT.tol_xcheck
+    for x, y in ((a.matrix, b.matrix), (a.matrix_stepped, b.matrix_stepped)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+    assert b.cross_residual == pytest.approx(a.cross_residual, abs=1e-12)
+
+
 # --- determining centers -------------------------------------------------------------
 
 
@@ -284,6 +389,19 @@ def test_periodic_verdicts_on_unstable_orbit():
     )
     assert v_real.witness == pytest.approx(np.exp(m * 2 * np.pi), rel=1e-8)
     assert v_comm.rule == "commuting-gain" and v_comm.excluded
+
+
+def test_periodic_verdicts_reuse_a_given_monodromy():
+    prob = get_case("orbit-unstable").problem()
+    mono = ode_monodromy(prob)
+    assert periodic_verdicts(prob, monodromy=mono) == periodic_verdicts(prob)
+    inv = check_determining_invariance(prob, nodes=16, monodromy=mono)
+    assert inv == check_determining_invariance(prob, nodes=16)
+    other = get_case("orbit-neutral").problem()
+    with pytest.raises(InputError, match="different problem"):
+        periodic_verdicts(other, monodromy=mono)
+    with pytest.raises(InputError, match="different problem"):
+        check_determining_invariance(other, nodes=16, monodromy=mono)
 
 
 def test_periodic_verdicts_abstain_at_unit_multiplier():

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrastab.errors import InputError
-from pyrastab.fields import ConstantCoefficient, LinearField, parse_field
+from pyrastab.fields import (
+    ConstantCoefficient,
+    LinearField,
+    TrigCoefficient,
+    parse_field,
+)
 from pyrastab.problems import (
     DelayFeedback,
     EquilibriumProblem,
@@ -111,3 +116,73 @@ def test_periodic_problem_rejects_shape_mismatch():
     fb = DelayFeedback(np.eye(2) * 0.2, 1.0)
     with pytest.raises(InputError, match="shape"):
         PeriodicLinearProblem(lambda t: np.eye(3), 1.0, fb)
+
+
+# --- batched coefficient evaluation ---------------------------------------------
+
+_PERIOD = 2.5
+_TIMES = st.lists(
+    st.floats(-3.0 * _PERIOD, 4.0 * _PERIOD, allow_nan=False), min_size=1, max_size=40
+)
+
+
+def _trig_problem(samples):
+    rng = np.random.default_rng(samples)
+    coeff = TrigCoefficient(rng.standard_normal((samples, 3, 3)), _PERIOD)
+    return PeriodicLinearProblem(coeff, _PERIOD, DelayFeedback(0.2 * np.eye(3), _PERIOD))
+
+
+def _assert_rows_match(prob, times):
+    batch = prob.coefficient_on(np.array(times))
+    assert batch.shape == (len(times), prob.dimension, prob.dimension)
+    for row, t in zip(batch, times):
+        scalar = prob.coefficient_at(t)
+        scale = max(1.0, float(np.max(np.abs(scalar))))
+        assert np.max(np.abs(row - scalar)) <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TIMES)
+def test_coefficient_on_matches_scalar_constant(times):
+    a = np.array([[0.1, -1.0], [1.0, 0.3]])
+    prob = PeriodicLinearProblem(
+        ConstantCoefficient(a), _PERIOD, DelayFeedback(0.2 * np.eye(2), _PERIOD)
+    )
+    _assert_rows_match(prob, times)
+    assert np.all(prob.coefficient_on(np.array(times)) == a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TIMES, st.sampled_from([1, 2, 7, 8, 15, 16]))
+def test_coefficient_on_matches_scalar_trig(times, samples):
+    # odd and even sample counts: an even count carries a Nyquist mode
+    prob = _trig_problem(samples)
+    _assert_rows_match(prob, times)
+    # and both agree with the Fourier sum written out directly
+    coef = np.fft.rfft(prob.coefficient.samples, axis=0)
+    weights = np.full(len(coef), 2.0)
+    weights[0] = 1.0
+    if samples % 2 == 0 and len(coef) > 1:
+        weights[-1] = 1.0
+    batch = prob.coefficient_on(np.array(times))
+    for row, t in zip(batch, times):
+        ref = sum(
+            w * c * np.exp(2j * np.pi * k * t / _PERIOD)
+            for k, (w, c) in enumerate(zip(weights, coef))
+        ).real / samples
+        assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TIMES)
+def test_coefficient_on_falls_back_for_plain_callables(times):
+    c = np.array([[0.2, 0.5], [-0.4, 0.1]])
+
+    def coeff(t):
+        return np.cos(2 * np.pi * t / _PERIOD) * c + np.eye(2)
+
+    prob = PeriodicLinearProblem(coeff, _PERIOD, DelayFeedback(0.2 * np.eye(2), _PERIOD))
+    _assert_rows_match(prob, times)
+    batch = prob.coefficient_on(np.array(times))
+    for row, t in zip(batch, times):
+        assert np.array_equal(row, coeff(t))
