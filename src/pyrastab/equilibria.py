@@ -43,6 +43,7 @@ __all__ = [
     "check_resonance_invariance",
     "HomotopyTrace",
     "homotopy_trace",
+    "matched_movement",
     "odd_number_verdict",
     "commuting_real_spectrum_verdict",
     "commuting_gain_verdict",
@@ -453,9 +454,11 @@ def _expanded_positions(report: SpectrumReport) -> list[complex]:
     return out
 
 
-def _matched_movement(prev: list[complex], new: list[complex]) -> float:
-    """Greedy nearest-pair matching; unmatched roots (entering or leaving
-    through the region boundary) do not count as movement."""
+def matched_movement(prev: list[complex], new: list[complex]) -> float:
+    """Largest distance between matched points of two spectra, matched
+    greedily nearest pair first; unmatched points (roots or multipliers
+    entering or leaving through the region boundary) do not count as
+    movement."""
     if not prev or not new:
         return 0.0
     cand = sorted(
@@ -518,7 +521,7 @@ def homotopy_trace(
     while s < 1.0:
         trial = min(1.0, s + h)
         rep = report(trial)
-        move = _matched_movement(
+        move = matched_movement(
             _expanded_positions(steps[-1][1]), _expanded_positions(rep)
         )
         if move > tol.step_cap:
@@ -912,7 +915,7 @@ def eigenvalue_locus(
     budget = 64 * len(order)
     while work:
         a, b = work.pop()
-        move = _matched_movement(
+        move = matched_movement(
             _expanded_positions(samples[a]), _expanded_positions(samples[b])
         )
         if move <= tol.step_cap:

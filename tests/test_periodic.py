@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pyrastab import periodic
 
 from pyrastab.benchmarks import get_case
 from pyrastab.equilibria import Region, find_roots, scalar_characteristic
@@ -107,13 +111,14 @@ def _stage_loop(afun, rfun, times, y0):
 
 
 def test_ode_monodromy_matches_stage_loop_reference():
-    # constant coefficients are sampled exactly, so the batched march must
-    # reproduce the textbook loop bit for bit
+    # the step-map march sums the stages in another order than the textbook
+    # loop, so the two agree to rounding, not bit for bit
     prob = get_case("center-periodic").problem()
     times = np.linspace(0.0, prob.period, 65)
     a = prob.coefficient_at(0.0)
     ref = _stage_loop(lambda t: a, lambda t: 0.0, times, np.eye(2))
-    assert np.array_equal(ode_monodromy(prob, steps=64).values, ref)
+    got = ode_monodromy(prob, steps=64).values
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     # a time-varying plain callable: the loop reads A(t + h) where the march
     # reuses A at the next grid point, which may differ in the last bit
     prob = get_case("trig-periodic").problem()
@@ -121,6 +126,79 @@ def test_ode_monodromy_matches_stage_loop_reference():
     plain = _periodic(lambda t: coeff(t), prob.period, prob.feedback.gain)
     ref = _stage_loop(coeff, lambda t: 0.0, times, np.eye(2))
     assert np.max(np.abs(ode_monodromy(plain, steps=64).values - ref)) <= 1e-14
+
+
+def _rk4_stability(z):
+    """RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 on a matrix."""
+    eye = np.eye(len(z), dtype=z.dtype)
+    return eye + z @ (eye + z @ (eye / 2 + z @ (eye / 6 + z / 24)))
+
+
+def test_ode_monodromy_constant_coefficient_is_stability_polynomial_power():
+    # for constant A every RK4 step is the same matrix R(hA)
+    prob = get_case("center-periodic").problem()
+    steps = 64
+    z = prob.period / steps * prob.coefficient_at(0.0)
+    expect = np.linalg.matrix_power(_rk4_stability(z), steps)
+    got = ode_monodromy(prob, steps=steps).matrix
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+def test_long_constant_coefficient_march_does_not_drift():
+    # I + D stored in double drops the same low bits of the step increment D
+    # at every step; over 16k steps that bias reaches ~1e-12, so the march
+    # must apply Y + D Y instead.  The reference is R(hA)^N in long double.
+    prob = get_case("center-periodic").problem()
+    steps = 16384
+    z = (prob.period / steps * prob.coefficient_at(0.0)).astype(np.longdouble)
+    expect = np.linalg.matrix_power(_rk4_stability(z), steps).astype(float)
+    got = ode_monodromy(prob, steps=steps).matrix
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@st.composite
+def _march_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    steps = draw(st.integers(periodic._BLOCK + 1, 2 * periodic._BLOCK + 40))
+    edges = [0, periodic._BLOCK - 1, periodic._BLOCK, periodic._BLOCK + 1, steps, -1]
+    keep = draw(st.lists(st.sampled_from(edges + list(range(steps + 1))), max_size=8))
+    keep = draw(st.permutations(keep + [0, periodic._BLOCK, periodic._BLOCK]))
+    return n, m, seed, steps, keep
+
+
+@settings(max_examples=25, deadline=None)
+@given(_march_cases(), st.booleans())
+def test_rk4_matches_stage_loop_across_blocks(case, with_source):
+    n, m, seed, steps, keep = case
+    rng = np.random.default_rng(seed)
+    period = rng.uniform(0.5, 2.0)
+    coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (rng.integers(1, 6), n, n)), period)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
+    times *= period / times[-1]
+    stages = periodic._stage_coefficients(coeff.batch, times)
+    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
+    g = rng.uniform(-1.0, 1.0, (n, n))
+
+    def rows(t):
+        return np.cos(np.outer(t, freq) + phase)
+
+    if with_source:
+        y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+        got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
+        ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)
+    else:
+        y0 = rng.uniform(-1.0, 1.0, (n, n))
+        got = periodic._rk4(times, stages, y0, keep)
+        ref = _stage_loop(coeff, lambda t: 0.0, times, y0)
+    ref = ref[keep]
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_dde_stepped_form_matches_stage_loop_reference():
@@ -341,6 +419,46 @@ def test_commuting_check_detects_noncommuting_gain():
     dec = floquet_decompose(ode_monodromy(prob))
     chk = commuting_check(dec, np.array([[0.3, 0.1], [0.0, 0.3]]))
     assert not (chk.commutes_generator and chk.commutes_periodic)
+
+
+def test_commuting_check_zero_generator_commutes_exactly():
+    # the monodromy of a full rotation is I, so B is zero up to rounding;
+    # its relative commutator would be noise divided by noise
+    prob = get_case("center-periodic").problem()
+    dec = floquet_decompose(ode_monodromy(prob))
+    chk = commuting_check(dec, prob.feedback.gain)
+    assert chk.generator_negligible
+    assert chk.residual_generator == 0.0
+    assert chk.commutes_generator
+    assert not chk.commutes_periodic  # P(t) is the rotation, a genuine 0.8165
+    assert chk.residual_periodic == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-9)
+    h_b = periodic_verdicts(prob)[2].hypotheses[1]
+    assert h_b.passed and h_b.value == 0.0
+    assert "zero" in h_b.detail
+
+
+def test_commuting_check_keeps_a_genuine_generator_commutator():
+    prob = get_case("orbit-neutral").problem()
+    dec = floquet_decompose(ode_monodromy(prob))
+    chk = commuting_check(dec, prob.feedback.gain)
+    assert not chk.generator_negligible
+    assert chk.residual_generator == pytest.approx(0.2294157, abs=1e-7)
+    assert not chk.commutes_generator
+
+
+@pytest.mark.parametrize(
+    "name, outcomes",
+    [
+        ("center-periodic", ("not-excluded",) * 3),
+        ("orbit-unstable", ("excluded",) * 3),
+        ("orbit-neutral", ("not-excluded",) * 3),
+        ("diag-periodic", ("not-excluded", "excluded", "excluded")),
+        ("trig-periodic", ("excluded",) * 3),
+    ],
+)
+def test_periodic_catalog_verdict_outcomes(name, outcomes):
+    verdicts = periodic_verdicts(get_case(name).problem())
+    assert tuple(v.outcome for v in verdicts) == outcomes
 
 
 def test_common_eigenpair_lifts_restriction():
