@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrastab import periodic
-
 from pyrastab.benchmarks import get_case
 from pyrastab.equilibria import Region, find_roots, scalar_characteristic
 from pyrastab.errors import InputError, NumericalError
