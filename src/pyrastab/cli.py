@@ -131,12 +131,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_hopf(args) -> int:
     started = time.perf_counter()
-    if not args.rate > 0.0:
-        raise InputError("rate must be positive")
-    if not args.delay > 0.0:
-        raise InputError("delay must be positive")
-    if any(b < 0 for b in args.branches):
-        raise InputError("branch indices must be nonnegative")
     family = hopf_curves(args.rate, args.delay, tuple(args.branches), args.samples)
     header, rows = reports.hopf_table(family)
     if args.json:

@@ -44,10 +44,13 @@ __all__ = [
     "HomotopyTrace",
     "homotopy_trace",
     "matched_movement",
+    "continuation",
     "odd_number_verdict",
     "commuting_real_spectrum_verdict",
     "commuting_gain_verdict",
+    "real_spectrum_hypothesis",
     "real_delayed_root",
+    "scalar_dominant_root",
     "equilibrium_verdicts",
     "HopfBranch",
     "HopfCurveFamily",
@@ -306,41 +309,45 @@ def find_roots(
 ) -> SpectrumReport:
     """All characteristic roots in ``region`` with multiplicities.
 
-    With no region, uses :func:`default_region` and additionally sweeps the
-    thin band |Re| <= tol_axis so marginal roots are reported rather than
-    silently straddling the window edge.  Roots closer together than about
-    1e-7 of the region scale may merge into one cluster entry.
+    With no region, uses :func:`default_region` and also reports the
+    marginal roots, those with |Re| <= tol_axis, which the default window
+    (it starts at Re = tol_axis) leaves out.  They are searched in a band
+    |Re| <= max(tol_axis, 1e-5 region.scale), wide enough to certify a
+    root on the axis itself, and only those inside |Re| <= tol_axis are
+    kept.  Roots closer together than about 1e-7 of the region scale may
+    merge into one cluster entry.
     """
-    scan_band = region is None
-    region = region or default_region(cm, tol)
+    return _spectrum(cm, region or default_region(cm, tol), tol, scan_band=region is None)
+
+
+def _spectrum(
+    cm: CharacteristicMatrix, region: Region, tol: Tolerances, scan_band: bool
+) -> SpectrumReport:
+    """Roots in ``region``, plus the marginal ones when ``scan_band``."""
     rect = region.rect()
     scale = region.scale
 
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
 
-    pairs = find_roots_rect(
-        cm.det_batch,
-        cm.dlog,
-        rect,
-        accept,
-        _spacing_for(cm, rect),
-        scale,
-        budget=tol.tol_region,
-    )
-    if scan_band:
-        band = Rect(-tol.tol_axis, tol.tol_axis, -region.im_max, region.im_max)
-        band_pairs = find_roots_rect(
-            cm.det_batch,
-            cm.dlog,
-            band,
-            accept,
-            _spacing_for(cm, band),
-            scale,
-            budget=tol.tol_region,
+    def roots_in(box: Rect) -> list[tuple[complex, int]]:
+        return find_roots_rect(
+            cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region
         )
-        for z, m in band_pairs:
-            if not any(abs(z - w) <= 1e-10 * scale for w, _ in pairs):
+
+    pairs = roots_in(rect)
+    if scan_band:
+        # The extractor certifies a root by a winding count in a box of
+        # half-width about 1e-7 scale that must clear its cell; a band only
+        # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
+        # the band is widened and the roots outside |Re| <= tol_axis (they
+        # belong to the main window or to the exterior) are dropped.
+        half = max(tol.tol_axis, 1e-5 * scale)
+        band = Rect(-half, half, -region.im_max, region.im_max)
+        for z, m in roots_in(band):
+            if abs(z.real) <= tol.tol_axis and not any(
+                abs(z - w) <= 1e-10 * scale for w, _ in pairs
+            ):
                 pairs.append((z, m))
 
     margin = 1e-12 * scale
@@ -448,35 +455,65 @@ class HomotopyTrace:
 
 
 def _expanded_positions(report: SpectrumReport) -> list[complex]:
-    out: list[complex] = []
-    for r in report.all_roots:
-        out.extend([r.value] * r.algebraic)
-    return out
+    return [r.value for r in report.all_roots for _ in range(r.algebraic)]
 
 
-def matched_movement(prev: list[complex], new: list[complex]) -> float:
+def _greedy_matches(
+    prev: Sequence[complex], new: Sequence[complex], cutoff: float = np.inf
+) -> list[tuple[float, int, int]]:
+    """Greedy nearest-first matching: the (distance, i, j) triples pairing
+    prev[i] with new[j], in increasing distance with ties broken by
+    (i, j), each point used at most once and no pair beyond ``cutoff``."""
+    cand = sorted((abs(p - q), i, j) for i, p in enumerate(prev) for j, q in enumerate(new))
+    used_i: set[int] = set()
+    used_j: set[int] = set()
+    matches: list[tuple[float, int, int]] = []
+    for d, i, j in cand:
+        if d > cutoff or len(matches) == min(len(prev), len(new)):
+            break
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            matches.append((d, i, j))
+    return matches
+
+
+def matched_movement(prev: Sequence[complex], new: Sequence[complex]) -> float:
     """Largest distance between matched points of two spectra, matched
     greedily nearest pair first; unmatched points (roots or multipliers
     entering or leaving through the region boundary) do not count as
     movement."""
-    if not prev or not new:
-        return 0.0
-    cand = sorted(
-        (abs(p - q), i, j) for i, p in enumerate(prev) for j, q in enumerate(new)
-    )
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    worst = 0.0
-    quota = min(len(prev), len(new))
-    for d, i, j in cand:
-        if i in used_i or j in used_j:
+    return max((d for d, _, _ in _greedy_matches(prev, new)), default=0.0)
+
+
+def continuation(
+    report: Callable[[float], object],
+    positions: Callable[[object], Sequence[complex]],
+    initial_step: float,
+    tol: Tolerances,
+) -> tuple[tuple[float, object], ...]:
+    """Reports along s in [0, 1] whose matched ``positions`` move at most
+    ``tol.step_cap`` per step; a rejected step is halved, an accepted one
+    grows by 1.6 up to ``initial_step``, and a rejected step no longer than
+    ``tol.min_step`` raises :class:`ContinuationError`."""
+    steps = [(0.0, report(0.0))]
+    s = 0.0
+    h = initial_step
+    while s < 1.0:
+        trial = min(1.0, s + h)
+        rep = report(trial)
+        move = matched_movement(positions(steps[-1][1]), positions(rep))
+        if move > tol.step_cap:
+            if trial - s <= tol.min_step:
+                raise ContinuationError(
+                    f"spectrum moved {move:.3g} over alpha step {trial - s:.3g}"
+                )
+            h *= 0.5
             continue
-        used_i.add(i)
-        used_j.add(j)
-        worst = max(worst, d)
-        if len(used_i) == quota:
-            break
-    return worst
+        steps.append((trial, rep))
+        s = trial
+        h = min(initial_step, h * 1.6)
+    return tuple(steps)
 
 
 def homotopy_trace(
@@ -488,53 +525,18 @@ def homotopy_trace(
     """Spectrum reports along alpha from 0 to full strength.
 
     Steps adapt so matched roots move at most ``tol.step_cap`` between
-    consecutive reports; the region is fixed once (sized for the full
-    gain) so counts are comparable across steps.
+    consecutive reports, and a step below ``tol.min_step`` raises
+    :class:`ContinuationError`.  The region is fixed once (sized for the
+    full gain) so counts are comparable across steps; every report also
+    carries the marginal roots, which matter for the parity bookkeeping.
     """
     region = region or default_region(cm, tol)
     base = cm.alpha
 
     def report(s: float) -> SpectrumReport:
-        rep = find_roots(cm.with_alpha(base * s), region, tol)
-        # marginal band roots still matter for the parity bookkeeping
-        band = Rect(-tol.tol_axis, tol.tol_axis, -region.im_max, region.im_max)
-        cm_s = cm.with_alpha(base * s)
-        extra = find_roots_rect(
-            cm_s.det_batch,
-            cm_s.dlog,
-            band,
-            lambda z: cm_s.residual(z) <= tol.tol_res,
-            _spacing_for(cm_s, band),
-            region.scale,
-            budget=tol.tol_region,
-        )
-        marginal = list(rep.marginal)
-        for z, m in extra:
-            if not any(abs(z - r.value) <= 1e-10 * region.scale for r in marginal):
-                marginal.append(_root_record(cm_s, z, m, tol))
-        marginal.sort(key=lambda r: (-r.value.real, r.value.imag))
-        return SpectrumReport(region, cm_s.alpha, rep.roots, tuple(marginal))
+        return _spectrum(cm.with_alpha(base * s), region, tol, scan_band=True)
 
-    steps = [(0.0, report(0.0))]
-    s = 0.0
-    h = initial_step
-    while s < 1.0:
-        trial = min(1.0, s + h)
-        rep = report(trial)
-        move = matched_movement(
-            _expanded_positions(steps[-1][1]), _expanded_positions(rep)
-        )
-        if move > tol.step_cap:
-            if trial - s <= tol.min_step:
-                raise ContinuationError(
-                    f"roots moved {move:.3g} over alpha step {trial - s:.3g}"
-                )
-            h *= 0.5
-            continue
-        steps.append((trial, rep))
-        s = trial
-        h = min(initial_step, h * 1.6)
-    return HomotopyTrace(tuple(steps))
+    return HomotopyTrace(continuation(report, _expanded_positions, initial_step, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +583,8 @@ def _commutator_hypothesis(
     )
 
 
-def _real_spectrum_hypothesis(gain: np.ndarray, tol: Tolerances) -> Hypothesis:
+def real_spectrum_hypothesis(gain: np.ndarray, tol: Tolerances) -> Hypothesis:
+    """Whether the gain's eigenvalues are real to tol_spec relative."""
     eigs = np.linalg.eigvals(gain)
     worst = float(np.max(np.abs(eigs.imag))) if len(eigs) else 0.0
     thr = tol.tol_spec * max(1.0, spectral_norm(gain))
@@ -618,6 +621,16 @@ def real_delayed_root(rate: float, gain: float, delay: float) -> float:
         return m - rate - gain * (1.0 - np.exp(-m * delay))
 
     return float(scipy.optimize.brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
+
+
+def scalar_dominant_root(
+    rate: complex, gain: complex, delay: float, tol: Tolerances = DEFAULT
+) -> complex | None:
+    """Rightmost unstable root of m = rate + gain (1 - exp(-m T)), the
+    scalar equation a common eigenvector reduces to, or None; the gain may
+    be complex, so the root comes from the half-plane search."""
+    dom = find_roots(scalar_characteristic(rate, gain, delay), tol=tol).dominant
+    return None if dom is None else dom.value
 
 
 def odd_number_verdict(problem: EquilibriumProblem, tol: Tolerances = DEFAULT) -> Verdict:
@@ -671,7 +684,7 @@ def commuting_real_spectrum_verdict(
         ),
     )
     h_comm = _commutator_hypothesis(jac, gain, tol)
-    h_spec = _real_spectrum_hypothesis(gain, tol)
+    h_spec = real_spectrum_hypothesis(gain, tol)
     hyps = (h_res, h_comm, h_spec)
     if not all(h.passed for h in hyps):
         return Verdict.from_hypotheses("commuting-real-spectrum", hyps)
@@ -711,10 +724,9 @@ def commuting_gain_verdict(
     witness = None
     try:
         ks = _restricted_gain_eigenvalues(jac, gain, eig, tol)
-        k = complex(ks[0])
-        rep = find_roots(scalar_characteristic(eig.real, k, delay), tol=tol)
-        if rep.dominant is not None:
-            witness = rep.dominant.value + 2j * np.pi * n / delay
+        root = scalar_dominant_root(eig.real, complex(ks[0]), delay, tol)
+        if root is not None:
+            witness = root + 2j * np.pi * n / delay
     except NumericalError:
         witness = None
     return Verdict.from_hypotheses("commuting-gain", hyps, witness)
@@ -778,6 +790,8 @@ def hopf_curves(
         raise InputError("rate must be positive")
     if not (delay > 0.0):
         raise InputError("delay must be positive")
+    if not (np.isfinite(rate) and np.isfinite(delay)):
+        raise InputError("rate and delay must be finite")
     if samples < 2:
         raise InputError("need at least two samples per branch")
     out = []
@@ -879,6 +893,17 @@ class LocusResult:
     samples: tuple[tuple[float, SpectrumReport], ...]
 
 
+def _assign_traces(
+    active: dict[int, complex], values: Sequence[complex], cutoff: float
+) -> dict[int, int]:
+    """Trace id for each index of ``values`` that continues a trace: the
+    traces are matched in ascending id, so ties break by (distance, trace
+    id, root index)."""
+    ids = sorted(active)
+    matches = _greedy_matches([active[tid] for tid in ids], values, cutoff)
+    return {j: ids[i] for _, i, j in matches}
+
+
 def eigenvalue_locus(
     jacobian: np.ndarray,
     delay: float,
@@ -895,10 +920,8 @@ def eigenvalue_locus(
     """
     jacobian = np.asarray(jacobian)
     if region is None:
-        worst = max(spectral_norm(g) for g in path.gains)
-        bound = spectral_norm(jacobian) + 2.0 * abs(alpha) * worst + 1.0
-        omega = 4.0 * np.pi / delay * (5 + jacobian.shape[0])
-        region = Region(tol.tol_axis, bound, max(omega, bound))
+        widest = max(path.gains, key=spectral_norm)
+        region = default_region(CharacteristicMatrix(jacobian, widest, delay, alpha), tol)
 
     def report(s: float) -> SpectrumReport:
         cm = CharacteristicMatrix(jacobian, path.gain_at(s), delay, alpha)
@@ -937,22 +960,8 @@ def eigenvalue_locus(
     active: dict[int, complex] = {}
     next_id = 0
     for s in order:
-        rep = samples[s]
-        roots = list(rep.all_roots)
-        pairs = sorted(
-            (abs(active[tid] - r.value), tid, idx)
-            for tid in active
-            for idx, r in enumerate(roots)
-        )
-        taken_t: set[int] = set()
-        taken_r: set[int] = set()
-        assignment: dict[int, int] = {}
-        for d, tid, idx in pairs:
-            if tid in taken_t or idx in taken_r or d > 2.0 * tol.step_cap:
-                continue
-            taken_t.add(tid)
-            taken_r.add(idx)
-            assignment[idx] = tid
+        roots = samples[s].all_roots
+        assignment = _assign_traces(active, [r.value for r in roots], 2.0 * tol.step_cap)
         new_active: dict[int, complex] = {}
         for idx, r in enumerate(roots):
             tid = assignment.get(idx)

@@ -34,10 +34,10 @@ import scipy.linalg
 
 from .chebyshev import barycentric_weights, cumulative_matrix, interp_rows, lobatto_nodes
 from .equilibria import (
-    find_roots,
-    matched_movement,
+    continuation,
     real_delayed_root,
-    scalar_characteristic,
+    real_spectrum_hypothesis,
+    scalar_dominant_root,
 )
 from .errors import (
     CrossCheckError,
@@ -386,15 +386,14 @@ class MultiplierReport:
     norm_bound: float
     floor: float
 
+    def _real_beyond_one(self, gap: float = 1e-6, band: float = 1e-6) -> list[MultiplierEntry]:
+        """Entries mu with Re mu > 1 + gap and |Im mu| <= band max(1, |mu|)."""
+        return [e for e in self.entries if e.value.real > 1.0 + gap
+                and abs(e.value.imag) <= band * max(1.0, abs(e.value))]
+
     def real_greater_one(self, gap: float = 1e-6, band: float = 1e-6) -> int:
         """Algebraic count of real multipliers strictly beyond 1 + gap."""
-        total = 0
-        for e in self.entries:
-            if e.value.real > 1.0 + gap and abs(e.value.imag) <= band * max(
-                1.0, abs(e.value)
-            ):
-                total += e.algebraic
-        return total
+        return sum(e.algebraic for e in self._real_beyond_one(gap, band))
 
     @property
     def dominant(self) -> MultiplierEntry | None:
@@ -651,35 +650,14 @@ def homotopy_multipliers(
     initial_step: float = 0.25,
 ) -> tuple[tuple[float, MultiplierReport], ...]:
     """Multiplier reports along alpha in [0, 1], stepping adaptively so
-    matched multipliers move at most tol.step_cap."""
-
-    def report(a: float) -> MultiplierReport:
-        return multipliers(dde_monodromy(problem, a, nodes, tol), tol)
-
-    def positions(rep: MultiplierReport) -> list[complex]:
-        out: list[complex] = []
-        for e in rep.entries:
-            out.extend([e.value] * e.algebraic)
-        return out
-
-    steps = [(0.0, report(0.0))]
-    a = 0.0
-    h = initial_step
-    while a < 1.0:
-        trial = min(1.0, a + h)
-        rep = report(trial)
-        move = matched_movement(positions(steps[-1][1]), positions(rep))
-        if move > tol.step_cap:
-            if trial - a <= tol.min_step:
-                raise NumericalError(
-                    f"multipliers moved {move:.3g} over alpha step {trial - a:.3g}"
-                )
-            h *= 0.5
-            continue
-        steps.append((trial, rep))
-        a = trial
-        h = min(initial_step, h * 1.6)
-    return tuple(steps)
+    matched multipliers move at most tol.step_cap; a step below
+    tol.min_step raises :class:`ContinuationError`."""
+    return continuation(
+        lambda a: multipliers(dde_monodromy(problem, a, nodes, tol), tol),
+        lambda rep: [e.value for e in rep.entries for _ in range(e.algebraic)],
+        initial_step,
+        tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -811,28 +789,13 @@ def scalar_reduction_verdict(
     h_rate = Hypothesis(
         "reduced rate is positive", True, f"rate {rate:.6g}", value=rate
     )
-    rep = find_roots(scalar_characteristic(rate, gain, delay), tol=tol)
-    dom = rep.dominant
+    root = scalar_dominant_root(rate, gain, delay, tol)
     h_root = Hypothesis(
         "reduced equation keeps an unstable root",
-        dom is not None,
-        f"dominant root {dom.value:.6g}" if dom else "no unstable root found",
+        root is not None,
+        f"dominant root {root:.6g}" if root is not None else "no unstable root found",
     )
-    witness = dom.value if dom else None
-    return Verdict.from_hypotheses("scalar-reduction", (h_rate, h_root), witness)
-
-
-def _real_unstable_exponent(report: MultiplierReport, period: float, tol: Tolerances) -> float | None:
-    best = None
-    for e in report.entries:
-        if e.value.real > 1.0 + tol.tol_one and abs(e.value.imag) <= tol.tol_circle * max(
-            1.0, abs(e.value)
-        ):
-            if best is None or e.value.real > best:
-                best = e.value.real
-    if best is None:
-        return None
-    return float(np.log(best) / period)
+    return Verdict.from_hypotheses("scalar-reduction", (h_rate, h_root), root)
 
 
 def periodic_verdicts(
@@ -854,7 +817,9 @@ def periodic_verdicts(
     gain = problem.feedback.gain
     period = problem.period
 
-    real_above = rep.real_greater_one(tol.tol_one, tol.tol_circle)
+    reals = rep._real_beyond_one(tol.tol_one, tol.tol_circle)
+    real_above = sum(e.algebraic for e in reals)
+    top = max(reals, key=lambda e: e.value.real, default=None)
     h_nondeg = Hypothesis(
         "no multiplier at 1",
         rep.unit_algebraic == 0,
@@ -868,11 +833,7 @@ def periodic_verdicts(
         f"{real_above} real multiplier(s) beyond 1",
         value=float(real_above),
     )
-    witness_odd = None
-    if h_nondeg.passed and h_odd.passed:
-        reals = [e.value for e in rep.entries if e.value.real > 1.0 + tol.tol_one
-                 and abs(e.value.imag) <= tol.tol_circle * max(1.0, abs(e.value))]
-        witness_odd = max(reals, key=lambda z: z.real)
+    witness_odd = top.value if h_nondeg.passed and h_odd.passed else None
     v_odd = Verdict.from_hypotheses("odd-number", (h_nondeg, h_odd), witness_odd)
 
     h_unstable = Hypothesis(
@@ -884,7 +845,7 @@ def periodic_verdicts(
 
     decomp = None
     check = None
-    exponent = _real_unstable_exponent(rep, period, tol)
+    exponent = None if top is None else float(np.log(top.value.real) / period)
     try:
         decomp = floquet_decompose(mono, tol)
         check = commuting_check(decomp, gain, tol=tol)
@@ -917,10 +878,8 @@ def periodic_verdicts(
         h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)
         h_comm_p = Hypothesis("gain commutes with the periodic factor", False, detail)
 
-    eigs_k = np.linalg.eigvals(gain)
-    worst_im = float(np.max(np.abs(eigs_k.imag))) if len(eigs_k) else 0.0
-    spec_thr = tol.tol_spec * max(1.0, spectral_norm(gain))
-    spec_ok = worst_im <= spec_thr
+    h_real = real_spectrum_hypothesis(gain, tol)
+    worst_im, spec_ok = h_real.value, h_real.passed
     odd_space = False
     space_dim = 0
     if not spec_ok and decomp is not None and exponent is not None:
@@ -929,22 +888,19 @@ def periodic_verdicts(
         )
         space_dim = basis.shape[1]
         odd_space = space_dim % 2 == 1
-    if spec_ok:
-        spec_detail = f"largest |Im| over the gain spectrum {worst_im:.3e}"
-    elif odd_space:
+    spec_detail = h_real.detail
+    if odd_space:
         spec_detail = (
             f"gain spectrum is not real (|Im| up to {worst_im:.3e}), but the "
             f"unstable eigenspace has odd dimension {space_dim}, which forces "
             "a real invariant gain eigenvalue"
         )
-    else:
-        spec_detail = f"largest |Im| over the gain spectrum {worst_im:.3e}"
     h_spec = Hypothesis(
         "gain spectrum real, or unstable eigenspace odd-dimensional",
         spec_ok or odd_space,
         spec_detail,
         value=worst_im,
-        tolerance=spec_thr,
+        tolerance=h_real.tolerance,
     )
 
     def reduction_witness(require_real: bool) -> complex | None:
@@ -962,11 +918,8 @@ def periodic_verdicts(
                 return None
             k = float(real_pairs[0].gain_eigenvalue.real)
             return complex(np.exp(real_delayed_root(exponent, k, period) * period))
-        k = complex(pairs[0].gain_eigenvalue)
-        rep_s = find_roots(scalar_characteristic(exponent, k, period), tol=tol)
-        if rep_s.dominant is None:
-            return None
-        return complex(np.exp(rep_s.dominant.value * period))
+        root = scalar_dominant_root(exponent, complex(pairs[0].gain_eigenvalue), period, tol)
+        return None if root is None else complex(np.exp(root * period))
 
     hyps_real = (h_unstable, h_comm_b, h_comm_p, h_spec)
     witness_real = (

@@ -46,6 +46,26 @@ def test_analyze_equilibrium_envelope(case_file, capsys):
     assert dom["re"] == pytest.approx(0.30618565556145744, abs=1e-9)
 
 
+def test_analyze_reports_the_resonating_center(tmp_path, capsys):
+    # J is a rotation with eigenvalues +-i = +-2 pi i / T: a root on the axis
+    # that no gain moves, reported as marginal rather than failing the scan
+    doc = {
+        "kind": "equilibrium",
+        "dimension": 2,
+        "field": {"matrix": [[0.0, -1.0], [1.0, 0.0]]},
+        "point": [0.0, 0.0],
+        "gain": [[0.2, 0.0], [0.0, 0.2]],
+        "delay": 2 * np.pi,
+    }
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 0 and err == ""
+    marginal = json.loads(out)["results"]["spectrum"]["marginal"]
+    assert sorted(round(r["value"]["im"], 9) for r in marginal) == [-1.0, 1.0]
+    assert all(abs(r["value"]["re"]) <= 1e-9 and r["algebraic"] == 1 for r in marginal)
+
+
 def test_analyze_periodic_envelope(case_file, capsys):
     path = case_file("center-periodic")
     code, out, err = _run(capsys, ["analyze", path])
@@ -179,6 +199,23 @@ def test_hopf_rejects_stable_rate(capsys):
     code, _, err = _run(capsys, ["hopf", "-0.05", "6.28"])
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-0.05", "6.28"], "rate must be positive"),
+        (["nan", "6.28"], "rate must be positive"),
+        (["0.05", "-6.28"], "delay must be positive"),
+        (["0.05", "6.28", "--branches", "0", "-1"], "branch indices must be nonnegative"),
+        (["0.05", "inf"], "must be finite"),
+        (["inf", "6.28"], "must be finite"),
+    ],
+)
+def test_hopf_input_errors_exit_2(capsys, argv, message):
+    code, _, err = _run(capsys, ["hopf"] + argv)
+    assert code == 2
+    assert message in err
 
 
 def test_hopf_empty_branches_gives_header_only(capsys):

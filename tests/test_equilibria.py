@@ -9,8 +9,11 @@ against their complex scalarization.
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pyrastab.equilibria import (
+    _assign_traces,
     CharacteristicMatrix,
     Region,
     characteristic_matrix,
@@ -24,11 +27,13 @@ from pyrastab.equilibria import (
     GainPath,
     homotopy_trace,
     hopf_curves,
+    matched_movement,
     resonating_center,
     scalar_characteristic,
     unstable_count_for_gain,
 )
-from pyrastab.errors import InputError, NumericalError
+from pyrastab.errors import ContinuationError, InputError, NumericalError, RootCountError
+from pyrastab.tolerances import DEFAULT
 from pyrastab.fields import LinearField
 from pyrastab.problems import DelayFeedback, EquilibriumProblem
 
@@ -143,6 +148,62 @@ def test_default_region_contains_every_unstable_root():
         rep = find_roots(cm, region)
         for r in rep.roots:
             assert r.value.real < region.re_max - 0.5  # never pinned at the cap
+
+
+# --- marginal roots on the imaginary axis -------------------------------------
+
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _marginal(rep):
+    return [(complex(round(r.value.real, 9), round(r.value.imag, 9)), r.algebraic, r.geometric)
+            for r in rep.marginal]
+
+
+def test_find_roots_reports_the_resonating_center():
+    # +-i = 2 pi i / T is a root for every gain: the feedback vanishes there
+    rep = find_roots(CharacteristicMatrix(_ROTATION, 0.3 * np.eye(2), 2 * np.pi))
+    assert _marginal(rep) == [(-1j, 1, 1), (1j, 1, 1)]
+    assert all(r.value.real > 0.2 for r in rep.roots)
+
+
+def test_find_roots_keeps_the_resonating_center_dimension():
+    j = np.kron(np.eye(2), _ROTATION)
+    cm = CharacteristicMatrix(j, 0.3 * np.eye(4), 2 * np.pi)
+    assert _marginal(find_roots(cm)) == [(-1j, 2, 2), (1j, 2, 2)]
+    assert check_resonance_invariance(cm, 1).dim_controlled == 2
+
+
+def test_find_roots_reports_a_defective_root_at_zero():
+    j = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rep = find_roots(CharacteristicMatrix(j, 0.3 * np.eye(2), 2 * np.pi))
+    assert _marginal(rep) == [(0j, 2, 1)]
+
+
+def test_homotopy_trace_keeps_the_resonating_center_marginal():
+    tr = homotopy_trace(CharacteristicMatrix(_ROTATION, 0.3 * np.eye(2), 2 * np.pi))
+    assert tr.alphas[0] == 0.0 and tr.alphas[-1] == 1.0
+    for _, rep in tr.steps:
+        assert _marginal(rep) == [(-1j, 1, 1), (1j, 1, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda n: st.tuples(
+            *[st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n)] * 2
+        )
+    )
+)
+def test_band_scan_leaves_the_roots_unchanged(entries):
+    n = int(round(np.sqrt(len(entries[0]))))
+    j, k = (np.reshape(e, (n, n)) for e in entries)
+    cm = CharacteristicMatrix(j, k, 2 * np.pi)
+    try:
+        plain = find_roots(cm, default_region(cm))
+    except RootCountError:
+        assume(False)  # a root inside the main window's certification gap
+    assert find_roots(cm).roots == plain.roots
 
 
 # --- resonating centers -------------------------------------------------------
@@ -276,6 +337,72 @@ def test_homotopy_trace_tracks_counts():
     assert all(c >= 1 for c in counts)  # never stabilized along the path
 
 
+def test_homotopy_trace_raises_continuation_error_below_min_step():
+    tol = DEFAULT.replace(step_cap=1e-12, min_step=0.3)
+    cm = scalar_characteristic(0.05, 0.7, 2 * np.pi)
+    with pytest.raises(ContinuationError, match="alpha step"):
+        homotopy_trace(cm, tol=tol)
+
+
+# the two greedy matching loops the shared matcher replaced, kept as oracles
+
+
+def _oracle_matched_movement(prev, new):
+    if not prev or not new:
+        return 0.0
+    cand = sorted(
+        (abs(p - q), i, j) for i, p in enumerate(prev) for j, q in enumerate(new)
+    )
+    used_i, used_j = set(), set()
+    worst = 0.0
+    quota = min(len(prev), len(new))
+    for d, i, j in cand:
+        if i in used_i or j in used_j:
+            continue
+        used_i.add(i)
+        used_j.add(j)
+        worst = max(worst, d)
+        if len(used_i) == quota:
+            break
+    return worst
+
+
+def _oracle_locus_assignment(active, values, cutoff):
+    pairs = sorted(
+        (abs(active[tid] - v), tid, idx) for tid in active for idx, v in enumerate(values)
+    )
+    taken_t, taken_r, assignment = set(), set(), {}
+    for d, tid, idx in pairs:
+        if tid in taken_t or idx in taken_r or d > cutoff:
+            continue
+        taken_t.add(tid)
+        taken_r.add(idx)
+        assignment[idx] = tid
+    return assignment
+
+
+# points on a quarter grid, each list closed under conjugation and with
+# repeats, so exact distance ties are the rule rather than the exception
+_GRID = st.builds(complex, st.integers(-3, 3).map(lambda x: x / 4), st.integers(0, 3).map(lambda y: y / 4))
+_SPECTRUM = st.lists(_GRID, max_size=5).map(
+    lambda zs: [w for z in zs for w in ((z,) if z.imag == 0 else (z, z.conjugate()))]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _SPECTRUM,
+    _SPECTRUM,
+    st.permutations(range(12)),
+    st.sampled_from([0.0, 0.25, 0.5, np.inf]),
+)
+def test_greedy_matches_reproduce_both_matching_loops(prev, new, ids, cutoff):
+    assert matched_movement(prev, new) == _oracle_matched_movement(prev, new)
+    # trace ids inserted out of order, as a locus does when traces are born
+    active = dict(zip(ids, prev))
+    assert _assign_traces(active, new, cutoff) == _oracle_locus_assignment(active, new, cutoff)
+
+
 # --- Hopf curves and the crossing law ------------------------------------------
 
 
@@ -301,6 +428,12 @@ def test_hopf_branch_windows_and_monotonicity():
 def test_hopf_requires_unstable_rate():
     with pytest.raises(InputError):
         hopf_curves(-0.1, 2 * np.pi)
+
+
+@pytest.mark.parametrize("rate, delay", [(0.05, np.inf), (np.inf, 1.0), (np.nan, 1.0)])
+def test_hopf_rejects_non_finite_rate_or_delay(rate, delay):
+    with pytest.raises(InputError):
+        hopf_curves(rate, delay)
 
 
 def test_crossing_changes_count_by_two():
@@ -348,6 +481,13 @@ def test_locus_traces_are_threaded():
     # the dominant branch moves continuously
     vals = np.array([p.value for p in longest.points])
     assert np.max(np.abs(np.diff(vals))) < 0.3
+
+
+def test_locus_raises_continuation_error_below_min_gap():
+    tol = DEFAULT.replace(step_cap=1e-12, min_step=0.3)
+    path = GainPath.scalar([0.1, 0.9], parameter=[0.0, 1.0])
+    with pytest.raises(ContinuationError, match="parameter gap"):
+        eigenvalue_locus(np.array([[0.05]]), 2 * np.pi, path, tol=tol)
 
 
 def test_gain_path_validation():

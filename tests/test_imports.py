@@ -1,0 +1,71 @@
+"""Module boundaries: no pyrastab module imports another's private names.
+
+A name with a leading underscore is private to its module; a helper that
+two modules share is made public in one of them instead.  The check reads
+the source with ``ast``, so it covers both ``from .x import _y`` and
+``from pyrastab.x import _y``, as well as ``x._y`` on an imported module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pyrastab
+
+_SRC = Path(pyrastab.__file__).parent
+_MODULES = sorted(_SRC.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules: set[str] = set()  # local names bound to pyrastab modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            internal = node.level > 0 or (node.module or "").split(".")[0] == "pyrastab"
+            if not internal:
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"line {node.lineno}: from {node.module} import {alias.name}")
+                elif node.module in (None, "pyrastab"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "pyrastab":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_modules_are_found():
+    names = {p.stem for p in _MODULES}
+    assert {"equilibria", "periodic", "rootfinding", "cli"} <= names
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_no_private_cross_module_import(path):
+    assert _private_imports(path) == []
+
+
+def test_checker_sees_private_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .equilibria import _spectrum\n"
+        "from pyrastab.rootfinding import _newton as n\n"
+        "from . import periodic\n"
+        "periodic._rk4\n"
+    )
+    assert len(_private_imports(bad)) == 3

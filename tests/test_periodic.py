@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pyrastab import periodic
 from pyrastab.benchmarks import get_case
 from pyrastab.equilibria import Region, find_roots, scalar_characteristic
-from pyrastab.errors import InputError, NumericalError
+from pyrastab.errors import ContinuationError, InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
 from pyrastab.periodic import (
     check_determining_invariance,
@@ -539,3 +539,10 @@ def test_homotopy_multipliers_keeps_unstable_multiplier():
     assert steps[-1][0] == 1.0
     for a, rep in steps:
         assert rep.real_greater_one() >= 1, f"lost the real multiplier at alpha={a}"
+
+
+def test_homotopy_multipliers_raises_continuation_error_below_min_step():
+    prob = get_case("orbit-unstable").problem()
+    tol = DEFAULT.replace(tol_xcheck=np.inf, step_cap=1e-12, min_step=0.3)
+    with pytest.raises(ContinuationError, match="alpha step"):
+        homotopy_multipliers(prob, nodes=8, tol=tol)
