@@ -59,12 +59,7 @@ def _tolerances(args, base: Tolerances) -> Tolerances:
 
 def _region(args) -> Optional[Region]:
     values = getattr(args, "region", None)
-    if values is None:
-        return None
-    re_min, re_max, im_max = values
-    if not (re_max > re_min and im_max > 0.0):
-        raise InputError("--region needs re_max > re_min and im_max > 0")
-    return Region(re_min, re_max, im_max)
+    return None if values is None else Region(*values)
 
 
 # ---------------------------------------------------------------------------

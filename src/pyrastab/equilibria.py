@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import ContinuationError, InputError, NumericalError
-from .linalg import kernel_basis, rank_cutoff, spectral_norm
+from .linalg import kernel_basis, spectral_norm, svd_rank
 from .problems import EquilibriumProblem
 from .rootfinding import Rect, count_with_nudge, find_roots_rect
 from .tolerances import DEFAULT, Tolerances
@@ -108,10 +108,6 @@ class CharacteristicMatrix:
         return self.jacobian.shape[0]
 
     @property
-    def is_real(self) -> bool:
-        return not (np.iscomplexobj(self.jacobian) or np.iscomplexobj(self.gain))
-
-    @property
     def norm_bound(self) -> float:
         return spectral_norm(self.jacobian) + 2.0 * abs(self.alpha) * spectral_norm(self.gain)
 
@@ -160,14 +156,6 @@ class CharacteristicMatrix:
     def residual(self, lam: complex) -> float:
         svals = scipy.linalg.svdvals(self.value(lam))
         return float(svals[-1] / max(1.0, svals[0]))
-
-    def kernel_dimension(self, lam: complex, tol: Tolerances = DEFAULT) -> int:
-        svals = scipy.linalg.svdvals(self.value(lam))
-        tau = max(
-            rank_cutoff(svals, self.dimension, tol.rank_factor),
-            tol.tol_res * max(1.0, float(svals[0])),
-        )
-        return int(np.count_nonzero(svals <= tau))
 
 
 def characteristic_matrix(
@@ -285,11 +273,8 @@ class SpectrumReport:
 
 def _root_record(cm: CharacteristicMatrix, z: complex, mult: int, tol: Tolerances) -> Root:
     svals = scipy.linalg.svdvals(cm.value(z))
-    tau = max(
-        rank_cutoff(svals, cm.dimension, tol.rank_factor),
-        tol.tol_res * max(1.0, float(svals[0])),
-    )
-    geo = int(np.count_nonzero(svals <= tau))
+    floor = tol.tol_res * max(1.0, float(svals[0]))
+    geo = cm.dimension - svd_rank(svals, cm.dimension, tol.rank_factor, floor)
     residual = float(svals[-1] / max(1.0, svals[0]))
     return Root(z, mult, max(geo, 1), residual)
 
@@ -433,8 +418,7 @@ def check_resonance_invariance(
     point = 2j * np.pi * n / cm.delay
     dim_open, _ = resonating_center(cm.jacobian, cm.delay, n, tol)
     svals = scipy.linalg.svdvals(cm.value(point))
-    tau = rank_cutoff(svals, cm.dimension, tol.rank_factor)
-    dim_ctrl = int(np.count_nonzero(svals <= tau))
+    dim_ctrl = cm.dimension - svd_rank(svals, cm.dimension, tol.rank_factor)
     return ResonanceInvariance(n, point, dim_open, dim_ctrl)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     NumericalError,
     SingularMonodromyError,
 )
-from .linalg import cluster_multiplicity, kernel_basis, spectral_norm
+from .linalg import cluster_multiplicities, cluster_multiplicity, kernel_basis, spectral_norm
 from .problems import PeriodicLinearProblem
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -259,16 +259,17 @@ def ode_monodromy(
     problem: PeriodicLinearProblem, steps: int = 2048
 ) -> MonodromyODE:
     """Monodromy of the uncontrolled system (the delayed difference term
-    vanishes on periodic solutions, so the gain plays no role here)."""
+    vanishes on periodic solutions, so the gain plays no role here).  The
+    Richardson estimate marches every other grid point, with the odd ones as
+    midpoints, so ``steps`` must be even."""
     steps = _integer_at_least(steps, "steps", 16)
+    if steps % 2:
+        raise InputError(f"steps must be even, got {steps}")
     eye = np.eye(problem.dimension)
-    period = problem.period
-    times = np.linspace(0.0, period, steps + 1)
+    times = np.linspace(0.0, problem.period, steps + 1)
     stages = _stage_coefficients(problem.coefficient_on, times)
     values = _rk4(times, stages, eye, np.arange(steps + 1))
-    coarse_times = np.linspace(0.0, period, steps // 2 + 1)
-    stages = _stage_coefficients(problem.coefficient_on, coarse_times)
-    coarse = _rk4(coarse_times, stages, eye, [-1])
+    coarse = _rk4(times[::2], (stages[0][::2], stages[0][1::2]), eye, [-1])
     scale = max(1.0, spectral_norm(values[-1]))
     err = spectral_norm(values[-1] - coarse[-1]) / (15.0 * scale)
     return MonodromyODE(problem, times, values, float(err))
@@ -416,30 +417,33 @@ def multipliers(
     eigs = np.linalg.eigvals(mat)
     outside = int(np.sum(np.abs(eigs) > 1.0 + tol.tol_circle))
     on_circle = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol.tol_circle))
-    unit_alg, unit_geo = cluster_multiplicity(mat, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
-
+    # greedy clustering: each multiplier joins the first cluster whose
+    # centre, the mean of its members, lies within tol_one of it
     kept = [complex(e) for e in eigs if abs(e) > floor]
     kept.sort(key=lambda z: (-abs(z), z.real, z.imag))
-    clusters: list[list[complex]] = []
+    members: list[list[complex]] = []
+    centres = np.empty(len(kept), dtype=complex)
     for e in kept:
-        radius = tol.tol_one * max(1.0, abs(e))
-        for c in clusters:
-            if abs(np.mean(c) - e) <= radius:
-                c.append(e)
-                break
-        else:
-            clusters.append([e])
+        d = centres[: len(members)] - e  # hypot rounds like scalar abs
+        near = np.flatnonzero(np.hypot(d.real, d.imag) <= tol.tol_one * max(1.0, abs(e)))
+        i = int(near[0]) if len(near) else len(members)
+        if i == len(members):
+            members.append([])
+        members[i].append(e)
+        centres[i] = np.mean(members[i])
+
+    # one Schur form for the unit cluster and every repeated multiplier
+    values = [complex(c) for c in centres[: len(members)]]
+    wanted = [(1.0 + 0.0j, tol.tol_one)] + [
+        (v, max(abs(z - v) for z in c) + tol.tol_one * max(1.0, abs(v)))
+        for v, c in zip(values, members) if len(c) > 1
+    ]
+    counts = iter(cluster_multiplicities(mat, wanted, tol.rank_factor))
+    unit_alg, unit_geo = next(counts)
     entries = []
-    for c in clusters:
-        value = complex(np.mean(c))
-        alg = len(c)
-        if alg == 1:
-            geo = 1
-        else:
-            band = max(abs(z - value) for z in c) + tol.tol_one * max(1.0, abs(value))
-            alg2, geo = cluster_multiplicity(mat, value, band, tol.rank_factor)
-            alg = max(alg, alg2)
-        entries.append(MultiplierEntry(value, alg, geo))
+    for v, c in zip(values, members):
+        alg, geo = next(counts) if len(c) > 1 else (1, 1)
+        entries.append(MultiplierEntry(v, max(len(c), alg), geo))
     entries.sort(key=lambda e: (-abs(e.value), e.value.real, e.value.imag))
     return MultiplierReport(
         tuple(entries),
@@ -878,16 +882,19 @@ def periodic_verdicts(
         h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)
         h_comm_p = Hypothesis("gain commutes with the periodic factor", False, detail)
 
+    # common eigenpairs of the generator at the unstable exponent and the
+    # gain, one per dimension of that eigenspace
+    pairs: tuple[CommonEigenpair, ...] = ()
+    if decomp is not None and exponent is not None:
+        try:
+            pairs = common_eigenpair(decomp.generator, gain, exponent, tol)
+        except (InputError, NumericalError):
+            pass
+
     h_real = real_spectrum_hypothesis(gain, tol)
     worst_im, spec_ok = h_real.value, h_real.passed
-    odd_space = False
-    space_dim = 0
-    if not spec_ok and decomp is not None and exponent is not None:
-        basis = kernel_basis(
-            exponent * np.eye(gain.shape[0]) - decomp.generator, tol.rank_factor
-        )
-        space_dim = basis.shape[1]
-        odd_space = space_dim % 2 == 1
+    space_dim = len(pairs)
+    odd_space = not spec_ok and space_dim % 2 == 1
     spec_detail = h_real.detail
     if odd_space:
         spec_detail = (
@@ -904,12 +911,6 @@ def periodic_verdicts(
     )
 
     def reduction_witness(require_real: bool) -> complex | None:
-        if decomp is None or exponent is None:
-            return None
-        try:
-            pairs = common_eigenpair(decomp.generator, gain, exponent, tol)
-        except (InputError, NumericalError):
-            return None
         if not pairs:
             return None
         if require_real:

@@ -138,6 +138,17 @@ def test_analyze_csv_needs_out(case_file, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [(["1", "0", "1"], "empty region"), (["0", "1", "nan"], "must be finite")],
+)
+def test_analyze_rejects_bad_region(case_file, capsys, bounds, message):
+    path = case_file("scalar-basic")
+    code, _, err = _run(capsys, ["analyze", path, "--region", *bounds])
+    assert code == 2
+    assert "input error" in err and message in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = _run(capsys, ["analyze", "/no/such/file.json"])
     assert code == 2

@@ -3,8 +3,12 @@
 Oracles: constant and commuting coefficient families have closed-form
 monodromies via the matrix exponential; a genuinely time-dependent
 benchmark with known Floquet form is built by conjugating a constant
-generator with an explicit periodic similarity.
+generator with an explicit periodic similarity.  ``multipliers`` is also
+compared with the clustering loop and per-cluster sorted Schur forms it
+replaced, kept here as ``_former_multipliers``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from pyrastab.periodic import (
 )
 from pyrastab.problems import DelayFeedback, PeriodicLinearProblem
 from pyrastab.tolerances import DEFAULT
+from test_linalg import sorted_schur_multiplicity
 
 
 def _periodic(coeff, period, gain):
@@ -107,6 +112,32 @@ def _stage_loop(afun, rfun, times, y0):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y)
     return np.array(out)
+
+
+def test_ode_monodromy_rejects_odd_steps():
+    with pytest.raises(InputError, match="even"):
+        ode_monodromy(_scalar_problem(), steps=65)
+
+
+def test_ode_monodromy_coarse_march_samples_nothing_new():
+    # the Richardson march runs on every other grid point, its midpoints
+    # the odd grid points: 2 steps + 1 coefficient samples in all
+    calls = []
+    coeff = get_case("trig-periodic").problem().coefficient
+
+    def counted(t):
+        calls.append(t)
+        return coeff(t)
+
+    prob = _periodic(counted, 2 * np.pi, np.eye(2))
+    calls.clear()
+    mono = ode_monodromy(prob, steps=64)
+    assert len(calls) == 129
+    # the same estimate as from a separate march of 32 steps, up to rounding
+    coarse = ode_monodromy(prob, steps=32).matrix
+    scale = max(1.0, np.linalg.norm(mono.matrix, 2))
+    expect = np.linalg.norm(mono.matrix - coarse, 2) / (15.0 * scale)
+    assert mono.error_estimate == pytest.approx(expect, rel=1e-6)
 
 
 def test_ode_monodromy_matches_stage_loop_reference():
@@ -289,6 +320,103 @@ def test_multiplier_report_unit_cluster():
     )
     rep = multipliers(ode_monodromy(prob))
     assert (rep.unit_algebraic, rep.unit_geometric) == (2, 2)
+
+
+def _former_multipliers(mat, tol=DEFAULT, floor=None):
+    """Oracle: the report built with one np.mean per (multiplier, cluster)
+    pair and one sorted Schur form per cluster."""
+    if floor is None:
+        floor = tol.mu_floor
+    eigs = np.linalg.eigvals(mat)
+    outside = int(np.sum(np.abs(eigs) > 1.0 + tol.tol_circle))
+    on_circle = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol.tol_circle))
+    unit_alg, unit_geo = sorted_schur_multiplicity(mat, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
+    kept = [complex(e) for e in eigs if abs(e) > floor]
+    kept.sort(key=lambda z: (-abs(z), z.real, z.imag))
+    clusters = []
+    for e in kept:
+        radius = tol.tol_one * max(1.0, abs(e))
+        for c in clusters:
+            if abs(np.mean(c) - e) <= radius:
+                c.append(e)
+                break
+        else:
+            clusters.append([e])
+    entries = []
+    for c in clusters:
+        value = complex(np.mean(c))
+        alg = len(c)
+        if alg == 1:
+            geo = 1
+        else:
+            band = max(abs(z - value) for z in c) + tol.tol_one * max(1.0, abs(value))
+            alg2, geo = sorted_schur_multiplicity(mat, value, band, tol.rank_factor)
+            alg = max(alg, alg2)
+        entries.append(periodic.MultiplierEntry(value, alg, geo))
+    entries.sort(key=lambda e: (-abs(e.value), e.value.real, e.value.imag))
+    return periodic.MultiplierReport(tuple(entries), outside, on_circle, unit_alg, unit_geo,
+                                     float(np.linalg.norm(mat, 2)), float(floor))
+
+
+@pytest.mark.parametrize(
+    "name", ["center-periodic", "orbit-unstable", "orbit-neutral", "diag-periodic",
+             "trig-periodic"])
+def test_multipliers_match_former_report_on_dde_matrices(name):
+    prob = get_case(name).problem()
+    for nodes in (16, 32):
+        mat = dde_monodromy(prob, nodes=nodes).matrix
+        for floor in (None, 1e-6):
+            want = _former_multipliers(mat, floor=floor)
+            assert multipliers(SimpleNamespace(matrix=mat), floor=floor) == want
+
+
+def test_multipliers_join_the_first_cluster_in_reach():
+    # the third multiplier lies within tol_one of both earlier clusters and
+    # joins the first one, the larger in modulus
+    first, second, third = 1 + 2e-6, 1 + 1.5e-6 + 1.2e-6j, 1 + 1.2e-6 + 0.5e-6j
+    mat = np.diag([third, first, second])
+    rep = multipliers(SimpleNamespace(matrix=mat))
+    assert rep == _former_multipliers(mat)
+    assert [e.value for e in rep.entries] == [complex(np.mean([first, third])), second]
+
+
+# real eigen-blocks: a real value or a conjugate pair (a +- ib)
+_BLOCKS = ((1.0, 0.0), (1.0 + 4e-7, 0.0), (-1.0, 0.0), (0.5, 0.0), (2.0, 0.0), (1e-8, 0.0),
+           (0.6, 0.8), (0.0, 1.0), (1.2, 0.5), (0.6 + 3e-7, 0.8))
+
+
+@st.composite
+def _planted_spectra(draw):
+    """Real S (D + N) S^-1: repeated real values and conjugate pairs, some
+    with a nilpotent coupling N, and exact ties when S = I."""
+    blocks = []
+    for a, b in draw(st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 3))):
+            blocks.append(np.array([[a]]) if b == 0.0 else np.array([[a, -b], [b, a]]))
+    planted = scipy.linalg.block_diag(*blocks)
+    n = planted.shape[0]
+    coupled = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    for k, c in enumerate(coupled):
+        if c and planted[k, k] == planted[k + 1, k + 1] and planted[k + 1, k] == 0.0:
+            planted[k, k + 1] = 1.0
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = q * np.exp(rng.uniform(-0.5, 0.5, n))
+        planted = s @ planted @ np.linalg.inv(s)
+    return planted
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_spectra(), st.sampled_from([None, 1e-6, 0.7]))
+def test_multipliers_match_former_report_on_planted_spectra(mat, floor):
+    try:
+        want = _former_multipliers(mat, floor=floor)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            multipliers(SimpleNamespace(matrix=mat), floor=floor)
+        return
+    assert multipliers(SimpleNamespace(matrix=mat), floor=floor) == want
 
 
 # --- DDE monodromy ----------------------------------------------------------------
@@ -508,6 +636,21 @@ def test_periodic_verdicts_on_unstable_orbit():
     assert v_comm.rule == "commuting-gain" and v_comm.excluded
 
 
+@pytest.mark.parametrize("rates, dim", [((0.1, -0.2, -0.2), 1), ((0.1, 0.1, -0.2), 2)])
+def test_periodic_verdicts_odd_unstable_eigenspace_waives_real_spectrum(rates, dim):
+    # the gain has spectrum {0.2, +-0.3 i} and commutes with the generator;
+    # the unstable eigenspace at exponent 0.1 has dimension ``dim``
+    gain = scipy.linalg.block_diag([[0.2]], [[0.0, -0.3], [0.3, 0.0]])
+    if dim == 2:
+        gain = scipy.linalg.block_diag([[0.0, -0.3], [0.3, 0.0]], [[0.2]])
+    prob = _periodic(ConstantCoefficient(np.diag(rates)), 2 * np.pi, gain)
+    _, v_real, v_comm = periodic_verdicts(prob)
+    h_spec = v_real.hypotheses[-1]
+    assert h_spec.passed == (dim == 1)
+    assert (f"odd dimension {dim}" in h_spec.detail) == (dim == 1)
+    assert v_real.excluded == (dim == 1) and v_comm.excluded
+
+
 def test_periodic_verdicts_reuse_a_given_monodromy():
     prob = get_case("orbit-unstable").problem()
     mono = ode_monodromy(prob)
@@ -519,6 +662,20 @@ def test_periodic_verdicts_reuse_a_given_monodromy():
         periodic_verdicts(other, monodromy=mono)
     with pytest.raises(InputError, match="different problem"):
         check_determining_invariance(other, nodes=16, monodromy=mono)
+
+
+def test_periodic_verdicts_compute_common_eigenpairs_once(monkeypatch):
+    calls = []
+    original = periodic.common_eigenpair
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "common_eigenpair", counted)
+    verdicts = periodic_verdicts(get_case("orbit-unstable").problem())
+    assert len(calls) == 1
+    assert [v.witness is not None for v in verdicts[1:]] == [True, True]
 
 
 def test_periodic_verdicts_abstain_at_unit_multiplier():
