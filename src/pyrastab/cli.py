@@ -235,14 +235,13 @@ def cmd_simulate(args) -> int:
     trajectory = integrate(problem.field, problem.feedback, history, horizon, dt=args.dt)
 
     span = trajectory.times[-1] - trajectory.times[0]
-    rate: Optional[float] = None
-    underflow = False
-    if span > 0.0:
+    fitted: Optional[float] = None
+    try:
         fitted = growth_rate(trajectory, span / 3.0, problem.point)
-        if math.isinf(fitted):
-            underflow = True
-        else:
-            rate = fitted
+    except InputError:  # a run too short for two tail samples has no slope
+        pass
+    underflow = fitted is not None and math.isinf(fitted)
+    rate = None if underflow else fitted
 
     spectrum = find_roots(characteristic_matrix(problem), tol=tol)
     predicted_unstable = spectrum.unstable_count(tol.tol_axis) > 0

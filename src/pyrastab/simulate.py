@@ -10,6 +10,14 @@ grid point and at stage midpoints on a stored interval midpoint.  The
 delay term then carries no interpolation error beyond the cubic dense
 output, which keeps time-domain growth rates comparable with spectral
 predictions.
+
+A `LinearField` is marched one delay interval at a time: each RK4 step
+is then affine in the state and the three delayed values it reads, so
+the step maps are built once and every step is one small matmul (the
+method of steps; Bellen & Zennaro, *Numerical Methods for Delay
+Differential Equations*, OUP 2003).  Every other field runs the generic
+stage loop, which calls the field four times per step.  Both compute the
+same RK4 steps and agree to rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import numpy as np
 import scipy.interpolate
 
 from .errors import InputError
+from .fields import LinearField
 from .problems import DelayFeedback
 
 __all__ = [
@@ -176,6 +185,11 @@ def integrate(
     midpoints of prior intervals.  A non-finite or oversized state stops
     the run and is reported through `blown_at` rather than raising: a
     blow-up is a legitimate (unstable) outcome.
+
+    A `LinearField` takes the affine interval march (`_affine_march`),
+    which calls no field per step; its step maps are built once, and a
+    field whose maps overflow falls back to the stage loop.  Every other
+    field runs the stage loop below, four field calls per step.
     """
     delay = feedback.delay
     gain = feedback.gain
@@ -184,8 +198,8 @@ def integrate(
         raise InputError("history dimension does not match the gain")
     if abs(history.delay - delay) > 1e-9 * delay:
         raise InputError("history covers a different delay than the feedback")
-    if not t_end > 0.0:
-        raise InputError("t_end must be positive")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise InputError("t_end must be positive and finite")
     if dt is None:
         dt = delay / 64.0
     if not 0.0 < dt <= delay:
@@ -202,6 +216,14 @@ def integrate(
     xs[0] = history.final
     scale = max(1.0, float(np.max(np.abs(history.values))))
     limit = blow_up * scale
+    if isinstance(field, LinearField):
+        if field.matrix.shape != gain.shape:
+            raise InputError("field dimension does not match the gain")
+        maps = _step_maps(field.matrix, gain, h)
+        if np.all(np.isfinite(maps)):
+            last, blown_at = _affine_march(field.matrix, gain, history, maps, h, m, xs, fs, limit)
+            times = np.arange(last + 1) * h
+            return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
     blown_at: Optional[float] = None
 
     def delayed_point(i: int) -> np.ndarray:
@@ -242,6 +264,95 @@ def integrate(
     return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
 
 
+def _step_maps(a: np.ndarray, gain: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of x' = A x + K (x - xd) as a linear map, shape (n, 4n).
+
+    The columns act on (x, d0, dm, d1), the state and the delayed node,
+    midpoint and end values the step reads, and give the increment
+    x+ - x = D x + E0 d0 + Em dm + E1 d1.  The stage recurrences of the
+    stage loop run on the four (n, 4n) unit blocks, so I + D = R(h (A + K))
+    is RK4's stability polynomial and E1 = -(h/6) K.  Maps beyond the
+    double range come back non-finite, without a warning.
+    """
+    n = a.shape[0]
+    x, d0, dm, d1 = (np.eye(n, 4 * n, k * n) for k in range(4))
+
+    def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
+        return a @ y + gain @ (y - yd)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(x, d0)
+        k2 = rhs(x + 0.5 * h * k1, dm)
+        k3 = rhs(x + 0.5 * h * k2, dm)
+        k4 = rhs(x + h * k3, d1)
+        return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _affine_march(
+    a: np.ndarray,
+    gain: np.ndarray,
+    history: HistorySegment,
+    maps: np.ndarray,
+    h: float,
+    m: int,
+    xs: np.ndarray,
+    fs: np.ndarray,
+    limit: float,
+) -> tuple[int, Optional[float]]:
+    """The stage loop's RK4 steps for f(x) = A x, one delay interval at a time.
+
+    Fills ``xs`` and ``fs`` (xs[0] given) and returns ``(last, blown_at)``
+    as the stage loop sets them.  Per interval, the delayed nodes,
+    midpoints and ends of all its steps are gathered at once: from batched
+    history calls on the first interval, and after it from the previous
+    interval's ``xs`` and ``fs`` through the stage loop's Hermite midpoint.
+    The step offsets c are then one matmul, and each step is y + D y + c.
+    I + D is never stored, as its rounding would bias every step the same
+    way.  The blow-up test runs once per interval and locates the first
+    offending step.
+    """
+    n = a.shape[0]
+    steps = len(xs) - 1
+    d = maps[:, :n]
+    offsets = maps[:, n:].T  # rows act on (d0, dm, d1) side by side
+
+    def delayed_nodes(lo: int, hi: int) -> np.ndarray:
+        # the stage loop's delayed_point(i) for lo <= i < hi
+        if lo >= 0:
+            return xs[lo:hi]
+        past = history(np.arange(lo, min(hi, 0)) * h)
+        return np.concatenate([past, xs[: max(hi, 0)]])
+
+    for j0 in range(0, steps, m):
+        j1 = min(j0 + m, steps)
+        nodes = delayed_nodes(j0 - m, j1 - m + 1)  # for grid points j0..j1
+        if j0 == 0:
+            mids = history((np.arange(j1) - m + 0.5) * h)
+        else:
+            # fs[j0], filled with the previous interval, feeds the last midpoint
+            lo, hi = j0 - m, j1 - m
+            mids = 0.5 * (xs[lo:hi] + xs[lo + 1 : hi + 1]) + (h / 8.0) * (
+                fs[lo:hi] - fs[lo + 1 : hi + 1]
+            )
+        c = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
+        first = 0 if j0 == 0 else j0 + 1  # first grid point whose fs is unset
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = xs[j0]
+            for i in range(j1 - j0):
+                y = y + d @ y + c[i]
+                xs[j0 + i + 1] = y
+            seg = xs[first : j1 + 1]
+            fs[first : j1 + 1] = seg @ a.T + (seg - nodes[first - j0 :]) @ gain.T
+            new = xs[j0 + 1 : j1 + 1]
+            finite = np.isfinite(new).all(axis=1)
+            bad = ~finite | (np.abs(new) > limit).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            j = j0 + i  # the offending step
+            return (j + 1 if finite[i] else j), j * h + h
+    return steps, None
+
+
 def growth_rate(
     trajectory: Trajectory,
     window: float,
@@ -250,7 +361,8 @@ def growth_rate(
     """Least-squares slope of log distance-from-reference over the tail.
 
     The sign classifies stability; a trajectory that converged below
-    floating-point resolution is reported as -inf (strongly stable).
+    floating-point resolution is reported as -inf (strongly stable).  A
+    tail with fewer than two samples has no slope and raises `InputError`.
     """
     if not window > 0.0:
         raise InputError("window must be positive")
@@ -259,6 +371,8 @@ def growth_rate(
         raise InputError("trajectory must be longer than twice the window")
     d = trajectory.deviations(reference)
     mask = trajectory.times >= trajectory.times[-1] - window
+    if np.count_nonzero(mask) < 2:
+        raise InputError("the window holds fewer than two samples")
     tail = d[mask]
     if np.max(tail) < 1e-280:
         return float("-inf")

@@ -1,6 +1,7 @@
 """Command-line interface: envelopes, tables, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,36 @@ def test_simulate_periodic_rejected(case_file, capsys):
     code, _, err = _run(capsys, ["simulate", path])
     assert code == 2
     assert "equilibrium" in err
+
+
+def test_simulate_rejects_an_infinite_horizon(case_file, capsys):
+    path = case_file("scalar-basic")
+    code, out, err = _run(capsys, ["simulate", path, "--horizon", "inf"])
+    assert code == 2 and out == ""
+    assert "t_end" in err
+
+
+def test_simulate_first_step_blow_up_has_no_growth_rate(tmp_path, capsys):
+    # the run blows up on its first step, so its tail holds one sample and
+    # no slope; blown_at alone carries the growth sign
+    doc = {
+        "kind": "equilibrium",
+        "dimension": 1,
+        "field": {"matrix": [[1e6]]},
+        "point": [0.0],
+        "gain": [[0.1]],
+        "delay": 1.0,
+    }
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(capsys, ["simulate", str(path)])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["blown_at"] == res["dt"]
+    assert res["growth_rate"] is None and res["underflow"] is False
+    assert res["unstable_count"] == 1 and res["consistent"] is True
 
 
 def test_simulate_deterministic_for_fixed_seed(case_file, capsys):

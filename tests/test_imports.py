@@ -69,3 +69,62 @@ def test_checker_sees_private_imports(tmp_path):
         "periodic._rk4\n"
     )
     assert len(_private_imports(bad)) == 3
+
+
+# --- the time-domain oracle stays independent ------------------------------------
+#
+# `simulate` checks the spectral verdicts of `equilibria` and `periodic` by
+# integrating in time; it must not reuse any of their code to do so.
+
+_ORACLE_FORBIDDEN = {"equilibria", "periodic"}
+
+
+def _internal_imports(path: Path) -> set[str]:
+    """The pyrastab modules a file imports, by their last dotted name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "pyrastab":
+                continue
+            inner = [p for p in parts if p and p != "pyrastab"]
+            if inner:
+                found.add(inner[0])
+            else:  # from . import x, from pyrastab import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "pyrastab" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_simulate_imports_no_spectral_module():
+    # neither directly nor through the modules it imports
+    reached, todo = set(), ["simulate"]
+    while todo:
+        name = todo.pop()
+        if name not in reached and (_SRC / f"{name}.py").exists():
+            reached.add(name)
+            todo.extend(_internal_imports(_SRC / f"{name}.py"))
+    assert "linalg" in reached  # reached through problems
+    assert reached & _ORACLE_FORBIDDEN == set()
+
+
+def test_checker_sees_spectral_imports(tmp_path):
+    planted = [
+        "from .equilibria import find_roots\n",
+        "from . import periodic\n",
+        "from pyrastab.periodic import dde_monodromy\n",
+        "from pyrastab import equilibria as eq\n",
+        "import pyrastab.periodic\n",
+    ]
+    for line in planted:
+        bad = tmp_path / "bad.py"
+        bad.write_text("from .errors import InputError\n" + line)
+        assert _internal_imports(bad) & _ORACLE_FORBIDDEN, line
+    clean = tmp_path / "clean.py"
+    clean.write_text("import numpy as np\nfrom .fields import LinearField\n")
+    assert _internal_imports(clean) == {"fields"}

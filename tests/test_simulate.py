@@ -6,8 +6,12 @@ an explicit solution; that gives an exact oracle including the gain
 coupling.  Order checks halve dt and expect the classical factor 16.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrastab.equilibria import Region, find_roots, scalar_characteristic
 from pyrastab.errors import InputError
@@ -154,6 +158,138 @@ def test_blow_up_truncates_with_flag():
     assert np.all(np.isfinite(traj.states))
 
 
+def test_integrate_rejects_non_finite_t_end():
+    field = LinearField(np.array([[-1.0]]))
+    fb = DelayFeedback(np.array([[0.5]]), 1.0)
+    hist = HistorySegment.from_constant(np.ones(1), 1.0)
+    for t_end in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(InputError):
+            integrate(field, fb, hist, t_end)
+
+
+def test_linear_field_must_match_the_gain():
+    # a 1 x 1 matrix would broadcast against a 2 x 2 gain in the step maps
+    fb = DelayFeedback(np.eye(2), 1.0)
+    hist = HistorySegment.from_constant(np.ones(2), 1.0)
+    with pytest.raises(InputError):
+        integrate(LinearField(np.array([[-1.0]])), fb, hist, 2.0)
+
+
+# --- the affine interval march against the stage loop ------------------------------
+#
+# A plain callable runs the generic stage loop; the same matrix as a
+# LinearField runs the affine interval march.  Both must take the same RK4
+# steps and stop at the same step.
+
+
+@st.composite
+def _linear_runs(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delay = draw(st.floats(0.5, 8.0))
+    dt = delay / draw(st.floats(2.0, 40.0))  # need not divide the delay
+    t_end = delay * draw(st.floats(0.05, 4.5))  # may end inside the first interval
+    h = delay / np.ceil(delay / dt - 1e-12)
+    gain = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-1.0, 0.5)
+    regime = draw(st.sampled_from(["moderate", "finite-first", "non-finite"]))
+    blow_up = 1e9
+    if regime == "moderate":
+        # blow-ups, if any, are finite and fall anywhere in the run
+        matrix = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        blow_up = 10.0 ** rng.uniform(1.0, 9.0)
+        hist = perturbed_history(np.zeros(n), delay, 10.0 ** rng.uniform(-6.0, 0.0),
+                                 seed=int(rng.integers(1000)))
+        return matrix, gain, hist, t_end, dt, blow_up
+    # A = s I + O(1): one step multiplies the state by about (h s)^4 / 24
+    power = draw(st.floats(20.0, 200.0)) if regime == "finite-first" else 303.0
+    s = (24.0 * 10.0**power) ** 0.25 / h
+    matrix = s * np.eye(n) + rng.normal(size=(n, n))
+    signs = rng.choice([-1.0, 1.0], n)
+    if regime == "finite-first":
+        point = signs * rng.uniform(0.1, 1.0, n)
+    elif draw(st.booleans()):
+        # 1e309 and more after the first step: non-finite at once
+        point = signs * 10.0 ** rng.uniform(6.0, 8.0, n)
+    else:
+        # 1e6..1e8 after the first step, below the limit 1e9; non-finite after the second
+        point = signs * 10.0 ** rng.uniform(-297.0, -295.0, n)
+    hist = HistorySegment.from_constant(point, delay)
+    return matrix, gain, hist, t_end, dt, blow_up
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linear_runs())
+def test_affine_march_matches_stage_loop(run):
+    matrix, gain, hist, t_end, dt, blow_up = run
+    fb = DelayFeedback(gain, hist.delay)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the stage loop's overflow
+        ref = integrate(lambda x, t: matrix @ x, fb, hist, t_end, dt=dt, blow_up=blow_up)
+    got = integrate(LinearField(matrix), fb, hist, t_end, dt=dt, blow_up=blow_up)
+    assert len(got) == len(ref)
+    assert got.blown_at == ref.blown_at
+    assert np.array_equal(got.times, ref.times)
+    for a, b in ((got.states, ref.states), (got.derivs, ref.derivs)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_affine_march_stops_where_the_stage_loop_does():
+    # pinned instances of each stop rule, so a regression does not depend on
+    # the draws above: finite mid-run, finite on the first step, non-finite
+    # on the first and on the second step
+    fb = DelayFeedback(np.array([[0.3]]), 1.0)
+    h = 1.0 / 64
+    big = (24.0 * 1e303) ** 0.25 / h
+    cases = [
+        (np.array([[2.0]]), np.ones(1), 1e3, False),
+        (np.array([[1e6]]), np.ones(1), 1e9, False),
+        (np.array([[big]]), np.array([1e7]), 1e9, True),
+        (np.array([[big]]), np.array([1e-296]), 1e9, True),
+    ]
+    stops = []
+    for matrix, point, blow_up, non_finite in cases:
+        hist = HistorySegment.from_constant(point, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = integrate(lambda x, t: matrix @ x, fb, hist, 10.0, blow_up=blow_up)
+        got = integrate(LinearField(matrix), fb, hist, 10.0, blow_up=blow_up)
+        assert (len(got), got.blown_at) == (len(ref), ref.blown_at)
+        assert np.all(np.isfinite(got.states))
+        # the non-finite step is dropped: blown_at is one step past the end
+        assert (got.blown_at > got.final_time + 0.5 * h) == non_finite
+        stops.append(len(got) - 1)
+    assert stops[1] == 1 and stops[2] == 0 and stops[3] == 1
+    assert stops[0] > 64  # past the first delay interval
+
+
+def test_linear_field_run_makes_no_field_call(monkeypatch):
+    calls = []
+    original = LinearField.__call__
+
+    def counted(self, x, t=0.0):
+        calls.append(t)
+        return original(self, x, t)
+
+    monkeypatch.setattr(LinearField, "__call__", counted)
+    fb = DelayFeedback(np.array([[0.3]]), 1.0)
+    hist = perturbed_history(np.zeros(1), 1.0, seed=1)
+    traj = integrate(LinearField(np.array([[0.05]])), fb, hist, 10.0)
+    assert len(traj) == 641
+    assert calls == []
+
+
+def test_overflowing_step_maps_fall_back_to_the_stage_loop():
+    # with (h A)^4 beyond the double range the step maps hold inf, and
+    # inf * 0 would turn a resting zero state into nan; the stage loop keeps
+    # it at exactly zero
+    field = LinearField(np.array([[1e200]]))
+    fb = DelayFeedback(np.array([[0.3]]), 1.0)
+    hist = HistorySegment.from_constant(np.zeros(1), 1.0)
+    traj = integrate(field, fb, hist, 2.0)
+    assert traj.blown_at is None
+    assert np.all(traj.states == 0.0)
+
+
 # --- trajectories and growth fits ---------------------------------------------------
 
 
@@ -193,6 +329,20 @@ def test_growth_rate_needs_enough_span():
     traj = Trajectory(times, np.ones((101, 1)), np.zeros((101, 1)))
     with pytest.raises(InputError):
         growth_rate(traj, window=6.0)
+
+
+def test_growth_rate_needs_two_tail_samples():
+    # a run that blows up on its first step has two points; a tail of one
+    # sample has no slope, and polyfit would return an arbitrary one
+    field = LinearField(np.array([[1e12]]))
+    fb = DelayFeedback(np.array([[0.1]]), 1.0)
+    hist = perturbed_history(np.zeros(1), 1.0, seed=0)
+    traj = integrate(field, fb, hist, 40.0)
+    assert len(traj) == 2 and traj.blown_at is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            growth_rate(traj, window=traj.final_time / 3.0)
 
 
 def test_growth_rate_matches_dominant_root():
