@@ -5,9 +5,16 @@ through the barycentric formula; the cumulative integration matrix maps
 node values of a function to node values of its antiderivative (zero at
 the left endpoint) via Chebyshev coefficient space, so it is spectrally
 accurate for smooth integrands.
+
+The integration matrix depends on the interval only through its length, a
+scalar factor.  The unit-interval matrix is therefore built once per node
+count and kept in a small read-only cache; every call returns a fresh
+scaled copy, bit for bit the product it would otherwise compute.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -77,13 +84,20 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=8)
+def _unit_cumulative(m: int) -> np.ndarray:
+    """cumulative_matrix on [-1, 1] with m nodes, read-only."""
+    unit = lobatto_nodes(m, -1.0, 1.0)
+    anti = cheb.chebint(chebyshev_coefficients(np.eye(m)))
+    q = (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)[:, None]).T
+    q.flags.writeable = False
+    return q
+
+
 def cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
     """Matrix Q with (Q v)_i = integral from nodes[0] to nodes[i] of the
     polynomial interpolating v at the nodes (all columns at once, from the
-    coefficients of the identity)."""
+    coefficients of the identity; the unit-interval matrix is cached per
+    node count and scaled by half the interval's length)."""
     nodes = np.asarray(nodes, dtype=float)
-    m = len(nodes)
-    unit = lobatto_nodes(m, -1.0, 1.0)
-    scale = 0.5 * (nodes[-1] - nodes[0])
-    anti = cheb.chebint(chebyshev_coefficients(np.eye(m)))
-    return (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)[:, None]).T * scale
+    return _unit_cumulative(len(nodes)) * (0.5 * (nodes[-1] - nodes[0]))

@@ -11,6 +11,7 @@ one-time case of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -208,10 +209,27 @@ class TrigCoefficient:
 
     def batch(self, times: np.ndarray) -> np.ndarray:
         """The interpolant at every time, shape (S, n, n): one product of
-        the (S, modes) phase table with the Fourier coefficients."""
+        the (S, modes) phase table with the Fourier coefficients.
+
+        The table is built in two levels.  With b = isqrt(modes) and
+        k = b hi + lo, exp(2 pi i k x) = exp(2 pi i b hi x) exp(2 pi i lo x),
+        so a time costs about 2 sqrt(modes) exponentials and one broadcast
+        product instead of ``modes`` exponentials.  Each factor rounds its
+        own angle, as the one-level table rounds 2 pi k x, so the two agree
+        to about eps times the largest angle per mode: far below the
+        interpolation error for smooth samples, and up to a few 1e-13
+        relative for white-noise samples with a few hundred modes a few
+        periods out, where the one-level table is itself that far off.
+        """
         times = np.asarray(times, dtype=float)
         n = self.dimension
-        k = np.arange(self._coef.shape[0])
-        phase = self._weights * np.exp(2j * np.pi * k * (times[:, None] / self.period))
-        vals = phase @ self._coef.reshape(len(k), n * n)
+        modes = self._coef.shape[0]
+        b = math.isqrt(modes)
+        tiers = -(-modes // b)
+        x = times[:, None] / self.period
+        low = np.exp(2j * np.pi * np.arange(b) * x)
+        high = np.exp(2j * np.pi * (b * np.arange(tiers)) * x)
+        phase = (high[:, :, None] * low[:, None, :]).reshape(len(times), tiers * b)
+        phase = phase[:, :modes]
+        vals = (self._weights * phase) @ self._coef.reshape(modes, n * n)
         return vals.real.reshape(len(times), n, n) / self._m

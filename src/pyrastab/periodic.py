@@ -145,6 +145,12 @@ def _source_maps(
     is kron(ell, G), Q needs only the three (n, n) factors M0 G, Mm G, G
     and the rows, never the sources themselves; ``rows`` holds the S + 1
     grid-point rows, ``rows_mid`` the S midpoint rows.
+
+    The factors are stacked as (S, n, 3, n) and the scaled rows as
+    (S, M, 3), so the batched product ell[:, None] @ factors is already
+    Q in the node-major layout (S, n, M, n): entry [k, a, j, c] is
+    sum_s ell[k, j, s] factors[k, a, s, c], and the reshape to (S, n, M n)
+    is a view, not a copy.
     """
     n = g.shape[0]
     eye = np.eye(n)
@@ -152,10 +158,9 @@ def _source_maps(
     am2 = am @ am
     m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
     mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=1)
-    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1) * (h / 6.0)
-    q = np.einsum("ksac,ksj->kajc", factors, ell, optimize=True)
-    return q.reshape(len(h), n, -1)
+    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=2)
+    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=2) * (h / 6.0)
+    return (ell[:, None] @ factors).reshape(len(h), n, -1)
 
 
 def _rk4(
@@ -210,6 +215,19 @@ def _rk4(
 # ordinary monodromy
 
 
+def _finite_time(t) -> float:
+    t = float(t)
+    if not np.isfinite(t):
+        raise InputError(f"time must be finite, got {t}")
+    return t
+
+
+def _finite_value(y: np.ndarray, t: float, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(y)):
+        raise NumericalError(f"{what} overflows at t = {t:.6g}")
+    return y
+
+
 @dataclass(frozen=True)
 class MonodromyODE:
     """Fundamental solution of x' = A(t) x sampled over one period."""
@@ -228,8 +246,10 @@ class MonodromyODE:
         return self.problem.period
 
     def value_at(self, t: float) -> np.ndarray:
-        """Y(t) for t >= 0, using Y(t + T) = Y(t) Y(T) beyond one period."""
-        t = float(t)
+        """Y(t) for t >= 0, using Y(t + T) = Y(t) Y(T) beyond one period;
+        a t so far out that Y(t) leaves the double range raises
+        NumericalError."""
+        t = _finite_time(t)
         period = self.period
         if t < -1e-12 * period:
             raise InputError("fundamental solution is only sampled forward in time")
@@ -241,7 +261,9 @@ class MonodromyODE:
         base = self._value_in_period(r)
         if q == 0:
             return base
-        return base @ np.linalg.matrix_power(self.matrix, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = base @ np.linalg.matrix_power(self.matrix, q)
+        return _finite_value(y, t, "fundamental solution")
 
     def _value_in_period(self, r: float) -> np.ndarray:
         times = self.times
@@ -312,12 +334,18 @@ class FloquetDecomposition:
         return self.monodromy.period
 
     def exponential_factor(self, t: float) -> np.ndarray:
-        return scipy.linalg.expm(self.generator * float(t))
+        t = _finite_time(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = scipy.linalg.expm(self.generator * t)
+        return _finite_value(e, t, "exponential factor")
 
     def periodic_factor(self, t: float) -> np.ndarray:
         """P(t) = Y(t) expm(-B t); P(t + T) = P(t) by construction."""
-        y = self.monodromy.value_at(float(t))
-        return y @ scipy.linalg.expm(-self.generator * float(t))
+        y = self.monodromy.value_at(t)
+        t = float(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = y @ scipy.linalg.expm(-self.generator * t)
+        return _finite_value(p, t, "periodic factor")
 
 
 def floquet_decompose(

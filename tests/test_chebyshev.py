@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
+from pyrastab import chebyshev
 from pyrastab.chebyshev import (
     barycentric_weights,
     chebyshev_coefficients,
@@ -137,3 +138,35 @@ def test_cumulative_matrix_matches_column_loop(m):
     nodes = lobatto_nodes(m, -2.0 * np.pi, 0.0)
     ref = _cumulative_by_columns(nodes)
     assert np.max(np.abs(cumulative_matrix(nodes) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _uncached_cumulative(nodes):
+    """The integration matrix built afresh from the identity's coefficients."""
+    m = len(nodes)
+    unit = lobatto_nodes(m, -1.0, 1.0)
+    scale = 0.5 * (nodes[-1] - nodes[0])
+    anti = cheb.chebint(chebyshev_coefficients(np.eye(m)))
+    return (cheb.chebval(unit, anti) - cheb.chebval(-1.0, anti)[:, None]).T * scale
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 127, 255])
+def test_cached_cumulative_matrix_is_the_uncached_product(m):
+    for a, b in ((-2.0 * np.pi, 0.0), (-1.0, 1.0), (0.5, 3.75), (-1e3, 7.0)):
+        nodes = lobatto_nodes(m, a, b)
+        assert np.array_equal(cumulative_matrix(nodes), _uncached_cumulative(nodes))
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-2.0, 1.0)])
+def test_cumulative_matrix_returns_fresh_writable_arrays(a, b):
+    nodes = lobatto_nodes(9, a, b)
+    first = cumulative_matrix(nodes)
+    keep = first.copy()
+    assert first.flags.writeable
+    first[:] = 7.0
+    second = cumulative_matrix(nodes)
+    assert second is not first
+    assert np.array_equal(second, keep)
+    unit = chebyshev._unit_cumulative(9)
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0, 0] = 1.0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pyrastab.errors import InputError
 from pyrastab.expressions import DomainError
@@ -124,3 +126,58 @@ def test_trig_coefficient_validates_input():
         TrigCoefficient(np.full((4, 2, 2), np.inf), 1.0)
     with pytest.raises(InputError):
         TrigCoefficient(np.zeros((4, 2, 3)), 1.0)
+
+
+def _direct_batch(coeff, times):
+    """The one-level phase table: one exp per (time, mode)."""
+    times = np.asarray(times, dtype=float)
+    n = coeff.dimension
+    k = np.arange(coeff._coef.shape[0])
+    phase = coeff._weights * np.exp(2j * np.pi * k * (times[:, None] / coeff.period))
+    vals = phase @ coeff._coef.reshape(len(k), n * n)
+    return vals.real.reshape(len(times), n, n) / coeff._m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-3.0, 4.0), max_size=40),
+    st.lists(st.integers(0, 39), max_size=5),
+)
+@example(1, 2, False, 0, [0.3, -2.9], [0])
+@example(2, 1, False, 1, [3.99, 0.5], [1])
+@example(3, 3, True, 2, [-3.0, 4.0], [])
+@example(4, 2, False, 3, [1.0, 1.0], [0])
+@example(64, 2, True, 4, [0.25, -1.7, 3.3], [2])
+@example(256, 2, False, 5, [-3.0, 3.9, 0.0], [1])
+@example(256, 1, False, 6, [], [])
+def test_trig_batch_matches_one_level_phase_table(m, n, smooth, seed, fractions, repeats):
+    rng = np.random.default_rng(seed)
+    period = float(rng.uniform(0.5, 7.0))
+    if smooth:
+        # a trigonometric polynomial of degree <= 3, as the catalog samples
+        t = np.arange(m) * (2 * np.pi / m)
+        harm = np.stack([np.cos(j * t + rng.uniform(0, 6)) for j in range(4)], axis=1)
+        samples = harm @ rng.uniform(-1.0, 1.0, (4, n * n))
+    else:
+        samples = rng.uniform(-1.0, 1.0, (m, n * n)) * 10.0 ** rng.uniform(-3, 3)
+    coeff = TrigCoefficient(samples.reshape(m, n, n), period)
+    times = period * np.array(fractions + [fractions[j % len(fractions)] for j in repeats
+                                           if fractions])
+    got = coeff.batch(times)
+    ref = _direct_batch(coeff, times)
+    assert got.shape == ref.shape == (len(times), n, n)
+    # Both tables round each angle 2 pi k t / period to about eps of it, so a
+    # mode's phases may differ by 2 eps times its angle.  With Cauchy-Schwarz
+    # and Parseval the weighted coefficient sum is at most sqrt(2 modes)
+    # max |samples|: far out in time, many-mode samples agree to that, not to
+    # a flat 1e-14, however the table is built.
+    modes = m // 2 + 1
+    angle = 2 * np.pi * (modes - 1) * np.max(np.abs(times), initial=0.0) / period
+    scale = max(1.0, np.max(np.abs(samples)))
+    tol = scale * (1e-14 + 4 * np.finfo(float).eps * np.sqrt(modes) * angle)
+    assert np.max(np.abs(got - ref), initial=0.0) <= tol
+

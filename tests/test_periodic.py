@@ -89,6 +89,20 @@ def test_ode_monodromy_value_at_wraps_periods():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_fundamental_solution_rejects_non_finite_and_overflowing_times():
+    mono = ode_monodromy(get_case("orbit-neutral").problem())
+    dec = floquet_decompose(mono)
+    for value in (mono.value_at, dec.periodic_factor, dec.exponential_factor):
+        for t in (np.inf, np.nan):
+            with pytest.raises(InputError, match="finite"):
+                value(t)
+        with pytest.raises(NumericalError, match="overflows"):
+            value(1e300)
+    with pytest.raises(NumericalError, match="overflows"):
+        dec.exponential_factor(-1e300)
+
+
 def test_constructed_orbit_monodromy_is_exponential():
     # benchmark built as A(t) = cos(t) S + P(t) B P(t)^-1: Y(T) = expm(B T)
     prob = get_case("orbit-unstable").problem()
@@ -229,6 +243,61 @@ def test_rk4_matches_stage_loop_across_blocks(case, with_source):
     ref = ref[keep]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rk4_matches_stage_loop_with_a_many_mode_coefficient():
+    # 300 samples give 151 modes, so the coefficient's phase table is built
+    # in two levels (b = 12); the march still matches the textbook loop
+    rng = np.random.default_rng(8)
+    n, m, steps, period = 2, 5, periodic._BLOCK + 37, 1.3
+    coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (300, n, n)), period)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
+    times *= period / times[-1]
+    stages = periodic._stage_coefficients(coeff.batch, times)
+    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
+    g = rng.uniform(-1.0, 1.0, (n, n))
+
+    def rows(t):
+        return np.cos(np.outer(t, freq) + phase)
+
+    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+    keep = [0, periodic._BLOCK, steps]
+    got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
+    ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _einsum_source_maps(h, am, a1, g, rows, rows_mid):
+    """Step offsets by one einsum over (S, 3, n, n) factors and a reshape copy."""
+    n = g.shape[0]
+    eye = np.eye(n)
+    h = h[:, None, None]
+    am2 = am @ am
+    m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
+    mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
+    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=1)
+    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1) * (h / 6.0)
+    q = np.einsum("ksac,ksj->kajc", factors, ell, optimize=True)
+    return q.reshape(len(h), n, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 40),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_source_maps_match_einsum_reference(n, m, steps, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(1e-3, 0.5, steps)
+    am, a1 = rng.uniform(-2.0, 2.0, (2, steps, n, n))
+    g = rng.uniform(-1.0, 1.0, (n, n))
+    rows, rows_mid = rng.uniform(-1.0, 1.0, (steps + 1, m)), rng.uniform(-1.0, 1.0, (steps, m))
+    got = periodic._source_maps(h, am, a1, g, rows, rows_mid)
+    ref = _einsum_source_maps(h, am, a1, g, rows, rows_mid)
+    assert got.shape == ref.shape == (steps, n, m * n)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_dde_stepped_form_matches_stage_loop_reference():
