@@ -13,15 +13,16 @@ All of them march with one RK4 routine, ``_rk4``.  The equations are
 linear, so every RK4 step is an affine map Y -> Y + D Y + Q.  Per block
 of a fixed number of steps the increments D are built from the batched
 coefficient samples with a few array products, and the offsets Q of the
-stepped form's delayed source kron(ell(t - T), -alpha K) from three
-(n, n) factors and the interpolation rows, without materialising the
-source.  The march is then one matmul and one add per step (two adds
-with the source), and snapshots are stored only at the grid indices the
-caller reads, so memory stays bounded however fine the grid.  The
-fundamental solution used by the integral form and the history basis of
-the stepped form are two separate marches over the same grid, each with
-its own step maps, never one stacked march, so the cross-check compares
-two constructions that share only their sampled coefficients.
+stepped form's delayed source kron(ell(t - T), -alpha K) are kept as
+three (n, n) factors per step next to the interpolation rows, without
+materialising the source.  The block's maps are then composed by
+log-depth scans in increment form rather than applied step by step, and
+snapshots are stored only at the grid indices the caller reads, so
+memory stays bounded however fine the grid.  The fundamental solution
+used by the integral form and the history basis of the stepped form are
+two separate marches over the same grid, each with its own step maps and
+composites, never one stacked march, so the cross-check compares two
+constructions that share only their sampled coefficients.
 """
 
 from __future__ import annotations
@@ -128,6 +129,28 @@ def _step_maps(
     return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _composites(d: np.ndarray, suffix: bool) -> np.ndarray:
+    """Inclusive scans of step increments d (S, n, n): entry k is the
+    composite increment of steps 0..k, or of steps k..S-1 if ``suffix``.
+
+    Map D1 followed by map D2 is the map D1 + D2 + D2 D1, so composites
+    stay in increment form and I + D is never stored (see ``_step_maps``).
+    Each of the log2(S) rounds joins every run of steps to the adjacent
+    run of the same length.
+    """
+    c = d.copy()
+    span = 1
+    while span < len(c):
+        head, tail = c[:-span], c[span:]
+        joined = head + tail + tail @ head
+        if suffix:
+            c[:-span] = joined
+        else:
+            c[span:] = joined
+        span *= 2
+    return c
+
+
 def _source_maps(
     h: np.ndarray,
     am: np.ndarray,
@@ -135,34 +158,30 @@ def _source_maps(
     g: np.ndarray,
     rows: np.ndarray,
     rows_mid: np.ndarray,
-) -> np.ndarray:
-    """Step offsets Q (S, n, M n) of the source R(t) = kron(rows(t), G):
-    with it one RK4 step maps Y to Y + D[k] Y + Q[k].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step offsets of the source R(t) = kron(rows(t), G) in factored form:
+    (S, 3, n, n) factors F and (S, 3, M) rows L such that one RK4 step maps
+    Y to Y + D[k] Y + Q[k], with block j of Q[k] equal to
+    sum_s L[k, s, j] F[k, s].
 
     With R0, Rm, R1 the source at the step's start, midpoint and end,
     Q = h/6 [M0 R0 + Mm Rm + R1], M0 = I + h Am + h^2/2 Am^2
     + h^3/4 A1 Am^2 and Mm = 4 I + h (Am + A1) + h^2/2 A1 Am.  As every R
-    is kron(ell, G), Q needs only the three (n, n) factors M0 G, Mm G, G
-    and the rows, never the sources themselves; ``rows`` holds the S + 1
-    grid-point rows, ``rows_mid`` the S midpoint rows.
-
-    The factors are stacked as (S, n, 3, n) and the scaled rows as
-    (S, M, 3), so the batched product ell[:, None] @ factors is already
-    Q in the node-major layout (S, n, M, n): entry [k, a, j, c] is
-    sum_s ell[k, j, s] factors[k, a, s, c], and the reshape to (S, n, M n)
-    is a view, not a copy.
+    is kron(ell, G), F = h/6 [M0 G, Mm G, G] and L stacks the rows at the
+    step's start, midpoint and end; ``rows`` holds the S + 1 grid-point
+    rows, ``rows_mid`` the S midpoint rows.  Q itself is never formed.
     """
-    n = g.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(g.shape[0])
     h = h[:, None, None]
     am2 = am @ am
     m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
     mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=2)
-    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=2) * (h / 6.0)
-    return (ell[:, None] @ factors).reshape(len(h), n, -1)
+    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=1)
+    factors *= (h / 6.0)[:, None]
+    return factors, np.stack([rows[:-1], rows_mid, rows[1:]], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up raises NumericalError below
 def _rk4(
     times: np.ndarray,
     stages: _Stages,
@@ -174,38 +193,50 @@ def _rk4(
     the grid indices ``keep``, stacked in their order.
 
     The equation is linear, so each step is an affine map
-    Y -> Y + D Y + Q.  Per block of _BLOCK steps the maps are built with
-    batched array products (``_step_maps``, and ``_source_maps`` for the
-    source), and the march itself is one matmul and one add per step, plus
-    one add with a source.  ``stages`` holds A at the grid points and
-    midpoints (see ``_stage_coefficients``); ``source`` is the pair
-    (rows, G) of R(t) = kron(rows(t), G), its rows taken per block at the
-    block's grid points and midpoints.  Only the kept snapshots are stored.
+    Y -> Y + D Y + Q, and the march composes these maps per block of
+    _BLOCK steps instead of applying them one by one.  ``stages`` holds A
+    at the grid points and midpoints (see ``_stage_coefficients``);
+    ``source`` is the pair (rows, G) of R(t) = kron(rows(t), G), its rows
+    taken per block at the block's grid points and midpoints.
+
+    Without a source, a prefix scan of the block's increments
+    (``_composites``) gives the composite E_k of its first k steps, and
+    every kept snapshot in the block is Y_lo + E_k Y_lo at once.  With a
+    source, the block is cut at its kept indices.  In each segment a
+    suffix scan gives C_k, the composite of steps k to the segment's end,
+    and the segment maps Y to Y + C_first Y + sum_k (I + C_{k+1}) Q_k.
+    That offset is one tensordot of the factors F_k + C_{k+1} F_k (see
+    ``_source_maps``) with the interpolation rows.  No composite is
+    inverted and only the kept snapshots are stored.
     """
     kept, slot = np.unique(np.arange(len(times))[keep], return_inverse=True)
-    slot_of = {int(k): j for j, k in enumerate(kept)}
     out = np.empty((len(kept),) + y0.shape)
-    if 0 in slot_of:
-        out[slot_of[0]] = y0
-    y = np.array(y0, dtype=float)  # marched in place
+    y = np.array(y0, dtype=float)
+    out[kept == 0] = y
     for lo in range(0, len(times) - 1, _BLOCK):
         hi = min(lo + _BLOCK, len(times) - 1)
         t = times[lo : hi + 1]
         h = np.diff(t)
         a, a_mid = stages[0][lo : hi + 1], stages[1][lo:hi]
         d = _step_maps(h, a[:-1], a_mid, a[1:])
-        q = None
-        if source is not None:
-            rows, g = source
-            q = _source_maps(h, a_mid, a[1:], g, rows(t), rows(t[:-1] + 0.5 * h))
-        for i in range(hi - lo):
-            dy = d[i] @ y
-            if q is not None:
-                dy += q[i]
-            y += dy
-            j = slot_of.get(lo + i + 1)
-            if j is not None:
-                out[j] = y
+        here = slice(*np.searchsorted(kept, [lo, hi], side="right"))
+        inside = kept[here]  # kept grid indices in (lo, hi]
+        if source is None:
+            e = _composites(d, suffix=False)
+            out[here] = y + e[inside - lo - 1] @ y
+            y = y + e[-1] @ y
+            continue
+        rows, g = source
+        factors, ell = _source_maps(h, a_mid, a[1:], g, rows(t), rows(t[:-1] + 0.5 * h))
+        cuts = np.union1d(inside, hi) - lo
+        for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
+            c = _composites(d[s0:s1], suffix=True)
+            f = factors[s0:s1]  # each segment's own view, updated in place
+            f[:-1] += c[1:, None] @ f[:-1]
+            offset = np.tensordot(f, ell[s0:s1], axes=([0, 1], [0, 1]))  # (n, n, M)
+            y = y + c[0] @ y + offset.transpose(0, 2, 1).reshape(y.shape)
+            if j < len(inside):
+                out[here.start + j] = y
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(out))):
         raise NumericalError("RK4 march blew up")
     return out[slot]
@@ -246,9 +277,14 @@ class MonodromyODE:
         return self.problem.period
 
     def value_at(self, t: float) -> np.ndarray:
-        """Y(t) for t >= 0, using Y(t + T) = Y(t) Y(T) beyond one period;
-        a t so far out that Y(t) leaves the double range raises
-        NumericalError."""
+        """Y(t) for t >= 0, using Y(t + T) = Y(t) Y(T) beyond one period.
+
+        NumericalError is raised for a t so far out that Y(t) leaves the
+        double range, and for one q = t // T periods out with
+        (q - 1) max(error_estimate, eps) > tol_log: the power Y(T)^q
+        compounds the monodromy's error into a wrong but finite matrix.
+        Within two periods (q <= 1) Y(T) is used at most once, so nothing
+        compounds and even a coarse monodromy returns its own value."""
         t = _finite_time(t)
         period = self.period
         if t < -1e-12 * period:
@@ -263,7 +299,13 @@ class MonodromyODE:
             return base
         with np.errstate(over="ignore", invalid="ignore"):
             y = base @ np.linalg.matrix_power(self.matrix, q)
-        return _finite_value(y, t, "fundamental solution")
+        y = _finite_value(y, t, "fundamental solution")
+        if (q - 1) * max(self.error_estimate, np.finfo(float).eps) > DEFAULT.tol_log:
+            raise NumericalError(
+                f"fundamental solution at t = {t:.6g} compounds the monodromy's "
+                f"error over {q} periods"
+            )
+        return y
 
     def _value_in_period(self, r: float) -> np.ndarray:
         times = self.times
@@ -557,11 +599,13 @@ def dde_monodromy(
     as two separate RK4 marches: Y alone for the integral form, the
     history basis U for the stepped form.  They share only the samples of
     A + alpha K, taken in batches of a fixed number of times; each march
-    builds its own affine step maps from them per block of steps.  U's
-    delayed source kron(ell(t - T), -alpha K) enters those maps through
-    its interpolation rows and three (n, n) factors per step, never as a
-    materialised (n, M n) source, and each march keeps its snapshots only
-    at the marks it reads, so memory does not grow with the step count.
+    builds its own affine step maps from them per block of steps and
+    composes them with its own scans (see ``_rk4``), so no composite
+    passes from one march to the other and none is inverted.  U's delayed
+    source kron(ell(t - T), -alpha K) enters through its interpolation
+    rows and three (n, n) factors per step, never as a materialised
+    (n, M n) source, and each march keeps its snapshots only at the marks
+    it reads, so memory does not grow with the step count.
     """
     nodes = _integer_at_least(nodes, "nodes", 4)
     if not np.isfinite(alpha):

@@ -103,6 +103,42 @@ def test_fundamental_solution_rejects_non_finite_and_overflowing_times():
         dec.exponential_factor(-1e300)
 
 
+def test_fundamental_solution_refuses_times_that_compound_its_error():
+    # Y(t) is a rotation here, but Y(T)^q far out compounds the rounding
+    # of Y(T): norm 0.82 at t = 1e14 and the zero matrix at 1e18
+    prob = get_case("center-periodic").problem()
+    mono = ode_monodromy(prob)
+    dec = floquet_decompose(mono)
+    for t in (1e14, 1e18):
+        for value in (mono.value_at, dec.periodic_factor):
+            with pytest.raises(NumericalError, match="compounds"):
+                value(t)
+    for t in np.linspace(0.0, 5.0 * prob.period, 23):
+        y = mono.value_at(float(t))
+        assert abs(np.linalg.norm(y, 2) - 1.0) < 1e-9
+
+
+def test_coarse_monodromy_still_answers_within_two_periods():
+    # 16 steps leave error_estimate ~3e-5, far above tol_log, but within two
+    # periods Y(T) is used at most once, so nothing compounds: value_at,
+    # commuting_check and the commuting verdicts must still answer
+    prob = get_case("orbit-unstable").problem()
+    mono = ode_monodromy(prob, steps=16)
+    assert mono.error_estimate > DEFAULT.tol_log
+    assert np.array_equal(mono.value_at(prob.period), mono.matrix)
+    assert np.all(np.isfinite(mono.value_at(1.5 * prob.period)))
+    with pytest.raises(NumericalError, match="compounds"):
+        mono.value_at(2.5 * prob.period)
+    check = commuting_check(floquet_decompose(mono), prob.feedback.gain)
+    assert check.commutes_generator and check.commutes_periodic
+    hyps = [
+        h for v in periodic_verdicts(prob, monodromy=mono) for h in v.hypotheses
+        if h.name.startswith("gain commutes")
+    ]
+    assert len(hyps) == 4
+    assert all(h.passed and "unavailable" not in h.detail for h in hyps)
+
+
 def test_constructed_orbit_monodromy_is_exponential():
     # benchmark built as A(t) = cos(t) S + P(t) B P(t)^-1: Y(T) = expm(B T)
     prob = get_case("orbit-unstable").problem()
@@ -204,19 +240,75 @@ def test_long_constant_coefficient_march_does_not_drift():
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+def _constant_stages(a, steps):
+    """``_rk4`` stage samples of a constant coefficient over ``steps`` steps."""
+    return np.broadcast_to(a, (steps + 1,) + a.shape), np.broadcast_to(a, (steps,) + a.shape)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than double here",
+)
+def test_long_sourced_march_does_not_drift():
+    # with rows = 1 (M = 1) and constant A and G the sourced march is RK4 on
+    # [Y; I]' = [[A, G], [0, 0]] [Y; I], so over N steps it is R(h Ã)^N
+    # applied to [Y0; I]; the reference is that power in long double
+    prob = get_case("center-periodic").problem()
+    a = prob.coefficient_at(0.0)
+    g = np.array([[0.3, -0.2], [0.1, 0.4]])
+    steps = 16384
+    times = np.linspace(0.0, prob.period, steps + 1)
+    stages = _constant_stages(a, steps)
+    y0 = np.eye(2)
+    ones = (lambda t: np.ones((len(t), 1)), g)
+    got = periodic._rk4(times, stages, y0, [steps], source=ones)[0]
+    augmented = np.block([[a, g], [np.zeros((2, 4))]])
+    z = (prob.period / steps * augmented).astype(np.longdouble)
+    start = np.vstack([y0, np.eye(2)]).astype(np.longdouble)
+    expect = (np.linalg.matrix_power(_rk4_stability(z), steps) @ start)[:2].astype(float)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("with_source", [False, True])
+def test_rk4_raises_when_the_march_blows_up(with_source):
+    # R(hA) ~ 5e4 per step for 300 steps: far past the double range
+    steps = periodic._BLOCK + 44
+    times = np.linspace(0.0, 1.0, steps + 1)
+    a = 1e4 * np.eye(2)
+    stages = _constant_stages(a, steps)
+    source = (lambda t: np.ones((len(t), 1)), np.eye(2)) if with_source else None
+    with pytest.raises(NumericalError, match="RK4 march blew up"):
+        periodic._rk4(times, stages, np.eye(2), [0, periodic._BLOCK, steps], source=source)
+
+
 @st.composite
 def _march_cases(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     steps = draw(st.integers(periodic._BLOCK + 1, 2 * periodic._BLOCK + 40))
-    edges = [0, periodic._BLOCK - 1, periodic._BLOCK, periodic._BLOCK + 1, steps, -1]
-    keep = draw(st.lists(st.sampled_from(edges + list(range(steps + 1))), max_size=8))
-    keep = draw(st.permutations(keep + [0, periodic._BLOCK, periodic._BLOCK]))
+    pattern = draw(st.sampled_from(["scattered", "every", "runs"]))
+    if pattern == "every":
+        # every grid index, as ode_monodromy keeps them
+        keep = list(range(steps + 1))
+    elif pattern == "runs":
+        # consecutive indices on both sides of each block edge: one-step
+        # segments for the sourced march
+        before, after = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        keep = sorted({
+            k
+            for edge in range(periodic._BLOCK, steps, periodic._BLOCK)
+            for k in range(edge - before, min(edge + after, steps) + 1)
+        })
+    else:
+        edges = [0, periodic._BLOCK - 1, periodic._BLOCK, periodic._BLOCK + 1, steps, -1]
+        keep = draw(st.lists(st.sampled_from(edges + list(range(steps + 1))), max_size=8))
+        keep = draw(st.permutations(keep + [0, periodic._BLOCK, periodic._BLOCK]))
     return n, m, seed, steps, keep
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(_march_cases(), st.booleans())
 def test_rk4_matches_stage_loop_across_blocks(case, with_source):
     n, m, seed, steps, keep = case
@@ -294,7 +386,12 @@ def test_source_maps_match_einsum_reference(n, m, steps, seed):
     am, a1 = rng.uniform(-2.0, 2.0, (2, steps, n, n))
     g = rng.uniform(-1.0, 1.0, (n, n))
     rows, rows_mid = rng.uniform(-1.0, 1.0, (steps + 1, m)), rng.uniform(-1.0, 1.0, (steps, m))
-    got = periodic._source_maps(h, am, a1, g, rows, rows_mid)
+    # the per-step offsets rebuilt from the factor and row form:
+    # block j of Q[k] is sum_s L[k, s, j] F[k, s], i.e. sum_s kron(L[k, s], F[k, s])
+    factors, ell = periodic._source_maps(h, am, a1, g, rows, rows_mid)
+    assert factors.shape == (steps, 3, n, n) and ell.shape == (steps, 3, m)
+    got = np.array([sum(np.kron(ell[k, s], factors[k, s]) for s in range(3))
+                    for k in range(steps)])
     ref = _einsum_source_maps(h, am, a1, g, rows, rows_mid)
     assert got.shape == ref.shape == (steps, n, m * n)
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
