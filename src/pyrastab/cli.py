@@ -9,6 +9,7 @@ read the envelope.  All file output is atomic.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -297,6 +298,7 @@ def cmd_catalog(args) -> int:
 # parser
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pyrastab",

@@ -96,7 +96,8 @@ class CharacteristicMatrix:
         alpha = float(self.alpha)
         if not np.isfinite(alpha):
             raise InputError("alpha must be finite")
-        for name, val in (("jacobian", j), ("gain", k)):
+        eye = np.eye(j.shape[0])
+        for name, val in (("jacobian", j), ("gain", k), ("_eye", eye)):
             val = val.copy()
             val.flags.writeable = False
             object.__setattr__(self, name, val)
@@ -116,17 +117,17 @@ class CharacteristicMatrix:
 
     def value(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
-        n = self.dimension
-        return (
-            lam * np.eye(n)
-            - self.jacobian
-            - self.alpha * (1.0 - np.exp(-lam * self.delay)) * self.gain
-        )
+        return self._value(lam, np.exp(-lam * self.delay))
 
     def dvalue(self, lam: complex) -> np.ndarray:
-        lam = complex(lam)
-        n = self.dimension
-        return np.eye(n) - self.alpha * self.delay * np.exp(-lam * self.delay) * self.gain
+        return self._dvalue(np.exp(-complex(lam) * self.delay))
+
+    def _value(self, lam: complex, decay: complex) -> np.ndarray:
+        # decay = exp(-lam T), shared by value and dvalue in dlog
+        return lam * self._eye - self.jacobian - self.alpha * (1.0 - decay) * self.gain
+
+    def _dvalue(self, decay: complex) -> np.ndarray:
+        return self._eye - self.alpha * self.delay * decay * self.gain
 
     def det(self, lam: complex) -> complex:
         return complex(np.linalg.det(self.value(lam)))
@@ -150,8 +151,9 @@ class CharacteristicMatrix:
 
     def dlog(self, lam: complex) -> complex:
         # d'(lam)/d(lam) = trace(Delta^{-1} Delta') by the Jacobi formula
-        delta = self.value(lam)
-        return complex(np.trace(np.linalg.solve(delta, self.dvalue(lam))))
+        lam = complex(lam)
+        decay = np.exp(-lam * self.delay)
+        return complex(np.linalg.solve(self._value(lam, decay), self._dvalue(decay)).trace())
 
     def residual(self, lam: complex) -> float:
         svals = scipy.linalg.svdvals(self.value(lam))

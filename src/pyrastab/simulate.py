@@ -11,13 +11,14 @@ delay term then carries no interpolation error beyond the cubic dense
 output, which keeps time-domain growth rates comparable with spectral
 predictions.
 
-A `LinearField` is marched one delay interval at a time: each RK4 step
-is then affine in the state and the three delayed values it reads, so
-the step maps are built once and every step is one small matmul (the
-method of steps; Bellen & Zennaro, *Numerical Methods for Delay
-Differential Equations*, OUP 2003).  Every other field runs the generic
-stage loop, which calls the field four times per step.  Both compute the
-same RK4 steps and agree to rounding.
+A `LinearField` is marched one delay interval at a time (the method of
+steps; Bellen & Zennaro, *Numerical Methods for Delay Differential
+Equations*, OUP 2003): each RK4 step is then affine in the state and the
+three delayed values it reads, so the step maps are built once, an
+interval's delayed inputs are one matmul, and its steps are one
+log-depth prefix scan.  Every other field runs the generic stage loop,
+which calls the field four times per step.  Both compute the same RK4
+steps and agree to rounding.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ def integrate(
     blow-up is a legitimate (unstable) outcome.
 
     A `LinearField` takes the affine interval march (`_affine_march`),
-    which calls no field per step; its step maps are built once, and a
-    field whose maps overflow falls back to the stage loop.  Every other
-    field runs the stage loop below, four field calls per step.
+    which calls no field: its step maps are built once, each interval's
+    steps are one doubling scan, and a field whose step maps overflow
+    falls back to the stage loop.  Every other field runs the stage loop
+    below, four field calls per step.
     """
     delay = feedback.delay
     gain = feedback.gain
@@ -306,15 +308,33 @@ def _affine_march(
     midpoints and ends of all its steps are gathered at once: from batched
     history calls on the first interval, and after it from the previous
     interval's ``xs`` and ``fs`` through the stage loop's Hermite midpoint.
-    The step offsets c are then one matmul, and each step is y + D y + c.
-    I + D is never stored, as its rounding would bias every step the same
-    way.  The blow-up test runs once per interval and locates the first
-    offending step.
+    The step offsets c are then one matmul, and the steps y+ = y + D y + c
+    are one Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986):
+    with the interval's start state folded into the first offset, level l
+    adds to each partial sum the one 2^l steps before it, carried over
+    those steps by E_l = (I + D)^(2^l) - I.  That is ceil(log2 m) batched
+    matmuls per interval instead of m small ones.  Neither I + D nor its
+    powers are stored, as their rounding would bias every step the same
+    way.  The levels are built while they stay finite; where a higher
+    power overflows, each interval is scanned in chunks the finite levels
+    cover, so every field with finite step maps keeps this path.  The
+    blow-up test runs once per interval and locates the first offending
+    step; the scan only carries values forward, so the steps before it
+    are untouched by it.
     """
     n = a.shape[0]
     steps = len(xs) - 1
     d = maps[:, :n]
     offsets = maps[:, n:].T  # rows act on (d0, dm, d1) side by side
+    levels = [d.T]  # E_l transposed, as the scan multiplies rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 ** len(levels) < m:
+            e = levels[-1]
+            nxt = 2.0 * e + e @ e
+            if not np.all(np.isfinite(nxt)):
+                break
+            levels.append(nxt)
+    chunk = 2 ** len(levels)  # the finite levels scan this many steps
 
     def delayed_nodes(lo: int, hi: int) -> np.ndarray:
         # the stage loop's delayed_point(i) for lo <= i < hi
@@ -334,16 +354,21 @@ def _affine_march(
             mids = 0.5 * (xs[lo:hi] + xs[lo + 1 : hi + 1]) + (h / 8.0) * (
                 fs[lo:hi] - fs[lo + 1 : hi + 1]
             )
-        c = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
         first = 0 if j0 == 0 else j0 + 1  # first grid point whose fs is unset
         with np.errstate(over="ignore", invalid="ignore"):
-            y = xs[j0]
-            for i in range(j1 - j0):
-                y = y + d @ y + c[i]
-                xs[j0 + i + 1] = y
+            new = xs[j0 + 1 : j1 + 1]  # a view: the scan runs in place
+            new[:] = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
+            for k0 in range(0, j1 - j0, chunk):
+                u = new[k0 : k0 + chunk]
+                y = xs[j0 + k0]
+                u[0] += y + d @ y
+                for l, e in enumerate(levels):
+                    s = 2**l
+                    if s >= len(u):
+                        break
+                    u[s:] = u[s:] + u[:-s] + u[:-s] @ e
             seg = xs[first : j1 + 1]
             fs[first : j1 + 1] = seg @ a.T + (seg - nodes[first - j0 :]) @ gain.T
-            new = xs[j0 + 1 : j1 + 1]
             finite = np.isfinite(new).all(axis=1)
             bad = ~finite | (np.abs(new) > limit).any(axis=1)
         if bad.any():

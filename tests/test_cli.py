@@ -303,6 +303,28 @@ def test_simulate_stable_case(case_file, capsys):
     assert summary["underflow"] or rate < 0
 
 
+def test_one_parser_serves_every_call(case_file, capsys):
+    # the parser is built once per process; a run, a failed parse or
+    # another command must leave nothing behind for the next run
+    assert cli.build_parser() is cli.build_parser()
+    sim = ["simulate", case_file("scalar-basic"), "--seed", "3"]
+    ana = ["analyze", case_file("focus-resonant-inward")]
+    bad = ["simulate", "--horizon"]
+    first = {}
+    for argv in (sim, ana, bad, sim, ana):
+        if argv is bad:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            capsys.readouterr()
+            continue
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        env = json.loads(out)
+        env.pop("timing_s")
+        assert first.setdefault(argv[0], env) == env
+
+
 def test_simulate_periodic_rejected(case_file, capsys):
     path = case_file("orbit-unstable")
     code, _, err = _run(capsys, ["simulate", path])

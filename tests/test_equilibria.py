@@ -69,6 +69,20 @@ def test_characteristic_matrix_value_and_convention():
     assert cm.det(res) == pytest.approx(res - 0.05, rel=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_dlog_is_the_jacobi_trace_bit_for_bit(n, seed, complex_j, complex_k):
+    # dlog shares exp(-lambda T) and the identity between Delta and Delta';
+    # it must still round exactly as the two public evaluations do
+    rng = np.random.default_rng(seed)
+    j = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_j else 0.0)
+    k = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_k else 0.0)
+    cm = CharacteristicMatrix(j, k, rng.uniform(0.1, 10.0), rng.uniform(-2.0, 2.0))
+    for lam in rng.uniform(-3.0, 3.0, 4) + 1j * rng.uniform(-20.0, 20.0, 4):
+        expect = complex(np.trace(np.linalg.solve(cm.value(lam), cm.dvalue(lam))))
+        assert cm.dlog(lam) == expect
+
+
 def test_characteristic_matrix_validation():
     with pytest.raises(InputError):
         CharacteristicMatrix(np.eye(2), np.eye(3), 1.0)

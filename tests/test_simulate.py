@@ -6,7 +6,9 @@ an explicit solution; that gives an exact oracle including the gain
 coupling.  Order checks halve dt and expect the classical factor 16.
 """
 
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +184,20 @@ def test_linear_field_must_match_the_gain():
 # steps and stop at the same step.
 
 
+@contextlib.contextmanager
+def _field_calls():
+    # records every LinearField call; the affine march makes none
+    calls = []
+    original = LinearField.__call__
+
+    def counted(self, x, t=0.0):
+        calls.append(t)
+        return original(self, x, t)
+
+    with mock.patch.object(LinearField, "__call__", counted):
+        yield calls
+
+
 @st.composite
 def _linear_runs(draw):
     n = draw(st.integers(1, 6))
@@ -225,7 +241,9 @@ def test_affine_march_matches_stage_loop(run):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the stage loop's overflow
         ref = integrate(lambda x, t: matrix @ x, fb, hist, t_end, dt=dt, blow_up=blow_up)
-    got = integrate(LinearField(matrix), fb, hist, t_end, dt=dt, blow_up=blow_up)
+    with _field_calls() as calls:
+        got = integrate(LinearField(matrix), fb, hist, t_end, dt=dt, blow_up=blow_up)
+    assert calls == []  # every regime drawn takes the affine march
     assert len(got) == len(ref)
     assert got.blown_at == ref.blown_at
     assert np.array_equal(got.times, ref.times)
@@ -262,20 +280,42 @@ def test_affine_march_stops_where_the_stage_loop_does():
     assert stops[0] > 64  # past the first delay interval
 
 
-def test_linear_field_run_makes_no_field_call(monkeypatch):
-    calls = []
-    original = LinearField.__call__
-
-    def counted(self, x, t=0.0):
-        calls.append(t)
-        return original(self, x, t)
-
-    monkeypatch.setattr(LinearField, "__call__", counted)
+def test_linear_field_run_makes_no_field_call():
     fb = DelayFeedback(np.array([[0.3]]), 1.0)
     hist = perturbed_history(np.zeros(1), 1.0, seed=1)
-    traj = integrate(LinearField(np.array([[0.05]])), fb, hist, 10.0)
+    with _field_calls() as calls:
+        traj = integrate(LinearField(np.array([[0.05]])), fb, hist, 10.0)
     assert len(traj) == 641
     assert calls == []
+
+
+def test_affine_march_matches_stage_loop_over_a_long_run():
+    # 400 delays of a slowly growing 3-dim focus: the scan carries each
+    # interval's start state across 64 steps, 400 times over
+    a = np.array([[-0.6, -1.0, 0.0], [1.0, -0.6, 0.5], [0.0, -0.3, -0.4]])
+    gain = np.array([[0.3, 0.1, 0.0], [0.0, 0.3, 0.0], [0.2, 0.0, 0.2]])
+    fb = DelayFeedback(gain, 2.0)
+    hist = perturbed_history(np.zeros(3), 2.0, amplitude=1e-3, seed=4)
+    ref = integrate(lambda x, t: a @ x, fb, hist, 800.0)
+    got = integrate(LinearField(a), fb, hist, 800.0)
+    assert len(got) == len(ref) == 25601
+    assert got.blown_at is None and ref.blown_at is None
+    assert np.max(np.abs(ref.states[-64:])) > 1e4 * np.max(np.abs(ref.states[:64]))
+    for x, y in ((got.states, ref.states), (got.derivs, ref.derivs)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_overflowing_doubling_maps_scan_in_chunks():
+    # (I + D)^32 - I overflows for A = 1e6 at h = 1/64 while the step maps
+    # stay finite: the scan must use only the finite doubling levels, or
+    # inf * 0 turns the resting zero state into nan
+    fb = DelayFeedback(np.array([[0.3]]), 1.0)
+    hist = HistorySegment.from_constant(np.zeros(1), 1.0)
+    with _field_calls() as calls:
+        traj = integrate(LinearField(np.array([[1e6]])), fb, hist, 2.0)
+    assert calls == []
+    assert traj.blown_at is None and len(traj) == 129
+    assert np.all(traj.states == 0.0) and np.all(traj.derivs == 0.0)
 
 
 def test_overflowing_step_maps_fall_back_to_the_stage_loop():
