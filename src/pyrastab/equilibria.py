@@ -9,6 +9,11 @@ analytic in lambda, so right-half-plane root counts come from the argument
 principle and refine to certified locations.  On the resonant points
 lambda = 2 pi n i / T the delay term vanishes identically, which is the
 geometric invariance the exclusion rules in this module exploit.
+
+The common-eigenvector reduction behind the commuting rules is defined
+here once for equilibria and periodic orbits: the gain restricted to an
+unstable eigenspace of J (or of the Floquet generator B) leaves the
+scalar equation m = lambda + k (1 - exp(-m T)).
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "SpectrumReport",
     "find_roots",
     "count_roots",
-    "char_det",
     "resonating_center",
     "ResonanceInvariance",
     "check_resonance_invariance",
@@ -45,13 +49,15 @@ __all__ = [
     "homotopy_trace",
     "matched_movement",
     "continuation",
-    "odd_number_verdict",
-    "commuting_real_spectrum_verdict",
-    "commuting_gain_verdict",
+    "relative_commutator",
     "real_spectrum_hypothesis",
+    "CommonEigenpair",
+    "common_eigenpair",
     "real_delayed_root",
     "scalar_dominant_root",
+    "reduced_root",
     "equilibrium_verdicts",
+    "critical_gain",
     "HopfBranch",
     "HopfCurveFamily",
     "hopf_curves",
@@ -177,13 +183,6 @@ def scalar_characteristic(
     jac = np.array([[rate]]) if rate.imag else np.array([[rate.real]])
     g = np.array([[gain]]) if gain.imag else np.array([[gain.real]])
     return CharacteristicMatrix(jac, g, delay, alpha)
-
-
-def char_det(cm: CharacteristicMatrix, lam) -> complex | np.ndarray:
-    """det Delta(lambda); accepts a scalar or an array of points."""
-    arr = np.asarray(lam, dtype=complex)
-    out = cm.det_batch(np.atleast_1d(arr))
-    return complex(out[0]) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -526,47 +525,14 @@ def homotopy_trace(
 
 
 # ---------------------------------------------------------------------------
-# exclusion rules for equilibria
+# the common-eigenvector reduction, shared with the periodic rules
 
 
-def _eig_scale(j: np.ndarray) -> float:
-    return 1.0 + spectral_norm(j)
-
-
-def _resonant_pairs(
-    jacobian: np.ndarray, delay: float, tol: Tolerances
-) -> list[tuple[complex, int]]:
-    """Eigenvalues of J of the form lambda* + 2 pi n i / delay with
-    lambda* > 0, sorted by descending real part."""
-    eigs = np.linalg.eigvals(jacobian)
-    scale = _eig_scale(jacobian)
-    base = 2.0 * np.pi / delay
-    n_max = int(np.ceil(2.0 * (5 + jacobian.shape[0])))
-    hits = []
-    for eig in eigs:
-        if eig.real <= tol.tol_axis * scale:
-            continue
-        n = int(np.round(eig.imag / base))
-        if abs(n) > n_max:
-            continue
-        if abs(eig.imag - n * base) <= tol.tol_res_match * scale:
-            hits.append((complex(eig), n))
-    hits.sort(key=lambda t: (-t[0].real, abs(t[1])))
-    return hits
-
-
-def _commutator_hypothesis(
-    jacobian: np.ndarray, gain: np.ndarray, tol: Tolerances
-) -> Hypothesis:
-    denom = np.linalg.norm(jacobian) * np.linalg.norm(gain)
-    comm = 0.0 if denom == 0.0 else float(np.linalg.norm(jacobian @ gain - gain @ jacobian) / denom)
-    return Hypothesis(
-        "gain commutes with the linearization",
-        comm <= tol.tol_comm,
-        f"relative commutator norm {comm:.3e}",
-        value=comm,
-        tolerance=tol.tol_comm,
-    )
+def relative_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """||AB - BA|| / (||A|| ||B||) in the Frobenius norm; 0.0 when A or B
+    is zero."""
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    return 0.0 if denom == 0.0 else float(np.linalg.norm(a @ b - b @ a) / denom)
 
 
 def real_spectrum_hypothesis(gain: np.ndarray, tol: Tolerances) -> Hypothesis:
@@ -583,17 +549,53 @@ def real_spectrum_hypothesis(gain: np.ndarray, tol: Tolerances) -> Hypothesis:
     )
 
 
-def _restricted_gain_eigenvalues(
-    jacobian: np.ndarray, gain: np.ndarray, eig: complex, tol: Tolerances
-) -> np.ndarray:
-    """Eigenvalues of K restricted to the eigenspace of J at ``eig``.
+@dataclass(frozen=True)
+class CommonEigenpair:
+    exponent: complex
+    gain_eigenvalue: complex
+    vector: np.ndarray
+    residual_generator: float
+    residual_gain: float
+    real_gain: bool
 
-    Valid when K commutes with J, so the eigenspace is K-invariant."""
-    basis = kernel_basis(eig * np.eye(jacobian.shape[0]) - jacobian, tol.rank_factor)
+
+def common_eigenpair(
+    generator: np.ndarray,
+    gain: np.ndarray,
+    exponent: complex,
+    tol: Tolerances = DEFAULT,
+) -> tuple[CommonEigenpair, ...]:
+    """Joint eigenvectors of the linear part ``generator`` (J or B, at its
+    eigenvalue ``exponent``) and the commuting gain, in the order of the
+    restricted gain's eigenvalues.
+
+    Restricting K to the eigenspace of the linear part is legitimate
+    exactly because the two commute, so the restriction's eigenpairs lift
+    to common eigenvectors.  When the eigenspace is real and has odd
+    dimension, the real restriction necessarily has a real eigenvalue,
+    which is what lets the real-spectrum hypothesis be dropped in that case.
+    """
+    generator = np.asarray(generator)
+    gain = np.asarray(gain)
+    n = generator.shape[0]
+    basis = kernel_basis(exponent * np.eye(n) - generator, tol.rank_factor)
     if basis.shape[1] == 0:
-        raise NumericalError(f"no eigenspace found at {eig}")
+        raise InputError(f"{exponent} is not an eigenvalue of the generator")
     restricted = basis.conj().T @ gain @ basis
-    return np.linalg.eigvals(restricted)
+    vals, vecs = np.linalg.eig(restricted)
+    gn = max(1.0, spectral_norm(gain))
+    bn = max(1.0, spectral_norm(generator))
+    out = []
+    for i in range(len(vals)):
+        v = basis @ vecs[:, i]
+        v = v / np.linalg.norm(v)
+        res_b = float(np.linalg.norm(generator @ v - exponent * v)) / bn
+        res_k = float(np.linalg.norm(gain @ v - vals[i] * v)) / gn
+        real_gain = abs(vals[i].imag) <= tol.tol_spec * gn
+        out.append(
+            CommonEigenpair(complex(exponent), complex(vals[i]), v, res_b, res_k, real_gain)
+        )
+    return tuple(out)
 
 
 def real_delayed_root(rate: float, gain: float, delay: float) -> float:
@@ -619,13 +621,74 @@ def scalar_dominant_root(
     return None if dom is None else dom.value
 
 
-def odd_number_verdict(problem: EquilibriumProblem, tol: Tolerances = DEFAULT) -> Verdict:
-    """Excluded when J is nonsingular and has an odd total count of
-    eigenvalues in the open right half plane: the difference feedback then
-    keeps a real positive characteristic root for every gain and delay."""
+def reduced_root(
+    pairs: Sequence[CommonEigenpair],
+    rate: float,
+    delay: float,
+    real: bool,
+    tol: Tolerances = DEFAULT,
+) -> complex | None:
+    """Unstable root m of the reduced equation m = rate + k (1 - exp(-m T)),
+    or None.
+
+    With ``real``, k is the gain eigenvalue closest to real, required to be
+    real, and m is the positive root of :func:`real_delayed_root`;
+    otherwise k is the first pair's gain eigenvalue, possibly complex, and
+    m comes from :func:`scalar_dominant_root`.  The caller maps m back to
+    its setting: m + 2 pi n i / T for an equilibrium, exp(m T) for an orbit."""
+    if real:
+        pair = min(pairs, key=lambda p: abs(p.gain_eigenvalue.imag), default=None)
+        if pair is None or not pair.real_gain:
+            return None
+        return real_delayed_root(rate, pair.gain_eigenvalue.real, delay)
+    return scalar_dominant_root(rate, pairs[0].gain_eigenvalue, delay, tol) if pairs else None
+
+
+# ---------------------------------------------------------------------------
+# exclusion rules for equilibria
+
+
+def _resonant_pairs(
+    eigs: np.ndarray, scale: float, delay: float, tol: Tolerances
+) -> list[tuple[complex, int]]:
+    """Eigenvalues ``eigs`` of J of the form lambda* + 2 pi n i / delay with
+    lambda* > 0, sorted by descending real part; ``scale`` is 1 + ||J||."""
+    base = 2.0 * np.pi / delay
+    n_max = int(np.ceil(2.0 * (5 + len(eigs))))
+    hits = []
+    for eig in eigs:
+        if eig.real <= tol.tol_axis * scale:
+            continue
+        n = int(np.round(eig.imag / base))
+        if abs(n) > n_max:
+            continue
+        if abs(eig.imag - n * base) <= tol.tol_res_match * scale:
+            hits.append((complex(eig), n))
+    hits.sort(key=lambda t: (-t[0].real, abs(t[1])))
+    return hits
+
+
+def equilibrium_verdicts(
+    problem: EquilibriumProblem, tol: Tolerances = DEFAULT
+) -> tuple[Verdict, ...]:
+    """The three exclusion rules for an equilibrium.
+
+    Rules, in order: the odd-number rule (J nonsingular with an odd count
+    of eigenvalues in the open right half plane, so a real positive root
+    survives every gain and delay); the commuting rule with real gain
+    spectrum; and the commuting rule with no spectral condition.  Both
+    commuting rules need an unstable eigenvalue lambda* + 2 pi n i / T of J
+    on a resonant line and a gain commuting with J; their witness is the
+    root of the reduced equation (:func:`reduced_root`) shifted back to the
+    line.  One eigendecomposition of J, one resonance search, one
+    commutator and one set of common eigenpairs serve all three rules.
+    """
     jac = problem.jacobian()
+    gain = problem.feedback.gain
+    delay = problem.feedback.delay
     eigs = np.linalg.eigvals(jac)
-    scale = _eig_scale(jac)
+    scale = 1.0 + spectral_norm(jac)
+
     smallest = float(np.min(np.abs(eigs)))
     h_nonsing = Hypothesis(
         "linearization is nonsingular",
@@ -641,91 +704,51 @@ def odd_number_verdict(problem: EquilibriumProblem, tol: Tolerances = DEFAULT) -
         f"{unstable} eigenvalue(s) with positive real part",
         value=float(unstable),
     )
-    witness = None
-    if h_nonsing.passed and h_odd.passed:
-        witness = complex(eigs[np.argmax(eigs.real)])
-    return Verdict.from_hypotheses("odd-number", (h_nonsing, h_odd), witness)
+    witness_odd = complex(eigs[np.argmax(eigs.real)]) if h_nonsing.passed and h_odd.passed else None
+    v_odd = Verdict.from_hypotheses("odd-number", (h_nonsing, h_odd), witness_odd)
 
-
-def commuting_real_spectrum_verdict(
-    problem: EquilibriumProblem, tol: Tolerances = DEFAULT
-) -> Verdict:
-    """Excluded when an unstable eigenvalue of J sits on a resonant line
-    Im = 2 pi n / T and the gain commutes with J and has real spectrum.
-
-    The reduction along a common eigenvector leaves the scalar equation
-    m = lambda* + k (1 - exp(-m T)) with real k, which always has a
-    positive root; the witness is that root shifted back to the line."""
-    jac = problem.jacobian()
-    gain = problem.feedback.gain
-    delay = problem.feedback.delay
-    hits = _resonant_pairs(jac, delay, tol)
-    h_res = Hypothesis(
-        "unstable eigenvalue on a resonant line",
-        bool(hits),
-        (
-            f"eigenvalue {hits[0][0]:.6g} matches n={hits[0][1]}"
-            if hits
-            else "no unstable eigenvalue with Im a multiple of 2 pi / T"
-        ),
+    hits = _resonant_pairs(eigs, scale, delay, tol)
+    detail_res = (
+        f"eigenvalue {hits[0][0]:.6g} matches n={hits[0][1]}"
+        if hits
+        else "no unstable eigenvalue with Im a multiple of 2 pi / T"
     )
-    h_comm = _commutator_hypothesis(jac, gain, tol)
-    h_spec = real_spectrum_hypothesis(gain, tol)
-    hyps = (h_res, h_comm, h_spec)
-    if not all(h.passed for h in hyps):
-        return Verdict.from_hypotheses("commuting-real-spectrum", hyps)
-    eig, n = hits[0]
-    ks = _restricted_gain_eigenvalues(jac, gain, eig, tol)
-    k = float(ks[np.argmin(np.abs(ks.imag))].real)
-    m = real_delayed_root(eig.real, k, delay)
-    witness = complex(m, 2.0 * np.pi * n / delay)
-    return Verdict.from_hypotheses("commuting-real-spectrum", hyps, witness)
-
-
-def commuting_gain_verdict(
-    problem: EquilibriumProblem, tol: Tolerances = DEFAULT
-) -> Verdict:
-    """Excluded when an unstable eigenvalue pair of J sits on resonant
-    lines Im = +-2 pi n / T and the gain commutes with J; no condition on
-    the gain spectrum.  The scalar reduction may have a complex gain, so
-    the witness root is located by the half-plane search."""
-    jac = problem.jacobian()
-    gain = problem.feedback.gain
-    delay = problem.feedback.delay
-    hits = _resonant_pairs(jac, delay, tol)
-    h_res = Hypothesis(
-        "unstable eigenvalue pair on resonant lines",
-        bool(hits),
-        (
-            f"eigenvalue {hits[0][0]:.6g} matches n={hits[0][1]}"
-            if hits
-            else "no unstable eigenvalue with Im a multiple of 2 pi / T"
-        ),
+    comm = relative_commutator(jac, gain)
+    h_comm = Hypothesis(
+        "gain commutes with the linearization",
+        comm <= tol.tol_comm,
+        f"relative commutator norm {comm:.3e}",
+        value=comm,
+        tolerance=tol.tol_comm,
     )
-    h_comm = _commutator_hypothesis(jac, gain, tol)
-    hyps = (h_res, h_comm)
-    if not all(h.passed for h in hyps):
-        return Verdict.from_hypotheses("commuting-gain", hyps)
-    eig, n = hits[0]
-    witness = None
-    try:
-        ks = _restricted_gain_eigenvalues(jac, gain, eig, tol)
-        root = scalar_dominant_root(eig.real, complex(ks[0]), delay, tol)
-        if root is not None:
-            witness = root + 2j * np.pi * n / delay
-    except NumericalError:
-        witness = None
-    return Verdict.from_hypotheses("commuting-gain", hyps, witness)
 
+    pairs = ()
+    if hits and h_comm.passed:
+        try:
+            pairs = common_eigenpair(jac, gain, hits[0][0], tol)
+        except InputError:  # no eigenspace resolved at the computed eigenvalue
+            pass
 
-def equilibrium_verdicts(
-    problem: EquilibriumProblem, tol: Tolerances = DEFAULT
-) -> tuple[Verdict, ...]:
-    return (
-        odd_number_verdict(problem, tol),
-        commuting_real_spectrum_verdict(problem, tol),
-        commuting_gain_verdict(problem, tol),
-    )
+    def witness(real: bool) -> complex | None:
+        eig, n = hits[0]
+        m = reduced_root(pairs, eig.real, delay, real, tol)
+        return None if m is None else m + 2j * np.pi * n / delay
+
+    h_line = Hypothesis("unstable eigenvalue on a resonant line", bool(hits), detail_res)
+    hyps_real = (h_line, h_comm, real_spectrum_hypothesis(gain, tol))
+    witness_real = witness(real=True) if all(h.passed for h in hyps_real) else None
+    v_real = Verdict.from_hypotheses("commuting-real-spectrum", hyps_real, witness_real)
+
+    h_pair = Hypothesis("unstable eigenvalue pair on resonant lines", bool(hits), detail_res)
+    hyps_any = (h_pair, h_comm)
+    witness_any = None
+    if all(h.passed for h in hyps_any):
+        try:
+            witness_any = witness(real=False)
+        except NumericalError:
+            pass
+    v_any = Verdict.from_hypotheses("commuting-gain", hyps_any, witness_any)
+    return (v_odd, v_real, v_any)
 
 
 # ---------------------------------------------------------------------------

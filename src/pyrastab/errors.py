@@ -7,6 +7,17 @@ certify a result).  The CLI maps them to distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "PyrastabError",
+    "InputError",
+    "NumericalError",
+    "RootCountError",
+    "ContinuationError",
+    "SingularMonodromyError",
+    "InconclusiveMultiplicityError",
+    "CrossCheckError",
+]
+
 
 class PyrastabError(Exception):
     pass

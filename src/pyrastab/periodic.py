@@ -23,6 +23,9 @@ used by the integral form and the history basis of the stepped form are
 two separate marches over the same grid, each with its own step maps and
 composites, never one stacked march, so the cross-check compares two
 constructions that share only their sampled coefficients.
+
+The exclusion rules use the common-eigenvector reduction that
+``equilibria`` defines for both settings.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ import scipy.linalg
 
 from .chebyshev import barycentric_weights, cumulative_matrix, interp_rows, lobatto_nodes
 from .equilibria import (
+    common_eigenpair,
     continuation,
-    real_delayed_root,
     real_spectrum_hypothesis,
-    scalar_dominant_root,
+    reduced_root,
+    relative_commutator,
 )
 from .errors import (
     CrossCheckError,
@@ -47,7 +51,7 @@ from .errors import (
     NumericalError,
     SingularMonodromyError,
 )
-from .linalg import cluster_multiplicities, cluster_multiplicity, kernel_basis, spectral_norm
+from .linalg import cluster_multiplicities, cluster_multiplicity, spectral_norm
 from .problems import PeriodicLinearProblem
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -68,9 +72,6 @@ __all__ = [
     "homotopy_multipliers",
     "CommutingCheck",
     "commuting_check",
-    "CommonEigenpair",
-    "common_eigenpair",
-    "scalar_reduction_verdict",
     "periodic_verdicts",
 ]
 
@@ -776,102 +777,17 @@ def commuting_check(
     ``CommutingCheck``)."""
     gain = np.asarray(gain, dtype=float)
     b = decomposition.generator
-    kn = np.linalg.norm(gain)
     scale = max(1.0, spectral_norm(decomposition.monodromy.matrix))
     negligible = spectral_norm(b) * decomposition.period <= tol.tol_log * scale
-
-    def rel_comm(mat: np.ndarray) -> float:
-        denom = kn * np.linalg.norm(mat)
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(gain @ mat - mat @ gain) / denom)
-
-    res_b = 0.0 if negligible else rel_comm(b)
+    res_b = 0.0 if negligible else relative_commutator(gain, b)
     res_p = 0.0
     for t in np.linspace(0.0, decomposition.period, samples):
-        res_p = max(res_p, rel_comm(decomposition.periodic_factor(float(t))))
+        res_p = max(res_p, relative_commutator(gain, decomposition.periodic_factor(float(t))))
     return CommutingCheck(res_b, res_p, tol.tol_comm, negligible)
 
 
-@dataclass(frozen=True)
-class CommonEigenpair:
-    exponent: complex
-    gain_eigenvalue: complex
-    vector: np.ndarray
-    residual_generator: float
-    residual_gain: float
-    real_gain: bool
-
-
-def common_eigenpair(
-    generator: np.ndarray,
-    gain: np.ndarray,
-    exponent: complex,
-    tol: Tolerances = DEFAULT,
-) -> tuple[CommonEigenpair, ...]:
-    """Joint eigenvectors of B (at ``exponent``) and the commuting gain.
-
-    Restricting K to the eigenspace of B is legitimate exactly because the
-    two commute, so the restriction's eigenpairs lift to common
-    eigenvectors.  When the eigenspace has odd dimension, the real
-    restriction necessarily has a real eigenvalue, which is what lets the
-    real-spectrum hypothesis be dropped in that case.
-    """
-    generator = np.asarray(generator)
-    gain = np.asarray(gain)
-    n = generator.shape[0]
-    basis = kernel_basis(exponent * np.eye(n) - generator, tol.rank_factor)
-    if basis.shape[1] == 0:
-        raise InputError(f"{exponent} is not an eigenvalue of the generator")
-    restricted = basis.conj().T @ gain @ basis
-    vals, vecs = np.linalg.eig(restricted)
-    gn = max(1.0, spectral_norm(gain))
-    bn = max(1.0, spectral_norm(generator))
-    out = []
-    for i in range(len(vals)):
-        v = basis @ vecs[:, i]
-        v = v / np.linalg.norm(v)
-        res_b = float(np.linalg.norm(generator @ v - exponent * v)) / bn
-        res_k = float(np.linalg.norm(gain @ v - vals[i] * v)) / gn
-        real_gain = abs(vals[i].imag) <= tol.tol_spec * max(1.0, spectral_norm(gain))
-        out.append(
-            CommonEigenpair(complex(exponent), complex(vals[i]), v, res_b, res_k, real_gain)
-        )
-    out.sort(key=lambda p: abs(p.gain_eigenvalue.imag))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# scalar reduction and the periodic exclusion rules
-
-
-def scalar_reduction_verdict(
-    rate: float,
-    gain: complex,
-    delay: float,
-    tol: Tolerances = DEFAULT,
-) -> Verdict:
-    """Verdict for the reduced scalar equation w' = rate w
-    + gain [w - w(t - delay)] along a common eigenvector.
-
-    For real gain the unstable root survives for every gain value; for
-    complex gain the half-plane search locates the surviving root.  Either
-    way the root is found numerically, not assumed.
-    """
-    rate = float(rate)
-    if not rate > 0.0:
-        raise InputError("the reduced rate must be positive")
-    gain = complex(gain)
-    h_rate = Hypothesis(
-        "reduced rate is positive", True, f"rate {rate:.6g}", value=rate
-    )
-    root = scalar_dominant_root(rate, gain, delay, tol)
-    h_root = Hypothesis(
-        "reduced equation keeps an unstable root",
-        root is not None,
-        f"dominant root {root:.6g}" if root is not None else "no unstable root found",
-    )
-    return Verdict.from_hypotheses("scalar-reduction", (h_rate, h_root), root)
+# the periodic exclusion rules
 
 
 def periodic_verdicts(
@@ -956,7 +872,7 @@ def periodic_verdicts(
 
     # common eigenpairs of the generator at the unstable exponent and the
     # gain, one per dimension of that eigenspace
-    pairs: tuple[CommonEigenpair, ...] = ()
+    pairs = ()
     if decomp is not None and exponent is not None:
         try:
             pairs = common_eigenpair(decomp.generator, gain, exponent, tol)
@@ -982,21 +898,13 @@ def periodic_verdicts(
         tolerance=h_real.tolerance,
     )
 
-    def reduction_witness(require_real: bool) -> complex | None:
-        if not pairs:
-            return None
-        if require_real:
-            real_pairs = [p for p in pairs if p.real_gain]
-            if not real_pairs:
-                return None
-            k = float(real_pairs[0].gain_eigenvalue.real)
-            return complex(np.exp(real_delayed_root(exponent, k, period) * period))
-        root = scalar_dominant_root(exponent, complex(pairs[0].gain_eigenvalue), period, tol)
-        return None if root is None else complex(np.exp(root * period))
+    def witness(real: bool) -> complex | None:
+        m = reduced_root(pairs, exponent, period, real, tol)
+        return None if m is None else complex(np.exp(m * period))
 
     hyps_real = (h_unstable, h_comm_b, h_comm_p, h_spec)
     witness_real = (
-        reduction_witness(require_real=True)
+        witness(real=True)
         if all(h.passed for h in hyps_real)
         else None
     )
@@ -1004,7 +912,7 @@ def periodic_verdicts(
 
     hyps_any = (h_unstable, h_comm_b, h_comm_p)
     witness_any = (
-        reduction_witness(require_real=False)
+        witness(real=False)
         if all(h.passed for h in hyps_any)
         else None
     )

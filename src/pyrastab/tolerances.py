@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+__all__ = ["Tolerances", "DEFAULT"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

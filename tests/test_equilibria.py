@@ -8,16 +8,19 @@ against their complex scalarization.
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pyrastab import equilibria
 from pyrastab.equilibria import (
     _assign_traces,
     CharacteristicMatrix,
     Region,
     characteristic_matrix,
     check_resonance_invariance,
+    common_eigenpair,
     count_roots,
     critical_gain,
     default_region,
@@ -28,14 +31,20 @@ from pyrastab.equilibria import (
     homotopy_trace,
     hopf_curves,
     matched_movement,
+    real_delayed_root,
+    real_spectrum_hypothesis,
+    reduced_root,
     resonating_center,
     scalar_characteristic,
+    scalar_dominant_root,
     unstable_count_for_gain,
 )
 from pyrastab.errors import ContinuationError, InputError, NumericalError, RootCountError
+from pyrastab.linalg import kernel_basis, spectral_norm
 from pyrastab.tolerances import DEFAULT
 from pyrastab.fields import LinearField
 from pyrastab.problems import DelayFeedback, EquilibriumProblem
+from pyrastab.verdicts import Hypothesis, Verdict
 
 
 def _real_root_oracle(a, k, delay):
@@ -336,6 +345,244 @@ def test_verdict_dicts_are_auditable():
     assert d["outcome"] == "excluded"
     assert all("name" in h and "passed" in h for h in d["hypotheses"])
     assert "witness" in d
+
+
+# --- the folded rules against the single-rule functions they replaced --------
+#
+# ``equilibrium_verdicts`` once called three single-rule functions, each
+# recomputing the resonance search, the commutator and the restricted gain
+# eigenvalues.  They are kept here, as they were, as the oracle for the
+# folded rules and the shared common-eigenvector reduction.
+
+
+def _former_resonant_pairs(jacobian, delay, tol):
+    eigs = np.linalg.eigvals(jacobian)
+    scale = 1.0 + spectral_norm(jacobian)
+    base = 2.0 * np.pi / delay
+    n_max = int(np.ceil(2.0 * (5 + jacobian.shape[0])))
+    hits = []
+    for eig in eigs:
+        if eig.real <= tol.tol_axis * scale:
+            continue
+        n = int(np.round(eig.imag / base))
+        if abs(n) > n_max:
+            continue
+        if abs(eig.imag - n * base) <= tol.tol_res_match * scale:
+            hits.append((complex(eig), n))
+    hits.sort(key=lambda t: (-t[0].real, abs(t[1])))
+    return hits
+
+
+def _former_commutator_hypothesis(jacobian, gain, tol):
+    denom = np.linalg.norm(jacobian) * np.linalg.norm(gain)
+    comm = 0.0 if denom == 0.0 else float(np.linalg.norm(jacobian @ gain - gain @ jacobian) / denom)
+    return Hypothesis(
+        "gain commutes with the linearization",
+        comm <= tol.tol_comm,
+        f"relative commutator norm {comm:.3e}",
+        value=comm,
+        tolerance=tol.tol_comm,
+    )
+
+
+def _former_restricted_gain_eigenvalues(jacobian, gain, eig, tol):
+    basis = kernel_basis(eig * np.eye(jacobian.shape[0]) - jacobian, tol.rank_factor)
+    if basis.shape[1] == 0:
+        raise NumericalError(f"no eigenspace found at {eig}")
+    restricted = basis.conj().T @ gain @ basis
+    return np.linalg.eigvals(restricted)
+
+
+def _former_odd_number_verdict(problem, tol=DEFAULT):
+    jac = problem.jacobian()
+    eigs = np.linalg.eigvals(jac)
+    scale = 1.0 + spectral_norm(jac)
+    smallest = float(np.min(np.abs(eigs)))
+    h_nonsing = Hypothesis(
+        "linearization is nonsingular",
+        smallest > tol.tol_axis * scale,
+        f"smallest |eigenvalue| {smallest:.3e}",
+        value=smallest,
+        tolerance=tol.tol_axis * scale,
+    )
+    unstable = int(np.sum(eigs.real > tol.tol_axis * scale))
+    h_odd = Hypothesis(
+        "odd count of unstable eigenvalues",
+        unstable % 2 == 1,
+        f"{unstable} eigenvalue(s) with positive real part",
+        value=float(unstable),
+    )
+    witness = None
+    if h_nonsing.passed and h_odd.passed:
+        witness = complex(eigs[np.argmax(eigs.real)])
+    return Verdict.from_hypotheses("odd-number", (h_nonsing, h_odd), witness)
+
+
+def _former_resonance_hypothesis(name, hits):
+    return Hypothesis(
+        name,
+        bool(hits),
+        (
+            f"eigenvalue {hits[0][0]:.6g} matches n={hits[0][1]}"
+            if hits
+            else "no unstable eigenvalue with Im a multiple of 2 pi / T"
+        ),
+    )
+
+
+def _former_commuting_real_spectrum_verdict(problem, tol=DEFAULT):
+    jac = problem.jacobian()
+    gain = problem.feedback.gain
+    delay = problem.feedback.delay
+    hits = _former_resonant_pairs(jac, delay, tol)
+    h_res = _former_resonance_hypothesis("unstable eigenvalue on a resonant line", hits)
+    h_comm = _former_commutator_hypothesis(jac, gain, tol)
+    h_spec = real_spectrum_hypothesis(gain, tol)
+    hyps = (h_res, h_comm, h_spec)
+    if not all(h.passed for h in hyps):
+        return Verdict.from_hypotheses("commuting-real-spectrum", hyps)
+    eig, n = hits[0]
+    ks = _former_restricted_gain_eigenvalues(jac, gain, eig, tol)
+    k = float(ks[np.argmin(np.abs(ks.imag))].real)
+    m = real_delayed_root(eig.real, k, delay)
+    witness = complex(m, 2.0 * np.pi * n / delay)
+    return Verdict.from_hypotheses("commuting-real-spectrum", hyps, witness)
+
+
+def _former_commuting_gain_verdict(problem, tol=DEFAULT):
+    jac = problem.jacobian()
+    gain = problem.feedback.gain
+    delay = problem.feedback.delay
+    hits = _former_resonant_pairs(jac, delay, tol)
+    h_res = _former_resonance_hypothesis("unstable eigenvalue pair on resonant lines", hits)
+    h_comm = _former_commutator_hypothesis(jac, gain, tol)
+    hyps = (h_res, h_comm)
+    if not all(h.passed for h in hyps):
+        return Verdict.from_hypotheses("commuting-gain", hyps)
+    eig, n = hits[0]
+    witness = None
+    try:
+        ks = _former_restricted_gain_eigenvalues(jac, gain, eig, tol)
+        root = scalar_dominant_root(eig.real, complex(ks[0]), delay, tol)
+        if root is not None:
+            witness = root + 2j * np.pi * n / delay
+    except NumericalError:
+        witness = None
+    return Verdict.from_hypotheses("commuting-gain", hyps, witness)
+
+
+def _former_verdicts(problem):
+    """The former rules, with the real-spectrum witness set to None where
+    the folded rule deliberately gives none: the restriction found no
+    eigenspace (the former rule raised), or the restricted gain eigenvalue
+    closest to real is not real (the former rule took its real part).  The
+    former rule raises only once every hypothesis has passed; that case is
+    returned as None.  Both happen when J is a multiple of the identity up
+    to rounding, whose eigenspace ``kernel_basis`` resolves from rounding
+    noise alone."""
+    jac, gain = problem.jacobian(), problem.feedback.gain
+    try:
+        real = _former_commuting_real_spectrum_verdict(problem)
+    except NumericalError:
+        real = None
+    else:
+        if real.witness is not None:
+            eig, _ = _former_resonant_pairs(jac, problem.feedback.delay, DEFAULT)[0]
+            ks = _former_restricted_gain_eigenvalues(jac, gain, eig, DEFAULT)
+            closest = ks[np.argmin(np.abs(ks.imag))]
+            if abs(closest.imag) > DEFAULT.tol_spec * max(1.0, spectral_norm(gain)):
+                real = Verdict.from_hypotheses(real.rule, real.hypotheses, None)
+    return (_former_odd_number_verdict(problem), real, _former_commuting_gain_verdict(problem))
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+# A block of D: a real eigenvalue ("real"), or a focus a I + w R with
+# w = 2 pi n / T on a resonant line ("focus", n = 0 gives the repeated
+# real eigenvalue a) or off it ("off").  Rates come from a short list so
+# that blocks repeat.
+_BLOCK = st.tuples(
+    st.sampled_from(["real", "focus", "off"]),
+    st.sampled_from([-0.3, 0.05, 0.2]),
+    st.integers(0, 2),
+)
+
+
+def _block_pair(kind, rate, n, delay, rho, theta):
+    """One block of D and the block of a rotation gain commuting with it."""
+    if kind == "real":
+        return np.array([[rate]]), np.array([[rho * np.cos(theta)]])
+    w = 2.0 * np.pi * (n + (0.37 if kind == "off" else 0.0)) / delay
+    return rate * np.eye(2) + w * _rotation(np.pi / 2), rho * _rotation(theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_BLOCK, min_size=1, max_size=3),
+    st.sampled_from([2.0 * np.pi, 1.0]),
+    st.sampled_from(["polynomial", "rotation", "generic"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_folded_rules_match_the_single_rule_oracle(blocks, delay, gain_kind, seed):
+    rng = np.random.default_rng(seed)
+    rho, theta = rng.uniform(0.1, 0.8), rng.uniform(-np.pi, np.pi)
+    parts = [_block_pair(kind, rate, n, delay, rho, theta) for kind, rate, n in blocks]
+    d = scipy.linalg.block_diag(*[p[0] for p in parts])
+    dim = d.shape[0]
+    s = rng.normal(size=(dim, dim)) + 2.0 * np.eye(dim)
+    assume(np.linalg.cond(s) < 1e3)
+    jac = s @ d @ np.linalg.inv(s)
+    if gain_kind == "polynomial":
+        c = rng.uniform(-0.5, 0.5, 3)
+        gain = c[0] * np.eye(dim) + c[1] * jac + c[2] * jac @ jac
+    elif gain_kind == "rotation":
+        gain = s @ scipy.linalg.block_diag(*[p[1] for p in parts]) @ np.linalg.inv(s)
+    else:  # generically not commuting with J
+        gain = rng.uniform(-0.5, 0.5, (dim, dim))
+    prob = _equilibrium(jac, gain, delay)
+    new = equilibrium_verdicts(prob)
+    old = _former_verdicts(prob)
+    for got, want in zip(new, old):
+        if want is None:  # the former restriction found no eigenspace
+            assert got.excluded and got.witness is None
+            continue
+        assert got.rule == want.rule and got.outcome == want.outcome
+        assert [h.to_dict() for h in got.hypotheses] == [h.to_dict() for h in want.hypotheses]
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert abs(got.witness - want.witness) <= 1e-12 * max(1.0, abs(want.witness))
+
+
+def test_equilibrium_verdicts_compute_the_reduction_once(monkeypatch):
+    calls = {"_resonant_pairs": 0, "relative_commutator": 0, "common_eigenpair": 0}
+
+    def counted(name):
+        original = getattr(equilibria, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(equilibria, name, counted(name))
+    j = np.array([[0.05, -1.0], [1.0, 0.05]])
+    verdicts = equilibrium_verdicts(_equilibrium(j, 0.4 * np.eye(2), 2 * np.pi))
+    assert calls == {"_resonant_pairs": 1, "relative_commutator": 1, "common_eigenpair": 1}
+    assert [v.witness is not None for v in verdicts[1:]] == [True, True]
+
+
+def test_reduced_root_real_gain_keeps_root():
+    pairs = common_eigenpair(np.diag([0.1, -0.2]), np.diag([0.5, 0.3]), 0.1 + 0.0j)
+    m = reduced_root(pairs, 0.1, 2 * np.pi, real=True)
+    assert m == pytest.approx(_real_root_oracle(0.1, 0.5, 2 * np.pi), abs=1e-12)
+    # the any-gain root is the same root, located by the half-plane search
+    assert reduced_root(pairs, 0.1, 2 * np.pi, real=False) == pytest.approx(m, abs=1e-9)
+    assert reduced_root((), 0.1, 2 * np.pi, real=True) is None
+    assert reduced_root((), 0.1, 2 * np.pi, real=False) is None
 
 
 # --- homotopy in the feedback strength ----------------------------------------

@@ -4,9 +4,12 @@ A name with a leading underscore is private to its module; a helper that
 two modules share is made public in one of them instead.  The check reads
 the source with ``ast``, so it covers both ``from .x import _y`` and
 ``from pyrastab.x import _y``, as well as ``x._y`` on an imported module.
+Every ``__all__`` lists names that exist, and the package re-exports only
+names its modules list in theirs.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,43 @@ def test_checker_sees_private_imports(tmp_path):
         "periodic._rk4\n"
     )
     assert len(_private_imports(bad)) == 3
+
+
+# --- __all__ lists what a module exports -----------------------------------------
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_all_names_resolve(path):
+    name = "pyrastab" if path.stem == "__init__" else f"pyrastab.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _unlisted_reexports(path: Path) -> list[str]:
+    """Names ``path`` imports from a sibling module (``from .x import y``)
+    that the module's ``__all__`` does not list."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            module = importlib.import_module(f"pyrastab.{node.module}")
+            listed = getattr(module, "__all__", ())
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    return found
+
+
+def test_package_reexports_only_listed_names():
+    assert _unlisted_reexports(_SRC / "__init__.py") == []
+
+
+def test_checker_sees_unlisted_reexports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .equilibria import find_roots, _spectrum\n"
+        "from .periodic import multipliers\n"
+        "from .errors import InputError\n"
+    )
+    assert _unlisted_reexports(bad) == ["equilibria._spectrum"]
 
 
 # --- the time-domain oracle stays independent ------------------------------------
