@@ -38,7 +38,7 @@ from .periodic import (
 from .problemio import document_digest, load_problem, read_problem_file
 from .problems import EquilibriumProblem, validate_equilibrium
 from .simulate import growth_rate, integrate, perturbed_history
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 __all__ = ["main"]
 
@@ -48,14 +48,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         reports.atomic_write_text(out, text)
-
-
-def _tolerances(args, base: Tolerances) -> Tolerances:
-    if getattr(args, "tol_one", None) is not None:
-        if not args.tol_one > 0.0:
-            raise InputError("--tol-one must be positive")
-        return base.replace(tol_one=args.tol_one)
-    return base
 
 
 def _region(args) -> Optional[Region]:
@@ -101,7 +93,7 @@ def _analyze_periodic(problem, tol, nodes):
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     doc, problem = read_problem_file(args.problem)
-    tol = _tolerances(args, doc.tolerances)
+    tol = doc.tolerances
     region = _region(args) or doc.region
     if isinstance(problem, EquilibriumProblem):
         results, spectrum, mult = _analyze_equilibrium(problem, tol, region)
@@ -194,7 +186,7 @@ def cmd_locus(args) -> int:
     doc, problem = read_problem_file(args.problem)
     if not isinstance(problem, EquilibriumProblem):
         raise InputError("locus sweeps apply to equilibrium problems")
-    tol = _tolerances(args, doc.tolerances)
+    tol = doc.tolerances
     path = parse_path_spec(args.path, problem.feedback.dimension)
     region = _region(args) or doc.region
     result = eigenvalue_locus(problem.jacobian(), problem.feedback.delay, path,
@@ -227,7 +219,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(problem, EquilibriumProblem):
         raise InputError("simulate applies to equilibrium problems; periodic "
                          "linear dynamics are covered by the spectral pipeline")
-    tol = _tolerances(args, doc.tolerances)
+    tol = doc.tolerances
     delay = problem.feedback.delay
     if not args.horizon > 0.0:
         raise InputError("--horizon must be positive")
@@ -308,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, region=True):
         p.add_argument("--out", help="write the primary output to this file")
-        p.add_argument("--tol-one", type=float, dest="tol_one",
-                       help="override the unit-multiplier clustering tolerance")
         if region:
             p.add_argument("--region", type=float, nargs=3,
                            metavar=("RE_MIN", "RE_MAX", "IM_MAX"),

@@ -388,10 +388,18 @@ def resonating_center(
     if delay <= 0:
         raise InputError("delay must be positive")
     target = 2j * np.pi * n / delay
-    basis = kernel_basis(
-        target * np.eye(jacobian.shape[0]) - jacobian, tol.rank_factor
-    )
+    basis = _kernel(target * np.eye(jacobian.shape[0]) - jacobian, jacobian, tol)
     return basis.shape[1], basis
+
+
+def _kernel(matrix: np.ndarray, generator: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Kernel basis of ``matrix``, a shift of ``generator`` (J, or B for an
+    orbit), with svd_rank's floor relative to max(1, ||generator||): the
+    shifted matrix's own largest singular value is rounding noise when the
+    generator is a multiple of the identity."""
+    scale = max(1.0, spectral_norm(generator))
+    floor = generator.shape[0] * np.finfo(float).eps * tol.rank_factor * scale
+    return kernel_basis(matrix, tol.rank_factor, floor)
 
 
 @dataclass(frozen=True)
@@ -414,12 +422,11 @@ def check_resonance_invariance(
 
     The feedback factor (1 - exp(-lambda T)) vanishes there, so the two
     dimensions agree for every gain and every alpha; this check computes
-    both sides independently.
+    both sides independently, with the same rank rule.
     """
     point = 2j * np.pi * n / cm.delay
     dim_open, _ = resonating_center(cm.jacobian, cm.delay, n, tol)
-    svals = scipy.linalg.svdvals(cm.value(point))
-    dim_ctrl = cm.dimension - svd_rank(svals, cm.dimension, tol.rank_factor)
+    dim_ctrl = _kernel(cm.value(point), cm.jacobian, tol).shape[1]
     return ResonanceInvariance(n, point, dim_open, dim_ctrl)
 
 
@@ -474,46 +481,50 @@ def matched_movement(prev: Sequence[complex], new: Sequence[complex]) -> float:
 def continuation(
     report: Callable[[float], object],
     positions: Callable[[object], Sequence[complex]],
-    initial_step: float,
+    parameters: Sequence[float],
     tol: Tolerances,
+    label: str = "parameter gap",
 ) -> tuple[tuple[float, object], ...]:
-    """Reports along s in [0, 1] whose matched ``positions`` move at most
-    ``tol.step_cap`` per step; a rejected step is halved, an accepted one
-    grows by 1.6 up to ``initial_step``, and a rejected step no longer than
-    ``tol.min_step`` raises :class:`ContinuationError`."""
-    steps = [(0.0, report(0.0))]
-    s = 0.0
-    h = initial_step
-    while s < 1.0:
-        trial = min(1.0, s + h)
-        rep = report(trial)
-        move = matched_movement(positions(steps[-1][1]), positions(rep))
-        if move > tol.step_cap:
-            if trial - s <= tol.min_step:
-                raise ContinuationError(
-                    f"spectrum moved {move:.3g} over alpha step {trial - s:.3g}"
-                )
-            h *= 0.5
+    """Reports at the increasing ``parameters``, refined by bisection until
+    matched ``positions`` move at most ``tol.step_cap`` between neighbours.
+
+    Every neighbouring pair that moves too far gets its midpoint.  A pair
+    closer than max(tol.min_step * span, 1e-12) that still moves too far
+    raises :class:`ContinuationError`; ``label`` names the gap in the
+    message.  That floor also bounds the work, to the order of span /
+    floor samples.  Returns the (parameter, report) pairs in increasing
+    parameter.
+    """
+    samples = {s: report(s) for s in parameters}
+    min_gap = max(tol.min_step * (parameters[-1] - parameters[0]), 1e-12)
+    work = list(zip(parameters, parameters[1:]))
+    while work:
+        a, b = work.pop()
+        move = matched_movement(positions(samples[a]), positions(samples[b]))
+        if move <= tol.step_cap:
             continue
-        steps.append((trial, rep))
-        s = trial
-        h = min(initial_step, h * 1.6)
-    return tuple(steps)
+        if b - a <= min_gap:
+            raise ContinuationError(f"spectrum moved {move:.3g} over {label} {b - a:.3g}")
+        mid = 0.5 * (a + b)
+        samples[mid] = report(mid)
+        work += [(a, mid), (mid, b)]
+    return tuple(sorted(samples.items()))
 
 
 def homotopy_trace(
     cm: CharacteristicMatrix,
     region: Region | None = None,
     tol: Tolerances = DEFAULT,
-    initial_step: float = 0.125,
 ) -> HomotopyTrace:
     """Spectrum reports along alpha from 0 to full strength.
 
-    Steps adapt so matched roots move at most ``tol.step_cap`` between
-    consecutive reports, and a step below ``tol.min_step`` raises
-    :class:`ContinuationError`.  The region is fixed once (sized for the
-    full gain) so counts are comparable across steps; every report also
-    carries the marginal roots, which matter for the parity bookkeeping.
+    The nine equispaced alphas 0, 1/8, ..., 1 are refined by
+    :func:`continuation` until matched roots move at most ``tol.step_cap``
+    between consecutive reports; an alpha step below ``tol.min_step``
+    that still moves too far raises :class:`ContinuationError`.  The
+    region is fixed once (sized for the full gain) so counts are
+    comparable across steps; every report also carries the marginal
+    roots, which matter for the parity bookkeeping.
     """
     region = region or default_region(cm, tol)
     base = cm.alpha
@@ -521,7 +532,8 @@ def homotopy_trace(
     def report(s: float) -> SpectrumReport:
         return _spectrum(cm.with_alpha(base * s), region, tol, scan_band=True)
 
-    return HomotopyTrace(continuation(report, _expanded_positions, initial_step, tol))
+    alphas = [i / 8 for i in range(9)]
+    return HomotopyTrace(continuation(report, _expanded_positions, alphas, tol, "alpha step"))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +590,7 @@ def common_eigenpair(
     generator = np.asarray(generator)
     gain = np.asarray(gain)
     n = generator.shape[0]
-    basis = kernel_basis(exponent * np.eye(n) - generator, tol.rank_factor)
+    basis = _kernel(exponent * np.eye(n) - generator, generator, tol)
     if basis.shape[1] == 0:
         raise InputError(f"{exponent} is not an eigenvalue of the generator")
     restricted = basis.conj().T @ gain @ basis
@@ -923,9 +935,10 @@ def eigenvalue_locus(
 ) -> LocusResult:
     """Characteristic roots tracked along a path of gain matrices.
 
-    Samples are refined until matched roots move at most ``tol.step_cap``
-    between neighbors, then greedy nearest matching threads them into
-    traces; roots entering or leaving the region start or end a trace.
+    The path's own parameters are refined by :func:`continuation` until
+    matched roots move at most ``tol.step_cap`` between neighbours, then
+    greedy nearest matching threads them into traces; roots entering or
+    leaving the region start or end a trace.
     """
     jacobian = np.asarray(jacobian)
     if region is None:
@@ -936,54 +949,21 @@ def eigenvalue_locus(
         cm = CharacteristicMatrix(jacobian, path.gain_at(s), delay, alpha)
         return find_roots(cm, region, tol)
 
-    samples: dict[float, SpectrumReport] = {}
-    order: list[float] = list(path.parameter)
-    for s in order:
-        samples[s] = report(s)
+    samples = continuation(report, _expanded_positions, path.parameter, tol)
 
-    span = path.parameter[-1] - path.parameter[0]
-    min_gap = max(tol.min_step * span, 1e-12)
-    work = [(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    budget = 64 * len(order)
-    while work:
-        a, b = work.pop()
-        move = matched_movement(
-            _expanded_positions(samples[a]), _expanded_positions(samples[b])
-        )
-        if move <= tol.step_cap:
-            continue
-        if (b - a) <= min_gap:
-            raise ContinuationError(
-                f"roots moved {move:.3g} over parameter gap {b - a:.3g}"
-            )
-        budget -= 1
-        if budget <= 0:
-            raise ContinuationError("locus refinement budget exhausted")
-        mid = 0.5 * (a + b)
-        samples[mid] = report(mid)
-        work.append((a, mid))
-        work.append((mid, b))
-
-    order = sorted(samples)
     traces: dict[int, list[LocusPoint]] = {}
     active: dict[int, complex] = {}
-    next_id = 0
-    for s in order:
-        roots = samples[s].all_roots
+    for s, rep in samples:
+        roots = rep.all_roots
         assignment = _assign_traces(active, [r.value for r in roots], 2.0 * tol.step_cap)
         new_active: dict[int, complex] = {}
         for idx, r in enumerate(roots):
-            tid = assignment.get(idx)
-            if tid is None:
-                tid = next_id
-                next_id += 1
-                traces[tid] = []
-            traces[tid].append(LocusPoint(s, r.value, r.algebraic, r.geometric))
+            tid = assignment.get(idx, len(traces))  # ids count up from 0
+            traces.setdefault(tid, []).append(LocusPoint(s, r.value, r.algebraic, r.geometric))
             new_active[tid] = r.value
         active = new_active
 
     trace_objs = tuple(
         LocusTrace(tid, tuple(pts)) for tid, pts in sorted(traces.items())
     )
-    report_list = tuple((s, samples[s]) for s in order)
-    return LocusResult(trace_objs, report_list)
+    return LocusResult(trace_objs, samples)

@@ -4,11 +4,13 @@ Every rank decision in the package goes through one rule, ``svd_rank``:
 the count of singular values above max(n eps sigma_max rank_factor,
 floor).  Callers differ only in the floor: 0 for a plain rank,
 tol_res max(1, sigma_max) for a characteristic root, 10 band for an
-eigenvalue cluster of radius band.  Multiplicity of a cluster goes
-through an ordered Schur form, so that the answer survives
-non-normality (raw singular-value thresholds against a badly scaled
-matrix do not); ``cluster_multiplicities`` computes one complex Schur
-form per matrix and reorders a copy of it for each cluster.
+eigenvalue cluster of radius band, and n eps rank_factor max(1, ||J||)
+for an eigenspace of J, whose shifted matrix may be rounding noise.
+Multiplicity of a cluster goes through an ordered Schur form, so that
+the answer survives non-normality (raw singular-value thresholds
+against a badly scaled matrix do not); ``cluster_multiplicities``
+computes one complex Schur form per matrix and reorders a copy of it
+for each cluster.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ def numerical_rank(a: np.ndarray, rank_factor: float = 1e4) -> int:
     return svd_rank(scipy.linalg.svdvals(a), max(a.shape), rank_factor)
 
 
-def kernel_basis(a: np.ndarray, rank_factor: float = 1e4) -> np.ndarray:
-    """Orthonormal basis of the (numerical) null space, shape (n, dim)."""
+def kernel_basis(a: np.ndarray, rank_factor: float = 1e4, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the (numerical) null space, shape (n, dim); the
+    rank cutoff is :func:`svd_rank`'s, with the same ``floor``."""
     a = np.atleast_2d(np.asarray(a))
     _, svals, vh = scipy.linalg.svd(a)
-    return vh[svd_rank(svals, max(a.shape), rank_factor):].conj().T
+    return vh[svd_rank(svals, max(a.shape), rank_factor, floor):].conj().T
 
 
 def cluster_multiplicities(

@@ -724,16 +724,18 @@ def homotopy_multipliers(
     problem: PeriodicLinearProblem,
     nodes: int = 64,
     tol: Tolerances = DEFAULT,
-    initial_step: float = 0.25,
 ) -> tuple[tuple[float, MultiplierReport], ...]:
-    """Multiplier reports along alpha in [0, 1], stepping adaptively so
-    matched multipliers move at most tol.step_cap; a step below
-    tol.min_step raises :class:`ContinuationError`."""
+    """Multiplier reports along alpha in [0, 1]: the five equispaced alphas
+    0, 1/4, ..., 1 are refined by :func:`continuation` until matched
+    multipliers move at most tol.step_cap between consecutive reports; an
+    alpha step below tol.min_step that still moves too far raises
+    :class:`ContinuationError`."""
     return continuation(
         lambda a: multipliers(dde_monodromy(problem, a, nodes, tol), tol),
         lambda rep: [e.value for e in rep.entries for _ in range(e.algebraic)],
-        initial_step,
+        [i / 4 for i in range(5)],
         tol,
+        "alpha step",
     )
 
 

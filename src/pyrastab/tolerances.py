@@ -42,9 +42,11 @@ class Tolerances:
     tol_log: float = 1e-8
     #: relative fraction of a branch interval excluded near Hopf branch endpoints
     hopf_guard: float = 0.05
-    #: largest root movement accepted per homotopy/locus step before halving
+    #: largest matched root or multiplier movement accepted between
+    #: neighbouring homotopy/locus samples before their gap is bisected
     step_cap: float = 0.25
-    #: smallest continuation step before a diagnostic failure is raised
+    #: relative gap, as a fraction of the path's span, below which a gap
+    #: that still moves too far raises a diagnostic failure
     min_step: float = 1e-6
     #: relative budget for nudging a counting rectangle off a boundary root
     tol_region: float = 1e-5

@@ -139,6 +139,24 @@ def test_analyze_csv_needs_out(case_file, capsys):
     assert "input error" in err
 
 
+def test_analyze_has_no_tol_one_flag(case_file, capsys):
+    # the unit-cluster tolerance is set in the document, where the digest
+    # covers it
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", case_file("center-periodic"), "--tol-one", "1e-4"])
+    assert exc.value.code == 2
+
+
+def test_analyze_periodic_reads_tol_one_from_the_document(tmp_path, capsys):
+    doc = get_case("center-periodic").document()
+    doc["tolerances"] = {"tol_one": 1e-4}
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, ["analyze", str(path), "--nodes", "16"])
+    assert code == 0
+    assert json.loads(out)["tolerances"]["tol_one"] == 1e-4
+
+
 @pytest.mark.parametrize(
     "bounds, message",
     [(["1", "0", "1"], "empty region"), (["0", "1", "nan"], "must be finite")],

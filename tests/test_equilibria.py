@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from pyrastab import equilibria
 from pyrastab.equilibria import (
     _assign_traces,
+    _expanded_positions,
     CharacteristicMatrix,
     Region,
     characteristic_matrix,
     check_resonance_invariance,
     common_eigenpair,
+    continuation,
     count_roots,
     critical_gain,
     default_region,
@@ -249,6 +251,22 @@ def test_resonating_center_dimensions():
     assert dim2 == 0
 
 
+def _near_scalar(value):
+    """S (value I) S^-1: a multiple of the identity up to rounding."""
+    s = np.random.default_rng(0).normal(size=(2, 2)) + 2.0 * np.eye(2)
+    return s @ (value * np.eye(2)) @ np.linalg.inv(s)
+
+
+def test_resonating_center_of_a_near_scalar_jacobian():
+    # the shifted matrix is rounding noise, so a rank cutoff relative to it
+    # alone finds no eigenspace; relative to max(1, ||J||) it finds both
+    j = _near_scalar(1j)
+    dim, _ = resonating_center(j, 2 * np.pi, 1)
+    assert dim == 2
+    inv = check_resonance_invariance(CharacteristicMatrix(j, 0.3 * np.eye(2), 2 * np.pi), 1)
+    assert (inv.dim_uncontrolled, inv.dim_controlled) == (2, 2)
+
+
 def test_resonance_invariance_random_gains():
     rng = np.random.default_rng(555)
     delay = 2 * np.pi
@@ -472,27 +490,30 @@ def _former_commuting_gain_verdict(problem, tol=DEFAULT):
 
 
 def _former_verdicts(problem):
-    """The former rules, with the real-spectrum witness set to None where
-    the folded rule deliberately gives none: the restriction found no
-    eigenspace (the former rule raised), or the restricted gain eigenvalue
-    closest to real is not real (the former rule took its real part).  The
-    former rule raises only once every hypothesis has passed; that case is
-    returned as None.  Both happen when J is a multiple of the identity up
-    to rounding, whose eigenspace ``kernel_basis`` resolves from rounding
-    noise alone."""
+    """The former rules, adapted to the folded rules' two departures.
+
+    The real-spectrum witness is set to None where the folded rule
+    deliberately gives none: the restricted gain eigenvalue closest to
+    real is not real (the former rule took its real part).  Where J equals
+    its leading resonant eigenvalue times I up to nonzero rounding, the
+    former eigenspace cutoff, relative to the shifted matrix alone, reads
+    that rounding as rank, so the former commuting rules raise or restrict
+    the gain to too small a space; they are returned as None there and not
+    compared (the near-scalar tests pin the folded rules' witnesses)."""
     jac, gain = problem.jacobian(), problem.feedback.gain
-    try:
-        real = _former_commuting_real_spectrum_verdict(problem)
-    except NumericalError:
-        real = None
-    else:
-        if real.witness is not None:
-            eig, _ = _former_resonant_pairs(jac, problem.feedback.delay, DEFAULT)[0]
-            ks = _former_restricted_gain_eigenvalues(jac, gain, eig, DEFAULT)
-            closest = ks[np.argmin(np.abs(ks.imag))]
-            if abs(closest.imag) > DEFAULT.tol_spec * max(1.0, spectral_norm(gain)):
-                real = Verdict.from_hypotheses(real.rule, real.hypotheses, None)
-    return (_former_odd_number_verdict(problem), real, _former_commuting_gain_verdict(problem))
+    odd = _former_odd_number_verdict(problem)
+    hits = _former_resonant_pairs(jac, problem.feedback.delay, DEFAULT)
+    if hits:
+        shifted = hits[0][0] * np.eye(jac.shape[0]) - jac
+        if 0.0 < spectral_norm(shifted) <= 1e-12 * max(1.0, spectral_norm(jac)):
+            return odd, None, None
+    real = _former_commuting_real_spectrum_verdict(problem)
+    if real.witness is not None:
+        ks = _former_restricted_gain_eigenvalues(jac, gain, hits[0][0], DEFAULT)
+        closest = ks[np.argmin(np.abs(ks.imag))]
+        if abs(closest.imag) > DEFAULT.tol_spec * max(1.0, spectral_norm(gain)):
+            real = Verdict.from_hypotheses(real.rule, real.hypotheses, None)
+    return odd, real, _former_commuting_gain_verdict(problem)
 
 
 def _rotation(theta):
@@ -545,8 +566,7 @@ def test_folded_rules_match_the_single_rule_oracle(blocks, delay, gain_kind, see
     new = equilibrium_verdicts(prob)
     old = _former_verdicts(prob)
     for got, want in zip(new, old):
-        if want is None:  # the former restriction found no eigenspace
-            assert got.excluded and got.witness is None
+        if want is None:  # J is a multiple of I up to nonzero rounding
             continue
         assert got.rule == want.rule and got.outcome == want.outcome
         assert [h.to_dict() for h in got.hypotheses] == [h.to_dict() for h in want.hypotheses]
@@ -585,6 +605,16 @@ def test_reduced_root_real_gain_keeps_root():
     assert reduced_root((), 0.1, 2 * np.pi, real=False) is None
 
 
+def test_commuting_rules_witness_a_near_scalar_jacobian():
+    # J = 0.05 I up to rounding and K = 0.3 I: the reduced equation is
+    # scalar-basic's, so both witnesses are its recorded root
+    prob = _equilibrium(_near_scalar(0.05), 0.3 * np.eye(2), 2 * np.pi)
+    _, v_real, v_any = equilibrium_verdicts(prob)
+    for v in (v_real, v_any):
+        assert v.excluded
+        assert abs(v.witness - 0.30618565556145744) <= 1e-12
+
+
 # --- homotopy in the feedback strength ----------------------------------------
 
 
@@ -603,6 +633,65 @@ def test_homotopy_trace_raises_continuation_error_below_min_step():
     cm = scalar_characteristic(0.05, 0.7, 2 * np.pi)
     with pytest.raises(ContinuationError, match="alpha step"):
         homotopy_trace(cm, tol=tol)
+
+
+def _complex_normal(rng, dim):
+    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_homotopy_trace_samples_move_at_most_step_cap(dim, seed):
+    # complex J and K, so no root is pinned to the real split line, with the
+    # eigenvalues of J at Re 0.5 to 1 and a gain small enough that no root
+    # comes near the imaginary axis: a family the root finder resolves on
+    # all but about 1 draw in 1000, which is skipped (ROADMAP items 1 and 2)
+    rng = np.random.default_rng(seed)
+    eigs = rng.uniform(0.5, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
+    s = np.eye(dim) + 0.3 * _complex_normal(rng, dim)
+    j = s @ np.diag(eigs) @ np.linalg.inv(s)
+    k = 0.1 * _complex_normal(rng, dim)
+    tol = DEFAULT.replace(step_cap=0.01)
+    try:
+        tr = homotopy_trace(CharacteristicMatrix(j, k, 2 * np.pi), tol=tol)
+    except RootCountError:
+        assume(False)
+    assert tr.alphas[0] == 0.0 and tr.alphas[-1] == 1.0
+    assert list(tr.alphas) == sorted(set(tr.alphas))
+    for (_, a), (_, b) in zip(tr.steps, tr.steps[1:]):
+        assert matched_movement(_expanded_positions(a), _expanded_positions(b)) <= tol.step_cap
+
+
+def _identity_report(calls):
+    def report(s):
+        calls.append(s)
+        return s
+
+    return report
+
+
+def test_continuation_raises_when_a_gap_reaches_min_step():
+    # a jump at s = 1/3 moves too far over every gap; bisection narrows in
+    # on it and stops at the min_step floor, 20 halvings deep
+    calls = []
+    with pytest.raises(ContinuationError, match="parameter gap"):
+        continuation(_identity_report(calls), lambda s: [float(s > 1 / 3)], [0.0, 1.0], DEFAULT)
+    assert len(calls) == 2 + 20
+
+
+def test_continuation_refines_a_fast_path_to_step_cap():
+    # points moving 1000 per unit parameter need 4096 gaps under the
+    # default step_cap; only min_step bounds the refinement
+    steps = continuation(lambda s: s, lambda s: [1000.0 * s], [0.0, 1.0], DEFAULT)
+    assert len(steps) == 4097
+    assert max(1000.0 * (b - a) for (a, _), (b, _) in zip(steps, steps[1:])) <= DEFAULT.step_cap
+
+
+def test_continuation_keeps_a_fine_enough_grid():
+    calls = []
+    grid = [0.0, 0.5, 1.0]
+    steps = continuation(_identity_report(calls), lambda s: [0.1 * s], grid, DEFAULT)
+    assert steps == tuple((s, s) for s in grid) and calls == grid
 
 
 # the two greedy matching loops the shared matcher replaced, kept as oracles
@@ -749,6 +838,47 @@ def test_locus_raises_continuation_error_below_min_gap():
     path = GainPath.scalar([0.1, 0.9], parameter=[0.0, 1.0])
     with pytest.raises(ContinuationError, match="parameter gap"):
         eigenvalue_locus(np.array([[0.05]]), 2 * np.pi, path, tol=tol)
+
+
+def _former_locus_samples(jacobian, delay, path, region, tol):
+    """The locus's own bisection loop before it moved into ``continuation``."""
+    def report(s):
+        return find_roots(CharacteristicMatrix(jacobian, path.gain_at(s), delay), region, tol)
+
+    samples = {}
+    order = list(path.parameter)
+    for s in order:
+        samples[s] = report(s)
+    span = path.parameter[-1] - path.parameter[0]
+    min_gap = max(tol.min_step * span, 1e-12)
+    work = [(order[i], order[i + 1]) for i in range(len(order) - 1)]
+    budget = 64 * len(order)
+    while work:
+        a, b = work.pop()
+        move = matched_movement(_expanded_positions(samples[a]), _expanded_positions(samples[b]))
+        if move <= tol.step_cap:
+            continue
+        if (b - a) <= min_gap:
+            raise ContinuationError(f"roots moved {move:.3g} over parameter gap {b - a:.3g}")
+        budget -= 1
+        if budget <= 0:
+            raise ContinuationError("locus refinement budget exhausted")
+        mid = 0.5 * (a + b)
+        samples[mid] = report(mid)
+        work.append((a, mid))
+        work.append((mid, b))
+    return tuple((s, samples[s]) for s in sorted(samples))
+
+
+def test_locus_samples_match_the_former_bisection():
+    jac, delay = np.array([[0.05]]), 2 * np.pi
+    path = GainPath.scalar([0.1, 0.9], parameter=[0.0, 1.0])
+    tol = DEFAULT.replace(step_cap=0.05)
+    region = default_region(CharacteristicMatrix(jac, np.array([[0.9]]), delay), tol)
+    res = eigenvalue_locus(jac, delay, path, tol=tol)
+    want = _former_locus_samples(jac, delay, path, region, tol)
+    assert len(want) > 2  # the path refines
+    assert res.samples == want
 
 
 def test_gain_path_validation():

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from pyrastab import periodic
 from pyrastab.benchmarks import get_case
-from pyrastab.equilibria import Region, common_eigenpair, find_roots, scalar_characteristic
+from pyrastab.equilibria import (
+    Region,
+    common_eigenpair,
+    find_roots,
+    matched_movement,
+    scalar_characteristic,
+)
 from pyrastab.errors import ContinuationError, InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
 from pyrastab.periodic import (
@@ -776,6 +782,19 @@ def test_common_eigenpair_requires_eigenvalue():
 # --- periodic verdicts ---------------------------------------------------------------------
 
 
+def test_periodic_verdicts_witness_a_near_scalar_generator():
+    # A = 0.05 I up to rounding, K = 0.3 I: B is a multiple of the identity
+    # to the monodromy's accuracy, and the eigenspace at the unstable
+    # exponent is all of R^2; the witness is exp(m T) for scalar-basic's
+    # root m
+    s = np.random.default_rng(0).normal(size=(2, 2)) + 2.0 * np.eye(2)
+    a = s @ (0.05 * np.eye(2)) @ np.linalg.inv(s)
+    prob = _periodic(ConstantCoefficient(a), 2 * np.pi, 0.3 * np.eye(2))
+    _, v_real, _ = periodic_verdicts(prob)
+    assert v_real.excluded
+    assert abs(v_real.witness - 6.847072661803803) <= 1e-6
+
+
 def test_periodic_verdicts_on_unstable_orbit():
     prob = get_case("orbit-unstable").problem()
     v_odd, v_real, v_comm = periodic_verdicts(prob)
@@ -850,6 +869,20 @@ def test_homotopy_multipliers_keeps_unstable_multiplier():
     assert steps[-1][0] == 1.0
     for a, rep in steps:
         assert rep.real_greater_one() >= 1, f"lost the real multiplier at alpha={a}"
+
+
+def test_homotopy_multipliers_follows_a_large_multiplier():
+    # the multiplier exp(0.8 T) ~ 152 falls to ~25 as alpha goes to 1; at
+    # step_cap 0.5 that takes 366 samples, more than any budget tied to the
+    # five starting alphas, while every gap stays far above min_step
+    prob = _scalar_problem(rate=0.8, gain=-0.3)
+    tol = DEFAULT.replace(step_cap=0.5)
+    steps = homotopy_multipliers(prob, nodes=8, tol=tol)
+    values = [[e.value for e in rep.entries for _ in range(e.algebraic)] for _, rep in steps]
+    assert steps[0][0] == 0.0 and steps[-1][0] == 1.0 and len(steps) > 325
+    assert abs(max(abs(v) for v in values[0]) - np.exp(0.8 * 2 * np.pi)) < 1e-3 * 152
+    for prev, new in zip(values, values[1:]):
+        assert matched_movement(prev, new) <= tol.step_cap
 
 
 def test_homotopy_multipliers_raises_continuation_error_below_min_step():
