@@ -298,10 +298,10 @@ def find_roots(
     With no region, uses :func:`default_region` and also reports the
     marginal roots, those with |Re| <= tol_axis, which the default window
     (it starts at Re = tol_axis) leaves out.  They are searched in a band
-    |Re| <= max(tol_axis, 1e-5 region.scale), wide enough to certify a
-    root on the axis itself, and only those inside |Re| <= tol_axis are
-    kept.  Roots closer together than about 1e-7 of the region scale may
-    merge into one cluster entry.
+    |Re| <= max(tol_axis, min(1e-5 region.scale, 1 / T)), wide enough to
+    certify a root on the axis itself, and only those inside |Re| <=
+    tol_axis are kept.  Roots closer together than about 1e-7 of the region
+    scale may merge into one cluster entry.
     """
     return _spectrum(cm, region or default_region(cm, tol), tol, scan_band=region is None)
 
@@ -326,9 +326,9 @@ def _spectrum(
         # The extractor certifies a root by a winding count in a box of
         # half-width about 1e-7 scale that must clear its cell; a band only
         # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
-        # the band is widened and the roots outside |Re| <= tol_axis (they
-        # belong to the main window or to the exterior) are dropped.
-        half = max(tol.tol_axis, 1e-5 * scale)
+        # the band is widened, to at most 1 / T (|exp(-lambda T)| <= e on it),
+        # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
+        half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
         band = Rect(-half, half, -region.im_max, region.im_max)
         for z, m in roots_in(band):
             if abs(z.real) <= tol.tol_axis and not any(
@@ -716,8 +716,9 @@ def equilibrium_verdicts(
         f"{unstable} eigenvalue(s) with positive real part",
         value=float(unstable),
     )
-    witness_odd = complex(eigs[np.argmax(eigs.real)]) if h_nonsing.passed and h_odd.passed else None
-    v_odd = Verdict.from_hypotheses("odd-number", (h_nonsing, h_odd), witness_odd)
+    v_odd = Verdict.from_hypotheses(
+        "odd-number", (h_nonsing, h_odd), lambda: complex(eigs[np.argmax(eigs.real)])
+    )
 
     hits = _resonant_pairs(eigs, scale, delay, tol)
     detail_res = (
@@ -748,18 +749,14 @@ def equilibrium_verdicts(
 
     h_line = Hypothesis("unstable eigenvalue on a resonant line", bool(hits), detail_res)
     hyps_real = (h_line, h_comm, real_spectrum_hypothesis(gain, tol))
-    witness_real = witness(real=True) if all(h.passed for h in hyps_real) else None
-    v_real = Verdict.from_hypotheses("commuting-real-spectrum", hyps_real, witness_real)
+    v_real = Verdict.from_hypotheses(
+        "commuting-real-spectrum", hyps_real, lambda: witness(real=True)
+    )
 
     h_pair = Hypothesis("unstable eigenvalue pair on resonant lines", bool(hits), detail_res)
-    hyps_any = (h_pair, h_comm)
-    witness_any = None
-    if all(h.passed for h in hyps_any):
-        try:
-            witness_any = witness(real=False)
-        except NumericalError:
-            pass
-    v_any = Verdict.from_hypotheses("commuting-gain", hyps_any, witness_any)
+    v_any = Verdict.from_hypotheses(
+        "commuting-gain", (h_pair, h_comm), lambda: witness(real=False)
+    )
     return (v_odd, v_real, v_any)
 
 

@@ -628,14 +628,11 @@ def dde_monodromy(
     marks = period + sigma
 
     times = _aligned_times(marks, period, steps)
-    mark_idx = np.searchsorted(times, marks)
-    mark_idx = np.clip(mark_idx, 0, len(times) - 1)
-    for i, m in enumerate(marks):
-        lo = max(mark_idx[i] - 1, 0)
-        hi = min(mark_idx[i] + 1, len(times) - 1)
-        mark_idx[i] = lo + int(np.argmin(np.abs(times[lo : hi + 1] - m)))
-        if abs(times[mark_idx[i]] - m) > 1e-10 * period:
-            raise NumericalError("history node missing from the time grid")
+    # the grid point nearest each mark; the left neighbour wins ties
+    mark_idx = np.clip(np.searchsorted(times, marks), 1, len(times) - 1)
+    mark_idx -= np.abs(times[mark_idx - 1] - marks) <= np.abs(times[mark_idx] - marks)
+    if np.any(np.abs(times[mark_idx] - marks) > 1e-10 * period):
+        raise NumericalError("history node missing from the time grid")
 
     # the two forms march separately and share only these samples of A + alpha K
     stages = _stage_coefficients(lambda t: problem.coefficient_on(t) + gain, times)
@@ -827,8 +824,7 @@ def periodic_verdicts(
         f"{real_above} real multiplier(s) beyond 1",
         value=float(real_above),
     )
-    witness_odd = top.value if h_nondeg.passed and h_odd.passed else None
-    v_odd = Verdict.from_hypotheses("odd-number", (h_nondeg, h_odd), witness_odd)
+    v_odd = Verdict.from_hypotheses("odd-number", (h_nondeg, h_odd), lambda: top.value)
 
     h_unstable = Hypothesis(
         "a real multiplier above 1 exists",
@@ -878,7 +874,7 @@ def periodic_verdicts(
     if decomp is not None and exponent is not None:
         try:
             pairs = common_eigenpair(decomp.generator, gain, exponent, tol)
-        except (InputError, NumericalError):
+        except InputError:  # no eigenspace resolved at the computed exponent
             pass
 
     h_real = real_spectrum_hypothesis(gain, tol)
@@ -904,19 +900,9 @@ def periodic_verdicts(
         m = reduced_root(pairs, exponent, period, real, tol)
         return None if m is None else complex(np.exp(m * period))
 
-    hyps_real = (h_unstable, h_comm_b, h_comm_p, h_spec)
-    witness_real = (
-        witness(real=True)
-        if all(h.passed for h in hyps_real)
-        else None
-    )
-    v_real = Verdict.from_hypotheses("commuting-real-spectrum", hyps_real, witness_real)
-
     hyps_any = (h_unstable, h_comm_b, h_comm_p)
-    witness_any = (
-        witness(real=False)
-        if all(h.passed for h in hyps_any)
-        else None
+    v_real = Verdict.from_hypotheses(
+        "commuting-real-spectrum", (*hyps_any, h_spec), lambda: witness(real=True)
     )
-    v_any = Verdict.from_hypotheses("commuting-gain", hyps_any, witness_any)
+    v_any = Verdict.from_hypotheses("commuting-gain", hyps_any, lambda: witness(real=False))
     return (v_odd, v_real, v_any)

@@ -61,7 +61,7 @@ class ProblemDocument:
 
     kind: str
     dimension: int
-    field_spec: dict
+    field: object
     gain: np.ndarray
     delay: float
     point: Optional[np.ndarray]
@@ -129,7 +129,7 @@ def _reject_unknown(mapping: dict, allowed, path: str) -> None:
 # document parsing
 
 
-def _parse_field_spec(spec, kind: str, dimension: int, path: str) -> dict:
+def _parse_field(spec, kind: str, dimension: int, path: str):
     spec = _require_mapping(spec, path)
     variants = {"expressions", "matrix", "matrix-samples", "builtin", "params"}
     _reject_unknown(spec, variants, path)
@@ -158,22 +158,20 @@ def _parse_field_spec(spec, kind: str, dimension: int, path: str) -> dict:
             for key, val in pm.items():
                 params[key] = _require_number(val, f"{path}.params.{key}")
         try:
-            parse_field(exprs, params)
+            return parse_field(exprs, params)
         except InputError as err:
             raise InputError(f"{path}.expressions: {err}") from None
-        return {"expressions": list(exprs), "params": params}
     if variant == "matrix":
         mat = _require_matrix(spec["matrix"], dimension, f"{path}.matrix")
-        return {"matrix": mat}
+        return LinearField(mat) if kind == "equilibrium" else ConstantCoefficient(mat)
     if variant == "matrix-samples":
         rows = spec["matrix-samples"]
         if not isinstance(rows, list) or len(rows) < 4:
             raise InputError(f"{path}.matrix-samples: expected at least 4 sample matrices")
-        samples = np.array(
+        return np.array(
             [_require_matrix(s, dimension, f"{path}.matrix-samples[{i}]")
              for i, s in enumerate(rows)]
         )
-        return {"matrix-samples": samples}
     name = _require_string(spec["builtin"], f"{path}.builtin")
     try:
         dim, field = builtin_field(name)
@@ -183,12 +181,12 @@ def _parse_field_spec(spec, kind: str, dimension: int, path: str) -> dict:
         raise InputError(
             f"{path}.builtin: field {name!r} has dimension {dim}, document says {dimension}"
         )
-    return {"builtin": name, "field": field}
+    return field
 
 
 def parse_document(obj) -> ProblemDocument:
-    """Validate a raw mapping into a ProblemDocument.  Pure schema work:
-    no numerics beyond finiteness and shape checks happen here."""
+    """Validate a raw mapping into a ProblemDocument that carries the built
+    field or coefficient; no numerics beyond finiteness and shape checks."""
     top = _require_mapping(obj, "$")
     _reject_unknown(top, _TOP_KEYS, "$")
     for key in ("kind", "dimension", "field", "gain", "delay"):
@@ -200,7 +198,7 @@ def parse_document(obj) -> ProblemDocument:
     dimension = _require_int(top["dimension"], "$.dimension")
     if not 1 <= dimension <= 64:
         raise InputError("$.dimension: must be between 1 and 64")
-    field_spec = _parse_field_spec(top["field"], kind, dimension, "$.field")
+    field = _parse_field(top["field"], kind, dimension, "$.field")
     gain = _require_matrix(top["gain"], dimension, "$.gain")
     delay = _require_number(top["delay"], "$.delay")
     if not delay > 0.0:
@@ -225,6 +223,8 @@ def parse_document(obj) -> ProblemDocument:
             raise InputError("$.period: must be positive")
         if delay != period:
             raise InputError("$.delay: must equal the period exactly")
+        if isinstance(field, np.ndarray):  # matrix samples wait for the period
+            field = TrigCoefficient(field, period)
 
     tolerances = DEFAULT
     if "tolerances" in top:
@@ -252,7 +252,7 @@ def parse_document(obj) -> ProblemDocument:
 
     name = _require_string(top["name"], "$.name") if "name" in top else None
     return ProblemDocument(
-        kind, dimension, field_spec, gain, delay, point, period,
+        kind, dimension, field, gain, delay, point, period,
         tolerances, region, name, raw=obj,
     )
 
@@ -265,28 +265,16 @@ def build_problem(doc: ProblemDocument):
     checked against tol_eq.
     """
     feedback = DelayFeedback(doc.gain, doc.delay)
-    if doc.kind == "equilibrium":
-        spec = doc.field_spec
-        if "expressions" in spec:
-            field = parse_field(spec["expressions"], spec["params"])
-        elif "matrix" in spec:
-            field = LinearField(spec["matrix"])
-        else:
-            field = spec["field"]
-        problem = EquilibriumProblem(field, doc.point, feedback)
-        residual = validate_equilibrium(problem)
-        if residual > doc.tolerances.tol_eq:
-            raise InputError(
-                f"$.point: residual |f(point, t)| = {residual:.3e} exceeds "
-                f"tol_eq = {doc.tolerances.tol_eq:.1e}; not an equilibrium"
-            )
-        return problem
-    spec = doc.field_spec
-    if "matrix" in spec:
-        coeff = ConstantCoefficient(spec["matrix"])
-    else:
-        coeff = TrigCoefficient(spec["matrix-samples"], doc.period)
-    return PeriodicLinearProblem(coeff, doc.period, feedback)
+    if doc.kind == "periodic-linear":
+        return PeriodicLinearProblem(doc.field, doc.period, feedback)
+    problem = EquilibriumProblem(doc.field, doc.point, feedback)
+    residual = validate_equilibrium(problem)
+    if residual > doc.tolerances.tol_eq:
+        raise InputError(
+            f"$.point: residual |f(point, t)| = {residual:.3e} exceeds "
+            f"tol_eq = {doc.tolerances.tol_eq:.1e}; not an equilibrium"
+        )
+    return problem
 
 
 def load_problem(obj):

@@ -9,6 +9,9 @@ rather than a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+from .errors import NumericalError
 
 EXCLUDED = "excluded"
 NOT_EXCLUDED = "not-excluded"
@@ -58,13 +61,18 @@ class Verdict:
         cls,
         rule: str,
         hypotheses: tuple[Hypothesis, ...] | list[Hypothesis],
-        witness: complex | None = None,
+        witness: complex | Callable[[], complex | None] | None = None,
     ) -> "Verdict":
+        """The hypotheses decide the outcome; the witness only corroborates an
+        exclusion.  A callable witness is called only when every hypothesis
+        holds, and one that cannot certify its root (NumericalError) is left out."""
         hyps = tuple(hypotheses)
-        outcome = EXCLUDED if all(h.passed for h in hyps) else NOT_EXCLUDED
-        if outcome != EXCLUDED:
-            witness = None
-        return cls(rule, outcome, hyps, witness)
+        if not all(h.passed for h in hyps):
+            return cls(rule, NOT_EXCLUDED, hyps)
+        try:
+            return cls(rule, EXCLUDED, hyps, witness() if callable(witness) else witness)
+        except NumericalError:  # the witness search could not certify its root
+            return cls(rule, EXCLUDED, hyps)
 
     @property
     def excluded(self) -> bool:

@@ -78,6 +78,28 @@ def test_analyze_periodic_envelope(case_file, capsys):
     assert det["g_ode"] == 2 and det["g_dde"] == 2
 
 
+def test_analyze_periodic_commuting_gain_without_a_witness(tmp_path, capsys):
+    # the reduced root just right of the axis cannot be certified: the
+    # commuting-gain rule excludes without a witness instead of failing
+    doc = {
+        "kind": "periodic-linear",
+        "dimension": 2,
+        "field": {"matrix": [[1e-6, 0.0], [0.0, -1.0]]},
+        "gain": [[-0.3, 0.0], [0.0, -0.3]],
+        "delay": 2 * np.pi,
+        "period": 2 * np.pi,
+    }
+    path = tmp_path / "slow-orbit.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 0, err
+    verdicts = json.loads(out)["results"]["verdicts"]
+    assert [v["rule"] for v in verdicts] == [
+        "odd-number", "commuting-real-spectrum", "commuting-gain",
+    ]
+    assert verdicts[2]["outcome"] == "excluded" and "witness" not in verdicts[2]
+
+
 def test_analyze_periodic_builds_ode_monodromy_once(case_file, capsys, monkeypatch):
     path = case_file("trig-periodic")
     builds = []

@@ -231,6 +231,16 @@ def test_band_scan_leaves_the_roots_unchanged(entries):
     assert find_roots(cm).roots == plain.roots
 
 
+@pytest.mark.parametrize("rate, unstable", [(3e6, [3000000.1]), (-3e6, [])])
+def test_band_stays_out_of_the_deep_left_half_plane(rate, unstable):
+    # at scale 3e6 a band 1e-5 scale wide reached Re = -30, where
+    # |exp(-lambda T)| ~ e^30 turned faster than the edges were sampled
+    # and the winding count came out negative
+    rep = find_roots(CharacteristicMatrix(np.array([[rate]]), np.array([[0.1]]), 1.0))
+    assert [r.value for r in rep.roots] == pytest.approx(unstable, abs=1e-6)
+    assert all(r.algebraic == 1 for r in rep.roots) and rep.marginal == ()
+
+
 # --- resonating centers -------------------------------------------------------
 
 

@@ -824,6 +824,19 @@ def test_periodic_verdicts_odd_unstable_eigenspace_waives_real_spectrum(rates, d
     assert v_real.excluded == (dim == 1) and v_comm.excluded
 
 
+def test_periodic_commuting_gain_abstains_from_an_uncertified_witness():
+    # the reduced root sits just right of the axis, where the scalar root
+    # search cannot certify it; the rule still excludes, without a witness,
+    # as its equilibrium twin does
+    prob = _periodic(ConstantCoefficient(np.diag([1e-6, -1.0])), 2 * np.pi, -0.3 * np.eye(2))
+    verdicts = periodic_verdicts(prob)
+    assert [v.rule for v in verdicts] == [
+        "odd-number", "commuting-real-spectrum", "commuting-gain",
+    ]
+    assert all(v.excluded for v in verdicts)
+    assert verdicts[2].witness is None
+
+
 def test_periodic_verdicts_reuse_a_given_monodromy():
     prob = get_case("orbit-unstable").problem()
     mono = ode_monodromy(prob)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pyrastab import problemio
 from pyrastab.benchmarks import case_names, get_case
 from pyrastab.errors import InputError
 from pyrastab.problemio import (
@@ -70,6 +71,20 @@ def test_expressions_document_with_params():
     )
     _, prob = load_problem(raw)
     assert prob.field([0.0]) == pytest.approx([0.0])
+    assert prob.jacobian()[0, 0] == pytest.approx(0.05)
+
+
+def test_expressions_are_parsed_once(monkeypatch):
+    calls = []
+    parse = problemio.parse_field
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(problemio, "parse_field", counted)
+    _, prob = load_problem(_scalar_doc(field={"expressions": ["0.05 * x1"]}))
+    assert len(calls) == 1
     assert prob.jacobian()[0, 0] == pytest.approx(0.05)
 
 
