@@ -503,7 +503,8 @@ def multipliers(
         members[i].append(e)
         centres[i] = np.mean(members[i])
 
-    # one Schur form for the unit cluster and every repeated multiplier
+    # one real Schur form (of a real monodromy) for the unit cluster and
+    # every repeated multiplier
     values = [complex(c) for c in centres[: len(members)]]
     wanted = [(1.0 + 0.0j, tol.tol_one)] + [
         (v, max(abs(z - v) for z in c) + tol.tol_one * max(1.0, abs(v)))

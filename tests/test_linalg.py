@@ -3,8 +3,12 @@
 Multiplicity oracles are built by conjugating known Jordan structures
 with random well-conditioned similarity transforms, so both the
 algebraic and geometric answers are known exactly.  The one-Schur-form
-``cluster_multiplicities`` is also compared with the one-sorted-Schur-form-
-per-cluster routine it replaced, kept here as ``sorted_schur_multiplicity``.
+``cluster_multiplicities`` is also compared with one sorted Schur form
+per cluster, in the matrix's own arithmetic, kept here as
+``sorted_schur_multiplicity``.  A real matrix needs the real oracle: where
+a defective block splits under rounding by more than the band (about
+eps^(1/k) for a size-k Jordan block), real and complex Schur forms may
+count the cluster differently, and neither count is wrong.
 """
 
 import numpy as np
@@ -26,19 +30,44 @@ from pyrastab.linalg import (
 _EPS = np.finfo(float).eps
 
 
-def sorted_schur_multiplicity(a, value, band, rank_factor=1e4):
-    """Oracle: multiplicity of one cluster from its own sorted complex
-    Schur form, with the rank rule written inline."""
-    a = np.asarray(a, dtype=complex)
+def _complex_sorted_block(a, value, band):
+    """The cluster's leading block of a complex Schur form of ``a`` sorted
+    by scipy."""
     t, _, sdim = scipy.linalg.schur(
-        a, output="complex", sort=lambda mu: abs(mu - value) <= band
+        np.asarray(a, dtype=complex), output="complex", sort=lambda mu: abs(mu - value) <= band
     )
     sdim = int(sdim)
-    if sdim == 0:
-        return 0, 0
     if np.any(np.abs(np.diagonal(t)[:sdim] - value) > band):
         raise NumericalError("Schur reordering failed to isolate the cluster")
-    svals = scipy.linalg.svdvals(t[:sdim, :sdim] - value * np.eye(sdim))
+    return t[:sdim, :sdim]
+
+
+def sorted_schur_multiplicity(a, value, band, rank_factor=1e4):
+    """Oracle: multiplicity of one cluster from its own sorted Schur form,
+    in the matrix's own arithmetic, with the rank rule written inline.
+
+    A real matrix gets a sorted real Schur form.  When its leading block
+    also holds the conjugate partner of a cluster member, a sorted complex
+    Schur form of that block isolates the cluster.  A complex matrix gets
+    a sorted complex Schur form."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        block = _complex_sorted_block(a, value, band)
+    else:
+        try:
+            t, _, sdim = scipy.linalg.schur(
+                a.astype(float), output="real",
+                sort=lambda x, y: abs(complex(x, y) - value) <= band,
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError("Schur reordering failed to isolate the cluster") from exc
+        block = t[: int(sdim), : int(sdim)]
+        if len(block) and np.any(np.abs(np.linalg.eigvals(block) - value) > band):
+            block = _complex_sorted_block(block, value, band)
+    sdim = len(block)
+    if sdim == 0:
+        return 0, 0
+    svals = scipy.linalg.svdvals(block - value * np.eye(sdim))
     tau = max(sdim * _EPS * float(svals[0]) * rank_factor, 10.0 * band)
     return sdim, max(sdim - int(np.count_nonzero(svals > tau)), 0)
 
@@ -132,6 +161,55 @@ def test_cluster_multiplicity_respects_radius():
     assert alg_tight == 1
     assert alg_wide == 2
 
+
+# --- real matrices with conjugate pairs -------------------------------------
+
+
+def _real_similar(seed, block):
+    """S B S^-1 with a real, non-orthogonal S."""
+    rng = np.random.default_rng(seed)
+    n = block.shape[0]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = q * np.exp(rng.uniform(-1.0, 1.0, n))
+    return s @ block @ np.linalg.inv(s)
+
+
+def _rotation(a, b):
+    return np.array([[a, -b], [b, a]])
+
+
+_PAIR = _rotation(0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "block, value, band, want",
+    [
+        # a defective real Jordan pair at 0.6 +- 0.8i
+        (np.block([[_PAIR, np.eye(2)], [np.zeros((2, 2)), _PAIR]]), 0.6 + 0.8j, 1e-4, (2, 1)),
+        (np.block([[_PAIR, np.eye(2)], [np.zeros((2, 2)), _PAIR]]), 0.6 - 0.8j, 1e-4, (2, 1)),
+        # a semisimple repeated pair
+        (scipy.linalg.block_diag(_PAIR, _PAIR, [[-0.3]]), 0.6 + 0.8j, 1e-6, (2, 2)),
+        # the partner 1 - 0.05i lies outside the cluster but inside 10 band
+        # of it, so counting it into the block would give (2, 2)
+        (scipy.linalg.block_diag(_rotation(1.0, 0.05), [[0.5]]), 1.0 + 0.05j, 0.02, (1, 1)),
+        # both members of a nearly real pair lie in the cluster
+        (scipy.linalg.block_diag(_rotation(1.0, 1e-9), [[0.5]]), 1.0 + 0.0j, 1e-6, (2, 2)),
+    ],
+)
+def test_cluster_multiplicity_of_conjugate_pairs_in_real_matrices(block, value, band, want):
+    for seed in range(5):
+        a = _real_similar(seed, block)
+        assert cluster_multiplicity(a, value, band, 1e4) == want
+        assert sorted_schur_multiplicity(a, value, band) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cluster_multiplicities_reject_non_finite_matrices(bad, dtype):
+    a = np.eye(3, dtype=dtype)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cluster_multiplicities(a, [(1.0 + 0.0j, 1e-6)])
 
 # --- the one rank rule ------------------------------------------------------
 

@@ -28,6 +28,7 @@ from pyrastab.equilibria import (
 )
 from pyrastab.errors import ContinuationError, InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
+from pyrastab.linalg import cluster_multiplicity
 from pyrastab.periodic import (
     check_determining_invariance,
     commuting_check,
@@ -543,6 +544,20 @@ def test_multipliers_match_former_report_on_dde_matrices(name):
             want = _former_multipliers(mat, floor=floor)
             assert multipliers(SimpleNamespace(matrix=mat), floor=floor) == want
 
+
+
+@pytest.mark.parametrize(
+    "name, nodes",
+    [(name, 64) for name in ("center-periodic", "orbit-unstable", "orbit-neutral",
+                             "diag-periodic", "trig-periodic")]
+    + [("orbit-neutral", 128), ("center-periodic", 128)],
+)
+def test_unit_multiplicity_matches_complex_oracle_on_fine_dde_matrices(name, nodes):
+    # the grids check_determining_invariance uses at its default 64 nodes
+    mat = dde_monodromy(get_case(name).problem(), nodes=nodes).matrix
+    want = sorted_schur_multiplicity(mat.astype(complex), 1.0 + 0.0j, DEFAULT.tol_one,
+                                     DEFAULT.rank_factor)
+    assert cluster_multiplicity(mat, 1.0 + 0.0j, DEFAULT.tol_one, DEFAULT.rank_factor) == want
 
 def test_multipliers_join_the_first_cluster_in_reach():
     # the third multiplier lies within tol_one of both earlier clusters and
