@@ -27,6 +27,7 @@ switched off, on, or doubled -- the invariance that makes the center
 import numpy as np
 
 from pyrastab import (
+    DEFAULT,
     CharacteristicMatrix,
     ConstantCoefficient,
     DelayFeedback,
@@ -70,7 +71,7 @@ def main() -> None:
     dde = dde_monodromy(problem, nodes=48)
     print(f"delay monodromy on {dde.n_nodes} nodes, "
           f"integral-vs-stepped gap {dde.cross_residual:.1e}")
-    report = multipliers(dde, floor=FLOOR)
+    report = multipliers(dde, DEFAULT.replace(mu_floor=FLOOR))
     print()
     print(f"multipliers above {FLOOR} vs exp(root * T):")
     targets = [(np.exp(r.value * DELAY), r.value) for r in spectrum.all_roots]

@@ -23,7 +23,7 @@ informative as an exclusion: the first failed hypothesis names the
 premise that broke.
 """
 
-from pyrastab import equilibrium_verdicts, periodic_verdicts
+from pyrastab import equilibrium_verdicts, ode_monodromy, periodic_verdicts
 from pyrastab.benchmarks import get_case
 from pyrastab.problems import EquilibriumProblem
 
@@ -43,7 +43,7 @@ def show(name: str) -> None:
     if isinstance(problem, EquilibriumProblem):
         verdicts = equilibrium_verdicts(problem)
     else:
-        verdicts = periodic_verdicts(problem)
+        verdicts = periodic_verdicts(ode_monodromy(problem))
     print(f"=== {name}: {case.summary}")
     for v in verdicts:
         print(f"  {v.rule}: {v.outcome}")

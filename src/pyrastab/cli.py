@@ -74,7 +74,7 @@ def _analyze_equilibrium(problem, tol, region):
 def _analyze_periodic(problem, tol, nodes):
     mono = ode_monodromy(problem)
     report = multipliers(mono, tol)
-    verdicts = periodic_verdicts(problem, tol, monodromy=mono)
+    verdicts = periodic_verdicts(mono, tol)
     inv = check_determining_invariance(problem, nodes=nodes, tol=tol, monodromy=mono)
     return {
         "kind": "periodic-linear",
@@ -91,6 +91,8 @@ def _analyze_periodic(problem, tol, nodes):
 
 
 def cmd_analyze(args) -> int:
+    if args.csv and args.out is None:
+        raise InputError("--csv needs --out to derive the table path")
     started = time.perf_counter()
     doc, problem = read_problem_file(args.problem)
     tol = doc.tolerances
@@ -102,8 +104,6 @@ def cmd_analyze(args) -> int:
     env = reports.envelope(doc.digest, results, tol, time.perf_counter() - started)
     _emit(reports.dump_json(env), args.out)
     if args.csv:
-        if args.out is None:
-            raise InputError("--csv needs --out to derive the table path")
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         if spectrum is not None:
             header, rows = reports.spectrum_table(spectrum)
@@ -198,7 +198,7 @@ def cmd_locus(args) -> int:
             "columns": list(header),
             "rows": [list(r) for r in rows],
             "counts": [
-                {"s": s, "unstable_count": rep.unstable_count(tol.tol_axis)}
+                {"s": s, "unstable_count": rep.unstable_count()}
                 for s, rep in result.samples
             ],
         }
@@ -212,6 +212,9 @@ def cmd_locus(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+# half-width of the uniform history perturbation around the equilibrium
+_AMPLITUDE = 1e-6
+
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
@@ -224,7 +227,7 @@ def cmd_simulate(args) -> int:
     if not args.horizon > 0.0:
         raise InputError("--horizon must be positive")
     horizon = args.horizon * delay
-    history = perturbed_history(problem.point, delay, seed=args.seed)
+    history = perturbed_history(problem.point, delay, _AMPLITUDE, seed=args.seed)
     trajectory = integrate(problem.field, problem.feedback, history, horizon, dt=args.dt)
 
     span = trajectory.times[-1] - trajectory.times[0]
@@ -237,7 +240,8 @@ def cmd_simulate(args) -> int:
     rate = None if underflow else fitted
 
     spectrum = find_roots(characteristic_matrix(problem), tol=tol)
-    predicted_unstable = spectrum.unstable_count(tol.tol_axis) > 0
+    unstable = spectrum.unstable_count()
+    predicted_unstable = unstable > 0
     observed_unstable = trajectory.blown_at is not None or (rate is not None and rate > 0.0)
     dominant = spectrum.dominant
     results = {
@@ -245,11 +249,11 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "horizon": horizon,
         "dt": trajectory.times[1] - trajectory.times[0] if len(trajectory) > 1 else None,
-        "amplitude": 1e-6,
+        "amplitude": _AMPLITUDE,
         "growth_rate": rate,
         "underflow": underflow,
         "blown_at": trajectory.blown_at,
-        "unstable_count": spectrum.unstable_count(tol.tol_axis),
+        "unstable_count": unstable,
         "dominant_root": dominant.value if dominant is not None else None,
         "consistent": predicted_unstable == observed_unstable,
     }

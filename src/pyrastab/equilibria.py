@@ -166,23 +166,19 @@ class CharacteristicMatrix:
         return float(svals[-1] / max(1.0, svals[0]))
 
 
-def characteristic_matrix(
-    problem: EquilibriumProblem, alpha: float = 1.0
-) -> CharacteristicMatrix:
+def characteristic_matrix(problem: EquilibriumProblem) -> CharacteristicMatrix:
     return CharacteristicMatrix(
-        problem.jacobian(), problem.feedback.gain, problem.feedback.delay, alpha
+        problem.jacobian(), problem.feedback.gain, problem.feedback.delay
     )
 
 
-def scalar_characteristic(
-    rate: complex, gain: complex, delay: float, alpha: float = 1.0
-) -> CharacteristicMatrix:
+def scalar_characteristic(rate: complex, gain: complex, delay: float) -> CharacteristicMatrix:
     """One-dimensional characteristic matrix; the gain may be complex."""
     rate = complex(rate)
     gain = complex(gain)
     jac = np.array([[rate]]) if rate.imag else np.array([[rate.real]])
     g = np.array([[gain]]) if gain.imag else np.array([[gain.real]])
-    return CharacteristicMatrix(jac, g, delay, alpha)
+    return CharacteristicMatrix(jac, g, delay)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +238,9 @@ class Root:
 class SpectrumReport:
     """Certified roots of det Delta inside a region.
 
-    ``roots`` live strictly off the imaginary axis (|Re| > tol_axis);
-    ``marginal`` collects roots inside the axis band, which never count
-    as unstable.
+    ``roots`` live strictly off the imaginary axis (|Re| > tol_axis of
+    the tolerances the report was built with); ``marginal`` collects roots
+    inside the axis band, which never count as unstable.
     """
 
     region: Region
@@ -262,8 +258,9 @@ class SpectrumReport:
         both.sort(key=lambda r: (-r.value.real, r.value.imag))
         return tuple(both)
 
-    def unstable_count(self, tol_axis: float = 1e-9) -> int:
-        return sum(r.algebraic for r in self.roots if r.value.real > tol_axis)
+    def unstable_count(self) -> int:
+        """Algebraic count of ``roots`` right of the axis band."""
+        return sum(r.algebraic for r in self.roots if r.value.real > 0.0)
 
     @property
     def dominant(self) -> Root | None:
@@ -442,8 +439,8 @@ class HomotopyTrace:
     def alphas(self) -> tuple[float, ...]:
         return tuple(a for a, _ in self.steps)
 
-    def unstable_counts(self, tol_axis: float = 1e-9) -> tuple[int, ...]:
-        return tuple(rep.unstable_count(tol_axis) for _, rep in self.steps)
+    def unstable_counts(self) -> tuple[int, ...]:
+        return tuple(rep.unstable_count() for _, rep in self.steps)
 
 
 def _expanded_positions(report: SpectrumReport) -> list[complex]:
@@ -928,7 +925,6 @@ def eigenvalue_locus(
     path: GainPath,
     region: Region | None = None,
     tol: Tolerances = DEFAULT,
-    alpha: float = 1.0,
 ) -> LocusResult:
     """Characteristic roots tracked along a path of gain matrices.
 
@@ -940,10 +936,10 @@ def eigenvalue_locus(
     jacobian = np.asarray(jacobian)
     if region is None:
         widest = max(path.gains, key=spectral_norm)
-        region = default_region(CharacteristicMatrix(jacobian, widest, delay, alpha), tol)
+        region = default_region(CharacteristicMatrix(jacobian, widest, delay), tol)
 
     def report(s: float) -> SpectrumReport:
-        cm = CharacteristicMatrix(jacobian, path.gain_at(s), delay, alpha)
+        cm = CharacteristicMatrix(jacobian, path.gain_at(s), delay)
         return find_roots(cm, region, tol)
 
     samples = continuation(report, _expanded_positions, path.parameter, tol)

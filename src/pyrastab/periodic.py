@@ -340,17 +340,6 @@ def ode_monodromy(
     return MonodromyODE(problem, times, values, float(err))
 
 
-def _own_monodromy(
-    problem: PeriodicLinearProblem, monodromy: MonodromyODE | None
-) -> MonodromyODE:
-    """``monodromy`` if given (it must belong to ``problem``), else a new one."""
-    if monodromy is None:
-        return ode_monodromy(problem)
-    if monodromy.problem is not problem:
-        raise InputError("the monodromy was built for a different problem")
-    return monodromy
-
-
 # ---------------------------------------------------------------------------
 # Floquet decomposition Y(t) = P(t) expm(B t)
 
@@ -458,23 +447,23 @@ class MultiplierReport:
     norm_bound: float
     floor: float
 
-    def _real_beyond_one(self, gap: float = 1e-6, band: float = 1e-6) -> list[MultiplierEntry]:
-        """Entries mu with Re mu > 1 + gap and |Im mu| <= band max(1, |mu|)."""
-        return [e for e in self.entries if e.value.real > 1.0 + gap
-                and abs(e.value.imag) <= band * max(1.0, abs(e.value))]
+    def _real_beyond_one(self, tol: Tolerances = DEFAULT) -> list[MultiplierEntry]:
+        """Entries mu with Re mu > 1 + tol_one and |Im mu| <= tol_circle max(1, |mu|)."""
+        return [e for e in self.entries if e.value.real > 1.0 + tol.tol_one
+                and abs(e.value.imag) <= tol.tol_circle * max(1.0, abs(e.value))]
 
-    def real_greater_one(self, gap: float = 1e-6, band: float = 1e-6) -> int:
-        """Algebraic count of real multipliers strictly beyond 1 + gap."""
-        return sum(e.algebraic for e in self._real_beyond_one(gap, band))
+    def real_greater_one(self, tol: Tolerances = DEFAULT) -> int:
+        """Algebraic count of real multipliers strictly beyond 1 + tol_one,
+        where a multiplier is real when |Im mu| <= tol_circle max(1, |mu|):
+        the test the odd-number rule of :func:`periodic_verdicts` applies."""
+        return sum(e.algebraic for e in self._real_beyond_one(tol))
 
     @property
     def dominant(self) -> MultiplierEntry | None:
         return max(self.entries, key=lambda e: abs(e.value), default=None)
 
 
-def multipliers(
-    monodromy, tol: Tolerances = DEFAULT, floor: float | None = None
-) -> MultiplierReport:
+def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     """Cluster the spectrum of ``monodromy.matrix`` into a report.
 
     Works for both monodromy flavors.  Geometric multiplicity of a
@@ -483,14 +472,12 @@ def multipliers(
     discretization produces.
     """
     mat = np.asarray(monodromy.matrix)
-    if floor is None:
-        floor = tol.mu_floor
     eigs = np.linalg.eigvals(mat)
     outside = int(np.sum(np.abs(eigs) > 1.0 + tol.tol_circle))
     on_circle = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol.tol_circle))
     # greedy clustering: each multiplier joins the first cluster whose
     # centre, the mean of its members, lies within tol_one of it
-    kept = [complex(e) for e in eigs if abs(e) > floor]
+    kept = [complex(e) for e in eigs if abs(e) > tol.mu_floor]
     kept.sort(key=lambda z: (-abs(z), z.real, z.imag))
     members: list[list[complex]] = []
     centres = np.empty(len(kept), dtype=complex)
@@ -524,7 +511,7 @@ def multipliers(
         unit_alg,
         unit_geo,
         spectral_norm(mat),
-        float(floor),
+        float(tol.mu_floor),
     )
 
 
@@ -687,23 +674,26 @@ class DeterminingInvariance:
 
 def check_determining_invariance(
     problem: PeriodicLinearProblem,
-    alpha: float = 1.0,
     nodes: int = 64,
     tol: Tolerances = DEFAULT,
     monodromy: MonodromyODE | None = None,
 ) -> DeterminingInvariance:
-    """Geometric multiplicity of multiplier 1, uncontrolled vs controlled.
+    """Geometric multiplicity of multiplier 1, uncontrolled vs controlled
+    at full feedback strength.
 
     The controlled value is recomputed on a doubled grid; if refinement
     changes it the discretization has not converged and the check raises
     rather than certify a wrong dimension.  ``monodromy`` is the problem's
-    ODE monodromy when the caller has already built it.
+    ODE monodromy when the caller has already built it (it must belong to
+    ``problem``); otherwise one is built here.
     """
-    mono = _own_monodromy(problem, monodromy)
+    mono = ode_monodromy(problem) if monodromy is None else monodromy
+    if mono.problem is not problem:
+        raise InputError("the monodromy was built for a different problem")
     _, g_ode = cluster_multiplicity(mono.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
     gs = []
     for m in (nodes, 2 * nodes):
-        dde = dde_monodromy(problem, alpha, m, tol)
+        dde = dde_monodromy(problem, nodes=m, tol=tol)
         _, g = cluster_multiplicity(dde.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
         gs.append(g)
     if gs[0] != gs[1]:
@@ -740,6 +730,8 @@ def homotopy_multipliers(
 # ---------------------------------------------------------------------------
 # commuting-gain structure
 
+_COMMUTING_SAMPLES = 33
+
 
 @dataclass(frozen=True)
 class CommutingCheck:
@@ -768,20 +760,19 @@ class CommutingCheck:
 def commuting_check(
     decomposition: FloquetDecomposition,
     gain: np.ndarray,
-    samples: int = 33,
     tol: Tolerances = DEFAULT,
 ) -> CommutingCheck:
     """Relative commutators of the gain with the Floquet generator B and
-    with the periodic factor P(t) at sampled times.  A generator that is
-    zero to the logarithm's accuracy commutes exactly (see
-    ``CommutingCheck``)."""
+    with the periodic factor P(t) at ``_COMMUTING_SAMPLES`` equispaced
+    times of one period, both ends included.  A generator that is zero to
+    the logarithm's accuracy commutes exactly (see ``CommutingCheck``)."""
     gain = np.asarray(gain, dtype=float)
     b = decomposition.generator
     scale = max(1.0, spectral_norm(decomposition.monodromy.matrix))
     negligible = spectral_norm(b) * decomposition.period <= tol.tol_log * scale
     res_b = 0.0 if negligible else relative_commutator(gain, b)
     res_p = 0.0
-    for t in np.linspace(0.0, decomposition.period, samples):
+    for t in np.linspace(0.0, decomposition.period, _COMMUTING_SAMPLES):
         res_p = max(res_p, relative_commutator(gain, decomposition.periodic_factor(float(t))))
     return CommutingCheck(res_b, res_p, tol.tol_comm, negligible)
 
@@ -791,25 +782,23 @@ def commuting_check(
 
 
 def periodic_verdicts(
-    problem: PeriodicLinearProblem,
-    tol: Tolerances = DEFAULT,
-    monodromy: MonodromyODE | None = None,
+    monodromy: MonodromyODE, tol: Tolerances = DEFAULT
 ) -> tuple[Verdict, ...]:
-    """The three exclusion rules for a periodic orbit's linearization.
+    """The three exclusion rules for the linearization behind the ODE
+    ``monodromy`` (see :func:`ode_monodromy`).
 
     Rules, in order: the odd-number rule (no multiplier at 1 plus an odd
     count of real multipliers above 1); the commuting rule with real gain
     spectrum, where an odd-dimensional unstable eigenspace waives the
     spectral condition; and the commuting rule with no spectral condition
-    at all.  All three reuse one monodromy (``monodromy`` when the caller
-    has already built it) and one Floquet decomposition.
+    at all.  All three read this one monodromy, its problem's gain and one
+    Floquet decomposition.
     """
-    mono = _own_monodromy(problem, monodromy)
-    rep = multipliers(mono, tol)
-    gain = problem.feedback.gain
-    period = problem.period
+    rep = multipliers(monodromy, tol)
+    gain = monodromy.problem.feedback.gain
+    period = monodromy.period
 
-    reals = rep._real_beyond_one(tol.tol_one, tol.tol_circle)
+    reals = rep._real_beyond_one(tol)
     real_above = sum(e.algebraic for e in reals)
     top = max(reals, key=lambda e: e.value.real, default=None)
     h_nondeg = Hypothesis(
@@ -838,7 +827,7 @@ def periodic_verdicts(
     check = None
     exponent = None if top is None else float(np.log(top.value.real) / period)
     try:
-        decomp = floquet_decompose(mono, tol)
+        decomp = floquet_decompose(monodromy, tol)
         check = commuting_check(decomp, gain, tol=tol)
     except NumericalError:
         pass

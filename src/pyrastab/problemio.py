@@ -53,6 +53,7 @@ _TOP_KEYS = {
     "tolerances", "region", "name",
 }
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
+_COEFFICIENT_SAMPLES = 128
 
 
 @dataclass(frozen=True)
@@ -299,11 +300,11 @@ def read_problem_file(path: str):
 # serialization back to documents
 
 
-def describe_problem(problem, name: Optional[str] = None, samples: int = 128) -> dict:
+def describe_problem(problem, name: Optional[str] = None) -> dict:
     """Render a problem object as a plain JSON-ready document.
 
-    Opaque periodic coefficients are sampled at `samples` equispaced
-    times; expression and matrix fields serialize exactly.
+    Opaque periodic coefficients are sampled at `_COEFFICIENT_SAMPLES`
+    equispaced times; expression and matrix fields serialize exactly.
     """
     if isinstance(problem, EquilibriumProblem):
         field = problem.field
@@ -332,7 +333,7 @@ def describe_problem(problem, name: Optional[str] = None, samples: int = 128) ->
         elif isinstance(coeff, TrigCoefficient):
             spec = {"matrix-samples": coeff.samples.tolist()}
         else:
-            ts = np.arange(samples) * (problem.period / samples)
+            ts = np.arange(_COEFFICIENT_SAMPLES) * (problem.period / _COEFFICIENT_SAMPLES)
             vals = [np.asarray(problem.coefficient_at(t), dtype=float).tolist() for t in ts]
             spec = {"matrix-samples": vals}
         doc = {

@@ -165,15 +165,17 @@ class PeriodicLinearProblem:
         return out
 
 
-def validate_equilibrium(
-    problem: EquilibriumProblem, samples: int = 16
-) -> float:
-    """Largest field residual ||f(x*, t)|| over sampled t in [0, delay].
+_EQUILIBRIUM_SAMPLES = 16
+
+
+def validate_equilibrium(problem: EquilibriumProblem) -> float:
+    """Largest field residual ||f(x*, t)|| over ``_EQUILIBRIUM_SAMPLES``
+    equispaced t in [0, delay].
 
     Returns the residual; the caller decides whether it passes tol_eq.
     """
     worst = 0.0
-    for t in np.linspace(0.0, problem.feedback.delay, samples):
+    for t in np.linspace(0.0, problem.feedback.delay, _EQUILIBRIUM_SAMPLES):
         fx = np.asarray(problem.field(problem.point, float(t)), dtype=float)
         if not np.all(np.isfinite(fx)):
             raise InputError(f"field is not finite at the point (t={t:g})")

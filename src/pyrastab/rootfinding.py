@@ -61,11 +61,8 @@ class Rect:
     def inflate(self, eps: float) -> "Rect":
         return Rect(self.re0 - eps, self.re1 + eps, self.im0 - eps, self.im1 + eps)
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (
-            self.re0 + margin <= z.real <= self.re1 - margin
-            and self.im0 + margin <= z.imag <= self.im1 - margin
-        )
+    def contains(self, z: complex) -> bool:
+        return self.re0 <= z.real <= self.re1 and self.im0 <= z.imag <= self.im1
 
     def distance_to_boundary(self, z: complex) -> float:
         return min(

@@ -104,20 +104,23 @@ class HistorySegment:
         return cls(grid, values)
 
 
+_HISTORY_SAMPLES = 33
+
+
 def perturbed_history(
     point: np.ndarray,
     delay: float,
     amplitude: float = 1e-6,
     seed: Optional[int] = None,
-    samples: int = 33,
 ) -> HistorySegment:
-    """Uniform random history of the given amplitude around a point."""
+    """Uniform random history of the given amplitude around a point, drawn
+    at ``_HISTORY_SAMPLES`` equispaced times."""
     point = np.asarray(point, dtype=float).reshape(-1)
     if not amplitude > 0.0:
         raise InputError("amplitude must be positive")
     rng = np.random.default_rng(seed)
-    grid = np.linspace(-delay, 0.0, samples)
-    noise = rng.uniform(-amplitude, amplitude, size=(samples, point.size))
+    grid = np.linspace(-delay, 0.0, _HISTORY_SAMPLES)
+    noise = rng.uniform(-amplitude, amplitude, size=(_HISTORY_SAMPLES, point.size))
     return HistorySegment(grid, point[None, :] + noise)
 
 

@@ -21,6 +21,7 @@ from conftest import record_line
 from test_expressions import _random_tree
 
 from pyrastab import (
+    DEFAULT,
     CharacteristicMatrix,
     ConstantCoefficient,
     DelayFeedback,
@@ -220,7 +221,7 @@ def test_dde_monodromy_matches_characteristic_spectrum():
             dde = dde_monodromy(problem, nodes=64)
             assert dde.cross_residual <= 1e-6
             worst_gap = max(worst_gap, dde.cross_residual)
-            report = multipliers(dde, floor=floor)
+            report = multipliers(dde, DEFAULT.replace(mu_floor=floor))
             # every retained multiplier must be exp(lambda T) for a root in a
             # region wide enough to cover the floor with margin
             region = Region(np.log(floor) / TWO_PI - 0.05, 1.5, im_max)

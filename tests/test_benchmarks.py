@@ -45,7 +45,7 @@ class _Pipeline:
     def verdicts(self):
         if self._verdicts is None:
             if isinstance(self.problem, PeriodicLinearProblem):
-                self._verdicts = periodic_verdicts(self.problem)
+                self._verdicts = periodic_verdicts(ode_monodromy(self.problem))
             else:
                 self._verdicts = equilibrium_verdicts(self.problem)
         return self._verdicts

@@ -118,7 +118,9 @@ def test_analyze_periodic_builds_ode_monodromy_once(case_file, capsys, monkeypat
     # the same analysis with every consumer building its own monodromy
     monkeypatch.setattr(
         cli, "periodic_verdicts",
-        lambda problem, tol, monodromy: periodic.periodic_verdicts(problem, tol),
+        lambda monodromy, tol: periodic.periodic_verdicts(
+            periodic.ode_monodromy(monodromy.problem), tol
+        ),
     )
     monkeypatch.setattr(
         cli, "check_determining_invariance",
@@ -156,8 +158,8 @@ def test_analyze_writes_envelope_and_csv(case_file, capsys, tmp_path):
 
 def test_analyze_csv_needs_out(case_file, capsys):
     path = case_file("scalar-basic")
-    code, _, err = _run(capsys, ["analyze", path, "--csv"])
-    assert code == 2
+    code, out, err = _run(capsys, ["analyze", path, "--csv"])
+    assert code == 2 and out == ""
     assert "input error" in err
 
 
@@ -177,6 +179,23 @@ def test_analyze_periodic_reads_tol_one_from_the_document(tmp_path, capsys):
     code, out, _ = _run(capsys, ["analyze", str(path), "--nodes", "16"])
     assert code == 0
     assert json.loads(out)["tolerances"]["tol_one"] == 1e-4
+
+
+def test_analyze_periodic_reads_mu_floor_from_the_document(tmp_path, capsys):
+    # the document's tolerances are the only way to set the multiplier floor
+    doc = get_case("trig-periodic").document()
+    doc["tolerances"] = {"mu_floor": 0.5}
+    path = tmp_path / "trig.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, ["analyze", str(path)])
+    assert code == 0
+    res = json.loads(out)["results"]
+    mult = res["multipliers"]
+    assert mult["floor"] == 0.5
+    [entry] = mult["entries"]
+    assert entry["value"]["re"] == pytest.approx(1.8914243274077, abs=1e-12)
+    assert mult["outside_count"] == 1
+    assert [v["outcome"] for v in res["verdicts"]] == ["excluded"] * 3
 
 
 @pytest.mark.parametrize(
@@ -290,6 +309,21 @@ def test_locus_real_sweep_counts(case_file, capsys):
     assert all(c["unstable_count"] >= 2 for c in counts)
 
 
+def test_locus_counts_follow_the_document_axis_band(tmp_path, capsys):
+    # a wider axis band in the document leaves roots well off the axis counted
+    doc = get_case("scalar-basic").document()
+    counts = []
+    for tol in ({}, {"tol_axis": 1e-6}):
+        doc["tolerances"] = tol
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = _run(capsys, ["locus", str(path), "real:-1:1:5", "--json"])
+        assert code == 0
+        counts.append([c["unstable_count"] for c in json.loads(out)["results"]["counts"]])
+    assert counts[0] == counts[1]
+    assert counts[0] and all(c == 1 for c in counts[0])
+
+
 def test_locus_rejects_bad_path_spec(case_file, capsys):
     path = case_file("focus-resonant-inward")
     for spec in ("real:0:1", "spiral:0:1:5", "real:0:1:0", "real:a:b:5"):
@@ -330,6 +364,20 @@ def test_simulate_consistency_summary(case_file, capsys, tmp_path):
     assert summary["growth_rate"] == pytest.approx(0.30618565556145744, rel=1e-2)
     header = out_csv.read_text().splitlines()[0]
     assert header == "t,x1"
+
+
+def test_simulate_reports_the_amplitude_it_draws_with(case_file, capsys, monkeypatch):
+    drawn = []
+    draw = cli.perturbed_history
+
+    def recorded(point, delay, amplitude, **kwargs):
+        drawn.append(amplitude)
+        return draw(point, delay, amplitude, **kwargs)
+
+    monkeypatch.setattr(cli, "perturbed_history", recorded)
+    code, out, _ = _run(capsys, ["simulate", case_file("scalar-basic")])
+    assert code == 0
+    assert drawn == [json.loads(out)["results"]["amplitude"]]
 
 
 def test_simulate_stable_case(case_file, capsys):

@@ -231,6 +231,18 @@ def test_band_scan_leaves_the_roots_unchanged(entries):
     assert find_roots(cm).roots == plain.roots
 
 
+@pytest.mark.xfail(strict=True, raises=RootCountError,
+                   reason="the band's long edges alias a double root at 0")
+def test_band_certifies_a_double_root_at_zero():
+    # a falsifying draw of the band scan above: J is a Jordan block at 0 up
+    # to 6.66e-168, so the band holds a double root 1.4e-4 from its long edges
+    j = np.array([[0.0, 1.0], [6.66e-168, 0.0]])
+    cm = CharacteristicMatrix(j, np.zeros((2, 2)), 2 * np.pi)
+    [root] = find_roots(cm).marginal
+    assert root.value == pytest.approx(0.0, abs=1e-9)
+    assert (root.algebraic, root.geometric) == (2, 1)
+
+
 @pytest.mark.parametrize("rate, unstable", [(3e6, [3000000.1]), (-3e6, [])])
 def test_band_stays_out_of_the_deep_left_half_plane(rate, unstable):
     # at scale 3e6 a band 1e-5 scale wide reached Re = -30, where

@@ -48,6 +48,11 @@ def _periodic(coeff, period, gain):
     return PeriodicLinearProblem(coeff, period, DelayFeedback(gain, period))
 
 
+def _floored(floor):
+    """Tolerances whose multiplier floor is ``floor`` (None: the default)."""
+    return DEFAULT if floor is None else DEFAULT.replace(mu_floor=floor)
+
+
 def _scalar_problem(rate=0.05, gain=0.3, period=2 * np.pi):
     return _periodic(
         ConstantCoefficient(np.array([[rate]])), period, np.array([[gain]])
@@ -137,7 +142,7 @@ def test_coarse_monodromy_still_answers_within_two_periods():
     check = commuting_check(floquet_decompose(mono), prob.feedback.gain)
     assert check.commutes_generator and check.commutes_periodic
     hyps = [
-        h for v in periodic_verdicts(prob, monodromy=mono) for h in v.hypotheses
+        h for v in periodic_verdicts(mono) for h in v.hypotheses
         if h.name.startswith("gain commutes")
     ]
     assert len(hyps) == 4
@@ -542,7 +547,7 @@ def test_multipliers_match_former_report_on_dde_matrices(name):
         mat = dde_monodromy(prob, nodes=nodes).matrix
         for floor in (None, 1e-6):
             want = _former_multipliers(mat, floor=floor)
-            assert multipliers(SimpleNamespace(matrix=mat), floor=floor) == want
+            assert multipliers(SimpleNamespace(matrix=mat), _floored(floor)) == want
 
 
 
@@ -603,9 +608,9 @@ def test_multipliers_match_former_report_on_planted_spectra(mat, floor):
         want = _former_multipliers(mat, floor=floor)
     except NumericalError:
         with pytest.raises(NumericalError):
-            multipliers(SimpleNamespace(matrix=mat), floor=floor)
+            multipliers(SimpleNamespace(matrix=mat), _floored(floor))
         return
-    assert multipliers(SimpleNamespace(matrix=mat), floor=floor) == want
+    assert multipliers(SimpleNamespace(matrix=mat), _floored(floor)) == want
 
 
 # --- DDE monodromy ----------------------------------------------------------------
@@ -624,7 +629,7 @@ def test_dde_multipliers_match_characteristic_roots():
     rate, gain, period = 0.05, 0.3, 2 * np.pi
     prob = _scalar_problem(rate, gain, period)
     dde = dde_monodromy(prob, nodes=64)
-    rep = multipliers(dde, floor=0.1)
+    rep = multipliers(dde, DEFAULT.replace(mu_floor=0.1))
     floor_re = np.log(0.1) / period - 0.05
     region = Region(floor_re, 1.5, 8.0)
     roots = find_roots(scalar_characteristic(rate, gain, period), region)
@@ -638,7 +643,7 @@ def test_dde_monodromy_alpha_zero_reduces_to_flow():
     # with the feedback off, nonzero spectrum = spectrum of the ODE flow
     prob = get_case("orbit-unstable").problem()
     dde = dde_monodromy(prob, alpha=0.0, nodes=48)
-    rep = multipliers(dde, floor=0.05)
+    rep = multipliers(dde, DEFAULT.replace(mu_floor=0.05))
     got = sorted((e.value.real for e in rep.entries), reverse=True)
     expect = sorted(
         np.exp(np.array([0.1, -0.2]) * 2 * np.pi), reverse=True
@@ -748,7 +753,7 @@ def test_commuting_check_zero_generator_commutes_exactly():
     assert chk.commutes_generator
     assert not chk.commutes_periodic  # P(t) is the rotation, a genuine 0.8165
     assert chk.residual_periodic == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-9)
-    h_b = periodic_verdicts(prob)[2].hypotheses[1]
+    h_b = periodic_verdicts(ode_monodromy(prob))[2].hypotheses[1]
     assert h_b.passed and h_b.value == 0.0
     assert "zero" in h_b.detail
 
@@ -773,7 +778,7 @@ def test_commuting_check_keeps_a_genuine_generator_commutator():
     ],
 )
 def test_periodic_catalog_verdict_outcomes(name, outcomes):
-    verdicts = periodic_verdicts(get_case(name).problem())
+    verdicts = periodic_verdicts(ode_monodromy(get_case(name).problem()))
     assert tuple(v.outcome for v in verdicts) == outcomes
 
 
@@ -805,14 +810,14 @@ def test_periodic_verdicts_witness_a_near_scalar_generator():
     s = np.random.default_rng(0).normal(size=(2, 2)) + 2.0 * np.eye(2)
     a = s @ (0.05 * np.eye(2)) @ np.linalg.inv(s)
     prob = _periodic(ConstantCoefficient(a), 2 * np.pi, 0.3 * np.eye(2))
-    _, v_real, _ = periodic_verdicts(prob)
+    _, v_real, _ = periodic_verdicts(ode_monodromy(prob))
     assert v_real.excluded
     assert abs(v_real.witness - 6.847072661803803) <= 1e-6
 
 
 def test_periodic_verdicts_on_unstable_orbit():
     prob = get_case("orbit-unstable").problem()
-    v_odd, v_real, v_comm = periodic_verdicts(prob)
+    v_odd, v_real, v_comm = periodic_verdicts(ode_monodromy(prob))
     assert v_odd.rule == "odd-number" and v_odd.excluded
     assert v_odd.witness == pytest.approx(np.exp(0.1 * 2 * np.pi), rel=1e-9)
     assert v_real.rule == "commuting-real-spectrum" and v_real.excluded
@@ -832,7 +837,7 @@ def test_periodic_verdicts_odd_unstable_eigenspace_waives_real_spectrum(rates, d
     if dim == 2:
         gain = scipy.linalg.block_diag([[0.0, -0.3], [0.3, 0.0]], [[0.2]])
     prob = _periodic(ConstantCoefficient(np.diag(rates)), 2 * np.pi, gain)
-    _, v_real, v_comm = periodic_verdicts(prob)
+    _, v_real, v_comm = periodic_verdicts(ode_monodromy(prob))
     h_spec = v_real.hypotheses[-1]
     assert h_spec.passed == (dim == 1)
     assert (f"odd dimension {dim}" in h_spec.detail) == (dim == 1)
@@ -844,7 +849,7 @@ def test_periodic_commuting_gain_abstains_from_an_uncertified_witness():
     # search cannot certify it; the rule still excludes, without a witness,
     # as its equilibrium twin does
     prob = _periodic(ConstantCoefficient(np.diag([1e-6, -1.0])), 2 * np.pi, -0.3 * np.eye(2))
-    verdicts = periodic_verdicts(prob)
+    verdicts = periodic_verdicts(ode_monodromy(prob))
     assert [v.rule for v in verdicts] == [
         "odd-number", "commuting-real-spectrum", "commuting-gain",
     ]
@@ -855,12 +860,10 @@ def test_periodic_commuting_gain_abstains_from_an_uncertified_witness():
 def test_periodic_verdicts_reuse_a_given_monodromy():
     prob = get_case("orbit-unstable").problem()
     mono = ode_monodromy(prob)
-    assert periodic_verdicts(prob, monodromy=mono) == periodic_verdicts(prob)
+    assert periodic_verdicts(mono) == periodic_verdicts(ode_monodromy(prob))
     inv = check_determining_invariance(prob, nodes=16, monodromy=mono)
     assert inv == check_determining_invariance(prob, nodes=16)
     other = get_case("orbit-neutral").problem()
-    with pytest.raises(InputError, match="different problem"):
-        periodic_verdicts(other, monodromy=mono)
     with pytest.raises(InputError, match="different problem"):
         check_determining_invariance(other, nodes=16, monodromy=mono)
 
@@ -874,14 +877,14 @@ def test_periodic_verdicts_compute_common_eigenpairs_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(periodic, "common_eigenpair", counted)
-    verdicts = periodic_verdicts(get_case("orbit-unstable").problem())
+    verdicts = periodic_verdicts(ode_monodromy(get_case("orbit-unstable").problem()))
     assert len(calls) == 1
     assert [v.witness is not None for v in verdicts[1:]] == [True, True]
 
 
 def test_periodic_verdicts_abstain_at_unit_multiplier():
     prob = get_case("orbit-neutral").problem()
-    verdicts = periodic_verdicts(prob)
+    verdicts = periodic_verdicts(ode_monodromy(prob))
     assert all(not v.excluded for v in verdicts)
     # the odd-number rule failed specifically on the multiplier-1 premise
     assert not verdicts[0].hypotheses[0].passed
