@@ -326,10 +326,10 @@ def _spectrum(
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
 
-    def roots_in(box: Rect, dlog_batch=None, within=None) -> list[tuple[complex, int]]:
+    def roots_in(box: Rect, dlog_batch=None) -> list[tuple[complex, int]]:
         return find_roots_rect(
             cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region,
-            dlog_batch, within,
+            dlog_batch,
         )
 
     pairs = roots_in(rect)
@@ -342,13 +342,10 @@ def _spectrum(
         # Its long edges then still pass far closer to a root on the axis
         # than one boundary step, so two such roots (a Jordan block at 0, or
         # 0 next to 6e-5) turn the phase by 2 pi between two samples; the
-        # band's counts therefore also bound the phase turn by |f'/f|. Only
-        # cells that meet the axis strip are resolved, so a root off the axis
-        # but within its certification box of the band's edge is never needed.
+        # band's counts therefore also bound the phase turn by |f'/f|.
         half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
         band = Rect(-half, half, -region.im_max, region.im_max)
-        axis = Rect(-tol.tol_axis, tol.tol_axis, -region.im_max, region.im_max)
-        for z, m in roots_in(band, cm.dlog_batch, axis):
+        for z, m in roots_in(band, cm.dlog_batch):
             if abs(z.real) <= tol.tol_axis and not any(
                 abs(z - w) <= 1e-10 * scale for w, _ in pairs
             ):

@@ -68,12 +68,6 @@ class Rect:
     def contains(self, z: complex) -> bool:
         return self.re0 <= z.real <= self.re1 and self.im0 <= z.imag <= self.im1
 
-    def meets(self, other: "Rect") -> bool:
-        return (
-            self.re0 <= other.re1 and other.re0 <= self.re1
-            and self.im0 <= other.im1 and other.im0 <= self.im1
-        )
-
     def distance_to_boundary(self, z: complex) -> float:
         return min(
             z.real - self.re0, self.re1 - z.real, z.imag - self.im0, self.im1 - z.imag
@@ -243,17 +237,13 @@ def find_roots_rect(
     scale: float,
     budget: float = 1e-5,
     dlog_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-    within: Rect | None = None,
 ) -> list[tuple[complex, int]]:
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
     ``accept`` is the residual test a polished candidate must pass;
     ``dlog`` drives Newton, and ``dlog_batch``, the same on arrays, guards
-    every count as :func:`winding_count` describes.  Given ``within``,
-    cells that do not meet it are dropped unresolved: every zero inside
-    ``within`` is returned, zeros outside it only when a cell meeting
-    ``within`` certified them.  Clusters tighter than about
-    ``1e-7 * scale`` are reported as a single root with the combined
+    every count as :func:`winding_count` describes.  Clusters tighter than
+    about ``1e-7 * scale`` are reported as a single root with the combined
     multiplicity.
     """
     min_segment = 1e-13 * scale
@@ -270,7 +260,7 @@ def find_roots_rect(
         if guard > 20_000:
             raise RootCountError(f"subdivision exploded inside {outer}")
         cell, count = stack.pop()
-        if count == 0 or (within is not None and not cell.meets(within)):
+        if count == 0:
             continue
 
         polished = _newton(dlog, cell.center, cell, scale)

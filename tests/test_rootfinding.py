@@ -8,7 +8,7 @@ ahead of time.
 import numpy as np
 import pytest
 
-from pyrastab.errors import NumericalError, RootCountError
+from pyrastab.errors import NumericalError
 from pyrastab.rootfinding import (
     BoundaryRootError,
     Rect,
@@ -113,18 +113,6 @@ def test_find_roots_rect_reports_multiplicity():
     assert [m for _, m in by_mult] == [1, 2]
     assert by_mult[0][0] == pytest.approx(-0.4 + 0.5j, abs=1e-9)
     assert by_mult[1][0] == pytest.approx(0.3 - 0.2j, abs=1e-7)
-
-
-def test_find_roots_rect_leaves_cells_outside_within_unresolved():
-    # the zero 5e-8 inside the right edge is closer to it than its
-    # certification box, so only a search that may skip it succeeds
-    f, dlog = _poly([0.1 + 0.2j, 1.0 - 5e-8 + 0.3j])
-    rect = Rect(-1, 1, -1, 1)
-    with pytest.raises(RootCountError):
-        find_roots_rect(f, dlog, rect, lambda z: True, 0.2, 1.0)
-    pairs = find_roots_rect(f, dlog, rect, lambda z: True, 0.2, 1.0, within=Rect(-0.5, 0.5, -1, 1))
-    assert [m for _, m in pairs] == [1]
-    assert pairs[0][0] == pytest.approx(0.1 + 0.2j, abs=1e-12)
 
 
 def test_find_roots_rect_empty():
