@@ -161,19 +161,6 @@ class CharacteristicMatrix:
         decay = np.exp(-lam * self.delay)
         return complex(np.linalg.solve(self._value(lam, decay), self._dvalue(decay)).trace())
 
-    def dlog_batch(self, lams: np.ndarray) -> np.ndarray:
-        """:meth:`dlog` at every point of ``lams``."""
-        lams = np.asarray(lams, dtype=complex)
-        if self.dimension == 1:
-            decay = np.exp(-lams * self.delay)
-            k = complex(self.gain[0, 0])
-            return (1.0 - self.alpha * self.delay * decay * k) / self.det_batch(lams)
-        lams = lams[:, None, None]
-        decay = np.exp(-lams * self.delay)
-        value = lams * self._eye - self.jacobian - self.alpha * (1.0 - decay) * self.gain
-        slope = self._eye - self.alpha * self.delay * decay * self.gain
-        return np.trace(np.linalg.solve(value, slope), axis1=1, axis2=2)
-
     def residual(self, lam: complex) -> float:
         svals = scipy.linalg.svdvals(self.value(lam))
         return float(svals[-1] / max(1.0, svals[0]))
@@ -326,10 +313,9 @@ def _spectrum(
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
 
-    def roots_in(box: Rect, dlog_batch=None) -> list[tuple[complex, int]]:
+    def roots_in(box: Rect) -> list[tuple[complex, int]]:
         return find_roots_rect(
-            cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region,
-            dlog_batch,
+            cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region
         )
 
     pairs = roots_in(rect)
@@ -339,13 +325,9 @@ def _spectrum(
         # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
         # the band is widened, to at most 1 / T (|exp(-lambda T)| <= e on it),
         # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
-        # Its long edges then still pass far closer to a root on the axis
-        # than one boundary step, so two such roots (a Jordan block at 0, or
-        # 0 next to 6e-5) turn the phase by 2 pi between two samples; the
-        # band's counts therefore also bound the phase turn by |f'/f|.
         half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
         band = Rect(-half, half, -region.im_max, region.im_max)
-        for z, m in roots_in(band, cm.dlog_batch):
+        for z, m in roots_in(band):
             if abs(z.real) <= tol.tol_axis and not any(
                 abs(z - w) <= 1e-10 * scale for w, _ in pairs
             ):

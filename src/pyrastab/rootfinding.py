@@ -3,14 +3,10 @@
 Counts zeros inside axis-aligned rectangles by summing phase increments of
 ``f`` along the boundary, refining each segment until its phase step is
 unambiguous; rectangles whose boundary passes too close to a zero are
-nudged outward by a tiny amount.  Sampled phase steps alone miss two zeros
-closer to a segment than its length, whose turns add up to about 2 pi;
-given the logarithmic derivative on arrays, a count also bisects every
-segment whose length times |f'/f| at an end exceeds the phase limit.
-Extraction subdivides recursively, polishes candidates by Newton steps on
-the logarithmic derivative, and certifies multiplicities by re-counting a
-small enclosing box, so exact multiple roots terminate without infinite
-refinement.
+nudged outward by a tiny amount.  Extraction subdivides recursively,
+polishes candidates by Newton steps on the logarithmic derivative, and
+certifies multiplicities by re-counting a small enclosing box, so exact
+multiple roots terminate without infinite refinement.
 """
 
 from __future__ import annotations
@@ -94,49 +90,31 @@ def winding_count(
     rect: Rect,
     max_spacing: float,
     min_segment: float,
-    dlog: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> int:
     """Number of zeros (with multiplicity) of ``f`` inside ``rect``.
-
-    With ``dlog``, f'/f evaluated on arrays, a segment is accepted only
-    when its length times |f'/f| at both ends is within the phase limit.
 
     Raises :class:`BoundaryRootError` when refinement drives a boundary
     segment below ``min_segment`` without resolving its phase step, or
     when ``f`` vanishes at a boundary node.
     """
-
-    def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        d = np.asarray(f(z), dtype=complex)
-        if not np.all(np.isfinite(d)):
+    verts = _boundary_vertices(rect, max_spacing)
+    z0 = verts
+    z1 = np.roll(verts, -1)
+    d0 = np.asarray(f(z0), dtype=complex)
+    d1 = np.roll(d0, -1)
+    total = 0.0
+    for _ in range(200):
+        if not np.all(np.isfinite(d0)):
             raise NumericalError(
                 "characteristic function overflowed on the counting boundary; "
                 "shrink the region"
             )
-        if np.any(np.abs(d) < _TINY):
+        if np.any(np.abs(d0) < _TINY):
             raise BoundaryRootError(f"zero on the boundary of {rect}")
-        if dlog is None:
-            return d, None
-        try:
-            speed = np.abs(np.asarray(dlog(z), dtype=complex))
-        except np.linalg.LinAlgError:
-            raise BoundaryRootError(f"zero on the boundary of {rect}") from None
-        return d, speed
-
-    verts = _boundary_vertices(rect, max_spacing)
-    z0 = verts
-    z1 = np.roll(verts, -1)
-    d0, s0 = evaluate(z0)
-    d1 = np.roll(d0, -1)
-    s1 = None if s0 is None else np.roll(s0, -1)
-    total = 0.0
-    for _ in range(200):
         ratio = d1 / d0
         dphi = np.angle(ratio)
         dmod = np.abs(np.log(np.abs(ratio)))
         ok = (np.abs(dphi) <= _PHASE_LIMIT) & (dmod <= _MODULUS_LIMIT)
-        if s0 is not None:
-            ok &= np.abs(z1 - z0) * np.maximum(s0, s1) <= _PHASE_LIMIT
         total += float(dphi[ok].sum())
         if ok.all():
             break
@@ -144,13 +122,11 @@ def winding_count(
         if np.any(np.abs(z1r - z0r) < min_segment):
             raise BoundaryRootError(f"unresolvable phase step on the boundary of {rect}")
         zm = 0.5 * (z0r + z1r)
-        dm, sm = evaluate(zm)
+        dm = np.asarray(f(zm), dtype=complex)
         z0 = np.concatenate([z0r, zm])
         z1 = np.concatenate([zm, z1r])
         d0 = np.concatenate([d0r, dm])
         d1 = np.concatenate([dm, d1r])
-        if s0 is not None:
-            s0, s1 = np.concatenate([s0[~ok], sm]), np.concatenate([sm, s1[~ok]])
         if len(z0) > _MAX_SEGMENTS:
             raise NumericalError(f"boundary refinement exploded on {rect}")
     else:
@@ -171,7 +147,6 @@ def count_with_nudge(
     min_segment: float,
     scale: float,
     budget: float,
-    dlog: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[int, Rect]:
     """Count zeros, inflating the rectangle outward (up to ``budget * scale``)
     when a zero obstructs the boundary.  Returns the count and the rectangle
@@ -180,7 +155,7 @@ def count_with_nudge(
     for _ in range(10):
         r = rect if eps == 0.0 else rect.inflate(eps)
         try:
-            return winding_count(f, r, max_spacing, min_segment, dlog), r
+            return winding_count(f, r, max_spacing, min_segment), r
         except BoundaryRootError:
             eps = max(eps * 8.0, 1e-12 * scale)
             if eps > budget * scale:
@@ -236,22 +211,17 @@ def find_roots_rect(
     max_spacing: float,
     scale: float,
     budget: float = 1e-5,
-    dlog_batch: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[tuple[complex, int]]:
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
-    ``accept`` is the residual test a polished candidate must pass;
-    ``dlog`` drives Newton, and ``dlog_batch``, the same on arrays, guards
-    every count as :func:`winding_count` describes.  Clusters tighter than
-    about ``1e-7 * scale`` are reported as a single root with the combined
-    multiplicity.
+    ``accept`` is the residual test a polished candidate must pass.
+    Clusters tighter than about ``1e-7 * scale`` are reported as a single
+    root with the combined multiplicity.
     """
     min_segment = 1e-13 * scale
     fractions = (0.5, 0.44, 0.56, 0.37, 0.63, 0.3, 0.7)
 
-    total, outer = count_with_nudge(
-        f, rect, max_spacing, min_segment, scale, budget, dlog_batch
-    )
+    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget)
     found: list[tuple[complex, int]] = []
     stack: list[tuple[Rect, int]] = [(outer, total)]
     guard = 0
@@ -264,18 +234,14 @@ def find_roots_rect(
             continue
 
         polished = _newton(dlog, cell.center, cell, scale)
-        keep_off = None
         if polished is not None:
             z, last = polished
             clearance = cell.distance_to_boundary(z)
             w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
             if clearance > max(w, 1e-9 * scale) and accept(z):
-                # a cut within w of z would leave z uncertifiable in both
-                # halves, so the cuts below keep at least that far from it
-                keep_off = z
                 box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
                 try:
-                    inside = winding_count(f, box, w, 1e-3 * w, dlog_batch)
+                    inside = winding_count(f, box, w, 1e-3 * w)
                 except BoundaryRootError:
                     inside = -1
                 if inside == count:
@@ -290,19 +256,15 @@ def find_roots_rect(
         for frac in fractions:
             if cell.width >= cell.height:
                 cut = cell.re0 + frac * cell.width
-                near = keep_off is not None and abs(cut - keep_off.real) <= w
                 a = Rect(cell.re0, cut, cell.im0, cell.im1)
                 b = Rect(cut, cell.re1, cell.im0, cell.im1)
             else:
                 cut = cell.im0 + frac * cell.height
-                near = keep_off is not None and abs(cut - keep_off.imag) <= w
                 a = Rect(cell.re0, cell.re1, cell.im0, cut)
                 b = Rect(cell.re0, cell.re1, cut, cell.im1)
-            if near:
-                continue
             try:
-                na = winding_count(f, a, max_spacing, min_segment, dlog_batch)
-                nb = winding_count(f, b, max_spacing, min_segment, dlog_batch)
+                na = winding_count(f, a, max_spacing, min_segment)
+                nb = winding_count(f, b, max_spacing, min_segment)
             except BoundaryRootError:
                 continue
             if na + nb == count:

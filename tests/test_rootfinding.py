@@ -61,20 +61,6 @@ def test_winding_count_multiplicity():
     assert winding_count(f, Rect(-1, 1, -1, 1), 0.2, 1e-12) == 3
 
 
-@pytest.mark.parametrize("side, n_in", [(-1e-4, 2), (1e-4, 0)])
-def test_winding_count_resolves_a_pair_hugging_an_edge(side, n_in):
-    # two zeros 1e-4 off the right edge, 2e-5 apart, between two samples
-    # 0.25 apart: their phase turns add up to about 2 pi on one segment,
-    # which the sampled angle alone reads as about 0; |f'/f| sees them
-    zeros = [1.0 + side + 0.13j, 1.0 + side + 2e-5 + 0.13j]
-    f, _ = _poly(zeros)
-
-    def dlog(z):
-        return sum(1.0 / (z - w) for w in zeros)
-
-    assert winding_count(f, Rect(-1, 1, -1, 1), 0.25, 1e-12, dlog) == n_in
-
-
 def test_winding_count_rejects_boundary_zero():
     f, _ = _poly([1.0 + 0.0j])  # exactly on the right edge
     with pytest.raises(BoundaryRootError):
