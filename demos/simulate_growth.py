@@ -38,10 +38,11 @@ CASES = [
 
 HORIZON = 40.0  # in units of the delay
 SEED = 11
+AMPLITUDE = 1e-6
 
 
 def main() -> None:
-    print(f"perturbation 1e-6, horizon {HORIZON:.0f} T, seed {SEED}")
+    print(f"perturbation {AMPLITUDE:g}, horizon {HORIZON:.0f} T, seed {SEED}")
     print()
     print("case                          dominant Re   fitted rate   rel gap   blow-up")
     for name in CASES:
@@ -50,7 +51,7 @@ def main() -> None:
         spectrum = find_roots(characteristic_matrix(problem))
         dominant = spectrum.dominant.value.real if spectrum.dominant else float("nan")
 
-        history = perturbed_history(problem.point, delay, seed=SEED)
+        history = perturbed_history(problem.point, delay, AMPLITUDE, seed=SEED)
         trajectory = integrate(
             problem.field, problem.feedback, history, HORIZON * delay
         )

@@ -110,7 +110,7 @@ _HISTORY_SAMPLES = 33
 def perturbed_history(
     point: np.ndarray,
     delay: float,
-    amplitude: float = 1e-6,
+    amplitude: float,
     seed: Optional[int] = None,
 ) -> HistorySegment:
     """Uniform random history of the given amplitude around a point, drawn

@@ -294,7 +294,7 @@ def test_simulated_growth_matches_dominant_root():
             problem = get_case(name).problem()
             delay = problem.feedback.delay
             dominant = find_roots(characteristic_matrix(problem)).dominant.value.real
-            history = perturbed_history(problem.point, delay, seed=11)
+            history = perturbed_history(problem.point, delay, 1e-6, seed=11)
             trajectory = integrate(problem.field, problem.feedback, history, 40.0 * delay)
             span = trajectory.times[-1] - trajectory.times[0]
             rate = growth_rate(trajectory, span / 3.0, problem.point)
@@ -303,7 +303,7 @@ def test_simulated_growth_matches_dominant_root():
             assert rel <= 0.1, (name, rate, dominant)
             worst = max(worst, rel)
         stable = get_case("scalar-stable").problem()
-        history = perturbed_history(stable.point, stable.feedback.delay, seed=11)
+        history = perturbed_history(stable.point, stable.feedback.delay, 1e-6, seed=11)
         trajectory = integrate(
             stable.field, stable.feedback, history, 40.0 * stable.feedback.delay
         )

@@ -82,7 +82,7 @@ def _check_fact(pipe, fact):
     elif kind == "growth-sign":
         prob = pipe.problem
         delay = prob.feedback.delay
-        hist = perturbed_history(prob.point, delay, seed=101)
+        hist = perturbed_history(prob.point, delay, 1e-6, seed=101)
         traj = integrate(prob.field, prob.feedback, hist, 20 * delay)
         span = traj.final_time - traj.times[0]
         rate = growth_rate(traj, window=span / 3, reference=prob.point)

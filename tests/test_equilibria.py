@@ -243,6 +243,19 @@ def test_band_certifies_a_double_root_at_zero():
     assert (root.algebraic, root.geometric) == (2, 1)
 
 
+@pytest.mark.xfail(strict=True, raises=RootCountError,
+                   reason="the band's long edges alias a root just right of 0")
+def test_band_separates_a_root_at_zero_from_one_just_right_of_it():
+    # a second falsifying draw of the band scan: 0 is marginal and 2^-14 is
+    # unstable, closer together than one boundary step of the band's edges
+    cm = CharacteristicMatrix(np.diag([0.0, 2.0**-14]), np.zeros((2, 2)), 2 * np.pi)
+    rep = find_roots(cm)
+    assert [r.value for r in rep.roots] == pytest.approx([2.0**-14], abs=1e-12)
+    [root] = rep.marginal
+    assert root.value == pytest.approx(0.0, abs=1e-9)
+    assert (root.algebraic, rep.roots[0].algebraic) == (1, 1)
+
+
 @pytest.mark.parametrize("rate, unstable", [(3e6, [3000000.1]), (-3e6, [])])
 def test_band_stays_out_of_the_deep_left_half_plane(rate, unstable):
     # at scale 3e6 a band 1e-5 scale wide reached Re = -30, where

@@ -282,7 +282,7 @@ def test_affine_march_stops_where_the_stage_loop_does():
 
 def test_linear_field_run_makes_no_field_call():
     fb = DelayFeedback(np.array([[0.3]]), 1.0)
-    hist = perturbed_history(np.zeros(1), 1.0, seed=1)
+    hist = perturbed_history(np.zeros(1), 1.0, 1e-6, seed=1)
     with _field_calls() as calls:
         traj = integrate(LinearField(np.array([[0.05]])), fb, hist, 10.0)
     assert len(traj) == 641
@@ -376,7 +376,7 @@ def test_growth_rate_needs_two_tail_samples():
     # sample has no slope, and polyfit would return an arbitrary one
     field = LinearField(np.array([[1e12]]))
     fb = DelayFeedback(np.array([[0.1]]), 1.0)
-    hist = perturbed_history(np.zeros(1), 1.0, seed=0)
+    hist = perturbed_history(np.zeros(1), 1.0, 1e-6, seed=0)
     traj = integrate(field, fb, hist, 40.0)
     assert len(traj) == 2 and traj.blown_at is not None
     with warnings.catch_warnings():
@@ -389,7 +389,7 @@ def test_growth_rate_matches_dominant_root():
     a, k, period = 0.05, 0.3, 2.0
     field = LinearField(np.array([[a]]))
     fb = DelayFeedback(np.array([[k]]), period)
-    hist = perturbed_history(np.zeros(1), period, seed=3)
+    hist = perturbed_history(np.zeros(1), period, 1e-6, seed=3)
     traj = integrate(field, fb, hist, 40 * period, dt=period / 64)
     rate = growth_rate(traj, window=(traj.final_time - traj.times[0]) / 3)
     rep = find_roots(scalar_characteristic(a, k, period))
@@ -399,7 +399,7 @@ def test_growth_rate_matches_dominant_root():
 def test_growth_rate_stable_field_is_negative():
     field = parse_field(("-x1",))
     fb = DelayFeedback(np.zeros((1, 1)), 1.0)
-    hist = perturbed_history(np.zeros(1), 1.0, seed=5)
+    hist = perturbed_history(np.zeros(1), 1.0, 1e-6, seed=5)
     traj = integrate(field, fb, hist, 40.0)
     rate = growth_rate(traj, window=10.0)
     assert rate == pytest.approx(-1.0, rel=1e-6)
