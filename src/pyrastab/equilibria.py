@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+import scipy.special
 
 from .errors import ContinuationError, InputError, NumericalError
 from .linalg import kernel_basis, spectral_norm, svd_rank
@@ -53,7 +53,6 @@ __all__ = [
     "real_spectrum_hypothesis",
     "CommonEigenpair",
     "common_eigenpair",
-    "real_delayed_root",
     "scalar_dominant_root",
     "reduced_root",
     "equilibrium_verdicts",
@@ -607,27 +606,29 @@ def common_eigenpair(
     return tuple(out)
 
 
-def real_delayed_root(rate: float, gain: float, delay: float) -> float:
-    """Positive solution m of m = rate + gain (1 - exp(-m T)).
-
-    g(0) = -rate < 0 and g(m) > 0 for m >= rate + 2|gain| + 1, so a root
-    exists for every real gain."""
-    hi = rate + 2.0 * abs(gain) + 1.0
-
-    def g(m: float) -> float:
-        return m - rate - gain * (1.0 - np.exp(-m * delay))
-
-    return float(scipy.optimize.brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
-
-
 def scalar_dominant_root(
     rate: complex, gain: complex, delay: float, tol: Tolerances = DEFAULT
 ) -> complex | None:
-    """Rightmost unstable root of m = rate + gain (1 - exp(-m T)), the
-    scalar equation a common eigenvector reduces to, or None; the gain may
-    be complex, so the root comes from the half-plane search."""
-    dom = find_roots(scalar_characteristic(rate, gain, delay), tol=tol).dominant
-    return None if dom is None else dom.value
+    """Rightmost root m, Re m > tol_axis, of m = rate + gain (1 - exp(-m T)), or None.
+
+    m = rate + gain + W(x) / T, x = -gain T exp(-(rate + gain) T) (Corless et al., Adv.
+    Comput. Math. 5, 1996); W is Wright omega at log x + 2 pi i b, finite as x overflows,
+    Im log x in (-pi, pi]: b = 0 is the rightmost, b = +-1 cover the cut, where a zero's
+    sign picks W_0 or W_-1.  Newton undoes the cancellation; a conjugate pair gives Im < 0."""
+    rate, gain = complex(rate), complex(gain)
+    m = rate
+    if gain != 0:
+        s = (rate + gain) * delay
+        log_x = np.log(-gain * delay * np.exp(-1j * s.imag)) - s.real
+        omega = scipy.special.wrightomega(log_x + 2j * np.pi * np.arange(-1, 2))
+        m = rate + gain + omega[np.argmax(omega.real)] / delay
+        for _ in range(2):  # a zero slope is a double root, at W's branch point
+            slope = 1.0 - gain * delay * np.exp(-m * delay)
+            m -= (m - rate + gain * np.expm1(-m * delay)) / slope if slope else 0.0
+    if not np.isfinite(m):
+        raise NumericalError(f"no finite root of m = {rate} + {gain} (1 - exp(-{delay} m))")
+    m = m.conjugate() if rate.imag == gain.imag == 0 and m.imag > 0 else m
+    return complex(m) if m.real > tol.tol_axis else None
 
 
 def reduced_root(
@@ -638,19 +639,18 @@ def reduced_root(
     tol: Tolerances = DEFAULT,
 ) -> complex | None:
     """Unstable root m of the reduced equation m = rate + k (1 - exp(-m T)),
-    or None.
+    or None, from :func:`scalar_dominant_root`.
 
     With ``real``, k is the gain eigenvalue closest to real, required to be
-    real, and m is the positive root of :func:`real_delayed_root`;
-    otherwise k is the first pair's gain eigenvalue, possibly complex, and
-    m comes from :func:`scalar_dominant_root`.  The caller maps m back to
-    its setting: m + 2 pi n i / T for an equilibrium, exp(m T) for an orbit."""
+    real, and m (real and positive when rate > 0) is a float; otherwise k is
+    the first pair's gain eigenvalue, possibly complex.  The caller maps m
+    back: m + 2 pi n i / T for an equilibrium, exp(m T) for an orbit."""
+    k = pairs[0].gain_eigenvalue if pairs else None
     if real:
         pair = min(pairs, key=lambda p: abs(p.gain_eigenvalue.imag), default=None)
-        if pair is None or not pair.real_gain:
-            return None
-        return real_delayed_root(rate, pair.gain_eigenvalue.real, delay)
-    return scalar_dominant_root(rate, pairs[0].gain_eigenvalue, delay, tol) if pairs else None
+        k = pair.gain_eigenvalue.real if pair is not None and pair.real_gain else None
+    m = None if k is None else scalar_dominant_root(rate, k, delay, tol)
+    return m.real if real and m is not None else m
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +688,9 @@ def equilibrium_verdicts(
     spectrum; and the commuting rule with no spectral condition.  Both
     commuting rules need an unstable eigenvalue lambda* + 2 pi n i / T of J
     on a resonant line and a gain commuting with J; their witness is the
-    root of the reduced equation (:func:`reduced_root`) shifted back to the
-    line.  One eigendecomposition of J, one resonance search, one
-    commutator and one set of common eigenpairs serve all three rules.
+    closed-form root of the reduced equation (:func:`reduced_root`) shifted
+    back to the line.  One eigendecomposition of J, one resonance search,
+    one commutator and one set of common eigenpairs serve all three rules.
     """
     jac = problem.jacobian()
     gain = problem.feedback.gain

@@ -65,13 +65,13 @@ class Verdict:
     ) -> "Verdict":
         """The hypotheses decide the outcome; the witness only corroborates an
         exclusion.  A callable witness is called only when every hypothesis
-        holds, and one that cannot certify its root (NumericalError) is left out."""
+        holds, and one that raises NumericalError (a non-finite root) is left out."""
         hyps = tuple(hypotheses)
         if not all(h.passed for h in hyps):
             return cls(rule, NOT_EXCLUDED, hyps)
         try:
             return cls(rule, EXCLUDED, hyps, witness() if callable(witness) else witness)
-        except NumericalError:  # the witness search could not certify its root
+        except NumericalError:  # a non-finite witness
             return cls(rule, EXCLUDED, hyps)
 
     @property

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from pyrastab import cli, periodic
 from pyrastab.benchmarks import get_case
@@ -78,9 +79,11 @@ def test_analyze_periodic_envelope(case_file, capsys):
     assert det["g_ode"] == 2 and det["g_dde"] == 2
 
 
-def test_analyze_periodic_commuting_gain_without_a_witness(tmp_path, capsys):
-    # the reduced root just right of the axis cannot be certified: the
-    # commuting-gain rule excludes without a witness instead of failing
+def test_analyze_periodic_commuting_gain_witness_next_to_the_axis(tmp_path, capsys):
+    # the reduced root 3.466e-7 sits just right of the axis, where the
+    # half-plane search cannot certify it; the closed form still gives the
+    # commuting-gain witness exp(m T), with m the root for the exponent the
+    # verdict reads from the top multiplier
     doc = {
         "kind": "periodic-linear",
         "dimension": 2,
@@ -97,7 +100,16 @@ def test_analyze_periodic_commuting_gain_without_a_witness(tmp_path, capsys):
     assert [v["rule"] for v in verdicts] == [
         "odd-number", "commuting-real-spectrum", "commuting-gain",
     ]
-    assert verdicts[2]["outcome"] == "excluded" and "witness" not in verdicts[2]
+    assert all(v["outcome"] == "excluded" for v in verdicts)
+    period = 2 * np.pi
+    exponent = np.log(verdicts[0]["witness"]["re"]) / period
+    m = scipy.optimize.brentq(
+        lambda m: m - exponent - 0.3 * np.expm1(-m * period), 0.0, 1.0, xtol=1e-22
+    )
+    for v in verdicts[1:]:
+        assert v["witness"]["re"] == pytest.approx(np.exp(m * period), rel=1e-14)
+        assert v["witness"]["im"] == 0.0
+    assert verdicts[2]["witness"]["re"] == pytest.approx(1.0000021779179675, rel=1e-14)
 
 
 def test_analyze_periodic_builds_ode_monodromy_once(case_file, capsys, monkeypatch):

@@ -844,17 +844,25 @@ def test_periodic_verdicts_odd_unstable_eigenspace_waives_real_spectrum(rates, d
     assert v_real.excluded == (dim == 1) and v_comm.excluded
 
 
-def test_periodic_commuting_gain_abstains_from_an_uncertified_witness():
-    # the reduced root sits just right of the axis, where the scalar root
-    # search cannot certify it; the rule still excludes, without a witness,
-    # as its equilibrium twin does
+def test_periodic_commuting_gain_witness_next_to_the_axis():
+    # the reduced root 3.466e-7 sits just right of the axis, where the
+    # half-plane search cannot certify it; both commuting rules take the
+    # closed-form root m for the exponent the verdict reads and witness
+    # exp(m T), as their equilibrium twins do
     prob = _periodic(ConstantCoefficient(np.diag([1e-6, -1.0])), 2 * np.pi, -0.3 * np.eye(2))
     verdicts = periodic_verdicts(ode_monodromy(prob))
     assert [v.rule for v in verdicts] == [
         "odd-number", "commuting-real-spectrum", "commuting-gain",
     ]
     assert all(v.excluded for v in verdicts)
-    assert verdicts[2].witness is None
+    period = 2 * np.pi
+    exponent = float(np.log(verdicts[0].witness.real) / period)
+    m = scipy.optimize.brentq(
+        lambda m: m - exponent - 0.3 * np.expm1(-m * period), 0.0, 1.0, xtol=1e-22
+    )
+    for v in verdicts[1:]:
+        assert v.witness == pytest.approx(np.exp(m * period), rel=1e-14)
+    assert verdicts[2].witness == pytest.approx(1.0000021779179675, rel=1e-14)
 
 
 def test_periodic_verdicts_reuse_a_given_monodromy():
