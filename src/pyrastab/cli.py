@@ -35,7 +35,7 @@ from .periodic import (
     ode_monodromy,
     periodic_verdicts,
 )
-from .problemio import document_digest, load_problem, read_problem_file
+from .problemio import document_digest, read_problem_file
 from .problems import EquilibriumProblem, validate_equilibrium
 from .simulate import growth_rate, integrate, perturbed_history
 from .tolerances import DEFAULT
@@ -161,6 +161,8 @@ def parse_path_spec(spec: str, dimension: int) -> GainPath:
         count = int(parts[-1])
     except ValueError:
         raise InputError(f"path spec {spec!r}: arguments must be numbers") from None
+    if not all(math.isfinite(x) for x in nums):
+        raise InputError(f"path spec {spec!r}: numbers must be finite")
     if count < 1:
         raise InputError("path spec: sample count must be at least 1")
     if parts[0] == "ray":

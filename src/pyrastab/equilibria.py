@@ -869,13 +869,6 @@ class GainPath:
         mats = tuple(np.asarray(g, dtype=complex) for g in gains)
         return cls(tuple(float(s) for s in parameter), mats)
 
-    @classmethod
-    def scalar(cls, values: Sequence[complex], parameter: Sequence[float] | None = None) -> "GainPath":
-        vals = [complex(v) for v in values]
-        if parameter is None:
-            parameter = list(range(len(vals)))
-        return cls.from_gains(parameter, [np.array([[v]]) for v in vals])
-
     def gain_at(self, s: float) -> np.ndarray:
         s = float(s)
         par = self.parameter

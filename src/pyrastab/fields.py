@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "ExpressionField",
     "parse_field",
     "LinearField",
-    "MatrixField",
     "ConstantCoefficient",
     "TrigCoefficient",
 ]
@@ -125,20 +124,6 @@ class LinearField:
 
     def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
         return self.matrix.copy()
-
-
-@dataclass(frozen=True)
-class MatrixField:
-    """Linear field with time-dependent coefficient, f(x, t) = A(t) x."""
-
-    coefficient: Callable[[float], np.ndarray]
-    dimension: int
-
-    def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return np.asarray(self.coefficient(t)) @ np.asarray(x, dtype=float)
-
-    def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return np.asarray(self.coefficient(t), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .errors import NumericalError
 __all__ = [
     "spectral_norm",
     "svd_rank",
-    "numerical_rank",
     "kernel_basis",
     "cluster_multiplicities",
     "cluster_multiplicity",
@@ -43,11 +42,6 @@ def svd_rank(svals: np.ndarray, n: int, rank_factor: float, floor: float = 0.0) 
     smax = float(svals[0]) if len(svals) else 0.0
     tau = max(n * np.finfo(float).eps * smax * rank_factor, floor)
     return int(np.count_nonzero(svals > tau))
-
-
-def numerical_rank(a: np.ndarray, rank_factor: float = 1e4) -> int:
-    a = np.atleast_2d(np.asarray(a))
-    return svd_rank(scipy.linalg.svdvals(a), max(a.shape), rank_factor)
 
 
 def kernel_basis(a: np.ndarray, rank_factor: float = 1e4, floor: float = 0.0) -> np.ndarray:

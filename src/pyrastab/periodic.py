@@ -70,8 +70,6 @@ __all__ = [
     "DeterminingInvariance",
     "check_determining_invariance",
     "homotopy_multipliers",
-    "CommutingCheck",
-    "commuting_check",
     "periodic_verdicts",
 ]
 
@@ -728,57 +726,11 @@ def homotopy_multipliers(
 
 
 # ---------------------------------------------------------------------------
-# commuting-gain structure
-
-_COMMUTING_SAMPLES = 33
-
-
-@dataclass(frozen=True)
-class CommutingCheck:
-    """Relative commutator norms of the gain with B and with P(t).
-
-    ``generator_negligible`` marks a generator that is zero to the matrix
-    logarithm's accuracy (``||B|| T <= tol_log max(1, ||Y(T)||)``); it
-    commutes with every gain, so ``residual_generator`` is then 0.0
-    rather than a commutator of rounding noise divided by its own norm.
-    """
-
-    residual_generator: float
-    residual_periodic: float
-    tolerance: float
-    generator_negligible: bool = False
-
-    @property
-    def commutes_generator(self) -> bool:
-        return self.residual_generator <= self.tolerance
-
-    @property
-    def commutes_periodic(self) -> bool:
-        return self.residual_periodic <= self.tolerance
-
-
-def commuting_check(
-    decomposition: FloquetDecomposition,
-    gain: np.ndarray,
-    tol: Tolerances = DEFAULT,
-) -> CommutingCheck:
-    """Relative commutators of the gain with the Floquet generator B and
-    with the periodic factor P(t) at ``_COMMUTING_SAMPLES`` equispaced
-    times of one period, both ends included.  A generator that is zero to
-    the logarithm's accuracy commutes exactly (see ``CommutingCheck``)."""
-    gain = np.asarray(gain, dtype=float)
-    b = decomposition.generator
-    scale = max(1.0, spectral_norm(decomposition.monodromy.matrix))
-    negligible = spectral_norm(b) * decomposition.period <= tol.tol_log * scale
-    res_b = 0.0 if negligible else relative_commutator(gain, b)
-    res_p = 0.0
-    for t in np.linspace(0.0, decomposition.period, _COMMUTING_SAMPLES):
-        res_p = max(res_p, relative_commutator(gain, decomposition.periodic_factor(float(t))))
-    return CommutingCheck(res_b, res_p, tol.tol_comm, negligible)
-
-
-# ---------------------------------------------------------------------------
 # the periodic exclusion rules
+
+# times of one period, both ends included, at which the gain's commutator
+# with the periodic factor P(t) is measured
+_COMMUTING_SAMPLES = 33
 
 
 def periodic_verdicts(
@@ -824,39 +776,45 @@ def periodic_verdicts(
     )
 
     decomp = None
-    check = None
     exponent = None if top is None else float(np.log(top.value.real) / period)
     try:
         decomp = floquet_decompose(monodromy, tol)
-        check = commuting_check(decomp, gain, tol=tol)
+        # A generator that is zero to the matrix logarithm's accuracy
+        # (||B|| T <= tol_log max(1, ||Y(T)||)) commutes with every gain, so
+        # its commutator is then 0.0 rather than a commutator of rounding
+        # noise divided by its own norm.
+        scale = max(1.0, spectral_norm(monodromy.matrix))
+        negligible = spectral_norm(decomp.generator) * period <= tol.tol_log * scale
+        res_b = 0.0 if negligible else relative_commutator(gain, decomp.generator)
+        res_p = 0.0
+        for t in np.linspace(0.0, period, _COMMUTING_SAMPLES):
+            res_p = max(res_p, relative_commutator(gain, decomp.periodic_factor(float(t))))
     except NumericalError:
-        pass
-    if check is not None:
-        if check.generator_negligible:
+        detail = "Floquet decomposition unavailable"
+        h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)
+        h_comm_p = Hypothesis("gain commutes with the periodic factor", False, detail)
+    else:
+        if negligible:
             detail_b = (
                 "Floquet generator is zero to the matrix logarithm's accuracy, "
                 "and a zero generator commutes with every gain"
             )
         else:
-            detail_b = f"relative commutator norm {check.residual_generator:.3e}"
+            detail_b = f"relative commutator norm {res_b:.3e}"
         h_comm_b = Hypothesis(
             "gain commutes with the Floquet generator",
-            check.commutes_generator,
+            res_b <= tol.tol_comm,
             detail_b,
-            value=check.residual_generator,
-            tolerance=check.tolerance,
+            value=res_b,
+            tolerance=tol.tol_comm,
         )
         h_comm_p = Hypothesis(
             "gain commutes with the periodic factor",
-            check.commutes_periodic,
-            f"largest relative commutator norm {check.residual_periodic:.3e}",
-            value=check.residual_periodic,
-            tolerance=check.tolerance,
+            res_p <= tol.tol_comm,
+            f"largest relative commutator norm {res_p:.3e}",
+            value=res_p,
+            tolerance=tol.tol_comm,
         )
-    else:
-        detail = "Floquet decomposition unavailable"
-        h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)
-        h_comm_p = Hypothesis("gain commutes with the periodic factor", False, detail)
 
     # common eigenpairs of the generator at the unstable exponent and the
     # gain, one per dimension of that eigenspace

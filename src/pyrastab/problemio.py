@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,9 +160,17 @@ def _parse_field(spec, kind: str, dimension: int, path: str):
             for key, val in pm.items():
                 params[key] = _require_number(val, f"{path}.params.{key}")
         try:
-            return parse_field(exprs, params)
+            field = parse_field(exprs, params)
         except InputError as err:
             raise InputError(f"{path}.expressions: {err}") from None
+        # the equilibrium analyses linearize an autonomous field; time-dependent
+        # linear dynamics are periodic-linear documents
+        for i, src in enumerate(field.source_strings()):
+            if re.search(r"\bt\b", src):
+                raise InputError(
+                    f"{path}.expressions[{i}]: an equilibrium field must not depend on t"
+                )
+        return field
     if variant == "matrix":
         mat = _require_matrix(spec["matrix"], dimension, f"{path}.matrix")
         return LinearField(mat) if kind == "equilibrium" else ConstantCoefficient(mat)

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .linalg import spectral_norm
 
 __all__ = [
     "DelayFeedback",
@@ -70,10 +69,6 @@ class DelayFeedback:
     def dimension(self) -> int:
         return self.gain.shape[0]
 
-    @property
-    def gain_norm(self) -> float:
-        return spectral_norm(self.gain)
-
 
 @dataclass(frozen=True)
 class EquilibriumProblem:
@@ -101,8 +96,8 @@ class EquilibriumProblem:
     def dimension(self) -> int:
         return len(self.point)
 
-    def jacobian(self, t: float = 0.0) -> np.ndarray:
-        return np.asarray(self.field.jacobian(self.point, t), dtype=float)
+    def jacobian(self) -> np.ndarray:
+        return np.asarray(self.field.jacobian(self.point, 0.0), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ def perturbed_history(
     point = np.asarray(point, dtype=float).reshape(-1)
     if not amplitude > 0.0:
         raise InputError("amplitude must be positive")
+    if seed is not None and seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     grid = np.linspace(-delay, 0.0, _HISTORY_SAMPLES)
     noise = rng.uniform(-amplitude, amplitude, size=(_HISTORY_SAMPLES, point.size))
@@ -141,10 +143,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
 
     def sample(self, t) -> np.ndarray:
         """Cubic Hermite evaluation at arbitrary times inside the run."""

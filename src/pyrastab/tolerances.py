@@ -24,7 +24,8 @@ class Tolerances:
     tol_axis: float = 1e-9
     #: numerical-rank threshold factor: sigma <= n * eps * sigma_max * rank_factor
     rank_factor: float = 1e4
-    #: relative commutator norm accepted by commuting_check
+    #: relative commutator norm accepted by the commuting rules (the gain
+    #: with J, with the Floquet generator B and with the periodic factor P(t))
     tol_comm: float = 1e-10
     #: relative imaginary part accepted when testing a matrix for real spectrum
     tol_spec: float = 1e-9

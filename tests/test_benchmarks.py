@@ -84,7 +84,7 @@ def _check_fact(pipe, fact):
         delay = prob.feedback.delay
         hist = perturbed_history(prob.point, delay, 1e-6, seed=101)
         traj = integrate(prob.field, prob.feedback, hist, 20 * delay)
-        span = traj.final_time - traj.times[0]
+        span = traj.times[-1] - traj.times[0]
         rate = growth_rate(traj, window=span / 3, reference=prob.point)
         measured = -1 if rate == float("-inf") else int(np.sign(rate))
         assert measured == value

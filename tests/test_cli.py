@@ -245,6 +245,36 @@ def test_analyze_schema_error_names_path(tmp_path, capsys):
     assert "$.delay" in err
 
 
+def _expression_doc(tmp_path, expression):
+    doc = {
+        "kind": "equilibrium",
+        "dimension": 1,
+        "field": {"expressions": [expression]},
+        "point": [0.0],
+        "gain": [[0.3]],
+        "delay": 6.283185307179586,
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--horizon", "5"]])
+def test_equilibrium_field_depending_on_t_is_an_input_error(tmp_path, capsys, argv):
+    # the linearization of x' = (1 + t) x is not J(0) = 1; the equilibrium
+    # analyses read an autonomous field only
+    path = _expression_doc(tmp_path, "(1 + t) * x1")
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: $.field.expressions[0]")
+
+
+def test_autonomous_expression_field_is_accepted(tmp_path, capsys):
+    code, out, _ = _run(capsys, ["analyze", _expression_doc(tmp_path, "x1 - x1^3")])
+    assert code == 0
+    assert json.loads(out)["results"]["kind"] == "equilibrium"
+
+
 # --- hopf --------------------------------------------------------------------
 
 
@@ -344,6 +374,14 @@ def test_locus_rejects_bad_path_spec(case_file, capsys):
         assert "input error" in err
 
 
+@pytest.mark.parametrize("spec", ["ray:nan:0:1:3", "ray:inf:0:1:3", "real:nan:1:3"])
+def test_locus_rejects_a_non_finite_path_number(case_file, capsys, spec):
+    code, out, err = _run(capsys, ["locus", case_file("scalar-basic"), spec])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+    assert "finite" in err
+
+
 def test_locus_csv_output(case_file, capsys):
     path = case_file("scalar-basic")
     code, out, _ = _run(capsys, ["locus", path, "real:0.1:0.5:3"])
@@ -437,6 +475,13 @@ def test_simulate_rejects_an_infinite_horizon(case_file, capsys):
     code, out, err = _run(capsys, ["simulate", path, "--horizon", "inf"])
     assert code == 2 and out == ""
     assert "t_end" in err
+
+
+def test_simulate_rejects_a_negative_seed(case_file, capsys):
+    code, out, err = _run(capsys, ["simulate", case_file("scalar-basic"), "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+    assert "seed" in err
 
 
 def test_simulate_first_step_blow_up_has_no_growth_rate(tmp_path, capsys):

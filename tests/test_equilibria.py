@@ -1043,7 +1043,7 @@ def test_locus_keeps_resonant_root_on_the_line():
 
 
 def test_locus_traces_are_threaded():
-    path = GainPath.scalar([0.1, 0.5, 0.9], parameter=[0.0, 0.5, 1.0])
+    path = GainPath.from_gains([0.0, 0.5, 1.0], [[[0.1]], [[0.5]], [[0.9]]])
     res = eigenvalue_locus(np.array([[0.05]]), 2 * np.pi, path)
     assert res.traces
     longest = max(res.traces, key=lambda tr: len(tr.points))
@@ -1056,7 +1056,7 @@ def test_locus_traces_are_threaded():
 
 def test_locus_raises_continuation_error_below_min_gap():
     tol = DEFAULT.replace(step_cap=1e-12, min_step=0.3)
-    path = GainPath.scalar([0.1, 0.9], parameter=[0.0, 1.0])
+    path = GainPath.from_gains([0.0, 1.0], [[[0.1]], [[0.9]]])
     with pytest.raises(ContinuationError, match="parameter gap"):
         eigenvalue_locus(np.array([[0.05]]), 2 * np.pi, path, tol=tol)
 
@@ -1093,7 +1093,7 @@ def _former_locus_samples(jacobian, delay, path, region, tol):
 
 def test_locus_samples_match_the_former_bisection():
     jac, delay = np.array([[0.05]]), 2 * np.pi
-    path = GainPath.scalar([0.1, 0.9], parameter=[0.0, 1.0])
+    path = GainPath.from_gains([0.0, 1.0], [[[0.1]], [[0.9]]])
     tol = DEFAULT.replace(step_cap=0.05)
     region = default_region(CharacteristicMatrix(jac, np.array([[0.9]]), delay), tol)
     res = eigenvalue_locus(jac, delay, path, tol=tol)

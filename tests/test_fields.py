@@ -10,7 +10,6 @@ from pyrastab.expressions import DomainError
 from pyrastab.fields import (
     ConstantCoefficient,
     LinearField,
-    MatrixField,
     TrigCoefficient,
     parse_field,
 )
@@ -72,14 +71,6 @@ def test_linear_field_validates_shape():
         LinearField(np.zeros((2, 3)))
     with pytest.raises(InputError):
         LinearField(np.array([[np.nan]]))
-
-
-def test_matrix_field_follows_coefficient():
-    coeff = ConstantCoefficient(np.array([[0.1, 0.0], [0.0, -0.2]]))
-    f = MatrixField(coeff, 2)
-    x = np.array([1.0, 2.0])
-    assert f(x, 0.3) == pytest.approx([0.1, -0.4])
-    assert f.jacobian(x, 0.3) == pytest.approx(coeff(0.3))
 
 
 def test_constant_coefficient_is_constant():

@@ -149,7 +149,7 @@ def test_simulate_imports_no_spectral_module():
         if name not in reached and (_SRC / f"{name}.py").exists():
             reached.add(name)
             todo.extend(_internal_imports(_SRC / f"{name}.py"))
-    assert "linalg" in reached  # reached through problems
+    assert "expressions" in reached  # reached through fields
     assert reached & _ORACLE_FORBIDDEN == set()
 
 

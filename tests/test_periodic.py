@@ -31,7 +31,6 @@ from pyrastab.fields import ConstantCoefficient, TrigCoefficient
 from pyrastab.linalg import cluster_multiplicity
 from pyrastab.periodic import (
     check_determining_invariance,
-    commuting_check,
     dde_monodromy,
     floquet_decompose,
     homotopy_multipliers,
@@ -130,8 +129,8 @@ def test_fundamental_solution_refuses_times_that_compound_its_error():
 
 def test_coarse_monodromy_still_answers_within_two_periods():
     # 16 steps leave error_estimate ~3e-5, far above tol_log, but within two
-    # periods Y(T) is used at most once, so nothing compounds: value_at,
-    # commuting_check and the commuting verdicts must still answer
+    # periods Y(T) is used at most once, so nothing compounds: value_at and
+    # the commuting verdicts must still answer
     prob = get_case("orbit-unstable").problem()
     mono = ode_monodromy(prob, steps=16)
     assert mono.error_estimate > DEFAULT.tol_log
@@ -139,8 +138,6 @@ def test_coarse_monodromy_still_answers_within_two_periods():
     assert np.all(np.isfinite(mono.value_at(1.5 * prob.period)))
     with pytest.raises(NumericalError, match="compounds"):
         mono.value_at(2.5 * prob.period)
-    check = commuting_check(floquet_decompose(mono), prob.feedback.gain)
-    assert check.commutes_generator and check.commutes_periodic
     hyps = [
         h for v in periodic_verdicts(mono) for h in v.hypotheses
         if h.name.startswith("gain commutes")
@@ -727,44 +724,57 @@ def test_determining_invariance_trivial_and_one_dimensional():
 # --- commuting structure ----------------------------------------------------------------
 
 
+def _commuting_hypotheses(name):
+    """The commuting-gain rule's commutator hypotheses on a catalog case,
+    with the Floquet generator B and with the periodic factor P(t)."""
+    prob = get_case(name).problem()
+    _, h_b, h_p = periodic_verdicts(ode_monodromy(prob))[2].hypotheses
+    return h_b, h_p
+
+
 def test_commuting_check_scalar_gain_commutes():
-    prob = get_case("orbit-unstable").problem()
-    dec = floquet_decompose(ode_monodromy(prob))
-    chk = commuting_check(dec, 0.2 * np.eye(2))
-    assert chk.commutes_generator
-    assert chk.commutes_periodic
+    h_b, h_p = _commuting_hypotheses("orbit-unstable")  # gain 0.2 I
+    assert h_b.passed and h_p.passed
+    assert h_b.tolerance == h_p.tolerance == DEFAULT.tol_comm
 
 
 def test_commuting_check_detects_noncommuting_gain():
-    prob = get_case("orbit-neutral").problem()
-    dec = floquet_decompose(ode_monodromy(prob))
-    chk = commuting_check(dec, np.array([[0.3, 0.1], [0.0, 0.3]]))
-    assert not (chk.commutes_generator and chk.commutes_periodic)
+    h_b, h_p = _commuting_hypotheses("orbit-neutral")  # gain [[0.3, 0.1], [0, 0.3]]
+    assert not (h_b.passed and h_p.passed)
 
 
 def test_commuting_check_zero_generator_commutes_exactly():
     # the monodromy of a full rotation is I, so B is zero up to rounding;
     # its relative commutator would be noise divided by noise
-    prob = get_case("center-periodic").problem()
-    dec = floquet_decompose(ode_monodromy(prob))
-    chk = commuting_check(dec, prob.feedback.gain)
-    assert chk.generator_negligible
-    assert chk.residual_generator == 0.0
-    assert chk.commutes_generator
-    assert not chk.commutes_periodic  # P(t) is the rotation, a genuine 0.8165
-    assert chk.residual_periodic == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-9)
-    h_b = periodic_verdicts(ode_monodromy(prob))[2].hypotheses[1]
+    h_b, h_p = _commuting_hypotheses("center-periodic")
     assert h_b.passed and h_b.value == 0.0
     assert "zero" in h_b.detail
+    assert not h_p.passed  # P(t) is the rotation, a genuine 0.8165
+    assert h_p.value == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-9)
 
 
 def test_commuting_check_keeps_a_genuine_generator_commutator():
-    prob = get_case("orbit-neutral").problem()
-    dec = floquet_decompose(ode_monodromy(prob))
-    chk = commuting_check(dec, prob.feedback.gain)
-    assert not chk.generator_negligible
-    assert chk.residual_generator == pytest.approx(0.2294157, abs=1e-7)
-    assert not chk.commutes_generator
+    h_b, _ = _commuting_hypotheses("orbit-neutral")
+    assert "zero" not in h_b.detail
+    assert h_b.value == pytest.approx(0.2294157, abs=1e-7)
+    assert not h_b.passed
+
+
+@pytest.mark.parametrize("target", ["floquet_decompose", "periodic_factor"])
+def test_commuting_hypotheses_fail_without_a_floquet_decomposition(monkeypatch, target):
+    # a decomposition that raises, or a periodic factor that raises at one of
+    # the sampled times, leaves both commutator hypotheses unmeasured
+    def refuse(*args):
+        raise NumericalError("refused")
+
+    if target == "floquet_decompose":
+        monkeypatch.setattr(periodic, "floquet_decompose", refuse)
+    else:
+        monkeypatch.setattr(periodic.FloquetDecomposition, "periodic_factor", refuse)
+    h_b, h_p = _commuting_hypotheses("orbit-unstable")
+    for h in (h_b, h_p):
+        assert not h.passed and h.value is None
+        assert h.detail == "Floquet decomposition unavailable"
 
 
 @pytest.mark.parametrize(

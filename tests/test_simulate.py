@@ -156,7 +156,7 @@ def test_blow_up_truncates_with_flag():
     hist = HistorySegment.from_constant(np.ones(1), 1.0)
     traj = integrate(field, fb, hist, 100.0, dt=0.05, blow_up=1e6)
     assert traj.blown_at is not None
-    assert traj.final_time < 100.0
+    assert traj.times[-1] < 100.0
     assert np.all(np.isfinite(traj.states))
 
 
@@ -274,7 +274,7 @@ def test_affine_march_stops_where_the_stage_loop_does():
         assert (len(got), got.blown_at) == (len(ref), ref.blown_at)
         assert np.all(np.isfinite(got.states))
         # the non-finite step is dropped: blown_at is one step past the end
-        assert (got.blown_at > got.final_time + 0.5 * h) == non_finite
+        assert (got.blown_at > got.times[-1] + 0.5 * h) == non_finite
         stops.append(len(got) - 1)
     assert stops[1] == 1 and stops[2] == 0 and stops[3] == 1
     assert stops[0] > 64  # past the first delay interval
@@ -382,7 +382,7 @@ def test_growth_rate_needs_two_tail_samples():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError):
-            growth_rate(traj, window=traj.final_time / 3.0)
+            growth_rate(traj, window=traj.times[-1] / 3.0)
 
 
 def test_growth_rate_matches_dominant_root():
@@ -391,7 +391,7 @@ def test_growth_rate_matches_dominant_root():
     fb = DelayFeedback(np.array([[k]]), period)
     hist = perturbed_history(np.zeros(1), period, 1e-6, seed=3)
     traj = integrate(field, fb, hist, 40 * period, dt=period / 64)
-    rate = growth_rate(traj, window=(traj.final_time - traj.times[0]) / 3)
+    rate = growth_rate(traj, window=(traj.times[-1] - traj.times[0]) / 3)
     rep = find_roots(scalar_characteristic(a, k, period))
     assert rate == pytest.approx(rep.dominant.value.real, rel=1e-3)
 
