@@ -176,14 +176,21 @@ class TrigCoefficient:
         self.period = period
         self.samples = values.copy()
         self.samples.flags.writeable = False
-        m = values.shape[0]
-        self._m = m
-        self._coef = np.fft.rfft(values, axis=0)
-        weights = np.full(self._coef.shape[0], 2.0)
-        weights[0] = 1.0
-        if m % 2 == 0 and len(weights) > 1:
-            weights[-1] = 1.0
-        self._weights = weights
+        m, n = values.shape[:2]
+        coef = np.fft.rfft(values, axis=0).reshape(-1, n * n)
+        modes = len(coef)
+        weights = np.full(modes, 2.0 / m)
+        weights[0] = 1.0 / m
+        if m % 2 == 0 and modes > 1:
+            weights[-1] = 1.0 / m
+        # mode k = b hi + lo of the two-level phase table (see ``batch``)
+        self._b = math.isqrt(modes)
+        self._tiers = -(-modes // self._b)
+        coef = weights[:, None] * coef
+        folded = np.zeros((self._tiers * self._b, 2, n * n))
+        folded[:modes, 0] = coef.real
+        folded[:modes, 1] = -coef.imag
+        self._folded = folded.reshape(-1, n * n)
 
     @property
     def dimension(self) -> int:
@@ -193,8 +200,8 @@ class TrigCoefficient:
         return self.batch(np.array([t]))[0]
 
     def batch(self, times: np.ndarray) -> np.ndarray:
-        """The interpolant at every time, shape (S, n, n): one product of
-        the (S, modes) phase table with the Fourier coefficients.
+        """The interpolant at every time, shape (S, n, n): one real product
+        of the (S, modes) phase table with the Fourier coefficients.
 
         The table is built in two levels.  With b = isqrt(modes) and
         k = b hi + lo, exp(2 pi i k x) = exp(2 pi i b hi x) exp(2 pi i lo x),
@@ -205,16 +212,19 @@ class TrigCoefficient:
         interpolation error for smooth samples, and up to a few 1e-13
         relative for white-noise samples with a few hundred modes a few
         periods out, where the one-level table is itself that far off.
+
+        The Nyquist and doubled-mode weights and the 1 / m of the inverse
+        transform are folded into the coefficients at construction, which
+        are zero-padded to the table's full tiers * b modes and stored as
+        one real matrix with interleaved rows [Re c_k, -Im c_k].  Read as
+        reals, the table's columns interleave [Re p_k, Im p_k] the same
+        way, so Re(sum_k p_k c_k) is one real matrix product.
         """
         times = np.asarray(times, dtype=float)
         n = self.dimension
-        modes = self._coef.shape[0]
-        b = math.isqrt(modes)
-        tiers = -(-modes // b)
+        b, tiers = self._b, self._tiers
         x = times[:, None] / self.period
         low = np.exp(2j * np.pi * np.arange(b) * x)
         high = np.exp(2j * np.pi * (b * np.arange(tiers)) * x)
         phase = (high[:, :, None] * low[:, None, :]).reshape(len(times), tiers * b)
-        phase = phase[:, :modes]
-        vals = (self._weights * phase) @ self._coef.reshape(modes, n * n)
-        return vals.real.reshape(len(times), n, n) / self._m
+        return (phase.view(float) @ self._folded).reshape(len(times), n, n)

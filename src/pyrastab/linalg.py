@@ -8,9 +8,9 @@ eigenvalue cluster of radius band, and n eps rank_factor max(1, ||J||)
 for an eigenspace of J, whose shifted matrix may be rounding noise.
 Multiplicity of a cluster goes through an ordered Schur form, so that
 the answer survives non-normality (raw singular-value thresholds
-against a badly scaled matrix do not); ``cluster_multiplicities``
-computes one Schur form per matrix, real for a real matrix, and
-reorders a copy of it for each cluster.
+against a badly scaled matrix do not); a ``SchurForm`` is computed once
+per matrix, real for a real matrix, gives its eigenvalues, and reorders
+a copy of itself for each cluster.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "spectral_norm",
     "svd_rank",
     "kernel_basis",
-    "cluster_multiplicities",
+    "SchurForm",
     "cluster_multiplicity",
 ]
 
@@ -58,108 +58,118 @@ def _within(eigs: np.ndarray, value: complex, band: float) -> np.ndarray:
     return np.hypot(d.real, d.imag) <= band
 
 
-def _complex_blocks(a: np.ndarray, clusters: list[tuple[complex, float]]) -> list[np.ndarray]:
-    """Per cluster, the leading block of a complex Schur form of ``a``
-    reordered with ``ztrsen`` so that it holds exactly that cluster."""
-    t = scipy.linalg.schur(a, output="complex", check_finite=False)[0]
-    diag = np.diagonal(t)
-    blocks = []
-    for value, band in clusters:
-        select = _within(diag, value, band)
-        sdim = int(np.count_nonzero(select))
-        if sdim == 0:
-            blocks.append(t[:0, :0])
-            continue
-        ts, _, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, t, job="N", wantq=0)
-        if info != 0 or np.any(np.abs(np.diagonal(ts)[:sdim] - value) > band):
-            # select and reordering disagree; should not happen
-            raise NumericalError("Schur reordering failed to isolate the cluster")
-        blocks.append(ts[:sdim, :sdim])
-    return blocks
-
-
 def _no_sort(wr: float, wi: float) -> None:
     """``dgees`` wants a selection callback even when it does not sort."""
 
 
-def _real_blocks(a: np.ndarray, clusters: list[tuple[complex, float]]) -> list[np.ndarray]:
-    """``_complex_blocks`` for a real ``a``, in real arithmetic.
+def _complex_block(t: np.ndarray, value: complex, band: float) -> np.ndarray:
+    """The leading block of the complex Schur form ``t`` reordered with
+    ``ztrsen`` so that it holds exactly the cluster."""
+    select = _within(np.diagonal(t), value, band)
+    sdim = int(np.count_nonzero(select))
+    if sdim == 0:
+        return t[:0, :0]
+    ts, _, _, _, _, _, info = scipy.linalg.lapack.ztrsen(select, t, t, job="N", wantq=0)
+    if info != 0 or np.any(np.abs(np.diagonal(ts)[:sdim] - value) > band):
+        # select and reordering disagree; should not happen
+        raise NumericalError("Schur reordering failed to isolate the cluster")
+    return ts[:sdim, :sdim]
 
-    ``dgees`` gives the real Schur form and ``dtrsen`` moves each cluster
-    to the leading block.  A 2 x 2 diagonal block moves whole, so a
-    cluster holding one of a conjugate pair brings the other along; a
-    complex Schur form of that small leading block then isolates the
-    cluster.
+
+def _real_block(t: np.ndarray, eigs: np.ndarray, value: complex, band: float) -> np.ndarray:
+    """``_complex_block`` for the real Schur form ``t`` with eigenvalues
+    ``eigs``, in real arithmetic.
+
+    ``dtrsen`` moves the cluster to the leading block.  A 2 x 2 diagonal
+    block moves whole, so a cluster holding one of a conjugate pair brings
+    the other along; a complex Schur form of that small leading block then
+    isolates the cluster.
     """
-    gees = scipy.linalg.lapack.dgees
-    lwork = int(gees(_no_sort, a, compute_v=0, lwork=-1)[-2][0])
-    t, _, wr, wi, _, _, info = gees(_no_sort, a, compute_v=0, lwork=lwork)
-    if info != 0:
-        raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    blocks = []
-    for value, band in clusters:
-        select = _within(wr + 1j * wi, value, band)
-        if not select.any():
-            blocks.append(t[:0, :0])
-            continue
-        ts, _, wr_s, wi_s, _, _, _, info = scipy.linalg.lapack.dtrsen(
-            select, t, t, job="N", wantq=0)
-        # dgees's own check of a sorted form: the selected eigenvalues, a
-        # conjugate pair counting whole, must fill the leading block
-        inside = _within(wr_s + 1j * wi_s, value, band)
-        held = inside.copy()
-        first = np.flatnonzero(wi_s > 0.0)
-        held[first] = held[first + 1] = inside[first] | inside[first + 1]
-        m = int(np.count_nonzero(held))
-        if info != 0 or not held[:m].all():
-            raise NumericalError("Schur reordering failed to isolate the cluster")
-        if inside[:m].all():
-            blocks.append(ts[:m, :m])
+    select = _within(eigs, value, band)
+    if not select.any():
+        return t[:0, :0]
+    ts, _, wr_s, wi_s, _, _, _, info = scipy.linalg.lapack.dtrsen(
+        select, t, t, job="N", wantq=0)
+    # dgees's own check of a sorted form: the selected eigenvalues, a
+    # conjugate pair counting whole, must fill the leading block
+    inside = _within(wr_s + 1j * wi_s, value, band)
+    held = inside.copy()
+    first = np.flatnonzero(wi_s > 0.0)
+    held[first] = held[first + 1] = inside[first] | inside[first + 1]
+    m = int(np.count_nonzero(held))
+    if info != 0 or not held[:m].all():
+        raise NumericalError("Schur reordering failed to isolate the cluster")
+    if inside[:m].all():
+        return ts[:m, :m]
+    small = scipy.linalg.schur(ts[:m, :m], output="complex", check_finite=False)[0]
+    return _complex_block(small, value, band)
+
+
+class SchurForm:
+    """One Schur form of a square matrix and its eigenvalues.
+
+    Real (``dgees``, without Schur vectors) for a real matrix, whose
+    eigenvalues are then the ``wr + i wi`` of its 1 x 1 and 2 x 2 diagonal
+    blocks, and complex (``zgees``) otherwise, whose eigenvalues are its
+    diagonal.  ``multiplicities`` reorders a copy of it per cluster, so one
+    factorisation gives both a spectrum and the multiplicities of any
+    clusters chosen from it.
+    """
+
+    def __init__(self, a: np.ndarray) -> None:
+        a = np.asarray(a)
+        a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise ValueError("a Schur form needs a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+        if n == 0:
+            self.t, self.eigenvalues = a, np.zeros(0, dtype=complex)
+        elif np.iscomplexobj(a):
+            self.t = scipy.linalg.schur(a, output="complex", check_finite=False)[0]
+            self.eigenvalues = np.diagonal(self.t)
         else:
-            blocks.extend(_complex_blocks(ts[:m, :m], [(value, band)]))
-    return blocks
+            gees = scipy.linalg.lapack.dgees
+            lwork = int(gees(_no_sort, a, compute_v=0, lwork=-1)[-2][0])
+            t, _, wr, wi, _, _, info = gees(_no_sort, a, compute_v=0, lwork=lwork)
+            if info != 0:
+                raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+            self.t, self.eigenvalues = t, wr + 1j * wi
 
+    def multiplicities(
+        self, clusters: list[tuple[complex, float]], rank_factor: float = 1e4
+    ) -> list[tuple[int, int]]:
+        """Algebraic and geometric multiplicity of each eigenvalue cluster
+        ``(value, band)``: the eigenvalues within distance ``band`` of
+        ``value``.
 
-def cluster_multiplicities(
-    a: np.ndarray, clusters: list[tuple[complex, float]], rank_factor: float = 1e4
-) -> list[tuple[int, int]]:
-    """Algebraic and geometric multiplicity of each eigenvalue cluster
-    ``(value, band)`` of ``a``: its eigenvalues within distance ``band``
-    of ``value``.
-
-    One Schur form of ``a`` serves every cluster, real for a real ``a``
-    (``dgees``) and complex otherwise (``zgees``).  Per cluster a copy of
-    it is reordered with LAPACK ``trsen`` (the reordering ``gees`` runs
-    for a sorted Schur form) so that the cluster fills the leading block
-    of ``T = [[T11, T12], [0, T22]]``; in the real form a conjugate
-    partner outside the cluster is then split off by a complex Schur form
-    of T11 alone.  ``T22 - value*I`` is invertible, so the eigenspace
-    dimension of the full matrix equals ``dim ker(T11 - value*I)``.
-    """
-    a = np.asarray(a)
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("cluster multiplicities need a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if n == 0:
-        return [(0, 0)] * len(clusters)
-    blocks = (_complex_blocks if np.iscomplexobj(a) else _real_blocks)(a, clusters)
-    out = []
-    for (value, band), block in zip(clusters, blocks):
-        sdim = block.shape[0]
-        if sdim == 0:
-            out.append((0, 0))
-            continue
-        svals = scipy.linalg.svdvals(block - value * np.eye(sdim))
-        # Two zero scales compete inside the block: roundoff relative to the
-        # block itself, and the cluster radius (eigenvalues may sit anywhere
-        # within `band` of `value` and still belong to the eigenspace at this
-        # resolution).  Jordan coupling shows up as O(1) entries, far above
-        # either.
-        out.append((sdim, sdim - svd_rank(svals, sdim, rank_factor, 10.0 * band)))
-    return out
+        Per cluster a copy of the form is reordered with LAPACK ``trsen``
+        (the reordering ``gees`` runs for a sorted Schur form) so that the
+        cluster fills the leading block of ``T = [[T11, T12], [0, T22]]``;
+        in the real form a conjugate partner outside the cluster is then
+        split off by a complex Schur form of T11 alone.  ``T22 - value*I``
+        is invertible, so the eigenspace dimension of the matrix equals
+        ``dim ker(T11 - value*I)``.
+        """
+        out = []
+        for value, band in clusters:
+            if np.iscomplexobj(self.t):
+                block = _complex_block(self.t, value, band)
+            else:
+                block = _real_block(self.t, self.eigenvalues, value, band)
+            sdim = block.shape[0]
+            if sdim == 0:
+                out.append((0, 0))
+                continue
+            svals = scipy.linalg.svdvals(block - value * np.eye(sdim))
+            # Two zero scales compete inside the block: roundoff relative to the
+            # block itself, and the cluster radius (eigenvalues may sit anywhere
+            # within `band` of `value` and still belong to the eigenspace at this
+            # resolution).  Jordan coupling shows up as O(1) entries, far above
+            # either.
+            out.append((sdim, sdim - svd_rank(svals, sdim, rank_factor, 10.0 * band)))
+        return out
 
 
 def cluster_multiplicity(
@@ -167,5 +177,5 @@ def cluster_multiplicity(
 ) -> tuple[int, int]:
     """Algebraic and geometric multiplicity of the eigenvalue cluster of
     ``a`` within distance ``band`` of ``value``; the one-cluster case of
-    ``cluster_multiplicities``."""
-    return cluster_multiplicities(a, [(value, band)], rank_factor)[0]
+    ``SchurForm.multiplicities``."""
+    return SchurForm(a).multiplicities([(value, band)], rank_factor)[0]

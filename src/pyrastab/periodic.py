@@ -51,7 +51,7 @@ from .errors import (
     NumericalError,
     SingularMonodromyError,
 )
-from .linalg import cluster_multiplicities, cluster_multiplicity, spectral_norm
+from .linalg import SchurForm, cluster_multiplicity, spectral_norm
 from .problems import PeriodicLinearProblem
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -467,10 +467,12 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     Works for both monodromy flavors.  Geometric multiplicity of a
     nontrivial cluster comes from the Schur-based rank of the cluster
     block, which stays meaningful for the non-normal matrices the delay
-    discretization produces.
+    discretization produces.  One Schur form gives both the spectrum and
+    those multiplicities.
     """
     mat = np.asarray(monodromy.matrix)
-    eigs = np.linalg.eigvals(mat)
+    form = SchurForm(mat)
+    eigs = form.eigenvalues
     outside = int(np.sum(np.abs(eigs) > 1.0 + tol.tol_circle))
     on_circle = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol.tol_circle))
     # greedy clustering: each multiplier joins the first cluster whose
@@ -488,14 +490,14 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
         members[i].append(e)
         centres[i] = np.mean(members[i])
 
-    # one real Schur form (of a real monodromy) for the unit cluster and
-    # every repeated multiplier
+    # the same real Schur form (of a real monodromy) for the unit cluster
+    # and every repeated multiplier
     values = [complex(c) for c in centres[: len(members)]]
     wanted = [(1.0 + 0.0j, tol.tol_one)] + [
         (v, max(abs(z - v) for z in c) + tol.tol_one * max(1.0, abs(v)))
         for v, c in zip(values, members) if len(c) > 1
     ]
-    counts = iter(cluster_multiplicities(mat, wanted, tol.rank_factor))
+    counts = iter(form.multiplicities(wanted, tol.rank_factor))
     unit_alg, unit_geo = next(counts)
     entries = []
     for v, c in zip(values, members):

@@ -105,6 +105,9 @@ class HistorySegment:
 
 
 _HISTORY_SAMPLES = 33
+# most RK4 steps one run may take, per delay or in all: the state and
+# derivative arrays are allocated up front, 16 n bytes per step
+_MAX_STEPS = 10**6
 
 
 def perturbed_history(
@@ -184,9 +187,11 @@ def integrate(
 
     The step is rounded down so that it divides the delay: delayed grid
     values are prior grid values, delayed stage midpoints are dense-output
-    midpoints of prior intervals.  A non-finite or oversized state stops
-    the run and is reported through `blown_at` rather than raising: a
-    blow-up is a legitimate (unstable) outcome.
+    midpoints of prior intervals.  A run needing more than ``_MAX_STEPS``
+    steps is refused with `InputError` before anything is allocated.  A
+    non-finite or oversized state stops the run and is reported through
+    `blown_at` rather than raising: a blow-up is a legitimate (unstable)
+    outcome.
 
     A `LinearField` takes the affine interval march (`_affine_march`),
     which calls no field: its step maps are built once, each interval's
@@ -207,9 +212,16 @@ def integrate(
         dt = delay / 64.0
     if not 0.0 < dt <= delay:
         raise InputError("dt must lie in (0, delay]")
-    m = int(math.ceil(delay / dt - 1e-12))
+    # clamped first, so that an overflowing ratio neither reaches ceil nor
+    # a step count beyond the cap reaches an allocation
+    m = math.ceil(min(delay / dt, _MAX_STEPS + 1) - 1e-12)
     h = delay / m
-    steps = int(math.ceil(t_end / h - 1e-12))
+    steps = math.ceil(min(t_end / h, _MAX_STEPS + 1) - 1e-12)
+    if max(m, steps) > _MAX_STEPS:
+        raise InputError(
+            f"dt = {dt:g} with delay {delay:g} and t_end = {t_end:g} needs more than "
+            f"{_MAX_STEPS} steps"
+        )
 
     def rhs(t: float, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
         return np.asarray(field(x, t), dtype=float) + gain @ (x - xd)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from pyrastab import cli, periodic
+from pyrastab import cli, periodic, simulate
 from pyrastab.benchmarks import get_case
 from pyrastab.cli import main
 from pyrastab.problemio import document_digest
@@ -482,6 +482,29 @@ def test_simulate_rejects_a_negative_seed(case_file, capsys):
     assert code == 2 and out == ""
     assert err.startswith("input error:")
     assert "seed" in err
+
+
+class _NoEmpty:
+    """numpy as ``simulate`` sees it, except that ``np.empty`` fails."""
+
+    def __getattr__(self, name):
+        if name == "empty":
+            raise AssertionError("simulate allocated its step arrays")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("extra", [["--dt", "1e-300"], ["--dt", "5e-324"],
+                                   ["--horizon", "1e12"]])
+def test_simulate_refuses_a_step_count_beyond_the_cap(case_file, capsys, monkeypatch, extra):
+    # 1e-300 used to die in np.empty with "Maximum allowed dimension
+    # exceeded"; a subnormal dt overflows delay / dt to inf; a long horizon
+    # at the default dt asks for 1e14 steps.  All are refused before the
+    # arrays are allocated.
+    monkeypatch.setattr(simulate, "np", _NoEmpty())
+    code, out, err = _run(capsys, ["simulate", case_file("scalar-basic"), *extra])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+    assert f"more than {simulate._MAX_STEPS} steps" in err
 
 
 def test_simulate_first_step_blow_up_has_no_growth_rate(tmp_path, capsys):

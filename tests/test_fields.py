@@ -120,13 +120,16 @@ def test_trig_coefficient_validates_input():
 
 
 def _direct_batch(coeff, times):
-    """The one-level phase table: one exp per (time, mode)."""
+    """The one-level phase table from the public samples alone: its own
+    transform, its own weights (1 at k = 0 and at an even m's Nyquist mode,
+    2 elsewhere), one exp per (time, mode)."""
     times = np.asarray(times, dtype=float)
-    n = coeff.dimension
-    k = np.arange(coeff._coef.shape[0])
-    phase = coeff._weights * np.exp(2j * np.pi * k * (times[:, None] / coeff.period))
-    vals = phase @ coeff._coef.reshape(len(k), n * n)
-    return vals.real.reshape(len(times), n, n) / coeff._m
+    m, n = coeff.samples.shape[:2]
+    coef = np.fft.rfft(coeff.samples.reshape(m, n * n), axis=0)
+    k = np.arange(len(coef))
+    weights = np.where((k == 0) | (2 * k == m), 1.0, 2.0)
+    phase = weights * np.exp(2j * np.pi * k * (times[:, None] / coeff.period))
+    return (phase @ coef).real.reshape(len(times), n, n) / m
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,8 +145,9 @@ def _direct_batch(coeff, times):
 @example(2, 1, False, 1, [3.99, 0.5], [1])
 @example(3, 3, True, 2, [-3.0, 4.0], [])
 @example(4, 2, False, 3, [1.0, 1.0], [0])
+@example(6, 2, False, 7, [0.4, -2.2, 3.7], [1])  # 4 = 2 x 2 modes: no padding
 @example(64, 2, True, 4, [0.25, -1.7, 3.3], [2])
-@example(256, 2, False, 5, [-3.0, 3.9, 0.0], [1])
+@example(256, 2, False, 5, [-3.0, 3.9, 0.0], [1])  # 129 modes padded to 12 x 11
 @example(256, 1, False, 6, [], [])
 def test_trig_batch_matches_one_level_phase_table(m, n, smooth, seed, fractions, repeats):
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@
 Multiplicity oracles are built by conjugating known Jordan structures
 with random well-conditioned similarity transforms, so both the
 algebraic and geometric answers are known exactly.  The one-Schur-form
-``cluster_multiplicities`` is also compared with one sorted Schur form
+``SchurForm.multiplicities`` is also compared with one sorted Schur form
 per cluster, in the matrix's own arithmetic, kept here as
 ``sorted_schur_multiplicity``.  A real matrix needs the real oracle: where
 a defective block splits under rounding by more than the band (about
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from pyrastab.errors import NumericalError
 from pyrastab.linalg import (
-    cluster_multiplicities,
+    SchurForm,
     cluster_multiplicity,
     kernel_basis,
     spectral_norm,
@@ -208,7 +208,7 @@ def test_cluster_multiplicities_reject_non_finite_matrices(bad, dtype):
     a = np.eye(3, dtype=dtype)
     a[1, 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        cluster_multiplicities(a, [(1.0 + 0.0j, 1e-6)])
+        SchurForm(a).multiplicities([(1.0 + 0.0j, 1e-6)])
 
 # --- the one rank rule ------------------------------------------------------
 
@@ -282,11 +282,28 @@ def test_cluster_multiplicities_match_sorted_schur_oracle(case):
         want = [sorted_schur_multiplicity(a, v, b, rank_factor) for v, b in clusters]
     except NumericalError:
         with pytest.raises(NumericalError):
-            cluster_multiplicities(a, clusters, rank_factor)
+            SchurForm(a).multiplicities(clusters, rank_factor)
         return
-    assert cluster_multiplicities(a, clusters, rank_factor) == want
+    assert SchurForm(a).multiplicities(clusters, rank_factor) == want
     assert [cluster_multiplicity(a, v, b, rank_factor) for v, b in clusters] == want
 
 
 def test_cluster_multiplicities_of_no_cluster_is_empty():
-    assert cluster_multiplicities(np.eye(3), []) == []
+    assert SchurForm(np.eye(3)).multiplicities([]) == []
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_schur_form_eigenvalues_match_eigvals(n, dtype):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    got = SchurForm(a).eigenvalues
+    want = np.linalg.eigvals(a)
+    assert got.shape == want.shape == (n,)
+    if n:
+        # Gaussian draws have well separated eigenvalues: match each to the nearest
+        gap = np.abs(got[:, None] - want[None, :])
+        assert sorted(np.argmin(gap, axis=1)) == list(range(n))
+        assert np.max(np.min(gap, axis=1)) <= 1e-12 * np.linalg.norm(a, 2)

@@ -5,9 +5,11 @@ monodromies via the matrix exponential; a genuinely time-dependent
 benchmark with known Floquet form is built by conjugating a constant
 generator with an explicit periodic similarity.  ``multipliers`` is also
 compared with the clustering loop and per-cluster sorted Schur forms it
-replaced, kept here as ``_former_multipliers``.
+replaced, kept here as ``_former_multipliers`` and fed the spectrum of its
+own Schur form.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -499,12 +501,22 @@ def test_multiplier_report_unit_cluster():
     assert (rep.unit_algebraic, rep.unit_geometric) == (2, 2)
 
 
-def _former_multipliers(mat, tol=DEFAULT, floor=None):
-    """Oracle: the report built with one np.mean per (multiplier, cluster)
-    pair and one sorted Schur form per cluster."""
+def _schur_spectrum(mat):
+    """The eigenvalues of one Schur form of ``mat``, taken with its Schur
+    vectors: ``wr + i wi`` of a real form, the diagonal of a complex one."""
+    if np.iscomplexobj(mat):
+        return np.diagonal(scipy.linalg.schur(mat, output="complex")[0])
+    _, _, wr, wi, _, _, info = scipy.linalg.lapack.dgees(lambda x, y: None, mat)
+    assert info == 0
+    return wr + 1j * wi
+
+
+def _former_multipliers(mat, tol=DEFAULT, floor=None, spectrum=_schur_spectrum):
+    """Oracle: the report built on ``spectrum(mat)`` with one np.mean per
+    (multiplier, cluster) pair and one sorted Schur form per cluster."""
     if floor is None:
         floor = tol.mu_floor
-    eigs = np.linalg.eigvals(mat)
+    eigs = spectrum(mat)
     outside = int(np.sum(np.abs(eigs) > 1.0 + tol.tol_circle))
     on_circle = int(np.sum(np.abs(np.abs(eigs) - 1.0) <= tol.tol_circle))
     unit_alg, unit_geo = sorted_schur_multiplicity(mat, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
@@ -545,6 +557,28 @@ def test_multipliers_match_former_report_on_dde_matrices(name):
         for floor in (None, 1e-6):
             want = _former_multipliers(mat, floor=floor)
             assert multipliers(SimpleNamespace(matrix=mat), _floored(floor)) == want
+
+
+@pytest.mark.parametrize(
+    "name", ["center-periodic", "orbit-unstable", "orbit-neutral", "diag-periodic",
+             "trig-periodic"])
+def test_schur_spectrum_keeps_the_eigvals_report_up_to_rounding(name):
+    # The report reads its spectrum off the real Schur form (dgees, no
+    # balancing); the report built on np.linalg.eigvals (dgeev, balanced)
+    # has the same counts, clusters and multiplicities, and values within
+    # 1e-13 ||M||: 8.7e-15 ||M|| at most, on center-periodic, whose
+    # ||M|| = 6.1e5 comes from its multiplier 2.9e5.
+    prob = get_case(name).problem()
+    for nodes in (16, 32):
+        mat = dde_monodromy(prob, nodes=nodes).matrix
+        got = multipliers(SimpleNamespace(matrix=mat))
+        want = _former_multipliers(mat, spectrum=np.linalg.eigvals)
+        assert got.entries and len(got.entries) == len(want.entries)
+        assert [(e.algebraic, e.geometric) for e in got.entries] == [
+            (e.algebraic, e.geometric) for e in want.entries]
+        assert dataclasses.replace(got, entries=want.entries) == want
+        shift = max(abs(g.value - w.value) for g, w in zip(got.entries, want.entries))
+        assert shift <= 1e-13 * want.norm_bound
 
 
 
