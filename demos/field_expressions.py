@@ -2,8 +2,8 @@
 
 The expression front end: parse once, evaluate and differentiate exactly.
 
-Vector fields enter as one source string per component over variables
-x1..xN, time t, and named parameters.  Parsing builds a small syntax
+Autonomous vector fields f(x) enter as one source string per component
+over the variables x1..xN and named parameters.  Parsing builds a small syntax
 tree; evaluation and forward-mode differentiation walk the same tree, so
 the Jacobian is exact (no finite-difference step to choose) and the
 printer emits a canonical form that re-parses to the identical tree --

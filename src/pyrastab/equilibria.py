@@ -93,7 +93,7 @@ class CharacteristicMatrix:
             raise InputError(
                 f"gain shape {k.shape} does not match jacobian shape {j.shape}"
             )
-        if not (np.all(np.isfinite(j.real)) and np.all(np.isfinite(k.real))):
+        if not (np.all(np.isfinite(j)) and np.all(np.isfinite(k))):
             raise InputError("jacobian and gain must be finite")
         delay = float(self.delay)
         if not np.isfinite(delay) or delay <= 0.0:

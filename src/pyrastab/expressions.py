@@ -1,9 +1,11 @@
 """Arithmetic expression trees with exact forward-mode derivatives.
 
-Right-hand sides can be given as strings over the variables ``x1 .. xN``,
-time ``t``, named parameters, the operators ``+ - * / ^`` (``^`` restricted
-to integer literal exponents) and the functions ``sin cos exp log sqrt
-tanh``.  Precedence is ``^`` over unary ``-`` over ``* /`` over ``+ -``.
+Right-hand sides of an autonomous field x' = f(x) can be given as strings
+over the variables ``x1 .. xN``, named parameters, the operators ``+ - * /
+^`` (``^`` restricted to integer literal exponents) and the functions ``sin
+cos exp log sqrt tanh``.  Precedence is ``^`` over unary ``-`` over ``* /``
+over ``+ -``.  The grammar has no time variable: ``t`` is an identifier like
+any other, unknown unless declared as a parameter.
 
 Parsing produces a small immutable AST.  Evaluation is done in dual-number
 style: one pass yields the value together with the exact partial derivative
@@ -24,7 +26,6 @@ __all__ = [
     "Expr",
     "Num",
     "Var",
-    "TimeVar",
     "Param",
     "Neg",
     "Add",
@@ -34,7 +35,6 @@ __all__ = [
     "Pow",
     "Call",
     "FUNCTIONS",
-    "RESERVED",
     "parse",
     "evaluate",
     "value_and_partial",
@@ -63,11 +63,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     index: int  # 0-based; prints as x{index+1}
-
-
-@dataclass(frozen=True)
-class TimeVar:
-    pass
 
 
 @dataclass(frozen=True)
@@ -116,12 +111,9 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Num, Var, TimeVar, Param, Neg, Add, Sub, Mul, Div, Pow, Call]
+Expr = Union[Num, Var, Param, Neg, Add, Sub, Mul, Div, Pow, Call]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
-
-#: identifiers that parameter names must not shadow
-RESERVED = frozenset(FUNCTIONS) | {"t"}
 
 _VAR_RE = re.compile(r"^x([0-9]+)$")
 
@@ -269,8 +261,6 @@ class _Parser:
             if len(args) != 1:
                 self.fail(f"{name} takes 1 argument, got {len(args)}", pos)
             return Call(name, args[0])
-        if name == "t":
-            return TimeVar()
         m = _VAR_RE.match(name)
         if m:
             index = int(m.group(1))
@@ -287,43 +277,41 @@ class _Parser:
 
 
 def parse(source: str, dim: int, params=()) -> Expr:
-    """Parse one component expression over x1..x{dim}, t and `params`."""
+    """Parse one component expression over x1..x{dim} and `params`."""
     return _Parser(source, dim, params).parse()
 
 
-def _dual(node: Expr, x, t: float, params, seed: int):
+def _dual(node: Expr, x, params, seed: int):
     """Return (value, d value / d x_seed); seed=-1 tracks nothing."""
     if isinstance(node, Num):
         return node.value, 0.0
     if isinstance(node, Var):
         return float(x[node.index]), 1.0 if node.index == seed else 0.0
-    if isinstance(node, TimeVar):
-        return float(t), 0.0
     if isinstance(node, Param):
         return float(params[node.name]), 0.0
     if isinstance(node, Neg):
-        v, d = _dual(node.arg, x, t, params, seed)
+        v, d = _dual(node.arg, x, params, seed)
         return -v, -d
     if isinstance(node, Add):
-        va, da = _dual(node.left, x, t, params, seed)
-        vb, db = _dual(node.right, x, t, params, seed)
+        va, da = _dual(node.left, x, params, seed)
+        vb, db = _dual(node.right, x, params, seed)
         return va + vb, da + db
     if isinstance(node, Sub):
-        va, da = _dual(node.left, x, t, params, seed)
-        vb, db = _dual(node.right, x, t, params, seed)
+        va, da = _dual(node.left, x, params, seed)
+        vb, db = _dual(node.right, x, params, seed)
         return va - vb, da - db
     if isinstance(node, Mul):
-        va, da = _dual(node.left, x, t, params, seed)
-        vb, db = _dual(node.right, x, t, params, seed)
+        va, da = _dual(node.left, x, params, seed)
+        vb, db = _dual(node.right, x, params, seed)
         return va * vb, da * vb + va * db
     if isinstance(node, Div):
-        va, da = _dual(node.left, x, t, params, seed)
-        vb, db = _dual(node.right, x, t, params, seed)
+        va, da = _dual(node.left, x, params, seed)
+        vb, db = _dual(node.right, x, params, seed)
         if vb == 0.0:
             raise DomainError("division by zero")
         return va / vb, (da * vb - va * db) / (vb * vb)
     if isinstance(node, Pow):
-        vb, db = _dual(node.base, x, t, params, seed)
+        vb, db = _dual(node.base, x, params, seed)
         n = node.exponent
         if n == 0:
             return 1.0, 0.0
@@ -336,7 +324,7 @@ def _dual(node: Expr, x, t: float, params, seed: int):
             raise DomainError(f"overflow in power: {vb!r}^{n}") from exc
         return v, d
     if isinstance(node, Call):
-        va, da = _dual(node.arg, x, t, params, seed)
+        va, da = _dual(node.arg, x, params, seed)
         try:
             if node.name == "sin":
                 return math.sin(va), math.cos(va) * da
@@ -363,13 +351,13 @@ def _dual(node: Expr, x, t: float, params, seed: int):
     raise AssertionError(f"unhandled node {node!r}")
 
 
-def evaluate(node: Expr, x, t: float = 0.0, params=None) -> float:
-    return _dual(node, x, t, params or {}, -1)[0]
+def evaluate(node: Expr, x, params=None) -> float:
+    return _dual(node, x, params or {}, -1)[0]
 
 
-def value_and_partial(node: Expr, x, t: float, params, index: int):
+def value_and_partial(node: Expr, x, params, index: int):
     """Value together with the exact partial d/d x_{index+1} (0-based index)."""
-    return _dual(node, x, t, params or {}, index)
+    return _dual(node, x, params or {}, index)
 
 
 # printing -------------------------------------------------------------
@@ -403,8 +391,6 @@ def to_source(node: Expr) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return f"x{node.index + 1}"
-    if isinstance(node, TimeVar):
-        return "t"
     if isinstance(node, Param):
         return node.name
     if isinstance(node, Neg):

@@ -1,17 +1,18 @@
 """Vector fields and periodic coefficient matrices.
 
-Three field flavors cover everything the analyses need: fields parsed from
-expression strings (with exact forward-mode Jacobians), plain linear
-fields, and linear fields with a time-periodic coefficient.  Periodic
-coefficients known only through uniform samples are reconstructed by
-trigonometric interpolation.  The two coefficient classes evaluate a
-whole array of times at once through ``batch``; their scalar call is the
-one-time case of it.
+Three field flavors cover everything the analyses need: autonomous fields
+f(x) parsed from expression strings (with exact forward-mode Jacobians),
+autonomous linear fields f(x) = A x, and time-periodic coefficients A(t)
+of linear fields.  Periodic coefficients known only through uniform
+samples are reconstructed by trigonometric interpolation.  The two
+coefficient classes evaluate a whole array of times at once through
+``batch``; their scalar call is the one-time case of it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -47,18 +48,18 @@ class ExpressionField:
     def source_strings(self) -> tuple[str, ...]:
         return tuple(ex.to_source(c) for c in self.components)
 
-    def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         pm = self.param_map
         out = np.empty(self.dimension)
         for i, comp in enumerate(self.components):
             try:
-                out[i] = ex.evaluate(comp, x, t, pm)
+                out[i] = ex.evaluate(comp, x, pm)
             except ex.DomainError as err:
-                raise ex.DomainError(f"component {i + 1}: {err}") from None
+                raise ex.DomainError(f"expressions[{i}]: {err}") from None
         return out
 
-    def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         pm = self.param_map
         n = self.dimension
@@ -66,36 +67,44 @@ class ExpressionField:
         for i, comp in enumerate(self.components):
             for j in range(n):
                 try:
-                    _, jac[i, j] = ex.value_and_partial(comp, x, t, pm, j)
+                    _, jac[i, j] = ex.value_and_partial(comp, x, pm, j)
                 except ex.DomainError as err:
-                    raise ex.DomainError(f"component {i + 1}: {err}") from None
+                    raise ex.DomainError(f"expressions[{i}]: {err}") from None
         return jac
 
 
 def parse_field(
-    sources: Sequence[str], params: Mapping[str, float] | None = None
+    expressions: Sequence[str], params: Mapping[str, float] | None = None
 ) -> ExpressionField:
-    """Parse one expression per component into a field of matching dimension."""
-    sources = list(sources)
-    if not sources:
+    """Parse one expression per component into a field of matching dimension.
+
+    An error names the offending entry as ``expressions[i]`` or
+    ``params.<name>``, so a caller reading them from a document can prefix
+    its own path.  A parameter may not be named like a function or a state
+    variable ``x1, x2, ...``, which would shadow it or be shadowed.
+    """
+    expressions = list(expressions)
+    if not expressions:
         raise InputError("a field needs at least one component expression")
     pm: dict[str, float] = {}
     for name, value in (params or {}).items():
         if not isinstance(name, str) or not name.isidentifier():
-            raise InputError(f"parameter name {name!r} is not an identifier")
-        if name in ex.RESERVED:
-            raise InputError(f"parameter name {name!r} is reserved")
+            raise InputError(f"params.{name}: {name!r} is not an identifier")
+        if name in ex.FUNCTIONS or re.fullmatch(r"x[0-9]+", name):
+            raise InputError(
+                f"params.{name}: {name!r} names a function or a state variable"
+            )
         value = float(value)
         if not np.isfinite(value):
-            raise InputError(f"parameter {name!r} must be finite")
+            raise InputError(f"params.{name}: must be finite")
         pm[name] = value
-    dim = len(sources)
+    dim = len(expressions)
     comps = []
-    for i, src in enumerate(sources):
+    for i, src in enumerate(expressions):
         try:
             comps.append(ex.parse(src, dim, tuple(pm)))
         except ex.ParseError as err:
-            raise InputError(f"component {i + 1}: {err}") from None
+            raise InputError(f"expressions[{i}]: {err}") from None
     return ExpressionField(tuple(comps), tuple(sorted(pm.items())))
 
 
@@ -119,10 +128,10 @@ class LinearField:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def __call__(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float)
 
-    def jacobian(self, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.copy()
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +22,7 @@ import numpy as np
 from .benchmarks import builtin_field
 from .equilibria import Region
 from .errors import InputError
+from .expressions import DomainError
 from .fields import (
     ConstantCoefficient,
     ExpressionField,
@@ -160,17 +160,9 @@ def _parse_field(spec, kind: str, dimension: int, path: str):
             for key, val in pm.items():
                 params[key] = _require_number(val, f"{path}.params.{key}")
         try:
-            field = parse_field(exprs, params)
-        except InputError as err:
-            raise InputError(f"{path}.expressions: {err}") from None
-        # the equilibrium analyses linearize an autonomous field; time-dependent
-        # linear dynamics are periodic-linear documents
-        for i, src in enumerate(field.source_strings()):
-            if re.search(r"\bt\b", src):
-                raise InputError(
-                    f"{path}.expressions[{i}]: an equilibrium field must not depend on t"
-                )
-        return field
+            return parse_field(exprs, params)
+        except InputError as err:  # it names expressions[i] or params.<name>
+            raise InputError(f"{path}.{err}") from None
     if variant == "matrix":
         mat = _require_matrix(spec["matrix"], dimension, f"{path}.matrix")
         return LinearField(mat) if kind == "equilibrium" else ConstantCoefficient(mat)
@@ -271,17 +263,23 @@ def build_problem(doc: ProblemDocument):
     """Construct the problem object a document describes.
 
     For equilibrium documents the declared point must actually be an
-    equilibrium of the field: the residual over one delay interval is
-    checked against tol_eq.
+    equilibrium of the field: the residual |f(point)| is checked against
+    tol_eq.  The field and its Jacobian must be defined there; an
+    expression that leaves its domain is reported by its JSON path.
     """
     feedback = DelayFeedback(doc.gain, doc.delay)
     if doc.kind == "periodic-linear":
         return PeriodicLinearProblem(doc.field, doc.period, feedback)
     problem = EquilibriumProblem(doc.field, doc.point, feedback)
-    residual = validate_equilibrium(problem)
+    try:
+        residual = validate_equilibrium(problem)
+        problem.jacobian()
+    except DomainError as err:  # it names expressions[i]
+        where = "$.field.builtin: " if "builtin" in doc.raw["field"] else "$.field."
+        raise InputError(f"{where}{err}") from None
     if residual > doc.tolerances.tol_eq:
         raise InputError(
-            f"$.point: residual |f(point, t)| = {residual:.3e} exceeds "
+            f"$.point: residual |f(point)| = {residual:.3e} exceeds "
             f"tol_eq = {doc.tolerances.tol_eq:.1e}; not an equilibrium"
         )
     return problem

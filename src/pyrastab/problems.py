@@ -97,7 +97,7 @@ class EquilibriumProblem:
         return len(self.point)
 
     def jacobian(self) -> np.ndarray:
-        return np.asarray(self.field.jacobian(self.point, 0.0), dtype=float)
+        return np.asarray(self.field.jacobian(self.point), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,12 @@ class PeriodicLinearProblem:
         return out
 
 
-_EQUILIBRIUM_SAMPLES = 16
-
-
 def validate_equilibrium(problem: EquilibriumProblem) -> float:
-    """Largest field residual ||f(x*, t)|| over ``_EQUILIBRIUM_SAMPLES``
-    equispaced t in [0, delay].
+    """The field residual ||f(x*)|| at the problem's point.
 
     Returns the residual; the caller decides whether it passes tol_eq.
     """
-    worst = 0.0
-    for t in np.linspace(0.0, problem.feedback.delay, _EQUILIBRIUM_SAMPLES):
-        fx = np.asarray(problem.field(problem.point, float(t)), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise InputError(f"field is not finite at the point (t={t:g})")
-        worst = max(worst, float(np.linalg.norm(fx)))
-    return worst
+    fx = np.asarray(problem.field(problem.point), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise InputError("field is not finite at the point")
+    return float(np.linalg.norm(fx))

@@ -2,7 +2,7 @@
 
 The controlled equation is
 
-    x'(t) = f(x(t), t) + K [x(t) - x(t - T)],
+    x'(t) = f(x(t)) + K [x(t) - x(t - T)],
 
 integrated with classical RK4 on a uniform grid whose step divides the
 delay exactly, so the delayed argument at grid points lands on a stored
@@ -176,16 +176,17 @@ class Trajectory:
 
 
 def integrate(
-    field: Callable[[np.ndarray, float], np.ndarray],
+    field: Callable[[np.ndarray], np.ndarray],
     feedback: DelayFeedback,
     history: HistorySegment,
     t_end: float,
     dt: Optional[float] = None,
     blow_up: float = 1e9,
 ) -> Trajectory:
-    """Integrate x' = f(x,t) + K[x(t) - x(t-T)] from a history segment.
+    """Integrate x' = f(x) + K[x(t) - x(t-T)] from a history segment.
 
-    The step is rounded down so that it divides the delay: delayed grid
+    ``field`` is the autonomous right-hand side, called as ``field(x)``;
+    time enters only through the delayed state.  The step is rounded down so that it divides the delay: delayed grid
     values are prior grid values, delayed stage midpoints are dense-output
     midpoints of prior intervals.  A run needing more than ``_MAX_STEPS``
     steps is refused with `InputError` before anything is allocated.  A
@@ -223,8 +224,8 @@ def integrate(
             f"{_MAX_STEPS} steps"
         )
 
-    def rhs(t: float, x: np.ndarray, xd: np.ndarray) -> np.ndarray:
-        return np.asarray(field(x, t), dtype=float) + gain @ (x - xd)
+    def rhs(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
+        return np.asarray(field(x), dtype=float) + gain @ (x - xd)
 
     xs = np.empty((steps + 1, n))
     fs = np.empty((steps + 1, n))
@@ -252,7 +253,7 @@ def integrate(
         t = j * h
         jb = j - m  # index of t - T on the grid
         d_node = delayed_point(jb)
-        fs[j] = rhs(t, xs[j], d_node)
+        fs[j] = rhs(xs[j], d_node)
         k1 = fs[j]
         if jb + 1 <= 0:
             d_mid = history((jb + 0.5) * h)
@@ -260,9 +261,9 @@ def integrate(
             # both endpoints of the delayed interval are already computed
             d_mid = 0.5 * (xs[jb] + xs[jb + 1]) + (h / 8.0) * (fs[jb] - fs[jb + 1])
         d_end = delayed_point(jb + 1)
-        k2 = rhs(t + 0.5 * h, xs[j] + 0.5 * h * k1, d_mid)
-        k3 = rhs(t + 0.5 * h, xs[j] + 0.5 * h * k2, d_mid)
-        k4 = rhs(t + h, xs[j] + h * k3, d_end)
+        k2 = rhs(xs[j] + 0.5 * h * k1, d_mid)
+        k3 = rhs(xs[j] + 0.5 * h * k2, d_mid)
+        k4 = rhs(xs[j] + h * k3, d_end)
         nxt = xs[j] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         finite = bool(np.all(np.isfinite(nxt)))
         if not finite or np.max(np.abs(nxt)) > limit:
@@ -274,7 +275,7 @@ def integrate(
                 last = j
             break
         xs[j + 1] = nxt
-    fs[last] = rhs(last * h, xs[last], delayed_point(last - m))
+    fs[last] = rhs(xs[last], delayed_point(last - m))
     times = np.arange(last + 1) * h
     return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
 

@@ -10,6 +10,7 @@ import scipy.optimize
 from pyrastab import cli, periodic, simulate
 from pyrastab.benchmarks import get_case
 from pyrastab.cli import main
+from pyrastab.fields import ExpressionField
 from pyrastab.problemio import document_digest
 
 
@@ -414,6 +415,36 @@ def test_simulate_consistency_summary(case_file, capsys, tmp_path):
     assert summary["growth_rate"] == pytest.approx(0.30618565556145744, rel=1e-2)
     header = out_csv.read_text().splitlines()[0]
     assert header == "t,x1"
+
+
+def test_simulate_expression_document_runs_the_stage_loop_like_the_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    # every catalog equilibrium is a LinearField, which takes the affine
+    # march; the same scalar field written as an expression takes the stage
+    # loop, and the two documents must tell the same story
+    calls = []
+    original = ExpressionField.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(ExpressionField, "__call__", counted)
+    results = []
+    for field in ({"expressions": ["0.05 * x1"]}, {"matrix": [[0.05]]}):
+        doc = {"kind": "equilibrium", "dimension": 1, "field": field,
+               "gain": [[0.3]], "delay": 6.283185307179586}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["simulate", str(path), "--seed", "5"])
+        assert code == 0 and err == ""
+        results.append(json.loads(out)["results"])
+    stage, affine = results
+    assert calls  # the expression document took the stage loop
+    for key in ("unstable_count", "blown_at", "consistent"):
+        assert stage[key] == affine[key]
+    assert stage["growth_rate"] == pytest.approx(affine["growth_rate"], rel=1e-9)
 
 
 def test_simulate_reports_the_amplitude_it_draws_with(case_file, capsys, monkeypatch):

@@ -123,6 +123,16 @@ def test_characteristic_matrix_validation():
         CharacteristicMatrix(np.zeros((2, 3)), np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["jacobian", "gain"])
+def test_characteristic_matrix_refuses_a_non_finite_imaginary_part(entry, bad):
+    # a finite real part with a nan or inf imaginary part is not finite
+    mats = {"jacobian": np.array([[0.05]]), "gain": np.array([[0.3]])}
+    mats[entry] = mats[entry] + complex(0.0, bad)  # 1j * bad would spoil the real part
+    with pytest.raises(InputError, match="^jacobian and gain must be finite$"):
+        CharacteristicMatrix(mats["jacobian"], mats["gain"], 1.0)
+
+
 def test_residual_is_small_exactly_at_roots():
     cm = scalar_characteristic(0.05, 0.3, 2.0)
     m = _real_root_oracle(0.05, 0.3, 2.0)

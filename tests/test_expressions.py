@@ -23,7 +23,6 @@ from pyrastab.expressions import (
     ParseError,
     Pow,
     Sub,
-    TimeVar,
     Var,
     evaluate,
     parse,
@@ -44,14 +43,18 @@ def test_literals_and_precedence():
 
 
 def test_variables_time_and_params():
-    e = parse("a * x1 + x2 - t", 2, params=("a",))
-    assert evaluate(e, [2.0, 5.0], t=1.5, params={"a": 3.0}) == 2.0 * 3 + 5 - 1.5
+    # the grammar has no time variable: t is an identifier like any other,
+    # unknown unless declared, and a parameter may take the name
+    e = parse("a * x1 + x2 - t", 2, params=("a", "t"))
+    assert evaluate(e, [2.0, 5.0], params={"a": 3.0, "t": 1.5}) == 2.0 * 3 + 5 - 1.5
+    with pytest.raises(ParseError, match="unknown identifier 't'"):
+        parse("a * x1 + x2 - t", 2, params=("a",))
 
 
 def test_function_calls():
-    e = parse("sin(x1) + cos(t) * exp(x1)", 1)
+    e = parse("sin(x1) + cos(x2) * exp(x1)", 2)
     x = 0.3
-    assert evaluate(e, [x], t=2.0) == pytest.approx(
+    assert evaluate(e, [x, 2.0]) == pytest.approx(
         math.sin(x) + math.cos(2.0) * math.exp(x), rel=1e-15
     )
 
@@ -108,14 +111,12 @@ _SAFE_FUNCS = ("sin", "cos", "exp", "tanh")
 def _random_tree(rng, dim, params, depth):
     """Random expression tree restricted to totally defined operations."""
     if depth <= 0:
-        choice = rng.integers(0, 4)
+        choice = rng.integers(0, 3)
         if choice == 0:
             return Num(float(np.round(rng.uniform(-3, 3), 3)))
-        if choice == 1:
-            return Var(int(rng.integers(0, dim)))
         if choice == 2 and params:
             return Param(params[int(rng.integers(0, len(params)))])
-        return TimeVar()
+        return Var(int(rng.integers(0, dim)))
     choice = rng.integers(0, 7)
     if choice == 0:
         return Add(_random_tree(rng, dim, params, depth - 1), _random_tree(rng, dim, params, depth - 1))
@@ -160,19 +161,18 @@ def test_forward_derivatives_match_central_differences():
         dim = int(rng.integers(1, 4))
         tree = _random_tree(rng, dim, params, int(rng.integers(1, 5)))
         x = rng.uniform(-1.5, 1.5, size=dim)
-        t = float(rng.uniform(-1.0, 1.0))
-        value = evaluate(tree, x, t, pmap)
+        value = evaluate(tree, x, pmap)
         if abs(value) > 1e4:
             continue
         for i in range(dim):
-            v, d = value_and_partial(tree, x, t, pmap, i)
+            v, d = value_and_partial(tree, x, pmap, i)
             assert v == value
             h = 1e-5 * max(1.0, abs(x[i]))
             xp = x.copy()
             xm = x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (evaluate(tree, xp, t, pmap) - evaluate(tree, xm, t, pmap)) / (2 * h)
+            fd = (evaluate(tree, xp, pmap) - evaluate(tree, xm, pmap)) / (2 * h)
             if abs(fd) > 1e4:
                 continue
             assert d == pytest.approx(fd, rel=1e-6, abs=1e-6)

@@ -32,22 +32,35 @@ def test_parse_field_rejects_unknown_names():
     assert "y" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "sources, params",
+    [
+        (("x1 * 2",), {"x1": 5.0}),  # would be read as the variable
+        (("x3 + x1",), {"x3": 5.0}),  # would be out of range
+        (("x1",), {"sin": 1.0}),
+    ],
+)
+def test_parse_field_refuses_parameters_named_like_variables_or_functions(sources, params):
+    (name,) = params
+    with pytest.raises(InputError, match=rf"^params\.{name}: "):
+        parse_field(sources, params)
+
+
 def test_expression_jacobian_matches_differences():
     rng = np.random.default_rng(91)
     f = parse_field(
-        ("x2 + a * sin(x1)", "x1 * x2 - x3 ^ 2", "cos(t) - tanh(x3)"),
+        ("x2 + a * sin(x1)", "x1 * x2 - x3 ^ 2", "cos(x1) - tanh(x3)"),
         params={"a": 0.8},
     )
     for _ in range(25):
         x = rng.uniform(-1.0, 1.0, size=3)
-        t = float(rng.uniform(0.0, 6.0))
-        jac = f.jacobian(x, t)
+        jac = f.jacobian(x)
         h = 1e-6
         for i in range(3):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            col = (f(xp, t) - f(xm, t)) / (2 * h)
+            col = (f(xp) - f(xm)) / (2 * h)
             assert jac[:, i] == pytest.approx(col, rel=1e-7, abs=1e-8)
 
 
@@ -63,7 +76,7 @@ def test_linear_field():
     x = np.array([2.0, 3.0])
     assert f(x) == pytest.approx(a @ x)
     assert f.jacobian(x) == pytest.approx(a)
-    assert f.jacobian(10 * x, t=5.0) == pytest.approx(a)  # state independent
+    assert f.jacobian(10 * x) == pytest.approx(a)  # state independent
 
 
 def test_linear_field_validates_shape():

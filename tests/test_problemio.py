@@ -38,6 +38,11 @@ def _scalar_doc(**over):
     return doc
 
 
+def _planar(field):
+    """Mutation to a two-dimensional equilibrium document with ``field``."""
+    return lambda d: d.update(dimension=2, gain=[[0.3, 0.0], [0.0, 0.3]], field=field)
+
+
 def _periodic_doc(**over):
     doc = {
         "kind": "periodic-linear",
@@ -106,6 +111,17 @@ def test_builtin_document():
         (lambda d: d.update(field={}), "$.field"),
         (lambda d: d.update(field={"matrix": [[0.05]], "builtin": "focus"}), "$.field"),
         (lambda d: d.update(field={"expressions": ["x1 +"]}), "$.field.expressions"),
+        (_planar({"expressions": ["x2", "-sin(x1) - q*x2"]}),
+         "$.field.expressions[1]: unknown identifier 'q'"),
+        # f(point) leaves the domain of log; the Jacobian leaves that of sqrt
+        (_planar({"expressions": ["x2", "log(x1)"]}), "$.field.expressions[1]: log"),
+        (_planar({"expressions": ["x2", "sqrt(x1)"]}), "$.field.expressions[1]: sqrt"),
+        (_planar({"expressions": ["x2", "x1 * 2"], "params": {"x1": 5.0}}),
+         "$.field.params.x1: "),
+        (_planar({"expressions": ["x2", "x3 + x1"], "params": {"x3": 5.0}}),
+         "$.field.params.x3: "),
+        (lambda d: d.update(field={"builtin": "scalar-cubic"}, point=[1e103]),
+         "$.field.builtin: expressions[0]: overflow"),
         (lambda d: d.update(gain=[[1.0, 2.0]]), "$.gain"),
         (lambda d: d.update(delay=-1.0), "$.delay"),
         (lambda d: d.update(period=2.0), "$.period"),

@@ -190,9 +190,9 @@ def _field_calls():
     calls = []
     original = LinearField.__call__
 
-    def counted(self, x, t=0.0):
-        calls.append(t)
-        return original(self, x, t)
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
 
     with mock.patch.object(LinearField, "__call__", counted):
         yield calls
@@ -240,7 +240,7 @@ def test_affine_march_matches_stage_loop(run):
     fb = DelayFeedback(gain, hist.delay)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the stage loop's overflow
-        ref = integrate(lambda x, t: matrix @ x, fb, hist, t_end, dt=dt, blow_up=blow_up)
+        ref = integrate(lambda x: matrix @ x, fb, hist, t_end, dt=dt, blow_up=blow_up)
     with _field_calls() as calls:
         got = integrate(LinearField(matrix), fb, hist, t_end, dt=dt, blow_up=blow_up)
     assert calls == []  # every regime drawn takes the affine march
@@ -269,7 +269,7 @@ def test_affine_march_stops_where_the_stage_loop_does():
         hist = HistorySegment.from_constant(point, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ref = integrate(lambda x, t: matrix @ x, fb, hist, 10.0, blow_up=blow_up)
+            ref = integrate(lambda x: matrix @ x, fb, hist, 10.0, blow_up=blow_up)
         got = integrate(LinearField(matrix), fb, hist, 10.0, blow_up=blow_up)
         assert (len(got), got.blown_at) == (len(ref), ref.blown_at)
         assert np.all(np.isfinite(got.states))
@@ -296,7 +296,7 @@ def test_affine_march_matches_stage_loop_over_a_long_run():
     gain = np.array([[0.3, 0.1, 0.0], [0.0, 0.3, 0.0], [0.2, 0.0, 0.2]])
     fb = DelayFeedback(gain, 2.0)
     hist = perturbed_history(np.zeros(3), 2.0, amplitude=1e-3, seed=4)
-    ref = integrate(lambda x, t: a @ x, fb, hist, 800.0)
+    ref = integrate(lambda x: a @ x, fb, hist, 800.0)
     got = integrate(LinearField(a), fb, hist, 800.0)
     assert len(got) == len(ref) == 25601
     assert got.blown_at is None and ref.blown_at is None
