@@ -6,13 +6,15 @@ unambiguous; rectangles whose boundary passes too close to a zero are
 nudged outward by a tiny amount.  Extraction subdivides recursively,
 polishes candidates by Newton steps on the logarithmic derivative, and
 certifies multiplicities by re-counting a small enclosing box, so exact
-multiple roots terminate without infinite refinement.
+multiple roots terminate without infinite refinement.  Where no halving of
+a cell counts consistently, it cuts strips around a root it has certified
+there, after a second Newton start if needed, before giving up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -171,7 +173,8 @@ def _newton(
 ) -> tuple[complex, float] | None:
     """Newton iteration z -> z - 1/dlog(z); returns (root, last step size)
     or None.  Multiple roots converge linearly and then stall at the
-    attainable accuracy; a stalled-but-small step is accepted."""
+    attainable accuracy; a stalled-but-small step is accepted.  A start with
+    dlog = 0 is moved off by 1e-3 of the rectangle's diagonal."""
     z = z0
     cap = 0.45 * rect.diag
     prev = np.inf
@@ -181,8 +184,15 @@ def _newton(
             g = complex(dlog(z))
         except (np.linalg.LinAlgError, ZeroDivisionError):
             return z, 0.0  # iterate landed exactly on a singular point: a root
-        if not (np.isfinite(g.real) and np.isfinite(g.imag)) or g == 0:
-            return None
+        if not (np.isfinite(g.real) and np.isfinite(g.imag)):
+            return z, 0.0  # the inverse overflowed: singular to working precision
+        if g == 0:
+            if z != z0:
+                return None
+            # the start is a critical point of f, as the centre of a cell is
+            # when the roots in it lie symmetrically about that centre
+            z = z0 + 1e-3 * rect.diag * complex(0.6, 0.8)
+            continue
         step = -1.0 / g
         mag = abs(step)
         if mag > cap:
@@ -203,6 +213,36 @@ def _newton(
     return None
 
 
+def _halvings(cell: Rect) -> Iterator[tuple[Rect, Rect]]:
+    """Cuts across the longer side of ``cell`` at a few fractions."""
+    for frac in (0.5, 0.44, 0.56, 0.37, 0.63, 0.3, 0.7):
+        if cell.width >= cell.height:
+            cut = cell.re0 + frac * cell.width
+            yield Rect(cell.re0, cut, cell.im0, cell.im1), Rect(cut, cell.re1, cell.im0, cell.im1)
+        else:
+            cut = cell.im0 + frac * cell.height
+            yield Rect(cell.re0, cell.re1, cell.im0, cut), Rect(cell.re0, cell.re1, cut, cell.im1)
+
+
+def _strips(cell: Rect, z: complex, margin: float) -> Iterator[tuple[Rect, Rect, Rect]]:
+    """Three strips across the longer side of ``cell``, the middle one
+    holding the root ``z`` with ``margin`` on either side, if they fit.
+
+    In a thin cell the long edges are sampled far more coarsely than the
+    cell is wide, so a pair of roots near them can turn the phase by 2 pi
+    between two samples and every halving miscounts; these cuts put a
+    corner of each strip next to z instead."""
+    if cell.width >= cell.height:
+        if cell.re0 < z.real - margin and z.real + margin < cell.re1:
+            a, b = z.real - margin, z.real + margin
+            yield (Rect(cell.re0, a, cell.im0, cell.im1), Rect(a, b, cell.im0, cell.im1),
+                   Rect(b, cell.re1, cell.im0, cell.im1))
+    elif cell.im0 < z.imag - margin and z.imag + margin < cell.im1:
+        a, b = z.imag - margin, z.imag + margin
+        yield (Rect(cell.re0, cell.re1, cell.im0, a), Rect(cell.re0, cell.re1, a, b),
+               Rect(cell.re0, cell.re1, b, cell.im1))
+
+
 def find_roots_rect(
     f: Callable[[np.ndarray], np.ndarray],
     dlog: Callable[[complex], complex],
@@ -219,60 +259,87 @@ def find_roots_rect(
     root with the combined multiplicity.
     """
     min_segment = 1e-13 * scale
-    fractions = (0.5, 0.44, 0.56, 0.37, 0.63, 0.3, 0.7)
+
+    def polish(
+        cell: Rect, count: int, start: complex
+    ) -> tuple[complex | None, tuple[complex, float] | None]:
+        """Newton from ``start``; returns (z, None) when the certification box
+        around z holds all ``count`` zeros of the cell, (None, (z, margin))
+        when it holds fewer, else (None, None)."""
+        polished = _newton(dlog, start, cell, scale)
+        if polished is None:
+            return None, None
+        z, last = polished
+        clearance = cell.distance_to_boundary(z)
+        w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
+        if clearance <= w:
+            # a cut passed within the usual box of z, and so would every
+            # later one: shrink the box to fit this cell
+            w = max(0.5 * clearance, 4.0 * last)
+        if not (clearance > max(w, 1e-9 * scale) and accept(z)):
+            return None, None
+        box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
+        try:
+            inside = winding_count(f, box, w, 1e-3 * w)
+        except BoundaryRootError:
+            return None, None
+        if inside == count:
+            return z, None
+        return None, ((z, 4.0 * w) if inside > 0 else None)
+
+    def split(
+        count: int, candidates: Iterator[tuple[Rect, ...]]
+    ) -> list[tuple[Rect, int]] | None:
+        for parts in candidates:
+            try:
+                counts = [winding_count(f, p, max_spacing, min_segment) for p in parts]
+            except BoundaryRootError:
+                continue
+            if sum(counts) == count:
+                return list(zip(parts, counts))
+        return None
 
     total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget)
     found: list[tuple[complex, int]] = []
-    stack: list[tuple[Rect, int]] = [(outer, total)]
+    # each cell carries the last root certified in it or an ancestor, with the
+    # margin of the strips that may be cut around it
+    stack: list[tuple[Rect, int, tuple[complex, float] | None]] = [(outer, total, None)]
     guard = 0
     while stack:
         guard += 1
         if guard > 20_000:
             raise RootCountError(f"subdivision exploded inside {outer}")
-        cell, count = stack.pop()
+        cell, count, around = stack.pop()
         if count == 0:
             continue
 
-        polished = _newton(dlog, cell.center, cell, scale)
-        if polished is not None:
-            z, last = polished
-            clearance = cell.distance_to_boundary(z)
-            w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
-            if clearance > max(w, 1e-9 * scale) and accept(z):
-                box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
-                try:
-                    inside = winding_count(f, box, w, 1e-3 * w)
-                except BoundaryRootError:
-                    inside = -1
-                if inside == count:
-                    found.append((z, count))
-                    continue
+        root, seen = polish(cell, count, cell.center)
+        if root is not None:
+            found.append((root, count))
+            continue
+        around = seen or around
 
         if cell.diag < 1e-9 * scale:
             raise RootCountError(
                 f"could not resolve {count} zero(s) inside {cell}"
             )
 
-        for frac in fractions:
-            if cell.width >= cell.height:
-                cut = cell.re0 + frac * cell.width
-                a = Rect(cell.re0, cut, cell.im0, cell.im1)
-                b = Rect(cut, cell.re1, cell.im0, cell.im1)
-            else:
-                cut = cell.im0 + frac * cell.height
-                a = Rect(cell.re0, cell.re1, cell.im0, cut)
-                b = Rect(cell.re0, cell.re1, cut, cell.im1)
-            try:
-                na = winding_count(f, a, max_spacing, min_segment)
-                nb = winding_count(f, b, max_spacing, min_segment)
-            except BoundaryRootError:
+        parts = split(count, _halvings(cell))
+        if parts is None and around is not None:
+            parts = split(count, _strips(cell, *around))
+        if parts is None:
+            # Newton from the centre can run off to a root outside the cell
+            # even when the roots inside are close to it; start once more
+            root, seen = polish(cell, count, cell.center + 1e-3 * cell.diag * complex(-0.8, 0.6))
+            if root is not None:
+                found.append((root, count))
                 continue
-            if na + nb == count:
-                stack.append((a, na))
-                stack.append((b, nb))
-                break
-        else:
+            if seen is not None:
+                around = seen
+                parts = split(count, _strips(cell, *around))
+        if parts is None:
             raise RootCountError(f"no admissible split line for {cell}")
+        stack.extend((p, c, around) for p, c in parts)
 
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     return found

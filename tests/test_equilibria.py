@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pyrastab import equilibria
@@ -169,15 +169,15 @@ def test_scalar_dominant_root_corpus():
     assert compared >= 295
 
 
+# a second root at 5.39e-7 + 0.2564i, just right of the axis
+_COMPLEX_GAIN_DRAW = (-0.752, 0.5990557298773392 - 0.5259982549487698j, 4.069,
+                      0.16459023165901276 - 0.7822788468661299j)
+# the other real root is 0.22288614400306234
+_REAL_GAIN_DRAW = (-0.22939416170997928, 0.7523013536340155, 4.1244571396400564,
+                   0.33013482777017694)
 _MISSED_DRAWS = pytest.mark.parametrize(
     "rate, gain, delay, dominant",
-    [
-        # a second root at 5.39e-7 + 0.2564i, just right of the axis
-        (-0.752, 0.5990557298773392 - 0.5259982549487698j, 4.069,
-         0.16459023165901276 - 0.7822788468661299j),
-        # the other real root is 0.22288614400306234
-        (-0.22939416170997928, 0.7523013536340155, 4.1244571396400564, 0.33013482777017694),
-    ],
+    [_COMPLEX_GAIN_DRAW, _REAL_GAIN_DRAW],
     ids=["complex-gain", "real-gain"],
 )
 
@@ -286,6 +286,14 @@ def test_homotopy_trace_keeps_the_resonating_center_marginal():
         )
     )
 )
+@example(([2.2250738585e-313, 0.0, 0.0, 2.0**-7], [0.0] * 4))
+@example(([0.0, 1.0, 2.6738952209221466e-103, 0.0], [0.0] * 4))
+@example(([0.0, 1.0, 2.6738952209221466e-103, 9.638429534905124e-159], [1.0, 0.0, 0.0, 0.0]))
+@example(([0.0, 0.0, 0.0, 4.6141713031849464e-07], [0.5, 0.125, -0.5, 0.0]))
+@example(([0.0, 1e-07, -1.0, 0.0], [0.0, 0.0, 0.0, 1.0]))
+@example(([0.0, 1.0, 1.6711453885254078e-130, 1.6711453885254078e-130], [0.5, 0.0, 0.0, 0.0]))
+@example(([0.0, 1.0, 1.1754943508222875e-38, 0.0], [0.0, 0.0, 0.0, 0.1875]))
+@example(([0.3577088485641282, -0.4911775980879053, 0.8089295247038288, 0.3577088485641282],) * 2)
 def test_band_scan_leaves_the_roots_unchanged(entries):
     n = int(round(np.sqrt(len(entries[0]))))
     j, k = (np.reshape(e, (n, n)) for e in entries)
@@ -297,11 +305,29 @@ def test_band_scan_leaves_the_roots_unchanged(entries):
     assert find_roots(cm).roots == plain.roots
 
 
-@pytest.mark.xfail(strict=True, raises=RootCountError,
-                   reason="the band's long edges alias a double root at 0")
+def test_band_certifies_a_root_where_the_inverse_overflows():
+    # a falsifying draw of the band scan (the first example above): Newton
+    # starts at the band's centre 0, a subnormal away from a root, where
+    # Delta(0)^-1 overflows
+    j = np.diag([2.2250738585e-313, 2.0**-7])
+    rep = find_roots(CharacteristicMatrix(j, np.zeros((2, 2)), 2 * np.pi))
+    assert [r.value for r in rep.roots] == pytest.approx([2.0**-7], abs=1e-15)
+    [root] = rep.marginal
+    assert root.value == pytest.approx(0.0, abs=1e-12)
+    assert (root.algebraic, root.geometric) == (1, 1)
+
+
+def test_find_roots_certifies_a_root_closer_to_the_window_edge_than_its_box():
+    # the root 1e-6 lies 1e-6 right of the main window's left edge, inside
+    # the usual certification box of half-width 1e-7 scale = 1.4e-6
+    rep = find_roots(CharacteristicMatrix(np.array([[1e-6]]), np.zeros((1, 1)), 2 * np.pi))
+    assert [(r.value, r.algebraic) for r in rep.roots] == [(pytest.approx(1e-6, rel=1e-9), 1)]
+
+
 def test_band_certifies_a_double_root_at_zero():
     # a falsifying draw of the band scan above: J is a Jordan block at 0 up
     # to 6.66e-168, so the band holds a double root 1.4e-4 from its long edges
+    # and dlog vanishes at its centre, where Newton starts
     j = np.array([[0.0, 1.0], [6.66e-168, 0.0]])
     cm = CharacteristicMatrix(j, np.zeros((2, 2)), 2 * np.pi)
     [root] = find_roots(cm).marginal
@@ -309,11 +335,11 @@ def test_band_certifies_a_double_root_at_zero():
     assert (root.algebraic, root.geometric) == (2, 1)
 
 
-@pytest.mark.xfail(strict=True, raises=RootCountError,
-                   reason="the band's long edges alias a root just right of 0")
 def test_band_separates_a_root_at_zero_from_one_just_right_of_it():
     # a second falsifying draw of the band scan: 0 is marginal and 2^-14 is
-    # unstable, closer together than one boundary step of the band's edges
+    # unstable, closer together than one boundary step of the band's edges,
+    # so only cuts next to the certified root at 0 count the band correctly;
+    # and a cut passes within the usual certification box of 2^-14
     cm = CharacteristicMatrix(np.diag([0.0, 2.0**-14]), np.zeros((2, 2)), 2 * np.pi)
     rep = find_roots(cm)
     assert [r.value for r in rep.roots] == pytest.approx([2.0**-14], abs=1e-12)
@@ -322,11 +348,18 @@ def test_band_separates_a_root_at_zero_from_one_just_right_of_it():
     assert (root.algebraic, rep.roots[0].algebraic) == (1, 1)
 
 
-@pytest.mark.xfail(strict=True, raises=RootCountError,
-                   reason="the extractor fails next to the axis and at the split at Im = 0")
-@_MISSED_DRAWS
+@pytest.mark.parametrize(
+    "rate, gain, delay, dominant",
+    [
+        pytest.param(*_COMPLEX_GAIN_DRAW, id="complex-gain"),
+        pytest.param(*_REAL_GAIN_DRAW, id="real-gain", marks=pytest.mark.xfail(
+            strict=True, raises=RootCountError,
+            reason="the extractor fails at the main window's split at Im = 0")),
+    ],
+)
 def test_half_plane_search_resolves_the_missed_scalar_draws(rate, gain, delay, dominant):
-    # the complex-gain draw fails in a cell at the axis gap; the real-gain
+    # the complex-gain draw has a root 5.39e-7 right of the main window's
+    # left edge, closer than the usual certification box; the real-gain
     # draw fails at the main window's split at Im = 0
     rep = find_roots(scalar_characteristic(rate, gain, delay))
     assert rep.count == 2
