@@ -326,9 +326,13 @@ def _spectrum(
         # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
         half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
         band = Rect(-half, half, -region.im_max, region.im_max)
+        # a band root within 1e-10 scale of a main-window root is that root
+        # (the window's nudged edge can reach Re <= tol_axis); band roots are
+        # distinct from each other
+        window = list(pairs)
         for z, m in roots_in(band):
             if abs(z.real) <= tol.tol_axis and not any(
-                abs(z - w) <= 1e-10 * scale for w, _ in pairs
+                abs(z - w) <= 1e-10 * scale for w, _ in window
             ):
                 pairs.append((z, m))
 

@@ -276,7 +276,7 @@ def find_roots_rect(
             # a cut passed within the usual box of z, and so would every
             # later one: shrink the box to fit this cell
             w = max(0.5 * clearance, 4.0 * last)
-        if not (clearance > max(w, 1e-9 * scale) and accept(z)):
+        if not (clearance > max(w, 1e-12 * scale) and accept(z)):
             return None, None
         box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
         try:

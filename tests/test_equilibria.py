@@ -294,6 +294,7 @@ def test_homotopy_trace_keeps_the_resonating_center_marginal():
 @example(([0.0, 1.0, 1.6711453885254078e-130, 1.6711453885254078e-130], [0.5, 0.0, 0.0, 0.0]))
 @example(([0.0, 1.0, 1.1754943508222875e-38, 0.0], [0.0, 0.0, 0.0, 0.1875]))
 @example(([0.3577088485641282, -0.4911775980879053, 0.8089295247038288, 0.3577088485641282],) * 2)
+@example(([6.161423312112707e-20, -5.594516643145734e-20, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
 def test_band_scan_leaves_the_roots_unchanged(entries):
     n = int(round(np.sqrt(len(entries[0]))))
     j, k = (np.reshape(e, (n, n)) for e in entries)
@@ -317,11 +318,31 @@ def test_band_certifies_a_root_where_the_inverse_overflows():
     assert (root.algebraic, root.geometric) == (1, 1)
 
 
-def test_find_roots_certifies_a_root_closer_to_the_window_edge_than_its_box():
-    # the root 1e-6 lies 1e-6 right of the main window's left edge, inside
-    # the usual certification box of half-width 1e-7 scale = 1.4e-6
-    rep = find_roots(CharacteristicMatrix(np.array([[1e-6]]), np.zeros((1, 1)), 2 * np.pi))
-    assert [(r.value, r.algebraic) for r in rep.roots] == [(pytest.approx(1e-6, rel=1e-9), 1)]
+@pytest.mark.parametrize("rate", [1e-6, 1e-8])
+def test_find_roots_certifies_a_root_closer_to_the_window_edge_than_its_box(rate):
+    # the root lies just right of the main window's left edge at Re = 1e-9,
+    # inside the usual certification box of half-width 1e-7 scale = 1.4e-6
+    rep = find_roots(CharacteristicMatrix(np.array([[rate]]), np.zeros((1, 1)), 2 * np.pi))
+    assert [(r.value, r.algebraic) for r in rep.roots] == [(pytest.approx(rate, rel=1e-9), 1)]
+
+
+@pytest.mark.parametrize(
+    "j, k, y",
+    [
+        ([[1.262e-96, 0.28599792383894607], [2.220446049250313e-16, -1.54e-238]],
+         [[-1.0, 0.0], [6.59e-251, 0.6590482661680355]], 1.6661429921349704e-09),
+        ([[6.161423312112707e-20, -5.594516643145734e-20], [-1.0, 0.0]],
+         [[1.0, 0.0], [0.0, 0.0]], 1.0290423116491816e-10),
+    ],
+    ids=["1.7e-9", "1.0e-10"],
+)
+def test_band_keeps_both_roots_of_a_pair_split_at_im_zero(j, k, y):
+    # the band's first cut at Im = 0 passes between the roots +-y i, closer
+    # together than the certification box; both are reported, not one
+    rep = find_roots(CharacteristicMatrix(np.array(j), np.array(k), 2 * np.pi))
+    assert [(r.value.imag, r.algebraic) for r in rep.marginal] == [
+        (pytest.approx(-y, rel=1e-6), 1), (pytest.approx(y, rel=1e-6), 1)
+    ]
 
 
 def test_band_certifies_a_double_root_at_zero():
