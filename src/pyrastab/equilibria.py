@@ -27,7 +27,7 @@ import scipy.special
 
 from .errors import ContinuationError, InputError, NumericalError
 from .linalg import kernel_basis, spectral_norm, svd_rank
-from .problems import EquilibriumProblem
+from .problems import EquilibriumProblem, positive_finite
 from .rootfinding import Rect, count_with_nudge, find_roots_rect
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -95,9 +95,7 @@ class CharacteristicMatrix:
             )
         if not (np.all(np.isfinite(j)) and np.all(np.isfinite(k))):
             raise InputError("jacobian and gain must be finite")
-        delay = float(self.delay)
-        if not np.isfinite(delay) or delay <= 0.0:
-            raise InputError(f"delay must be positive, got {delay}")
+        delay = positive_finite(self.delay, "delay")
         alpha = float(self.alpha)
         if not np.isfinite(alpha):
             raise InputError("alpha must be finite")
@@ -385,9 +383,7 @@ def resonating_center(
     dimension is zero when the point is not an eigenvalue.
     """
     jacobian = np.asarray(jacobian)
-    if delay <= 0:
-        raise InputError("delay must be positive")
-    target = 2j * np.pi * n / delay
+    target = 2j * np.pi * n / positive_finite(delay, "delay")
     basis = _kernel(target * np.eye(jacobian.shape[0]) - jacobian, jacobian, tol)
     return basis.shape[1], basis
 
@@ -803,14 +799,8 @@ def hopf_curves(
     sample by sample and a violation raises, since it would break the
     crossing bookkeeping built on these curves.
     """
-    rate = float(rate)
-    delay = float(delay)
-    if not (rate > 0.0):
-        raise InputError("rate must be positive")
-    if not (delay > 0.0):
-        raise InputError("delay must be positive")
-    if not (np.isfinite(rate) and np.isfinite(delay)):
-        raise InputError("rate and delay must be finite")
+    rate = positive_finite(rate, "rate")
+    delay = positive_finite(delay, "delay")
     if samples < 2:
         raise InputError("need at least two samples per branch")
     out = []

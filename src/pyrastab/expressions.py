@@ -11,6 +11,11 @@ Parsing produces a small immutable AST.  Evaluation is done in dual-number
 style: one pass yields the value together with the exact partial derivative
 with respect to a chosen variable, so a Jacobian costs one pass per input
 variable and never falls back to finite differences.
+
+Parsing, evaluation and printing recurse, so a source whose parentheses,
+calls and signs nest, or whose tree grows, deeper than ``_MAX_DEPTH``
+levels is refused with `ParseError`: a long sum is a tree as deep as it
+has terms.
 """
 
 from __future__ import annotations
@@ -117,6 +122,11 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 _VAR_RE = re.compile(r"^x([0-9]+)$")
 
+# deepest nesting and tree accepted: a level costs the parser up to six
+# frames (a call), so the deepest source accepted needs under 800 frames of
+# Python's default limit of 1000 to parse, evaluate and print
+_MAX_DEPTH = 128
+
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
@@ -152,6 +162,7 @@ class _Parser:
         self.params = frozenset(params)
         self.tokens = _tokenize(source)
         self.k = 0
+        self.depth = 0  # factors open: every recursion passes through one
 
     def peek(self):
         return self.tokens[self.k]
@@ -200,11 +211,17 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail(f"expression nests deeper than {_MAX_DEPTH} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -278,7 +295,24 @@ class _Parser:
 
 def parse(source: str, dim: int, params=()) -> Expr:
     """Parse one component expression over x1..x{dim} and `params`."""
-    return _Parser(source, dim, params).parse()
+    node = _Parser(source, dim, params).parse()
+    level, depth = [node], 0
+    while level:  # breadth first, so that measuring the depth does not recurse
+        depth += 1
+        level = [c for n in level for c in _children(n)]
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {_MAX_DEPTH} levels", source, 0)
+    return node
+
+
+def _children(node: Expr) -> tuple:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return node.left, node.right
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
 
 
 def _dual(node: Expr, x, params, seed: int):

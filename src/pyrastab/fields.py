@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import InputError
+from .problems import positive_finite, real_matrix
 
 __all__ = [
     "ExpressionField",
@@ -115,14 +116,7 @@ class LinearField:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("LinearField needs a square matrix")
-        if not np.all(np.isfinite(a)):
-            raise InputError("LinearField matrix must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", real_matrix(self.matrix, "LinearField matrix"))
 
     @property
     def dimension(self) -> int:
@@ -142,14 +136,7 @@ class ConstantCoefficient:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("coefficient matrix must be square")
-        if not np.all(np.isfinite(a)):
-            raise InputError("coefficient matrix must be finite")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", real_matrix(self.matrix, "coefficient matrix"))
 
     @property
     def dimension(self) -> int:
@@ -172,21 +159,10 @@ class TrigCoefficient:
     """
 
     def __init__(self, values: np.ndarray, period: float) -> None:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise InputError("samples must have shape (m, n, n)")
-        if values.shape[0] < 1:
-            raise InputError("need at least one sample")
-        if not np.all(np.isfinite(values)):
-            raise InputError("samples must be finite")
-        period = float(period)
-        if not (period > 0.0) or not np.isfinite(period):
-            raise InputError("period must be positive and finite")
-        self.period = period
-        self.samples = values.copy()
-        self.samples.flags.writeable = False
-        m, n = values.shape[:2]
-        coef = np.fft.rfft(values, axis=0).reshape(-1, n * n)
+        self.samples = real_matrix(values, "samples", stacked=True)
+        self.period = positive_finite(period, "period")
+        m, n = self.samples.shape[:2]
+        coef = np.fft.rfft(self.samples, axis=0).reshape(-1, n * n)
         modes = len(coef)
         weights = np.full(modes, 2.0 / m)
         weights[0] = 1.0 / m

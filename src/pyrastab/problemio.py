@@ -34,6 +34,7 @@ from .problems import (
     DelayFeedback,
     EquilibriumProblem,
     PeriodicLinearProblem,
+    positive_finite,
     validate_equilibrium,
 )
 from .tolerances import DEFAULT, Tolerances
@@ -202,9 +203,7 @@ def parse_document(obj) -> ProblemDocument:
         raise InputError("$.dimension: must be between 1 and 64")
     field = _parse_field(top["field"], kind, dimension, "$.field")
     gain = _require_matrix(top["gain"], dimension, "$.gain")
-    delay = _require_number(top["delay"], "$.delay")
-    if not delay > 0.0:
-        raise InputError("$.delay: must be positive")
+    delay = positive_finite(_require_number(top["delay"], "$.delay"), "$.delay")
 
     point = None
     period = None
@@ -220,9 +219,7 @@ def parse_document(obj) -> ProblemDocument:
             raise InputError("$.point: only valid for equilibrium problems")
         if "period" not in top:
             raise InputError("$.period: required for periodic-linear problems")
-        period = _require_number(top["period"], "$.period")
-        if not period > 0.0:
-            raise InputError("$.period: must be positive")
+        period = positive_finite(_require_number(top["period"], "$.period"), "$.period")
         if delay != period:
             raise InputError("$.delay: must equal the period exactly")
         if isinstance(field, np.ndarray):  # matrix samples wait for the period
@@ -236,21 +233,24 @@ def parse_document(obj) -> ProblemDocument:
             if key not in _TOL_KEYS:
                 raise InputError(f"$.tolerances.{key}: unknown tolerance")
             clean[key] = _require_number(val, f"$.tolerances.{key}")
-        tolerances = DEFAULT.replace(**clean)
+        try:
+            tolerances = DEFAULT.replace(**clean)
+        except InputError as err:  # it names the field
+            raise InputError(f"$.tolerances.{err}") from None
 
     region = None
     if "region" in top:
         rg = _require_mapping(top["region"], "$.region")
-        _reject_unknown(rg, {"re_min", "re_max", "im_max"}, "$.region")
-        for key in ("re_min", "re_max", "im_max"):
+        keys = ("re_min", "re_max", "im_max")
+        _reject_unknown(rg, keys, "$.region")
+        for key in keys:
             if key not in rg:
                 raise InputError(f"$.region.{key}: required key missing")
-        re_min = _require_number(rg["re_min"], "$.region.re_min")
-        re_max = _require_number(rg["re_max"], "$.region.re_max")
-        im_max = _require_number(rg["im_max"], "$.region.im_max")
-        if not (re_max > re_min and im_max > 0.0):
-            raise InputError("$.region: must satisfy re_max > re_min and im_max > 0")
-        region = Region(re_min, re_max, im_max)
+        bounds = [_require_number(rg[key], f"$.region.{key}") for key in keys]
+        try:
+            region = Region(*bounds)
+        except InputError as err:
+            raise InputError(f"$.region: {err}") from None
 
     name = _require_string(top["name"], "$.name") if "name" in top else None
     return ProblemDocument(

@@ -8,6 +8,7 @@ the analyses, not stored here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,23 +21,40 @@ __all__ = [
     "EquilibriumProblem",
     "PeriodicLinearProblem",
     "validate_equilibrium",
+    "real_matrix",
+    "positive_finite",
 ]
 
 
-def _as_square_real(a, what: str) -> np.ndarray:
+def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
+    """``a`` as a read-only float copy of a real, nonempty, square matrix
+    with finite entries; with ``stacked``, of a nonempty (m, n, n) stack of
+    them, checked in one pass.
+
+    A complex array is accepted when its imaginary part is zero."""
     arr = np.asarray(a)
     if np.iscomplexobj(arr):
         if np.any(arr.imag != 0.0):
             raise InputError(f"{what} must be real")
         arr = arr.real
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise InputError(f"{what} must be a square matrix, got shape {arr.shape}")
+    arr = np.array(arr, dtype=float)
+    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
+        kind = "a stack of square matrices" if stacked else "a square matrix"
+        raise InputError(f"{what} must be {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must have finite entries")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def positive_finite(value, what: str) -> float:
+    """``value`` as a float, refused unless 0 < value < inf."""
+    value = float(value)
+    if math.isinf(value):
+        raise InputError(f"{what} must be finite, got {value}")
+    if not value > 0.0:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
 
 
 def _as_real_vector(x, what: str) -> np.ndarray:
@@ -58,12 +76,8 @@ class DelayFeedback:
     delay: float
 
     def __post_init__(self) -> None:
-        gain = _as_square_real(self.gain, "gain")
-        delay = float(self.delay)
-        if not np.isfinite(delay) or delay <= 0.0:
-            raise InputError(f"delay must be positive and finite, got {delay}")
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "gain", real_matrix(self.gain, "gain"))
+        object.__setattr__(self, "delay", positive_finite(self.delay, "delay"))
 
     @property
     def dimension(self) -> int:
@@ -113,9 +127,7 @@ class PeriodicLinearProblem:
     feedback: DelayFeedback
 
     def __post_init__(self) -> None:
-        period = float(self.period)
-        if not np.isfinite(period) or period <= 0.0:
-            raise InputError(f"period must be positive and finite, got {period}")
+        period = positive_finite(self.period, "period")
         if self.feedback.delay != period:
             raise InputError(
                 f"delay {self.feedback.delay} must equal the period {period}"
@@ -125,15 +137,15 @@ class PeriodicLinearProblem:
         # sampled sanity checks: shape, finiteness, periodicity
         scale = 0.0
         for t in np.linspace(0.0, period, 7):
-            a = np.asarray(self.coefficient(float(t)), dtype=float)
+            a = real_matrix(self.coefficient(float(t)), f"coefficient at t={t:g}")
             if a.shape != (n, n):
                 raise InputError(
                     f"coefficient at t={t:g} has shape {a.shape}, expected {(n, n)}"
                 )
-            if not np.all(np.isfinite(a)):
-                raise InputError(f"coefficient at t={t:g} is not finite")
             scale = max(scale, float(np.max(np.abs(a))))
-            b = np.asarray(self.coefficient(float(t) + period), dtype=float)
+            b = real_matrix(
+                self.coefficient(float(t) + period), f"coefficient at t={t + period:g}"
+            )
             if np.max(np.abs(b - a)) > 1e-9 * max(1.0, scale):
                 raise InputError(f"coefficient is not {period:g}-periodic at t={t:g}")
 

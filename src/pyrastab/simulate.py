@@ -31,8 +31,9 @@ import numpy as np
 import scipy.interpolate
 
 from .errors import InputError
+from .expressions import DomainError
 from .fields import LinearField
-from .problems import DelayFeedback
+from .problems import DelayFeedback, positive_finite
 
 __all__ = [
     "HistorySegment",
@@ -192,7 +193,8 @@ def integrate(
     steps is refused with `InputError` before anything is allocated.  A
     non-finite or oversized state stops the run and is reported through
     `blown_at` rather than raising: a blow-up is a legitimate (unstable)
-    outcome.
+    outcome.  So is a step on which the field raises `DomainError`, which
+    is dropped.
 
     A `LinearField` takes the affine interval march (`_affine_march`),
     which calls no field: its step maps are built once, each interval's
@@ -207,8 +209,7 @@ def integrate(
         raise InputError("history dimension does not match the gain")
     if abs(history.delay - delay) > 1e-9 * delay:
         raise InputError("history covers a different delay than the feedback")
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise InputError("t_end must be positive and finite")
+    t_end = positive_finite(t_end, "t_end")
     if dt is None:
         dt = delay / 64.0
     if not 0.0 < dt <= delay:
@@ -248,12 +249,11 @@ def integrate(
             return xs[i]
         return history(i * h)
 
+    fs[0] = rhs(xs[0], delayed_point(-m))
     last = steps
     for j in range(steps):
         t = j * h
         jb = j - m  # index of t - T on the grid
-        d_node = delayed_point(jb)
-        fs[j] = rhs(xs[j], d_node)
         k1 = fs[j]
         if jb + 1 <= 0:
             d_mid = history((jb + 0.5) * h)
@@ -261,11 +261,16 @@ def integrate(
             # both endpoints of the delayed interval are already computed
             d_mid = 0.5 * (xs[jb] + xs[jb + 1]) + (h / 8.0) * (fs[jb] - fs[jb + 1])
         d_end = delayed_point(jb + 1)
-        k2 = rhs(xs[j] + 0.5 * h * k1, d_mid)
-        k3 = rhs(xs[j] + 0.5 * h * k2, d_mid)
-        k4 = rhs(xs[j] + h * k3, d_end)
-        nxt = xs[j] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        finite = bool(np.all(np.isfinite(nxt)))
+        try:
+            k2 = rhs(xs[j] + 0.5 * h * k1, d_mid)
+            k3 = rhs(xs[j] + 0.5 * h * k2, d_mid)
+            k4 = rhs(xs[j] + h * k3, d_end)
+            nxt = xs[j] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            finite = bool(np.all(np.isfinite(nxt)))
+            if finite:
+                fs[j + 1] = rhs(nxt, d_end)
+        except DomainError:  # the step left the field's domain: drop it
+            finite = False
         if not finite or np.max(np.abs(nxt)) > limit:
             blown_at = t + h
             if finite:
@@ -275,7 +280,6 @@ def integrate(
                 last = j
             break
         xs[j + 1] = nxt
-    fs[last] = rhs(xs[last], delayed_point(last - m))
     times = np.arange(last + 1) * h
     return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
 

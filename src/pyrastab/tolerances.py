@@ -3,11 +3,14 @@
 Every analysis routine takes an optional :class:`Tolerances` instance so a
 whole pipeline can be tightened or loosened coherently.  Values marked
 "relative" are multiplied by a problem-dependent scale at the point of use.
+Every value is nonnegative; zero and infinity are accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import InputError
 
 __all__ = ["Tolerances", "DEFAULT"]
 
@@ -51,6 +54,12 @@ class Tolerances:
     min_step: float = 1e-6
     #: relative budget for nudging a counting rectangle off a boundary root
     tol_region: float = 1e-5
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0.0:
+                raise InputError(f"{f.name} must be nonnegative, got {value}")
 
     def replace(self, **kw) -> "Tolerances":
         return replace(self, **kw)

@@ -270,6 +270,15 @@ def test_equilibrium_field_depending_on_t_is_an_input_error(tmp_path, capsys, ar
     assert err.startswith("input error: $.field.expressions[0]")
 
 
+@pytest.mark.parametrize(
+    "expression", ["(" * 1200 + "-x1" + ")" * 1200, "-x1" + " + 0*x1" * 3000]
+)
+def test_analyze_refuses_an_expression_nested_too_deeply(tmp_path, capsys, expression):
+    code, out, err = _run(capsys, ["analyze", _expression_doc(tmp_path, expression)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: $.field.expressions[0]")
+
+
 def test_autonomous_expression_field_is_accepted(tmp_path, capsys):
     code, out, _ = _run(capsys, ["analyze", _expression_doc(tmp_path, "x1 - x1^3")])
     assert code == 0
@@ -559,6 +568,14 @@ def test_simulate_first_step_blow_up_has_no_growth_rate(tmp_path, capsys):
     assert res["blown_at"] == res["dt"]
     assert res["growth_rate"] is None and res["underflow"] is False
     assert res["unstable_count"] == 1 and res["consistent"] is True
+
+
+def test_simulate_stops_where_the_run_leaves_the_field_domain(tmp_path, capsys):
+    # the unstable run drives x1 below -1, where log(1 + x1) is undefined
+    code, out, _ = _run(capsys, ["simulate", _expression_doc(tmp_path, "log(1 + x1)")])
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["blown_at"] is not None and res["consistent"] is True
 
 
 def test_simulate_deterministic_for_fixed_seed(case_file, capsys):

@@ -81,6 +81,46 @@ def test_malformed_sources_raise_parse_error(bad):
         parse(bad, 2, params=("a",))
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * 1200 + "-x1" + ")" * 1200,  # deeper than the parser may recurse
+        "-" * 1200 + "x1",
+        "-x1" + " + 0*x1" * 3000,  # flat text, but a tree 3001 levels deep
+    ],
+)
+def test_parse_refuses_a_source_nested_beyond_the_cap(source):
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(source, 1)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda d: "(" * d + "x1 + 1" + ")" * d,
+        lambda d: "(1 - " * d + "x1" + ")" * d,
+        lambda d: "sin(" * d + "x1" + ")" * d,
+        lambda d: "-" * d + "x1",
+        lambda d: "x1" + " * x1" * (d - 1),
+    ],
+)
+def test_every_accepted_depth_evaluates_and_prints(nest):
+    # depth 100 parses, and so does each depth up to the cap; the deepest
+    # source accepted evaluates, differentiates and prints without
+    # exhausting the interpreter's recursion limit
+    depth = 100
+    node = parse(nest(depth), 1)
+    while True:
+        try:
+            node = parse(nest(depth + 1), 1)
+        except ParseError:
+            break
+        depth += 1
+    value, _ = value_and_partial(node, [0.25], {}, 0)
+    assert evaluate(node, [0.25]) == value
+    assert parse(to_source(node), 1) == node
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("x1 + foo", 1)

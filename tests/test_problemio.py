@@ -24,6 +24,7 @@ from pyrastab.problemio import (
     parse_document,
     read_problem_file,
 )
+from pyrastab.tolerances import DEFAULT
 
 
 def _scalar_doc(**over):
@@ -127,6 +128,7 @@ def test_builtin_document():
         (lambda d: d.update(period=2.0), "$.period"),
         (lambda d: d.update(point=[0.0, 0.0]), "$.point"),
         (lambda d: d.update(tolerances={"bogus": 1.0}), "$.tolerances"),
+        (lambda d: d.update(tolerances={"tol_one": -1.0}), "$.tolerances.tol_one"),
         (lambda d: d.update(region={"re_min": 0.0}), "$.region"),
         (
             lambda d: d.update(region={"re_min": 1.0, "re_max": 0.0, "im_max": 1.0}),
@@ -140,6 +142,17 @@ def test_diagnostics_name_the_offending_path(mutate, path):
     with pytest.raises(InputError) as info:
         load_problem(doc)
     assert path in str(info.value)
+
+
+@pytest.mark.parametrize("value", [-1.0, -5e-324, np.nan])
+def test_tolerances_refuse_negative_and_nan_values(value):
+    with pytest.raises(InputError, match="^tol_axis must be nonnegative"):
+        DEFAULT.replace(tol_axis=value)
+
+
+def test_tolerances_accept_zero_and_infinity():
+    tol = DEFAULT.replace(tol_axis=0.0, tol_xcheck=np.inf)
+    assert (tol.tol_axis, tol.tol_xcheck) == (0.0, np.inf)
 
 
 def test_periodic_specific_diagnostics():

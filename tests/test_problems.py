@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pyrastab.equilibria import CharacteristicMatrix, hopf_curves, resonating_center
 from pyrastab.errors import InputError
 from pyrastab.fields import (
     ConstantCoefficient,
@@ -12,12 +13,14 @@ from pyrastab.fields import (
     TrigCoefficient,
     parse_field,
 )
+from pyrastab.problemio import parse_document
 from pyrastab.problems import (
     DelayFeedback,
     EquilibriumProblem,
     PeriodicLinearProblem,
     validate_equilibrium,
 )
+from pyrastab.simulate import integrate, perturbed_history
 
 
 def test_delay_feedback_basics():
@@ -61,6 +64,65 @@ def test_delay_feedback_never_accepts_bad_input(rows, cols, delay, poison):
     else:
         with pytest.raises(InputError):
             DelayFeedback(gain, delay)
+
+
+def _document(kind="equilibrium", **over):
+    doc = {"kind": kind, "dimension": 1, "field": {"matrix": [[0.1]]},
+           "gain": [[0.3]], "delay": 1.0}
+    return parse_document({**doc, **over})
+
+
+_ONE = np.eye(1)
+# each input that must be a real, nonempty, square, finite matrix
+_MATRIX_SITES = {
+    "DelayFeedback.gain": lambda a: DelayFeedback(a, 1.0),
+    "LinearField": LinearField,
+    "ConstantCoefficient": ConstantCoefficient,
+    "TrigCoefficient": lambda a: TrigCoefficient(np.stack([a] * 4), 1.0),
+}
+# each input that must be a positive finite scalar
+_SCALAR_SITES = {
+    "DelayFeedback.delay": lambda v: DelayFeedback(_ONE, v),
+    "PeriodicLinearProblem.period": lambda v: PeriodicLinearProblem(
+        ConstantCoefficient(_ONE), v, DelayFeedback(_ONE, 1.0)
+    ),
+    "TrigCoefficient.period": lambda v: TrigCoefficient(np.stack([_ONE] * 4), v),
+    "CharacteristicMatrix.delay": lambda v: CharacteristicMatrix(_ONE, _ONE, v),
+    "resonating_center.delay": lambda v: resonating_center(_ONE, v, 1),
+    "hopf_curves.rate": lambda v: hopf_curves(v, 1.0),
+    "hopf_curves.delay": lambda v: hopf_curves(0.1, v),
+    "integrate.t_end": lambda v: integrate(
+        LinearField(_ONE), DelayFeedback(_ONE, 1.0), perturbed_history([0.0], 1.0, 1e-6, 0), v
+    ),
+    "$.delay": lambda v: _document(delay=v),
+    "$.period": lambda v: _document("periodic-linear", period=v),
+}
+
+
+@pytest.mark.parametrize(
+    "build, good, bad",
+    [
+        *[
+            pytest.param(build, np.array([[0.5 + 0j]]), bad, id=f"{site}-{label}")
+            for site, build in _MATRIX_SITES.items()
+            for label, bad in [
+                ("complex", np.array([[1.0 + 1e-3j]])),
+                ("0x0", np.zeros((0, 0))),
+                ("non-square", np.zeros((1, 2))),
+                ("nan", np.array([[np.nan]])),
+            ]
+        ],
+        *[
+            pytest.param(build, 1.0, bad, id=f"{site}-{bad}")
+            for site, build in _SCALAR_SITES.items()
+            for bad in (np.nan, np.inf, 0.0, -1.0)
+        ],
+    ],
+)
+def test_every_matrix_and_positive_scalar_input_refuses_bad_values(build, good, bad):
+    build(good)  # a complex matrix whose imaginary part is zero is real
+    with pytest.raises(InputError):
+        build(bad)
 
 
 def test_equilibrium_problem_checks_point_shape():
