@@ -67,7 +67,7 @@ def _analyze_equilibrium(problem, tol, region):
         "kind": "equilibrium",
         "equilibrium_residual": validate_equilibrium(problem),
         "spectrum": spectrum,
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": verdicts,
     }, spectrum, None
 
 
@@ -86,7 +86,7 @@ def _analyze_periodic(problem, tol, nodes):
             "equal": inv.equal,
             "nodes": nodes,
         },
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": verdicts,
     }, None, report
 
 

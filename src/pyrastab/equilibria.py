@@ -122,18 +122,12 @@ class CharacteristicMatrix:
         lam = complex(lam)
         return self._value(lam, np.exp(-lam * self.delay))
 
-    def dvalue(self, lam: complex) -> np.ndarray:
-        return self._dvalue(np.exp(-complex(lam) * self.delay))
-
     def _value(self, lam: complex, decay: complex) -> np.ndarray:
-        # decay = exp(-lam T), shared by value and dvalue in dlog
+        # decay = exp(-lam T), shared with _dvalue in dlog
         return lam * self._eye - self.jacobian - self.alpha * (1.0 - decay) * self.gain
 
     def _dvalue(self, decay: complex) -> np.ndarray:
         return self._eye - self.alpha * self.delay * decay * self.gain
-
-    def det(self, lam: complex) -> complex:
-        return complex(np.linalg.det(self.value(lam)))
 
     def det_batch(self, lams: np.ndarray) -> np.ndarray:
         lams = np.asarray(lams, dtype=complex)

@@ -39,7 +39,6 @@ import scipy.linalg
 from .chebyshev import barycentric_weights, cumulative_matrix, interp_rows, lobatto_nodes
 from .equilibria import (
     common_eigenpair,
-    continuation,
     real_spectrum_hypothesis,
     reduced_root,
     relative_commutator,
@@ -69,7 +68,6 @@ __all__ = [
     "dde_monodromy",
     "DeterminingInvariance",
     "check_determining_invariance",
-    "homotopy_multipliers",
     "periodic_verdicts",
 ]
 
@@ -702,29 +700,6 @@ def check_determining_invariance(
             f"under grid refinement ({nodes} -> {2 * nodes} nodes)"
         )
     return DeterminingInvariance(g_ode, gs[0], gs[1])
-
-
-# ---------------------------------------------------------------------------
-# homotopy in alpha for multipliers
-
-
-def homotopy_multipliers(
-    problem: PeriodicLinearProblem,
-    nodes: int = 64,
-    tol: Tolerances = DEFAULT,
-) -> tuple[tuple[float, MultiplierReport], ...]:
-    """Multiplier reports along alpha in [0, 1]: the five equispaced alphas
-    0, 1/4, ..., 1 are refined by :func:`continuation` until matched
-    multipliers move at most tol.step_cap between consecutive reports; an
-    alpha step below tol.min_step that still moves too far raises
-    :class:`ContinuationError`."""
-    return continuation(
-        lambda a: multipliers(dde_monodromy(problem, a, nodes, tol), tol),
-        lambda rep: [e.value for e in rep.entries for _ in range(e.algebraic)],
-        [i / 4 for i in range(5)],
-        tol,
-        "alpha step",
-    )
 
 
 # ---------------------------------------------------------------------------

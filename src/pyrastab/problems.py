@@ -21,15 +21,14 @@ __all__ = [
     "EquilibriumProblem",
     "PeriodicLinearProblem",
     "validate_equilibrium",
+    "real_array",
     "real_matrix",
     "positive_finite",
 ]
 
 
-def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
-    """``a`` as a read-only float copy of a real, nonempty, square matrix
-    with finite entries; with ``stacked``, of a nonempty (m, n, n) stack of
-    them, checked in one pass.
+def real_array(a, what: str) -> np.ndarray:
+    """``a`` as a read-only float copy of a real array with finite entries.
 
     A complex array is accepted when its imaginary part is zero."""
     arr = np.asarray(a)
@@ -38,12 +37,19 @@ def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
             raise InputError(f"{what} must be real")
         arr = arr.real
     arr = np.array(arr, dtype=float)
-    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
-        kind = "a stack of square matrices" if stacked else "a square matrix"
-        raise InputError(f"{what} must be {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must have finite entries")
     arr.flags.writeable = False
+    return arr
+
+
+def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
+    """:func:`real_array` of a nonempty square matrix; with ``stacked``, of
+    a nonempty (m, n, n) stack of them, checked in one pass."""
+    arr = real_array(a, what)
+    if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
+        kind = "a stack of square matrices" if stacked else "a square matrix"
+        raise InputError(f"{what} must be {kind}, got shape {arr.shape}")
     return arr
 
 
@@ -55,17 +61,6 @@ def positive_finite(value, what: str) -> float:
     if not value > 0.0:
         raise InputError(f"{what} must be positive, got {value}")
     return value
-
-
-def _as_real_vector(x, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise InputError(f"{what} must be a one-dimensional vector")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} must have finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,9 @@ class EquilibriumProblem:
     feedback: DelayFeedback
 
     def __post_init__(self) -> None:
-        point = _as_real_vector(self.point, "point")
+        point = real_array(self.point, "point")
+        if point.ndim != 1:
+            raise InputError("point must be a one-dimensional vector")
         if self.feedback.dimension != len(point):
             raise InputError(
                 f"gain is {self.feedback.dimension}x{self.feedback.dimension} "

@@ -51,10 +51,12 @@ def fmt(x) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert results to JSON-ready types.
+    """Recursively convert results to JSON-ready types; the one serializer
+    of results, so every envelope follows the same rules.
 
     Complex numbers become {"re": ..., "im": ...}; numpy scalars and
-    arrays become Python scalars and lists.
+    arrays become Python scalars and lists; a dataclass becomes a dict of
+    its fields, leaving out those whose value is None.
     """
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -67,12 +69,13 @@ def to_jsonable(obj):
         return {"re": z.real, "im": z.imag}
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
+        fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return {name: to_jsonable(v) for name, v in fields if v is not None}
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
@@ -174,6 +177,6 @@ def envelope(digest: str, results, tolerances: Tolerances, timing_s: float) -> d
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "input": {"digest": digest},
         "results": to_jsonable(results),
-        "tolerances": to_jsonable(dataclasses.asdict(tolerances)),
+        "tolerances": to_jsonable(tolerances),
         "timing_s": float(timing_s),
     }

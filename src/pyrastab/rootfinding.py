@@ -165,6 +165,9 @@ def count_with_nudge(
     raise NumericalError(f"persistent zero on the boundary of {rect}")
 
 
+# an iterate that strays far left overflows exp(-lambda T) in dlog: the
+# non-finite log-derivative ends the run below, and polish checks its point
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(
     dlog: Callable[[complex], complex],
     z0: complex,

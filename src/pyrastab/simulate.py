@@ -33,7 +33,7 @@ import scipy.interpolate
 from .errors import InputError
 from .expressions import DomainError
 from .fields import LinearField
-from .problems import DelayFeedback, positive_finite
+from .problems import DelayFeedback, positive_finite, real_array
 
 __all__ = [
     "HistorySegment",
@@ -52,8 +52,8 @@ class HistorySegment:
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
+        grid = real_array(grid, "history grid")
+        values = real_array(values, "history values")
         if grid.ndim != 1 or grid.size < 4:
             raise InputError("history grid needs at least four points")
         if values.ndim != 2 or values.shape[0] != grid.size:
@@ -64,8 +64,6 @@ class HistorySegment:
             raise InputError("history grid must end at 0")
         if grid[0] >= 0.0:
             raise InputError("history grid must start at -delay < 0")
-        if not np.all(np.isfinite(values)):
-            raise InputError("history values must be finite")
         self.grid = grid
         self.values = values
         self._spline = scipy.interpolate.CubicSpline(grid, values, axis=0)
@@ -119,9 +117,11 @@ def perturbed_history(
 ) -> HistorySegment:
     """Uniform random history of the given amplitude around a point, drawn
     at ``_HISTORY_SAMPLES`` equispaced times."""
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if not amplitude > 0.0:
-        raise InputError("amplitude must be positive")
+    point = real_array(point, "point").reshape(-1)
+    delay = positive_finite(delay, "delay")
+    amplitude = positive_finite(amplitude, "amplitude")
+    if math.isinf(2.0 * amplitude):  # the width of the uniform range
+        raise InputError(f"amplitude {amplitude:g} is too large for a uniform draw")
     if seed is not None and seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -25,19 +25,9 @@ class Hypothesis:
 
     name: str
     passed: bool
-    detail: str = ""
+    detail: str | None = None
     value: float | None = None
     tolerance: float | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "passed": bool(self.passed)}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.value is not None:
-            out["value"] = float(self.value)
-        if self.tolerance is not None:
-            out["tolerance"] = float(self.tolerance)
-        return out
 
 
 @dataclass(frozen=True)
@@ -77,16 +67,3 @@ class Verdict:
     @property
     def excluded(self) -> bool:
         return self.outcome == EXCLUDED
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "rule": self.rule,
-            "outcome": self.outcome,
-            "hypotheses": [h.to_dict() for h in self.hypotheses],
-        }
-        if self.witness is not None:
-            out["witness"] = {
-                "re": float(self.witness.real),
-                "im": float(self.witness.imag),
-            }
-        return out

@@ -25,17 +25,15 @@ from pyrastab.equilibria import (
     Region,
     common_eigenpair,
     find_roots,
-    matched_movement,
     scalar_characteristic,
 )
-from pyrastab.errors import ContinuationError, InputError, NumericalError
+from pyrastab.errors import InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
 from pyrastab.linalg import cluster_multiplicity
 from pyrastab.periodic import (
     check_determining_invariance,
     dde_monodromy,
     floquet_decompose,
-    homotopy_multipliers,
     multipliers,
     ode_monodromy,
     periodic_verdicts,
@@ -940,36 +938,3 @@ def test_periodic_verdicts_abstain_at_unit_multiplier():
     assert all(not v.excluded for v in verdicts)
     # the odd-number rule failed specifically on the multiplier-1 premise
     assert not verdicts[0].hypotheses[0].passed
-
-
-# --- homotopy of multipliers -----------------------------------------------------------------
-
-
-def test_homotopy_multipliers_keeps_unstable_multiplier():
-    prob = get_case("orbit-unstable").problem()
-    steps = homotopy_multipliers(prob, nodes=32)
-    assert steps[0][0] == 0.0
-    assert steps[-1][0] == 1.0
-    for a, rep in steps:
-        assert rep.real_greater_one() >= 1, f"lost the real multiplier at alpha={a}"
-
-
-def test_homotopy_multipliers_follows_a_large_multiplier():
-    # the multiplier exp(0.8 T) ~ 152 falls to ~25 as alpha goes to 1; at
-    # step_cap 0.5 that takes 366 samples, more than any budget tied to the
-    # five starting alphas, while every gap stays far above min_step
-    prob = _scalar_problem(rate=0.8, gain=-0.3)
-    tol = DEFAULT.replace(step_cap=0.5)
-    steps = homotopy_multipliers(prob, nodes=8, tol=tol)
-    values = [[e.value for e in rep.entries for _ in range(e.algebraic)] for _, rep in steps]
-    assert steps[0][0] == 0.0 and steps[-1][0] == 1.0 and len(steps) > 325
-    assert abs(max(abs(v) for v in values[0]) - np.exp(0.8 * 2 * np.pi)) < 1e-3 * 152
-    for prev, new in zip(values, values[1:]):
-        assert matched_movement(prev, new) <= tol.step_cap
-
-
-def test_homotopy_multipliers_raises_continuation_error_below_min_step():
-    prob = get_case("orbit-unstable").problem()
-    tol = DEFAULT.replace(tol_xcheck=np.inf, step_cap=1e-12, min_step=0.3)
-    with pytest.raises(ContinuationError, match="alpha step"):
-        homotopy_multipliers(prob, nodes=8, tol=tol)

@@ -20,7 +20,7 @@ from pyrastab.problems import (
     PeriodicLinearProblem,
     validate_equilibrium,
 )
-from pyrastab.simulate import integrate, perturbed_history
+from pyrastab.simulate import HistorySegment, integrate, perturbed_history
 
 
 def test_delay_feedback_basics():
@@ -94,8 +94,20 @@ _SCALAR_SITES = {
     "integrate.t_end": lambda v: integrate(
         LinearField(_ONE), DelayFeedback(_ONE, 1.0), perturbed_history([0.0], 1.0, 1e-6, 0), v
     ),
+    "perturbed_history.delay": lambda v: perturbed_history([0.0], v, 1e-6, 0),
+    "perturbed_history.amplitude": lambda v: perturbed_history([0.0], 1.0, v, 0),
     "$.delay": lambda v: _document(delay=v),
     "$.period": lambda v: _document("periodic-linear", period=v),
+}
+# each input that must be a real array with finite entries, here of shape (1,)
+_ARRAY_SITES = {
+    "EquilibriumProblem.point": lambda a: EquilibriumProblem(
+        LinearField(_ONE), a, DelayFeedback(_ONE, 1.0)
+    ),
+    "HistorySegment.values": lambda a: HistorySegment(
+        np.linspace(-1.0, 0.0, 5), np.ones((5, 1)) * a
+    ),
+    "perturbed_history.point": lambda a: perturbed_history(a, 1.0, 1e-6, 0),
 }
 
 
@@ -123,6 +135,14 @@ def test_every_matrix_and_positive_scalar_input_refuses_bad_values(build, good, 
     build(good)  # a complex matrix whose imaginary part is zero is real
     with pytest.raises(InputError):
         build(bad)
+
+
+@pytest.mark.parametrize("build", _ARRAY_SITES.values(), ids=_ARRAY_SITES)
+@pytest.mark.parametrize("bad", [0.5j, 1.0 + 2.0j, np.nan, np.inf], ids=str)
+def test_every_real_array_input_refuses_bad_values(build, bad):
+    build(np.array([0.5 + 0j]))  # an imaginary part of zero is real
+    with pytest.raises(InputError):
+        build(np.array([bad]))
 
 
 def test_equilibrium_problem_checks_point_shape():

@@ -7,7 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from pyrastab.equilibria import find_roots, scalar_characteristic
+from pyrastab.benchmarks import case_names, get_case
+from pyrastab.equilibria import equilibrium_verdicts, find_roots, scalar_characteristic
+from pyrastab.periodic import ode_monodromy, periodic_verdicts
+from pyrastab.problemio import load_problem
+from pyrastab.problems import EquilibriumProblem
 from pyrastab.reports import (
     atomic_write_text,
     dump_json,
@@ -22,6 +26,7 @@ from pyrastab.reports import (
     trajectory_table,
     write_csv,
 )
+from pyrastab.verdicts import Hypothesis, Verdict
 
 
 def test_fmt_round_trips_doubles():
@@ -122,3 +127,60 @@ def test_envelope_structure():
     assert env["timing_s"] == 0.25
     # envelopes must be JSON-clean as-is
     json.loads(dump_json(to_jsonable(env)))
+
+
+# --- verdicts: to_jsonable against the per-class dicts it replaced ----------------
+
+
+def _former_verdict_dict(v: Verdict) -> dict:
+    """``Verdict.to_dict`` with ``Hypothesis.to_dict`` as they were before
+    ``to_jsonable`` became the one serializer of results."""
+
+    def hypothesis(h: Hypothesis) -> dict:
+        out: dict = {"name": h.name, "passed": bool(h.passed)}
+        if h.detail:
+            out["detail"] = h.detail
+        if h.value is not None:
+            out["value"] = float(h.value)
+        if h.tolerance is not None:
+            out["tolerance"] = float(h.tolerance)
+        return out
+
+    out: dict = {
+        "rule": v.rule,
+        "outcome": v.outcome,
+        "hypotheses": [hypothesis(h) for h in v.hypotheses],
+    }
+    if v.witness is not None:
+        out["witness"] = {"re": float(v.witness.real), "im": float(v.witness.imag)}
+    return out
+
+
+def _same_json(v: Verdict) -> bool:
+    # compared as text, so 1 against 1.0 or true against 1 counts as a change
+    return dump_json(v) == dump_json(_former_verdict_dict(v))
+
+
+@pytest.mark.parametrize("name", case_names())
+def test_catalog_verdicts_serialize_as_before(name):
+    doc, problem = load_problem(get_case(name).document())
+    if isinstance(problem, EquilibriumProblem):
+        verdicts = equilibrium_verdicts(problem, doc.tolerances)
+    else:
+        verdicts = periodic_verdicts(ode_monodromy(problem), doc.tolerances)
+    assert all(_same_json(v) for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "hypotheses, witness",
+    [
+        ((Hypothesis("bare", True),), None),
+        ((Hypothesis("detailed", True, "why", value=2.0, tolerance=0.5),), 1.5 - 0.0j),
+        ((Hypothesis("measured", np.bool_(True), value=np.float64(3.0)),), np.complex128(2j)),
+        ((Hypothesis("bounded", True, tolerance=1e-8), Hypothesis("fails", np.bool_(False))), 1j),
+    ],
+)
+def test_hand_built_verdicts_serialize_as_before(hypotheses, witness):
+    v = Verdict.from_hypotheses("rule", hypotheses, witness)
+    assert _same_json(v)
+    assert to_jsonable(v.hypotheses[0])["passed"] is True

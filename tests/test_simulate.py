@@ -69,6 +69,14 @@ def test_perturbed_history_is_seeded_and_bounded():
     assert any(np.max(np.abs(a(s) - c(s))) > 0 for s in ss)
 
 
+def test_perturbed_history_refuses_an_amplitude_it_cannot_draw():
+    # 1e308 is finite, but the width 2e308 of its uniform range is not; NaN
+    # and inf are among the bad values of every positive scalar input in
+    # test_problems.py
+    with pytest.raises(InputError, match="amplitude"):
+        perturbed_history([0.0], 1.0, 1e308, 0)
+
+
 # --- integration oracles ---------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ corroborates an exclusion and is computed only when one is reached."""
 import pytest
 
 from pyrastab.errors import InputError, RootCountError
+from pyrastab.reports import to_jsonable
 from pyrastab.verdicts import EXCLUDED, NOT_EXCLUDED, Hypothesis, Verdict
 
 _HOLDS = Hypothesis("holds", True)
@@ -39,7 +40,7 @@ def test_an_uncertified_witness_is_left_out():
 
     v = Verdict.from_hypotheses("rule", (_HOLDS,), witness)
     assert v.excluded and v.witness is None
-    assert "witness" not in v.to_dict()
+    assert "witness" not in to_jsonable(v)
 
 
 @pytest.mark.parametrize("error", [InputError("bad"), ValueError("bad"), ZeroDivisionError()])
