@@ -4,11 +4,12 @@ Nodes are stored ascending on the target interval.  Interpolation goes
 through the barycentric formula; the cumulative integration matrix maps
 node values of a function to node values of its antiderivative (zero at
 the left endpoint) via Chebyshev coefficient space, so it is spectrally
-accurate for smooth integrands.
+accurate for smooth integrands.  The differentiation matrix maps node
+values to the node values of the interpolant's derivative.
 
-The integration matrix depends on the interval only through its length, a
-scalar factor.  The unit-interval matrix is therefore built once per node
-count and kept in a small read-only cache; every call returns a fresh
+Both matrices depend on the interval only through its length, a scalar
+factor.  The unit-interval matrices are therefore built once per node
+count and kept in small read-only caches; every call returns a fresh
 scaled copy, bit for bit the product it would otherwise compute.
 """
 
@@ -26,6 +27,7 @@ __all__ = [
     "interp_row",
     "chebyshev_coefficients",
     "cumulative_matrix",
+    "differentiation_matrix",
 ]
 
 
@@ -101,3 +103,27 @@ def cumulative_matrix(nodes: np.ndarray) -> np.ndarray:
     node count and scaled by half the interval's length)."""
     nodes = np.asarray(nodes, dtype=float)
     return _unit_cumulative(len(nodes)) * (0.5 * (nodes[-1] - nodes[0]))
+
+
+@lru_cache(maxsize=8)
+def _unit_differentiation(m: int) -> np.ndarray:
+    """differentiation_matrix on [-1, 1] with m nodes, read-only."""
+    unit = lobatto_nodes(m, -1.0, 1.0)
+    c = barycentric_weights(m)
+    diff = unit[:, None] - unit + np.eye(m)
+    d = (c[None, :] / c[:, None]) / diff
+    # each row differentiates the constants to zero: the diagonal is minus
+    # the sum of the row's other entries (Trefethen, Spectral Methods in
+    # MATLAB, 2000, program cheb)
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    d.flags.writeable = False
+    return d
+
+
+def differentiation_matrix(nodes: np.ndarray) -> np.ndarray:
+    """Matrix D with (D v)_i = derivative at nodes[i] of the polynomial
+    interpolating v at the Lobatto nodes (the unit-interval matrix is cached
+    per node count and scaled by two over the interval's length)."""
+    nodes = np.asarray(nodes, dtype=float)
+    return _unit_differentiation(len(nodes)) * (2.0 / (nodes[-1] - nodes[0]))

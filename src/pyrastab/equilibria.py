@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from .chebyshev import differentiation_matrix, lobatto_nodes
 from .errors import ContinuationError, InputError, NumericalError
 from .linalg import kernel_basis, spectral_norm, svd_rank
 from .problems import EquilibriumProblem, positive_finite
@@ -276,6 +277,52 @@ def _spacing_for(cm: CharacteristicMatrix, rect: Rect) -> float:
     return min(osc, poly)
 
 
+_GENERATOR_ORDER_CAP = 32   # most Chebyshev intervals N of the generator collocation
+_GENERATOR_SIZE_CAP = 512   # and at most this many unknowns n (N + 1)
+
+
+def _generator_order(cm: CharacteristicMatrix, rect: Rect) -> int:
+    """Collocation order N for seeding the roots in the window ``rect``.
+
+    A root with Re lambda >= x obeys |lambda| <= ||J|| + |alpha| (1 +
+    exp(-x T)) ||K||, at most norm_bound max(1, exp(-x T)); so every root
+    in the window lies within the radius r, the smaller of that bound at
+    its left edge and its farthest point from 0.  With [-T, 0] mapped to
+    [-1, 1], a root's eigenfunction exp(lambda theta) is exp(c s) up to a
+    factor, |c| <= r T / 2, and the Chebyshev coefficients of exp(c s) fall
+    off factorially once the degree passes |c|: so N = ceil(r T / 2) + 4,
+    at least 8.  The caps keep N <= 32 and n (N + 1) <= 512 (N >= 2);
+    beyond them the seeds are coarser and the subdivision finds what they
+    miss.  The axis band searched beside the window (|Re| <= 1 / T) uses
+    the same N, so the window's seeds do not depend on whether it is.
+    """
+    reach = max(abs(complex(x, y)) for x in (rect.re0, rect.re1) for y in (rect.im0, rect.im1))
+    growth = np.exp(min(-rect.re0 * cm.delay, 50.0))
+    radius = min(reach, cm.norm_bound * max(1.0, growth))
+    order = max(8, int(np.ceil(0.5 * cm.delay * radius)) + 4)
+    return max(2, min(order, _GENERATOR_ORDER_CAP, _GENERATOR_SIZE_CAP // cm.dimension - 1))
+
+
+def _generator_eigenvalues(cm: CharacteristicMatrix, rect: Rect) -> np.ndarray:
+    """Eigenvalues of the Chebyshev collocation of the infinitesimal
+    generator of x' = (J + alpha K) x - alpha K x(t - T) on C([-T, 0]).
+
+    The state is sampled at N + 1 Lobatto nodes of [-T, 0]; every node but
+    theta = 0 carries the derivative of the interpolant, and theta = 0
+    carries the delay equation itself (Breda, Maset & Vermiglio, SIAM J.
+    Sci. Comput. 27, 2005).  Its n (N + 1) eigenvalues approximate the
+    characteristic roots of smallest modulus; they only seed Newton.
+    """
+    n, order = cm.dimension, _generator_order(cm, rect)
+    nodes = lobatto_nodes(order + 1, -cm.delay, 0.0)
+    dtype = np.result_type(cm.jacobian, cm.gain)
+    gen = np.kron(differentiation_matrix(nodes), np.eye(n)).astype(dtype)
+    gen[-n:] = 0.0
+    gen[-n:, -n:] = cm.jacobian + cm.alpha * cm.gain
+    gen[-n:, :n] = -cm.alpha * cm.gain
+    return np.linalg.eigvals(gen)
+
+
 def find_roots(
     cm: CharacteristicMatrix,
     region: Region | None = None,
@@ -288,8 +335,24 @@ def find_roots(
     (it starts at Re = tol_axis) leaves out.  They are searched in a band
     |Re| <= max(tol_axis, min(1e-5 region.scale, 1 / T)), wide enough to
     certify a root on the axis itself, and only those inside |Re| <=
-    tol_axis are kept.  Roots closer together than about 1e-7 of the region
-    scale may merge into one cluster entry.
+    tol_axis are kept.
+
+    Newton starts from the eigenvalues of a Chebyshev collocation of the
+    delay equation's infinitesimal generator on [-T, 0], computed once per
+    call, of order N = ceil(r T / 2) + 4, at least 8, where r bounds |lambda|
+    over the region's window by its extent and ``cm.norm_bound``; N <= 32
+    and n (N + 1) <= 512 cap its cost.  A seed decides no count and
+    no multiplicity: every multiplicity is the winding count of a box
+    around the polished root, the boxes are disjoint, and their total must
+    equal the window's winding count.  A larger total proves that count
+    aliased and raises :class:`RootCountError`; a smaller one runs the
+    subdivision search on the cells the boxes leave unexplained.  For real
+    J, K and alpha the roots off the real axis come in exact mirror pairs,
+    each certified by its own box.  Distinct roots closer together than the
+    usual box (about 1e-7 of the region scale) keep separate boxes when
+    Newton tells them apart; points Newton cannot tell apart merge into one
+    cluster entry.  What stays non-rigorous is the winding count itself: a
+    sampled boundary phase in floating point, with no interval arithmetic.
     """
     return _spectrum(cm, region or default_region(cm, tol), tol, scan_band=region is None)
 
@@ -300,24 +363,28 @@ def _spectrum(
     """Roots in ``region``, plus the marginal ones when ``scan_band``."""
     rect = region.rect()
     scale = region.scale
+    # The extractor certifies a root by a winding count in a box of
+    # half-width about 1e-7 scale that must clear its cell; a band only
+    # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
+    # the band is widened, to at most 1 / T (|exp(-lambda T)| <= e on it),
+    # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
+    half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
+    band = Rect(-half, half, -region.im_max, region.im_max)
+    seeds = _generator_eigenvalues(cm, rect)
+    # real J and K, whatever their dtype: the roots come in mirror pairs
+    conjugate = not (np.any(np.imag(cm.jacobian)) or np.any(np.imag(cm.gain)))
 
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
 
     def roots_in(box: Rect) -> list[tuple[complex, int]]:
         return find_roots_rect(
-            cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region
+            cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region,
+            seeds, conjugate,
         )
 
     pairs = roots_in(rect)
     if scan_band:
-        # The extractor certifies a root by a winding count in a box of
-        # half-width about 1e-7 scale that must clear its cell; a band only
-        # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
-        # the band is widened, to at most 1 / T (|exp(-lambda T)| <= e on it),
-        # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
-        half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
-        band = Rect(-half, half, -region.im_max, region.im_max)
         # a band root within 1e-10 scale of a main-window root is that root
         # (the window's nudged edge can reach Re <= tol_axis); band roots are
         # distinct from each other

@@ -32,8 +32,9 @@ class NumericalError(PyrastabError, ArithmeticError):
 
 
 class RootCountError(NumericalError):
-    """Argument-principle count and extracted roots disagree after maximum
-    subdivision; carries the offending region in the message."""
+    """Argument-principle count and extracted roots disagree: certified
+    roots hold more zeros than the count, or subdivision cannot account for
+    it; carries the offending region in the message."""
 
 
 class ContinuationError(NumericalError):

@@ -3,18 +3,29 @@
 Counts zeros inside axis-aligned rectangles by summing phase increments of
 ``f`` along the boundary, refining each segment until its phase step is
 unambiguous; rectangles whose boundary passes too close to a zero are
-nudged outward by a tiny amount.  Extraction subdivides recursively,
-polishes candidates by Newton steps on the logarithmic derivative, and
-certifies multiplicities by re-counting a small enclosing box, so exact
-multiple roots terminate without infinite refinement.  Where no halving of
-a cell counts consistently, it cuts strips around a root it has certified
-there, after a second Newton start if needed, before giving up.
+nudged outward by a tiny amount.
+
+Extraction runs Newton on the logarithmic derivative from seeds the caller
+supplies; :func:`pyrastab.equilibria.find_roots` passes the eigenvalues of
+a Chebyshev collocation of the delay equation's generator, whose order it
+derives from the region and the norm bound of the characteristic matrix.
+A seed decides no count and no multiplicity.  Each polished point is
+certified by the winding count of a small box around it; the boxes are
+disjoint, and their counts must add up to the rectangle's count.  A surplus
+proves that count aliased and raises; a shortfall runs the recursive
+subdivision, with Newton from each cell's centre, on the cells the boxes
+leave unexplained.  Exact multiple roots terminate without infinite
+refinement, because a box count, not Newton, gives the multiplicity.
+
+What stays non-rigorous is the count itself: a boundary phase sampled in
+floating point, with no interval arithmetic, so a phase that turns by
+nearly 2 pi between two samples reads as a small step and aliases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +38,11 @@ _PHASE_LIMIT = 1.5      # accepted phase step per segment, just under pi/2
 _MODULUS_LIMIT = 1.4    # accepted |log modulus ratio| per segment, ~log 4
 _MAX_SEGMENTS = 500_000
 _CLUSTER_REL = 1e-7     # half-width of the certification box around a cluster
+_SEED_MARGIN = 1e-3     # seeds within this times scale of the rectangle start Newton
+
+
+def _linf(z: complex) -> float:
+    return max(abs(z.real), abs(z.imag))
 
 
 class BoundaryRootError(NumericalError):
@@ -166,7 +182,7 @@ def count_with_nudge(
 
 
 # an iterate that strays far left overflows exp(-lambda T) in dlog: the
-# non-finite log-derivative ends the run below, and polish checks its point
+# non-finite log-derivative ends the run below, and certify checks its point
 @np.errstate(over="ignore", invalid="ignore")
 def _newton(
     dlog: Callable[[complex], complex],
@@ -176,8 +192,8 @@ def _newton(
 ) -> tuple[complex, float] | None:
     """Newton iteration z -> z - 1/dlog(z); returns (root, last step size)
     or None.  Multiple roots converge linearly and then stall at the
-    attainable accuracy; a stalled-but-small step is accepted.  A start with
-    dlog = 0 is moved off by 1e-3 of the rectangle's diagonal."""
+    attainable accuracy; a stalled-but-small step is accepted.  A point with
+    dlog = 0 is a critical point of f, where the run ends."""
     z = z0
     cap = 0.45 * rect.diag
     prev = np.inf
@@ -190,12 +206,7 @@ def _newton(
         if not (np.isfinite(g.real) and np.isfinite(g.imag)):
             return z, 0.0  # the inverse overflowed: singular to working precision
         if g == 0:
-            if z != z0:
-                return None
-            # the start is a critical point of f, as the centre of a cell is
-            # when the roots in it lie symmetrically about that centre
-            z = z0 + 1e-3 * rect.diag * complex(0.6, 0.8)
-            continue
+            return None
         step = -1.0 / g
         mag = abs(step)
         if mag > cap:
@@ -216,6 +227,13 @@ def _newton(
     return None
 
 
+def _holds(cell: Rect, box: tuple[complex, float, int]) -> bool:
+    """Whether the certified ``box`` (centre, half-width, count) lies
+    strictly inside ``cell``."""
+    z, w, _ = box
+    return cell.distance_to_boundary(z) > w
+
+
 def _halvings(cell: Rect) -> Iterator[tuple[Rect, Rect]]:
     """Cuts across the longer side of ``cell`` at a few fractions."""
     for frac in (0.5, 0.44, 0.56, 0.37, 0.63, 0.3, 0.7):
@@ -227,23 +245,40 @@ def _halvings(cell: Rect) -> Iterator[tuple[Rect, Rect]]:
             yield Rect(cell.re0, cell.re1, cell.im0, cut), Rect(cell.re0, cell.re1, cut, cell.im1)
 
 
-def _strips(cell: Rect, z: complex, margin: float) -> Iterator[tuple[Rect, Rect, Rect]]:
-    """Three strips across the longer side of ``cell``, the middle one
-    holding the root ``z`` with ``margin`` on either side, if they fit.
-
-    In a thin cell the long edges are sampled far more coarsely than the
-    cell is wide, so a pair of roots near them can turn the phase by 2 pi
-    between two samples and every halving miscounts; these cuts put a
-    corner of each strip next to z instead."""
-    if cell.width >= cell.height:
-        if cell.re0 < z.real - margin and z.real + margin < cell.re1:
-            a, b = z.real - margin, z.real + margin
-            yield (Rect(cell.re0, a, cell.im0, cell.im1), Rect(a, b, cell.im0, cell.im1),
-                   Rect(b, cell.re1, cell.im0, cell.im1))
-    elif cell.im0 < z.imag - margin and z.imag + margin < cell.im1:
-        a, b = z.imag - margin, z.imag + margin
-        yield (Rect(cell.re0, cell.re1, cell.im0, a), Rect(cell.re0, cell.re1, a, b),
-               Rect(cell.re0, cell.re1, b, cell.im1))
+def _polished_seeds(
+    dlog: Callable[[complex], complex],
+    seeds: Sequence[complex],
+    outer: Rect,
+    scale: float,
+    conjugate: bool,
+) -> list[tuple[complex, float]]:
+    """Newton from every seed near ``outer``: distinct (point, last step)
+    pairs.  Two points are one root when they lie within four last steps
+    (and 1e-12 scale) of each other.  With ``conjugate`` only seeds with
+    Im >= 0 run: a point within that distance of the real axis is put on
+    it, and every other point comes with its exact mirror."""
+    near = outer.inflate(_SEED_MARGIN * scale)
+    points: list[tuple[complex, float]] = []
+    for seed in seeds:
+        seed = complex(seed)
+        if not near.contains(seed) or (conjugate and seed.imag < 0.0):
+            continue
+        if conjugate and seed.imag == 0.0:
+            # the collocation can split a close complex pair into two real
+            # eigenvalues, and Newton started on the axis never leaves it
+            seed += 1j * _CLUSTER_REL * (scale + abs(seed))
+        polished = _newton(dlog, seed, outer, scale)
+        if polished is None:
+            continue
+        z, last = polished
+        if conjugate:
+            on_axis = abs(z.imag) <= max(4.0 * last, 1e-12 * scale)
+            z = complex(z.real, 0.0 if on_axis else abs(z.imag))
+        if all(abs(z - p) > max(4.0 * last, 4.0 * q, 1e-12 * scale) for p, q in points):
+            points.append((z, last))
+    if conjugate:
+        points += [(z.conjugate(), last) for z, last in points if z.imag]
+    return points
 
 
 def find_roots_rect(
@@ -254,46 +289,63 @@ def find_roots_rect(
     max_spacing: float,
     scale: float,
     budget: float = 1e-5,
+    seeds: Sequence[complex] = (),
+    conjugate: bool = False,
 ) -> list[tuple[complex, int]]:
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
-    ``accept`` is the residual test a polished candidate must pass.
-    Clusters tighter than about ``1e-7 * scale`` are reported as a single
-    root with the combined multiplicity.
+    ``accept`` is the residual test a polished candidate must pass.  Newton
+    runs first from the ``seeds`` within 1e-3 ``scale`` of ``rect``;
+    ``conjugate`` declares f(conj z) = conj f(z), and then the roots off the
+    real axis are reported in exact mirror pairs.  Each polished point is
+    certified by the winding count of a box around it, of half-width about
+    ``1e-7 * scale``, shrunk to fit the rectangle and to stay clear of the
+    other points and boxes, so distinct roots closer together than the
+    usual box keep separate boxes.  A seed decides no count and no
+    multiplicity: the boxes are disjoint, their counts must add up to the
+    rectangle's count, a surplus proves that count aliased and raises
+    :class:`RootCountError`, and a shortfall is searched by subdivision,
+    only in the cells whose count the certified boxes leave unexplained.
     """
     min_segment = 1e-13 * scale
+    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget)
+    # certified roots: (centre, half-width, winding count of the box)
+    boxes: list[tuple[complex, float, int]] = []
 
-    def polish(
-        cell: Rect, count: int, start: complex
-    ) -> tuple[complex | None, tuple[complex, float] | None]:
-        """Newton from ``start``; returns (z, None) when the certification box
-        around z holds all ``count`` zeros of the cell, (None, (z, margin))
-        when it holds fewer, else (None, None)."""
-        polished = _newton(dlog, start, cell, scale)
-        if polished is None:
-            return None, None
-        z, last = polished
-        clearance = cell.distance_to_boundary(z)
+    def certify(
+        cell: Rect, z: complex, last: float, others: Sequence[complex] = ()
+    ) -> tuple[complex, float, int] | None:
+        """Certify the polished point z by the count of a box inside
+        ``cell``, clear of the certified boxes and of the ``others``;
+        the box joins them when it holds a zero."""
         w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
-        if clearance <= w:
-            # a cut passed within the usual box of z, and so would every
-            # later one: shrink the box to fit this cell
-            w = max(0.5 * clearance, 4.0 * last)
-        if not (clearance > max(w, 1e-12 * scale) and accept(z)):
-            return None, None
+        room = min(
+            [cell.distance_to_boundary(z)]
+            + [_linf(z - c) - cw for c, cw, _ in boxes]
+            + [0.5 * _linf(z - p) for p in others]
+        )
+        if room <= w:
+            # a cut or another root passed within the usual box of z: shrink
+            # the box to fit
+            w = max(0.5 * room, 4.0 * last)
+        if not (room > max(w, 1e-12 * scale) and accept(z)):
+            return None
         box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
         try:
             inside = winding_count(f, box, w, 1e-3 * w)
         except BoundaryRootError:
-            return None, None
-        if inside == count:
-            return z, None
-        return None, ((z, 4.0 * w) if inside > 0 else None)
+            return None
+        if inside == 0:
+            return None
+        boxes.append((z, w, inside))
+        return boxes[-1]
 
-    def split(
-        count: int, candidates: Iterator[tuple[Rect, ...]]
-    ) -> list[tuple[Rect, int]] | None:
-        for parts in candidates:
+    def split(cell: Rect, count: int) -> list[tuple[Rect, int]] | None:
+        held = [b for b in boxes if _holds(cell, b)]
+        for parts in _halvings(cell):
+            # a cut through a certified box would lose its count
+            if not all(any(_holds(p, b) for p in parts) for b in held):
+                continue
             try:
                 counts = [winding_count(f, p, max_spacing, min_segment) for p in parts]
             except BoundaryRootError:
@@ -302,47 +354,49 @@ def find_roots_rect(
                 return list(zip(parts, counts))
         return None
 
-    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget)
-    found: list[tuple[complex, int]] = []
-    # each cell carries the last root certified in it or an ancestor, with the
-    # margin of the strips that may be cut around it
-    stack: list[tuple[Rect, int, tuple[complex, float] | None]] = [(outer, total, None)]
+    points = _polished_seeds(dlog, seeds, outer, scale, conjugate)
+    for i, (z, last) in enumerate(points):
+        certify(outer, z, last, [p for j, (p, _) in enumerate(points) if j != i])
+
+    stack: list[tuple[Rect, int]] = [(outer, total)]
     guard = 0
     while stack:
         guard += 1
         if guard > 20_000:
             raise RootCountError(f"subdivision exploded inside {outer}")
-        cell, count, around = stack.pop()
-        if count == 0:
-            continue
-
-        root, seen = polish(cell, count, cell.center)
-        if root is not None:
-            found.append((root, count))
-            continue
-        around = seen or around
-
-        if cell.diag < 1e-9 * scale:
+        cell, count = stack.pop()
+        rest = count - sum(b[2] for b in boxes if _holds(cell, b))
+        if rest < 0:
             raise RootCountError(
-                f"could not resolve {count} zero(s) inside {cell}"
+                f"certified boxes hold {count - rest} zero(s) inside {cell}, "
+                f"which counts {count}: the count aliased"
             )
+        if rest == 0:
+            continue
 
-        parts = split(count, _halvings(cell))
-        if parts is None and around is not None:
-            parts = split(count, _strips(cell, *around))
-        if parts is None:
-            # Newton from the centre can run off to a root outside the cell
-            # even when the roots inside are close to it; start once more
-            root, seen = polish(cell, count, cell.center + 1e-3 * cell.diag * complex(-0.8, 0.6))
-            if root is not None:
-                found.append((root, count))
-                continue
-            if seen is not None:
-                around = seen
-                parts = split(count, _strips(cell, *around))
+        # Newton from the centre certifies what the seeds left unexplained:
+        # all of it, or a part that the halvings below keep whole
+        polished = _newton(dlog, cell.center, cell, scale)
+        box = None if polished is None else certify(cell, *polished)
+        if box is not None and box[2] == rest:
+            continue
+        if cell.diag < 1e-9 * scale:
+            raise RootCountError(f"could not resolve {rest} zero(s) inside {cell}")
+        parts = split(cell, count)
         if parts is None:
             raise RootCountError(f"no admissible split line for {cell}")
-        stack.extend((p, c, around) for p, c in parts)
+        stack.extend(parts)
 
+    found = []
+    for z, w, m in boxes:
+        # the subdivision certifies each root on its own: a box that holds
+        # its own centre's mirror is reported on the axis, and one that
+        # holds the mirror of a root above the axis at that mirror
+        if conjugate and _linf(z.conjugate() - z) < w:
+            z = complex(z.real, 0.0)
+        elif conjugate and z.imag < 0.0:
+            z = next((c.conjugate() for c, _, k in boxes
+                      if k == m and _linf(c.conjugate() - z) < w), z)
+        found.append((z, m))
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     return found

@@ -11,6 +11,7 @@ from pyrastab.chebyshev import (
     barycentric_weights,
     chebyshev_coefficients,
     cumulative_matrix,
+    differentiation_matrix,
     interp_row,
     interp_rows,
     lobatto_nodes,
@@ -170,3 +171,33 @@ def test_cumulative_matrix_returns_fresh_writable_arrays(a, b):
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
         unit[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 17, 33])
+def test_differentiation_matrix_differentiates_polynomials_exactly(m):
+    nodes = lobatto_nodes(m, -2.0 * np.pi, 0.0)
+    d = differentiation_matrix(nodes)
+    x = (nodes + np.pi) / np.pi  # the interval mapped to [-1, 1]
+    for degree in range(m):
+        coeffs = np.zeros(degree + 1)
+        coeffs[-1] = 1.0
+        values = cheb.chebval(x, coeffs)  # T_degree, bounded by 1
+        slope = cheb.chebval(x, cheb.chebder(coeffs)) / np.pi
+        assert np.max(np.abs(d @ values - slope)) <= 1e-12 * max(1.0, np.max(np.abs(slope)))
+
+
+def test_differentiation_matrix_undoes_the_cumulative_matrix():
+    # D Q = I on the polynomials of degree < m - 1, whose antiderivative the
+    # interpolant still holds: checked on a smooth function
+    nodes = lobatto_nodes(24, 0.5, 3.0)
+    values = np.exp(np.sin(nodes))
+    back = differentiation_matrix(nodes) @ (cumulative_matrix(nodes) @ values)
+    assert np.max(np.abs(back - values)) <= 1e-10
+
+
+def test_differentiation_matrix_returns_fresh_arrays_over_a_read_only_cache():
+    nodes = lobatto_nodes(9, -1.0, 2.0)
+    first = differentiation_matrix(nodes)
+    first[:] = 7.0
+    assert not np.array_equal(differentiation_matrix(nodes), first)
+    assert not chebyshev._unit_differentiation(9).flags.writeable

@@ -15,7 +15,7 @@ import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pyrastab import equilibria, reports
+from pyrastab import equilibria, reports, rootfinding
 from pyrastab.benchmarks import case_names, get_case
 from pyrastab.equilibria import (
     _assign_traces,
@@ -44,12 +44,14 @@ from pyrastab.equilibria import (
     scalar_dominant_root,
     unstable_count_for_gain,
 )
-from pyrastab.errors import ContinuationError, InputError, NumericalError, RootCountError
+from pyrastab.errors import (
+    ContinuationError, CrossCheckError, InputError, NumericalError, RootCountError,
+)
 from pyrastab.linalg import kernel_basis, spectral_norm
 from pyrastab.tolerances import DEFAULT
-from pyrastab.fields import LinearField
-from pyrastab.periodic import ode_monodromy, periodic_verdicts
-from pyrastab.problems import DelayFeedback, EquilibriumProblem
+from pyrastab.fields import ConstantCoefficient, LinearField
+from pyrastab.periodic import dde_monodromy, multipliers, ode_monodromy, periodic_verdicts
+from pyrastab.problems import DelayFeedback, EquilibriumProblem, PeriodicLinearProblem
 from pyrastab.rootfinding import _boundary_vertices
 from pyrastab.verdicts import Hypothesis, Verdict
 
@@ -297,6 +299,9 @@ def test_homotopy_trace_keeps_the_resonating_center_marginal():
 @example(([0.0, 1.0, 1.1754943508222875e-38, 0.0], [0.0, 0.0, 0.0, 0.1875]))
 @example(([0.3577088485641282, -0.4911775980879053, 0.8089295247038288, 0.3577088485641282],) * 2)
 @example(([6.161423312112707e-20, -5.594516643145734e-20, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
+# the window's seeds must not depend on the band: a generator order widened
+# for the band moved this draw's root by one bit
+@example(([0.0, 1.0, 0.89453125, -0.8984375], [0.0, 0.0, 0.0, 1.0]))
 def test_band_scan_leaves_the_roots_unchanged(entries):
     n = int(round(np.sqrt(len(entries[0]))))
     j, k = (np.reshape(e, (n, n)) for e in entries)
@@ -309,9 +314,9 @@ def test_band_scan_leaves_the_roots_unchanged(entries):
 
 
 def test_band_certifies_a_root_where_the_inverse_overflows():
-    # a falsifying draw of the band scan (the first example above): Newton
-    # starts at the band's centre 0, a subnormal away from a root, where
-    # Delta(0)^-1 overflows
+    # a falsifying draw of the band scan (the first example above): the
+    # subdivision's Newton started at the band's centre 0, a subnormal away
+    # from a root, where Delta(0)^-1 overflows
     j = np.diag([2.2250738585e-313, 2.0**-7])
     rep = find_roots(CharacteristicMatrix(j, np.zeros((2, 2)), 2 * np.pi))
     assert [r.value for r in rep.roots] == pytest.approx([2.0**-7], abs=1e-15)
@@ -339,8 +344,9 @@ def test_find_roots_certifies_a_root_closer_to_the_window_edge_than_its_box(rate
     ids=["1.7e-9", "1.0e-10"],
 )
 def test_band_keeps_both_roots_of_a_pair_split_at_im_zero(j, k, y):
-    # the band's first cut at Im = 0 passes between the roots +-y i, closer
-    # together than the certification box; both are reported, not one
+    # the roots +-y i are closer together than the usual certification box,
+    # and the subdivision's first cut at Im = 0 passed between them; both are
+    # reported, not one cluster
     rep = find_roots(CharacteristicMatrix(np.array(j), np.array(k), 2 * np.pi))
     assert [(r.value.imag, r.algebraic) for r in rep.marginal] == [
         (pytest.approx(-y, rel=1e-6), 1), (pytest.approx(y, rel=1e-6), 1)
@@ -350,7 +356,7 @@ def test_band_keeps_both_roots_of_a_pair_split_at_im_zero(j, k, y):
 def test_band_certifies_a_double_root_at_zero():
     # a falsifying draw of the band scan above: J is a Jordan block at 0 up
     # to 6.66e-168, so the band holds a double root 1.4e-4 from its long edges
-    # and dlog vanishes at its centre, where Newton starts
+    # and dlog vanishes at its centre, where the subdivision's Newton started
     j = np.array([[0.0, 1.0], [6.66e-168, 0.0]])
     cm = CharacteristicMatrix(j, np.zeros((2, 2)), 2 * np.pi)
     [root] = find_roots(cm).marginal
@@ -361,8 +367,8 @@ def test_band_certifies_a_double_root_at_zero():
 def test_band_separates_a_root_at_zero_from_one_just_right_of_it():
     # a second falsifying draw of the band scan: 0 is marginal and 2^-14 is
     # unstable, closer together than one boundary step of the band's edges,
-    # so only cuts next to the certified root at 0 count the band correctly;
-    # and a cut passes within the usual certification box of 2^-14
+    # so only cuts next to the certified root at 0 counted the band correctly;
+    # and a cut passed within the usual certification box of 2^-14
     cm = CharacteristicMatrix(np.diag([0.0, 2.0**-14]), np.zeros((2, 2)), 2 * np.pi)
     rep = find_roots(cm)
     assert [r.value for r in rep.roots] == pytest.approx([2.0**-14], abs=1e-12)
@@ -371,22 +377,18 @@ def test_band_separates_a_root_at_zero_from_one_just_right_of_it():
     assert (root.algebraic, rep.roots[0].algebraic) == (1, 1)
 
 
-@pytest.mark.parametrize(
-    "rate, gain, delay, dominant",
-    [
-        pytest.param(*_COMPLEX_GAIN_DRAW, id="complex-gain"),
-        pytest.param(*_REAL_GAIN_DRAW, id="real-gain", marks=pytest.mark.xfail(
-            strict=True, raises=RootCountError,
-            reason="the extractor fails at the main window's split at Im = 0")),
-    ],
-)
+@_MISSED_DRAWS
 def test_half_plane_search_resolves_the_missed_scalar_draws(rate, gain, delay, dominant):
     # the complex-gain draw has a root 5.39e-7 right of the main window's
-    # left edge, closer than the usual certification box; the real-gain
-    # draw fails at the main window's split at Im = 0
-    rep = find_roots(scalar_characteristic(rate, gain, delay))
+    # left edge, closer than the usual certification box; on the real-gain
+    # draw the subdivision failed at the main window's split at Im = 0,
+    # which passes through both real roots
+    cm = scalar_characteristic(rate, gain, delay)
+    rep = find_roots(cm)
     assert rep.count == 2
     assert rep.dominant.value == pytest.approx(dominant, rel=1e-12)
+    want = sorted(_branch_roots(rate, gain, delay, default_region(cm)), key=lambda z: -z.real)
+    assert [r.value for r in rep.roots] == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("rate, unstable", [(3e6, [3000000.1]), (-3e6, [])])
@@ -397,6 +399,124 @@ def test_band_stays_out_of_the_deep_left_half_plane(rate, unstable):
     rep = find_roots(CharacteristicMatrix(np.array([[rate]]), np.array([[0.1]]), 1.0))
     assert [r.value for r in rep.roots] == pytest.approx(unstable, abs=1e-6)
     assert all(r.algebraic == 1 for r in rep.roots) and rep.marginal == ()
+
+
+# --- roots seeded by the collocated generator's eigenvalues -------------------
+
+_EQUILIBRIUM_CASES = [name for name in case_names()
+                      if get_case(name).document()["kind"] == "equilibrium"]
+
+
+def _random_draw(n, seed):
+    # the benchmark's random problems: J = N(0, 1) / sqrt(n), K = 0.3 I, T = 2 pi
+    jac = np.random.default_rng(seed).normal(size=(n, n)) / np.sqrt(n)
+    return CharacteristicMatrix(jac, 0.3 * np.eye(n), 2 * np.pi)
+
+
+@pytest.fixture
+def no_subdivision(monkeypatch):
+    def refuse(cell):
+        raise AssertionError(f"the subdivision ran on {cell}")
+
+    monkeypatch.setattr(rootfinding, "_halvings", refuse)
+
+
+@pytest.mark.parametrize("name", _EQUILIBRIUM_CASES)
+def test_seeds_explain_every_catalog_equilibrium(name, no_subdivision):
+    cm = characteristic_matrix(get_case(name).problem())
+    assert find_roots(cm).count == count_roots(cm)
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (2, 5, 10) for seed in (0, 1, 2)])
+def test_seeds_explain_the_random_draws(n, seed, no_subdivision):
+    cm = _random_draw(n, seed)
+    assert find_roots(cm).count == count_roots(cm)
+
+
+def test_seeds_prove_the_aliased_count_at_n20(no_subdivision):
+    # the window's winding count aliases to 16 (ROADMAP item 1); the
+    # certified boxes around the polished seeds hold 18 zeros
+    with pytest.raises(RootCountError, match="aliased"):
+        find_roots(_random_draw(20, 0))
+
+
+def test_mirror_roots_are_exact_conjugates():
+    # on the random draw n = 5, J1 the report listed +0.3629i before its
+    # mirror: the order followed the last bit of the two real parts
+    values = [r.value for r in find_roots(_random_draw(5, 1)).roots]
+    assert values[0].imag == 0.0
+    assert values[1] == values[2].conjugate()
+    assert values[1].imag == pytest.approx(-0.3629, abs=1e-4)
+
+
+def test_find_roots_counts_a_near_jordan_pair_in_the_main_window():
+    # ROADMAP item 2: the subdivision found no admissible split line next to
+    # the near-double real root at 0.2287
+    cm = CharacteristicMatrix(np.array([[0.0, 1.0], [1e-8, 0.0]]), 0.3 * np.eye(2), 2 * np.pi)
+    assert find_roots(cm).count == count_roots(cm) == 3
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.875, 1.0])
+def test_find_roots_on_the_draw_the_main_window_could_not_split(alpha):
+    # the subdivision raised "no admissible split line" inside the main window
+    rng = np.random.default_rng(3)
+    jac = 0.3 * rng.normal(size=(3, 3))
+    gain = 0.3 * rng.normal(size=(3, 3))
+    cm = CharacteristicMatrix(jac, gain, 2 * np.pi, alpha)
+    rep = find_roots(cm)
+    assert rep.count == count_roots(cm) == 3
+    assert all(r.algebraic == 1 for r in rep.roots)
+    if alpha == 0.75:
+        assert [r.value for r in rep.roots] == pytest.approx(
+            [1.3879765172894556, 0.006605487222015712 - 0.047160422592672405j,
+             0.006605487222015712 + 0.047160422592672405j], abs=1e-9)
+
+
+_ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(_ENTRIES, min_size=n * n, max_size=n * n),
+        st.one_of(st.lists(_ENTRIES, min_size=1, max_size=1),
+                  st.lists(_ENTRIES, min_size=n * n, max_size=n * n)),
+    ))
+)
+# the window's count reads 5 where the roots and the monodromy give 3, and
+# find_roots refuses it
+@example(([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+           1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+          [-0.5]))
+def test_found_roots_match_the_count_and_the_monodromy(entries):
+    # scalar and full gains: the certified total equals the window's winding
+    # count and the number of delay multipliers outside the unit circle
+    jac_entries, gain_entries = entries
+    n = int(round(np.sqrt(len(jac_entries))))
+    jac = np.reshape(jac_entries, (n, n)) / np.sqrt(n)
+    gain = (gain_entries[0] * np.eye(n) if len(gain_entries) == 1
+            else np.reshape(gain_entries, (n, n)) / np.sqrt(n))
+    problem = PeriodicLinearProblem(ConstantCoefficient(jac), 2 * np.pi,
+                                    DelayFeedback(gain, 2 * np.pi))
+    try:
+        report = multipliers(dde_monodromy(problem, nodes=24))
+    except (CrossCheckError, np.linalg.LinAlgError):
+        assume(False)  # the oracle's grid does not resolve this draw
+    # a multiplier this close to the circle is a root on the axis, or too
+    # close to it for 24 nodes to place
+    assume(all(abs(abs(e.value) - 1.0) > 1e-3 for e in report.entries))
+    cm = CharacteristicMatrix(jac, gain, 2 * np.pi)
+    count = count_roots(cm)
+    try:
+        rep = find_roots(cm)
+    except RootCountError:
+        # find_roots refuses only where the window's winding count is wrong
+        # (ROADMAP item 1), as the monodromy confirms
+        assert count != report.outside_count
+        return
+    assert rep.count == count == report.outside_count
+    values = [r.value for r in rep.all_roots]
+    assert all(z.conjugate() in values for z in values)
 
 
 # --- resonating centers -------------------------------------------------------

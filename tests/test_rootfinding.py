@@ -8,7 +8,8 @@ ahead of time.
 import numpy as np
 import pytest
 
-from pyrastab.errors import NumericalError
+from pyrastab import rootfinding
+from pyrastab.errors import NumericalError, RootCountError
 from pyrastab.rootfinding import (
     BoundaryRootError,
     Rect,
@@ -114,3 +115,45 @@ def test_winding_count_flags_overflow():
 
     with pytest.raises((NumericalError, BoundaryRootError)):
         winding_count(f, Rect(-1000.0, 1000.0, -1000.0, 1000.0), 100.0, 1e-12)
+
+
+def test_seeds_alone_certify_a_pair_closer_than_the_usual_box(monkeypatch):
+    # the usual box (half-width 1e-7) would hold both zeros; the seeds tell
+    # them apart, so each gets a box of its own and no subdivision runs
+    zeros = [0.1 + 0.2j, 0.1 + 0.2j + 3e-9]
+    f, dlog = _poly(zeros + [-0.5 - 0.3j])
+
+    def refuse(cell):
+        raise AssertionError(f"the subdivision ran on {cell}")
+
+    monkeypatch.setattr(rootfinding, "_halvings", refuse)
+    seeds = [z + 1e-11 for z in zeros] + [-0.5 - 0.3j]
+    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0, seeds=seeds)
+    assert [m for _, m in pairs] == [1, 1, 1]
+    assert [z for z, _ in pairs] == pytest.approx(sorted(zeros + [-0.5 - 0.3j], key=lambda z: z.real),
+                                                  abs=1e-13)
+
+
+def test_a_surplus_of_certified_zeros_proves_the_count_aliased(monkeypatch):
+    # the boxes around both seeds hold one zero each; a count of 1 for the
+    # whole rectangle is impossible, and is refused rather than trusted
+    f, dlog = _poly([0.3, -0.4j])
+    monkeypatch.setattr(rootfinding, "count_with_nudge", lambda f, rect, *args: (1, rect))
+    with pytest.raises(RootCountError, match="aliased"):
+        find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0,
+                        seeds=[0.3, -0.4j])
+
+
+def test_conjugate_roots_are_exact_mirrors_with_and_without_seeds():
+    # a double pair stalls Newton short of full accuracy, from wherever it
+    # starts; the rectangle is not symmetric about the real axis, so neither
+    # are the cells of the subdivision
+    zeros = [0.3 + 0.4j, 0.3 - 0.4j, -0.2, -0.6 + 0.1j, -0.6 - 0.1j]
+    f, dlog = _poly(zeros + zeros[:2])
+    for seeds in ((), [z + 1e-3 for z in zeros]):
+        pairs = find_roots_rect(f, dlog, Rect(-1, 1, -0.9, 1.3), lambda z: True, 0.2, 1.0,
+                                seeds=seeds, conjugate=True)
+        values = [z for z, _ in pairs]
+        assert len(values) == 5 and all(z.conjugate() in values for z in values)
+        assert values == pytest.approx(sorted(zeros, key=lambda z: (z.real, z.imag)), abs=1e-7)
+        assert [m for z, m in pairs if abs(abs(z.imag) - 0.4) < 1e-6] == [2, 2]
