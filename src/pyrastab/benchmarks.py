@@ -24,7 +24,6 @@ __all__ = [
     "CATALOG",
     "BUILTIN_FIELDS",
     "get_case",
-    "case_names",
     "builtin_field",
 ]
 

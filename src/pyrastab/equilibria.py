@@ -107,6 +107,8 @@ class CharacteristicMatrix:
             object.__setattr__(self, name, val)
         object.__setattr__(self, "delay", delay)
         object.__setattr__(self, "alpha", alpha)
+        # Frobenius norms of J and K, the term sizes ``residual`` divides by
+        object.__setattr__(self, "_norms", (float(np.linalg.norm(j)), float(np.linalg.norm(k))))
 
     @property
     def dimension(self) -> int:
@@ -154,8 +156,17 @@ class CharacteristicMatrix:
         return complex(np.linalg.solve(self._value(lam, decay), self._dvalue(decay)).trace())
 
     def residual(self, lam: complex) -> float:
-        svals = scipy.linalg.svdvals(self.value(lam))
-        return float(svals[-1] / max(1.0, svals[0]))
+        """Backward error of ``lam`` as a root: sigma_min(Delta(lam)) over the
+        size of Delta's terms, max(1, |lam| + ||J|| + |alpha| (1 +
+        |exp(-lam T)|) ||K||) in the Frobenius norm, as for any nonlinear
+        eigenproblem.  Unlike sigma_min / sigma_max it can reach rounding
+        level next to a root of any modulus."""
+        return float(scipy.linalg.svdvals(self.value(lam))[-1] / self._term_size(lam))
+
+    def _term_size(self, lam: complex) -> float:
+        norm_j, norm_k = self._norms
+        decay = abs(np.exp(-complex(lam) * self.delay))
+        return max(1.0, abs(lam) + norm_j + abs(self.alpha) * (1.0 + decay) * norm_k)
 
 
 def characteristic_matrix(problem: EquilibriumProblem) -> CharacteristicMatrix:
@@ -265,8 +276,8 @@ def _root_record(cm: CharacteristicMatrix, z: complex, mult: int, tol: Tolerance
     svals = scipy.linalg.svdvals(cm.value(z))
     floor = tol.tol_res * max(1.0, float(svals[0]))
     geo = cm.dimension - svd_rank(svals, cm.dimension, tol.rank_factor, floor)
-    residual = float(svals[-1] / max(1.0, svals[0]))
-    return Root(z, mult, max(geo, 1), residual)
+    # cm.residual(z), from the singular values already at hand
+    return Root(z, mult, max(geo, 1), float(svals[-1] / cm._term_size(z)))
 
 
 def _spacing_for(cm: CharacteristicMatrix, rect: Rect) -> float:

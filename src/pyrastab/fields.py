@@ -6,7 +6,9 @@ autonomous linear fields f(x) = A x, and time-periodic coefficients A(t)
 of linear fields.  Periodic coefficients known only through uniform
 samples are reconstructed by trigonometric interpolation.  The two
 coefficient classes evaluate a whole array of times at once through
-``batch``; their scalar call is the one-time case of it.
+``batch``; their scalar call is the one-time case of it.  A trigonometric
+coefficient also samples a whole uniform grid at once through ``on_grid``,
+by one inverse FFT.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class TrigCoefficient:
         # mode k = b hi + lo of the two-level phase table (see ``batch``)
         self._b = math.isqrt(modes)
         self._tiers = -(-modes // self._b)
-        coef = weights[:, None] * coef
+        self._coef = coef = weights[:, None] * coef
         folded = np.zeros((self._tiers * self._b, 2, n * n))
         folded[:modes, 0] = coef.real
         folded[:modes, 1] = -coef.imag
@@ -213,3 +215,37 @@ class TrigCoefficient:
         high = np.exp(2j * np.pi * (b * np.arange(tiers)) * x)
         phase = (high[:, :, None] * low[:, None, :]).reshape(len(times), tiers * b)
         return (phase.view(float) @ self._folded).reshape(len(times), n, n)
+
+    def on_grid(self, span: float, intervals: int) -> np.ndarray:
+        """The interpolant at the times j span / intervals, j = 0..intervals,
+        shape (intervals + 1, n, n).
+
+        When ``span`` is a whole number q of periods, mode k at those times
+        is the grid's frequency k q mod intervals, so folding the weighted
+        coefficients into those bins is exact there, and one inverse real
+        FFT of the folded half spectrum samples every time (Trefethen,
+        *Spectral Methods in MATLAB*, ch. 3).  A mode beyond the grid's
+        Nyquist frequency folds onto its alias, which takes the same
+        values on the grid, so no sample aliases.  Any other span goes
+        through ``batch``.
+        """
+        n = self.dimension
+        q = round(span / self.period)
+        if q < 1 or abs(span - q * self.period) > 4.0 * np.finfo(float).eps * span:
+            return self.batch(np.arange(intervals + 1) * (span / intervals))
+        # Re(c w^b) at bin b > intervals / 2 is Re(conj(c) w^(intervals - b));
+        # interior bins count twice in the Hermitian spectrum, and irfft
+        # drops the imaginary part of the zero and Nyquist bins
+        bins = np.arange(len(self._coef)) * q % intervals
+        mirror = 2 * bins > intervals
+        half = np.zeros((intervals // 2 + 1, n * n), dtype=complex)
+        np.add.at(
+            half,
+            np.where(mirror, intervals - bins, bins),
+            np.where(mirror[:, None], self._coef.conj(), self._coef),
+        )
+        half[1 : (intervals + 1) // 2] *= 0.5
+        out = np.empty((intervals + 1, n * n))
+        out[:-1] = np.fft.irfft(half, n=intervals, axis=0, norm="forward")
+        out[-1] = out[0]
+        return out.reshape(intervals + 1, n, n)

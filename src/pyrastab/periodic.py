@@ -24,6 +24,14 @@ two separate marches over the same grid, each with its own step maps and
 composites, never one stacked march, so the cross-check compares two
 constructions that share only their sampled coefficients.
 
+Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
+uniform grid of 2 steps intervals, except that the delay monodromy adds
+its quadrature marks.  A coefficient with its own uniform-grid
+evaluation (a ``TrigCoefficient``, by one inverse FFT) is sampled on that
+grid at once, and only the marks that replaced or sit between base
+points, and the midpoints beside them, go through its ``batch``; any
+other coefficient is sampled through ``coefficient_on`` at every time.
+
 The exclusion rules use the common-eigenvector reduction that
 ``equilibria`` defines for both settings.
 """
@@ -89,17 +97,44 @@ _Source = tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 def _stage_coefficients(
-    coefficient_on: Callable[[np.ndarray], np.ndarray], times: np.ndarray
+    coefficient_on: Callable[[np.ndarray], np.ndarray],
+    times: np.ndarray,
+    uniform: np.ndarray | None = None,
 ) -> _Stages:
     """A at the grid points and at the step midpoints of ``times``, every
     coefficient an RK4 march over that grid reads; ``coefficient_on`` is
-    called on _BLOCK times at a time."""
+    called on _BLOCK times at a time.
+
+    ``uniform``, when given, is A at j T / (2 S), j = 0..2S, with
+    T = times[-1]: the base points linspace(0, T, S + 1) at even j and their
+    midpoints at odd j.  A grid entry that is bitwise its base point reads
+    its value there, and so does the midpoint of a step between two
+    consecutive base points.  Only the other times go through
+    ``coefficient_on``: marks that replaced or sit between base points, and
+    the midpoints beside them.
+    """
 
     def sampled(x: np.ndarray) -> np.ndarray:
         blocks = range(0, len(x), _BLOCK)
         return np.concatenate([coefficient_on(x[lo : lo + _BLOCK]) for lo in blocks])
 
-    return sampled(times), sampled(times[:-1] + 0.5 * np.diff(times))
+    mids = times[:-1] + 0.5 * np.diff(times)
+    if uniform is None:
+        return sampled(times), sampled(mids)
+
+    def read(x: np.ndarray, hit: np.ndarray, j: np.ndarray) -> np.ndarray:
+        out = np.empty((len(x),) + uniform.shape[1:])
+        out[hit] = uniform[j[hit]]
+        if not np.all(hit):
+            out[~hit] = sampled(x[~hit])
+        return out
+
+    steps = (len(uniform) - 1) // 2
+    base = np.linspace(0.0, times[-1], steps + 1)
+    k = np.minimum(np.searchsorted(base, times), steps)
+    on = base[k] == times
+    between = on[:-1] & on[1:] & (np.diff(k) == 1)
+    return read(times, on, 2 * k), read(mids, between, 2 * k[:-1] + 1)
 
 
 def _step_maps(
@@ -328,7 +363,9 @@ def ode_monodromy(
         raise InputError(f"steps must be even, got {steps}")
     eye = np.eye(problem.dimension)
     times = np.linspace(0.0, problem.period, steps + 1)
-    stages = _stage_coefficients(problem.coefficient_on, times)
+    stages = _stage_coefficients(
+        problem.coefficient_on, times, problem.coefficient_on_grid(2 * steps)
+    )
     values = _rk4(times, stages, eye, np.arange(steps + 1))
     coarse = _rk4(times[::2], (stages[0][::2], stages[0][1::2]), eye, [-1])
     scale = max(1.0, spectral_norm(values[-1]))
@@ -369,11 +406,17 @@ class FloquetDecomposition:
 
     def periodic_factor(self, t: float) -> np.ndarray:
         """P(t) = Y(t) expm(-B t); P(t + T) = P(t) by construction."""
-        y = self.monodromy.value_at(t)
-        t = float(t)
+        return self._periodic_factors([t])[0]
+
+    def _periodic_factors(self, times) -> np.ndarray:
+        """P at every time, stacked, from one batched expm."""
+        ys = np.stack([self.monodromy.value_at(t) for t in times])
+        times = np.array([float(t) for t in times])
         with np.errstate(over="ignore", invalid="ignore"):
-            p = y @ scipy.linalg.expm(-self.generator * t)
-        return _finite_value(p, t, "periodic factor")
+            ps = ys @ scipy.linalg.expm(-self.generator * times[:, None, None])
+        for p, t in zip(ps, times):
+            _finite_value(p, t, "periodic factor")
+        return ps
 
 
 def floquet_decompose(
@@ -621,7 +664,10 @@ def dde_monodromy(
         raise NumericalError("history node missing from the time grid")
 
     # the two forms march separately and share only these samples of A + alpha K
-    stages = _stage_coefficients(lambda t: problem.coefficient_on(t) + gain, times)
+    stages = _stage_coefficients(
+        problem.coefficient_on, times, problem.coefficient_on_grid(2 * steps)
+    )
+    stages = (stages[0] + gain, stages[1] + gain)
 
     # --- integral form -----------------------------------------------------
     y_fine = _rk4(times, stages, np.eye(n), mark_idx)  # Y(T + sigma_p)
@@ -763,9 +809,11 @@ def periodic_verdicts(
         scale = max(1.0, spectral_norm(monodromy.matrix))
         negligible = spectral_norm(decomp.generator) * period <= tol.tol_log * scale
         res_b = 0.0 if negligible else relative_commutator(gain, decomp.generator)
-        res_p = 0.0
-        for t in np.linspace(0.0, period, _COMMUTING_SAMPLES):
-            res_p = max(res_p, relative_commutator(gain, decomp.periodic_factor(float(t))))
+        # relative_commutator(gain, P(t)) at every sample at once
+        ps = decomp._periodic_factors(np.linspace(0.0, period, _COMMUTING_SAMPLES))
+        comm = np.linalg.norm(gain @ ps - ps @ gain, axis=(1, 2))
+        denom = np.linalg.norm(gain) * np.linalg.norm(ps, axis=(1, 2))
+        res_p = float(np.max(np.divide(comm, denom, out=np.zeros_like(comm), where=denom > 0)))
     except NumericalError:
         detail = "Floquet decomposition unavailable"
         h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)

@@ -19,8 +19,9 @@ __all__ = ["Tolerances", "DEFAULT"]
 class Tolerances:
     #: equilibrium residual bound for ``validate_equilibrium``
     tol_eq: float = 1e-10
-    #: relative residual accepted for a refined characteristic root
-    #: (applied as sigma_min(Delta) <= tol_res * max(1, sigma_max(Delta)))
+    #: backward error accepted for a refined characteristic root (applied as
+    #: sigma_min(Delta) <= tol_res * max(1, size of Delta's terms); see
+    #: ``CharacteristicMatrix.residual``)
     tol_res: float = 1e-10
     #: half-width of the "marginal" band around the imaginary axis; roots
     #: with |Re| <= tol_axis are never counted as unstable

@@ -69,6 +69,19 @@ def test_analyze_reports_the_resonating_center(tmp_path, capsys):
     assert all(abs(r["value"]["re"]) <= 1e-9 and r["algebraic"] == 1 for r in marginal)
 
 
+def test_analyze_answers_a_large_real_root(tmp_path, capsys):
+    # the root near 1e7 was refused by a residual that could not fall below
+    # the spacing of doubles there, and analyze exited 3
+    doc = {"kind": "equilibrium", "dimension": 1, "field": {"matrix": [[1e7]]},
+           "point": [0.0], "gain": [[0.1]], "delay": 1.0}
+    path = tmp_path / "large-root.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["analyze", str(path)])
+    assert code == 0 and err == ""
+    roots = json.loads(out)["results"]["spectrum"]["roots"]
+    assert [r["value"]["re"] for r in roots] == [pytest.approx(1e7 + 0.1, rel=1e-15)]
+
+
 def test_analyze_periodic_envelope(case_file, capsys):
     path = case_file("center-periodic")
     code, out, err = _run(capsys, ["analyze", path])

@@ -456,6 +456,34 @@ def test_find_roots_counts_a_near_jordan_pair_in_the_main_window():
     assert find_roots(cm).count == count_roots(cm) == 3
 
 
+@pytest.mark.parametrize("rate", [3e6, 1e7])
+def test_find_roots_resolves_a_large_real_root(rate):
+    # ROADMAP item 2: sigma_min / max(1, sigma_max) of a 1 x 1 Delta near
+    # 1e7 cannot fall below the spacing of doubles there (about 1.9e-9), so
+    # the polished root failed tol_res = 1e-10; the backward error divides
+    # by the size of Delta's terms instead.  exp(-lambda T) underflows at
+    # the root, which is rate + 0.1 to double precision.
+    cm = CharacteristicMatrix(np.array([[rate]]), np.array([[0.1]]), 1.0)
+    rep = find_roots(cm)
+    assert [(r.algebraic, r.geometric) for r in rep.roots] == [(1, 1)]
+    assert rep.roots[0].value == pytest.approx(rate + 0.1, rel=1e-15, abs=0.0)
+    assert rep.roots[0].residual == cm.residual(rep.roots[0].value) <= DEFAULT.tol_res
+
+
+def test_residual_is_the_backward_error_over_the_term_sizes():
+    jac = np.array([[0.0, 2.0], [-1.0, 0.5]])
+    gain = np.array([[0.3, 0.0], [0.1, -0.2]])
+    cm = CharacteristicMatrix(jac, gain, 1.5, alpha=-0.7)
+    lam = 0.4 - 1.3j
+    decay = np.exp(-lam * 1.5)
+    size = abs(lam) + np.linalg.norm(jac) + 0.7 * (1.0 + abs(decay)) * np.linalg.norm(gain)
+    sigma_min = np.linalg.svd(cm.value(lam), compute_uv=False)[-1]
+    assert cm.residual(lam) == pytest.approx(sigma_min / size, rel=1e-14)
+    # below unit size the denominator is 1
+    tiny = CharacteristicMatrix(np.array([[1e-3]]), np.array([[1e-3]]), 1.0, alpha=0.5)
+    assert tiny.residual(0.01) == pytest.approx(abs(tiny.value(0.01)[0, 0]), rel=1e-14)
+
+
 @pytest.mark.parametrize("alpha", [0.75, 0.875, 1.0])
 def test_find_roots_on_the_draw_the_main_window_could_not_split(alpha):
     # the subdivision raised "no admissible split line" inside the main window

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from pyrastab import periodic
 from pyrastab.benchmarks import get_case
+from pyrastab.chebyshev import lobatto_nodes
 from pyrastab.equilibria import (
     Region,
     common_eigenpair,
@@ -727,6 +728,51 @@ def test_dde_monodromy_plain_callable_matches_batched_coefficient():
     assert b.cross_residual == pytest.approx(a.cross_residual, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["orbit-neutral", "trig-periodic"])
+def test_grid_sampling_matches_the_per_time_path(name):
+    # a TrigCoefficient is sampled on the march's uniform grid by one inverse
+    # FFT; wrapped as a plain callable it is sampled one time at a time
+    prob = get_case(name).problem()
+    coeff = prob.coefficient
+    plain = _periodic(lambda t: coeff(t), prob.period, prob.feedback.gain)
+    assert plain.coefficient_on_grid(64) is None
+    a, b = ode_monodromy(prob).matrix, ode_monodromy(plain).matrix
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    a, b = dde_monodromy(prob, nodes=16), dde_monodromy(plain, nodes=16)
+    for x, y in ((a.matrix, b.matrix), (a.matrix_stepped, b.matrix_stepped)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_stage_coefficients_sample_only_the_off_grid_times():
+    # on a delay grid, base points that survive the marks and the midpoints
+    # between two of them are read from the uniform samples; the marks that
+    # replaced or sit between base points, and the midpoints beside them,
+    # go through coefficient_on
+    prob = get_case("orbit-neutral").problem()
+    period, steps, nodes = prob.period, 128, 8
+    marks = period + lobatto_nodes(2 * nodes - 1, -period, 0.0)
+    times = periodic._aligned_times(marks, period, steps)
+    base = np.linspace(0.0, period, steps + 1)
+    sampled = []
+
+    def coefficient_on(t):
+        sampled.extend(t)
+        return prob.coefficient_on(t)
+
+    uniform = prob.coefficient_on_grid(2 * steps)
+    got = periodic._stage_coefficients(coefficient_on, times, uniform)
+    ref = periodic._stage_coefficients(prob.coefficient_on, times)
+    for x, y in zip(got, ref):
+        assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+    on = np.isin(times, base)
+    mids = times[:-1] + 0.5 * np.diff(times)
+    off_mids = mids[~(on[:-1] & on[1:])]
+    assert sorted(sampled) == sorted([*times[~on], *off_mids])
+    # every mark but the ends is off the base grid here, and costs at most
+    # itself and the two midpoints beside it
+    assert 0 < len(sampled) <= 3 * len(marks)
+
+
 # --- determining centers -------------------------------------------------------------
 
 
@@ -802,7 +848,7 @@ def test_commuting_hypotheses_fail_without_a_floquet_decomposition(monkeypatch, 
     if target == "floquet_decompose":
         monkeypatch.setattr(periodic, "floquet_decompose", refuse)
     else:
-        monkeypatch.setattr(periodic.FloquetDecomposition, "periodic_factor", refuse)
+        monkeypatch.setattr(periodic.FloquetDecomposition, "_periodic_factors", refuse)
     h_b, h_p = _commuting_hypotheses("orbit-unstable")
     for h in (h_b, h_p):
         assert not h.passed and h.value is None
