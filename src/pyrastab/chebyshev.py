@@ -52,16 +52,21 @@ def barycentric_weights(m: int) -> np.ndarray:
 def interp_rows(nodes: np.ndarray, weights: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows ell_k with interpolant(s_k) = ell_k @ values_at_nodes, shape
     (S, M); a point within 1e-14 times the span of a node gets that
-    node's unit vector."""
+    node's unit vector.
+
+    The nodes are ascending, so the nodes a point may sit on are the two
+    beside its ``searchsorted`` position; the lower one wins when both are
+    that close."""
     s = np.asarray(s, dtype=float)
-    diff = s[:, None] - nodes
-    span = nodes[-1] - nodes[0]
-    hit = np.abs(diff) <= 1e-14 * span
-    on_node = hit.any(axis=1)
-    diff[hit] = 1.0  # placeholder; those rows are replaced below
-    rows = weights / diff
+    tol = 1e-14 * (nodes[-1] - nodes[0])
+    right = np.clip(np.searchsorted(nodes, s), 1, len(nodes) - 1)
+    left_hit = np.abs(s - nodes[right - 1]) <= tol
+    on_node = left_hit | (np.abs(s - nodes[right]) <= tol)
+    rows = np.subtract.outer(s, nodes)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(weights, rows, out=rows)  # on-node rows are replaced below
     rows[on_node] = 0.0
-    rows[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
+    rows[on_node, (right - left_hit)[on_node]] = 1.0
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 

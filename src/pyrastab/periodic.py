@@ -10,19 +10,24 @@ integral form and direct time stepping of the interpolated history basis
 tolerance, so a coarse grid fails loudly instead of lying.
 
 All of them march with one RK4 routine, ``_rk4``.  The equations are
-linear, so every RK4 step is an affine map Y -> Y + D Y + Q.  Per block
-of a fixed number of steps the increments D are built from the batched
-coefficient samples with a few array products, and the offsets Q of the
-stepped form's delayed source kron(ell(t - T), -alpha K) are kept as
-three (n, n) factors per step next to the interpolation rows, without
-materialising the source.  The block's maps are then composed by
-log-depth scans in increment form rather than applied step by step, and
-snapshots are stored only at the grid indices the caller reads, so
-memory stays bounded however fine the grid.  The fundamental solution
-used by the integral form and the history basis of the stepped form are
-two separate marches over the same grid, each with its own step maps and
-composites, never one stacked march, so the cross-check compares two
-constructions that share only their sampled coefficients.
+linear, so every RK4 step is an affine map Y -> Y + D Y + Q.  The steps
+are taken in blocks cut to a fixed element budget on the march's widest
+per-step array, so a source-free march at n = 2 is one or two blocks.
+Per block the increments D are built from the batched coefficient
+samples with a few array products, and the offsets Q of the stepped
+form's delayed source kron(ell(t - T), -alpha K) are kept as two
+gain-free (n, n) factors per step next to the interpolation rows, the
+gain applied once per segment of steps, without materialising the
+source.  The block's maps are then composed in increment form by one
+two-level work-efficient scan, a prefix scan without a source and a
+suffix scan segmented at the kept indices with one, rather than applied
+step by step, and snapshots are stored only at the grid indices the
+caller reads, so memory stays bounded however fine the grid.  The
+fundamental solution used by the integral form and the history basis of
+the stepped form are two separate marches over the same grid, each with
+its own step maps and composites, never one stacked march, so the
+cross-check compares two constructions that share only their sampled
+coefficients.
 
 Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
 uniform grid of 2 steps intervals, except that the delay monodromy adds
@@ -38,6 +43,7 @@ The exclusion rules use the common-eigenvector reduction that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,10 +89,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # time stepping
 
-# Steps per block: the coefficient samples, interpolation rows and step maps
-# of one block are built together, which bounds their temporaries
-# independently of the grid.
-_BLOCK = 256
+# Elements of the march's widest per-step array in one block: the step
+# increments (n * n per step) of a source-free march, the interpolation
+# rows or the source factors (M or 2 n * n) of a sourced one.  Blocks are
+# cut to this budget, which bounds their temporaries independently of
+# the grid; at n = 2 a source-free march of 16k steps is one block.
+_BUDGET = 2**16
+
+# Times per call of a coefficient's batch evaluation, which bounds its own
+# temporaries (a ``TrigCoefficient``'s phase table) in the same way.
+_SAMPLE_BATCH = 256
 
 _Stages = tuple[np.ndarray, np.ndarray]
 
@@ -103,7 +115,7 @@ def _stage_coefficients(
 ) -> _Stages:
     """A at the grid points and at the step midpoints of ``times``, every
     coefficient an RK4 march over that grid reads; ``coefficient_on`` is
-    called on _BLOCK times at a time.
+    called on _SAMPLE_BATCH times at a time.
 
     ``uniform``, when given, is A at j T / (2 S), j = 0..2S, with
     T = times[-1]: the base points linspace(0, T, S + 1) at even j and their
@@ -115,8 +127,8 @@ def _stage_coefficients(
     """
 
     def sampled(x: np.ndarray) -> np.ndarray:
-        blocks = range(0, len(x), _BLOCK)
-        return np.concatenate([coefficient_on(x[lo : lo + _BLOCK]) for lo in blocks])
+        blocks = range(0, len(x), _SAMPLE_BATCH)
+        return np.concatenate([coefficient_on(x[lo : lo + _SAMPLE_BATCH]) for lo in blocks])
 
     mids = times[:-1] + 0.5 * np.diff(times)
     if uniform is None:
@@ -161,56 +173,103 @@ def _step_maps(
     return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _composites(d: np.ndarray, suffix: bool) -> np.ndarray:
+def _scan(x: np.ndarray, restart: np.ndarray | None, flip: bool) -> np.ndarray:
+    """Inclusive scan of increments x (L, n, n) in array order, starting
+    afresh at every index where ``restart`` is set.
+
+    The accumulated map a joined with the next entry b is a + b + b a, or
+    a + b + a b if ``flip`` (a scan run backwards in time).  Two levels, a
+    work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the entries are
+    cut into about sqrt(L) runs, each run is composed sequentially with all
+    runs in step, the run totals are scanned by the same routine, and
+    every entry is joined to the total before its run; about two products
+    per entry.  The runs are stored position-major, so each sequential
+    step reads and writes contiguous (runs, n, n) slabs.  A zero increment
+    is exactly the identity map, so padding to whole runs, and joining an
+    entry past a restart to zero, are exact.
+    """
+    size = len(x)
+    if size == 1:
+        return x.copy()
+    run = math.isqrt(size - 1) + 1
+    runs = -(-size // run)
+    shape = x.shape[1:]
+    flat = np.zeros((runs * run,) + shape)
+    flat[:size] = x
+    c = flat.reshape((runs, run) + shape).swapaxes(0, 1).copy()  # c[j, i]: entry i run + j
+    if restart is not None:
+        flags = np.zeros(runs * run, dtype=bool)
+        flags[:size] = restart
+        restart = flags.reshape(runs, run).T
+        fresh_at = restart.any(axis=1).tolist()
+    for j in range(1, run):
+        prev, cur = c[j - 1], c[j]
+        if restart is not None and fresh_at[j]:
+            prev = np.where(restart[j, :, None, None], 0.0, prev)
+        joined = prev @ cur if flip else cur @ prev
+        cur += prev
+        cur += joined
+    if runs > 1:
+        totals = _scan(c[-1], None if restart is None else restart.any(axis=0), flip)
+        lead, body = totals[:-1], c[:, 1:]
+        if restart is not None:
+            fresh = np.logical_or.accumulate(restart[:, 1:], axis=0)
+            lead = np.where(fresh[..., None, None], 0.0, lead)
+        joined = lead @ body if flip else body @ lead
+        body += lead
+        body += joined
+    return c.swapaxes(0, 1).reshape((-1,) + shape)[:size]
+
+
+def _composites(
+    d: np.ndarray, suffix: bool, ends: np.ndarray | None = None
+) -> np.ndarray:
     """Inclusive scans of step increments d (S, n, n): entry k is the
     composite increment of steps 0..k, or of steps k..S-1 if ``suffix``.
+    A suffix scan may be cut into segments by their exclusive ``ends``
+    (ascending, the last one S): entry k then composes steps k to the end
+    of k's segment.
 
     Map D1 followed by map D2 is the map D1 + D2 + D2 D1, so composites
     stay in increment form and I + D is never stored (see ``_step_maps``).
-    Each of the log2(S) rounds joins every run of steps to the adjacent
-    run of the same length.
     """
-    c = d.copy()
-    span = 1
-    while span < len(c):
-        head, tail = c[:-span], c[span:]
-        joined = head + tail + tail @ head
-        if suffix:
-            c[:-span] = joined
-        else:
-            c[span:] = joined
-        span *= 2
-    return c
+    if not suffix:
+        return _scan(d, None, flip=False)
+    restart = None
+    if ends is not None:
+        restart = np.zeros(len(d), dtype=bool)
+        restart[len(d) - np.asarray(ends)] = True
+    return _scan(d[::-1], restart, flip=True)[::-1]
 
 
-def _source_maps(
-    h: np.ndarray,
-    am: np.ndarray,
-    a1: np.ndarray,
-    g: np.ndarray,
-    rows: np.ndarray,
-    rows_mid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step offsets of the source R(t) = kron(rows(t), G) in factored form:
-    (S, 3, n, n) factors F and (S, 3, M) rows L such that one RK4 step maps
-    Y to Y + D[k] Y + Q[k], with block j of Q[k] equal to
-    sum_s L[k, s, j] F[k, s].
+def _source_maps(h: np.ndarray, am: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Gain-free step factors (2, S, n, n) of a source R(t) = kron(rows(t),
+    G): with F = [F0, Fm] and F1 = h/6 I, one RK4 step maps Y to
+    Y + D[k] Y + Q[k], where block j of Q[k] is
+    (rows0[k, j] F0[k] + rowsm[k, j] Fm[k] + rows1[k, j] F1[k]) G for the
+    rows at the step's start, midpoint and end.
 
-    With R0, Rm, R1 the source at the step's start, midpoint and end,
+    With R0, Rm, R1 the source at those three times,
     Q = h/6 [M0 R0 + Mm Rm + R1], M0 = I + h Am + h^2/2 Am^2
-    + h^3/4 A1 Am^2 and Mm = 4 I + h (Am + A1) + h^2/2 A1 Am.  As every R
-    is kron(ell, G), F = h/6 [M0 G, Mm G, G] and L stacks the rows at the
-    step's start, midpoint and end; ``rows`` holds the S + 1 grid-point
-    rows, ``rows_mid`` the S midpoint rows.  Q itself is never formed.
+    + h^3/4 A1 Am^2 and Mm = 4 I + h (Am + A1) + h^2/2 A1 Am; as every R
+    is kron(ell, G), F = h/6 [M0, Mm] and G is left to the caller, which
+    applies it once to a contracted offset.  Q itself is never formed.
     """
-    eye = np.eye(g.shape[0])
+    eye = np.eye(am.shape[-1])
     h = h[:, None, None]
     am2 = am @ am
     m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
     mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=1)
-    factors *= (h / 6.0)[:, None]
-    return factors, np.stack([rows[:-1], rows_mid, rows[1:]], axis=1)
+    return np.stack([m0, mm]) * (h / 6.0)
+
+
+def _block_steps(y: np.ndarray, sourced: bool) -> int:
+    """Steps per block of a march of Y (n, M n): its widest per-step array
+    holds the n * n step increments without a source, and the M rows or
+    the 2 n * n source factors with one (see _BUDGET)."""
+    n = y.shape[0]
+    width = max(2 * n * n, y.shape[1] // n) if sourced else n * n
+    return max(1, _BUDGET // width)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises NumericalError below
@@ -225,28 +284,35 @@ def _rk4(
     the grid indices ``keep``, stacked in their order.
 
     The equation is linear, so each step is an affine map
-    Y -> Y + D Y + Q, and the march composes these maps per block of
-    _BLOCK steps instead of applying them one by one.  ``stages`` holds A
-    at the grid points and midpoints (see ``_stage_coefficients``);
-    ``source`` is the pair (rows, G) of R(t) = kron(rows(t), G), its rows
-    taken per block at the block's grid points and midpoints.
+    Y -> Y + D Y + Q, and the march composes these maps per block instead
+    of applying them one by one.  A block holds as many steps as the
+    element budget _BUDGET allows for the march's widest per-step array
+    (``_block_steps``).  ``stages`` holds A at the grid points and
+    midpoints (see ``_stage_coefficients``); ``source`` is the pair
+    (rows, G) of R(t) = kron(rows(t), G), its rows taken per block at the
+    block's grid points and midpoints.
 
-    Without a source, a prefix scan of the block's increments
+    Without a source, a two-level prefix scan of the block's increments
     (``_composites``) gives the composite E_k of its first k steps, and
     every kept snapshot in the block is Y_lo + E_k Y_lo at once.  With a
-    source, the block is cut at its kept indices.  In each segment a
-    suffix scan gives C_k, the composite of steps k to the segment's end,
-    and the segment maps Y to Y + C_first Y + sum_k (I + C_{k+1}) Q_k.
-    That offset is one tensordot of the factors F_k + C_{k+1} F_k (see
-    ``_source_maps``) with the interpolation rows.  No composite is
-    inverted and only the kept snapshots are stored.
+    source, the block is cut into segments at its kept indices, and one
+    segmented suffix scan gives C_k, the composite of steps k to the end
+    of k's segment.  A segment maps Y to
+    Y + C_first Y + sum_k (I + C_{k+1}) Q_k, with C_{k+1} = 0 at its last
+    step.  The gain-free factors F_k + C_{k+1} F_k (see ``_source_maps``)
+    are formed for the whole block; per segment they are contracted with
+    the start, midpoint and end rows, one matrix product each, and G is
+    applied once to the (M, n, n) result.  No composite is inverted and
+    only the kept snapshots are stored.
     """
-    kept, slot = np.unique(np.arange(len(times))[keep], return_inverse=True)
+    kept, slot = np.unique(np.asarray(keep, dtype=np.intp) % len(times), return_inverse=True)
     out = np.empty((len(kept),) + y0.shape)
     y = np.array(y0, dtype=float)
     out[kept == 0] = y
-    for lo in range(0, len(times) - 1, _BLOCK):
-        hi = min(lo + _BLOCK, len(times) - 1)
+    n = y.shape[0]
+    block = _block_steps(y, source is not None)
+    for lo in range(0, len(times) - 1, block):
+        hi = min(lo + block, len(times) - 1)
         t = times[lo : hi + 1]
         h = np.diff(t)
         a, a_mid = stages[0][lo : hi + 1], stages[1][lo:hi]
@@ -259,14 +325,23 @@ def _rk4(
             y = y + e[-1] @ y
             continue
         rows, g = source
-        factors, ell = _source_maps(h, a_mid, a[1:], g, rows(t), rows(t[:-1] + 0.5 * h))
+        ell, ell_mid = rows(t), rows(t[:-1] + 0.5 * h)
         cuts = np.union1d(inside, hi) - lo
+        c = _composites(d, suffix=True, ends=cuts)
+        after = np.zeros_like(c)  # C_{k+1}, zero at each segment's last step
+        after[:-1] = c[1:]
+        after[cuts - 1] = 0.0
+        f = _source_maps(h, a_mid, a[1:])
+        f += after @ f
+        f_end = (h / 6.0)[:, None, None] * (np.eye(n) + after)
         for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
-            c = _composites(d[s0:s1], suffix=True)
-            f = factors[s0:s1]  # each segment's own view, updated in place
-            f[:-1] += c[1:, None] @ f[:-1]
-            offset = np.tensordot(f, ell[s0:s1], axes=([0, 1], [0, 1]))  # (n, n, M)
-            y = y + c[0] @ y + offset.transpose(0, 2, 1).reshape(y.shape)
+            offset = (
+                ell[s0:s1].T @ f[0, s0:s1].reshape(-1, n * n)
+                + ell_mid[s0:s1].T @ f[1, s0:s1].reshape(-1, n * n)
+                + ell[s0 + 1 : s1 + 1].T @ f_end[s0:s1].reshape(-1, n * n)
+            )  # (M, n * n): block j of the offset before G
+            offset = (offset.reshape(-1, n, n) @ g).transpose(1, 0, 2)
+            y = y + c[s0] @ y + offset.reshape(y.shape)
             if j < len(inside):
                 out[here.start + j] = y
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(out))):
@@ -633,9 +708,10 @@ def dde_monodromy(
     composes them with its own scans (see ``_rk4``), so no composite
     passes from one march to the other and none is inverted.  U's delayed
     source kron(ell(t - T), -alpha K) enters through its interpolation
-    rows and three (n, n) factors per step, never as a materialised
-    (n, M n) source, and each march keeps its snapshots only at the marks
-    it reads, so memory does not grow with the step count.
+    rows and two gain-free (n, n) factors per step, with -alpha K applied
+    once per segment, never as a materialised (n, M n) source, and each
+    march keeps its snapshots only at the marks it reads, so memory does
+    not grow with the step count.
     """
     nodes = _integer_at_least(nodes, "nodes", 4)
     if not np.isfinite(alpha):
@@ -678,7 +754,8 @@ def dde_monodromy(
     # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
     integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
     cumulative = quad_fine[::2] @ integrand.reshape(fine, nodes * n * n)
-    big = -np.einsum("imn,ijnk->imjk", y_marks, cumulative.reshape(nodes, nodes, n, n))
+    # big[i, :, j, :] = -Y(T + theta_i) cumulative[i, j], one batched product
+    big = (y_marks[:, None] @ -cumulative.reshape(nodes, nodes, n, n)).transpose(0, 2, 1, 3)
     big[:, :, nodes - 1, :] += y_marks
     integral_form = big.reshape(nodes * n, nodes * n)
 

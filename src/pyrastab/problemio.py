@@ -110,13 +110,41 @@ def _require_string(value, path: str) -> str:
     return value
 
 
+def _numbers(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``value`` as a float array when it is nested lists of exactly
+    ``shape`` holding finite plain numbers (int or float, not bool), in one
+    pass that builds no path; None otherwise, and the caller reruns its
+    per-element checks, which name the first fault."""
+
+    def regular(v, dims) -> bool:
+        if not isinstance(v, list) or len(v) != dims[0]:
+            return False
+        if len(dims) == 1:
+            return all(type(x) is float or type(x) is int for x in v)
+        return all(regular(x, dims[1:]) for x in v)
+
+    if not regular(value, shape):
+        return None
+    try:
+        out = np.array(value, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return None
+    return out if np.all(np.isfinite(out)) else None
+
+
 def _require_vector(value, n: int, path: str) -> np.ndarray:
+    out = _numbers(value, (n,))
+    if out is not None:
+        return out
     if not isinstance(value, list) or len(value) != n:
         raise InputError(f"{path}: expected a list of {n} numbers")
     return np.array([_require_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _require_matrix(value, n: int, path: str) -> np.ndarray:
+    out = _numbers(value, (n, n))
+    if out is not None:
+        return out
     if not isinstance(value, list) or len(value) != n:
         raise InputError(f"{path}: expected {n} rows")
     return np.vstack([_require_vector(row, n, f"{path}[{i}]") for i, row in enumerate(value)])
@@ -171,6 +199,9 @@ def _parse_field(spec, kind: str, dimension: int, path: str):
         rows = spec["matrix-samples"]
         if not isinstance(rows, list) or len(rows) < 4:
             raise InputError(f"{path}.matrix-samples: expected at least 4 sample matrices")
+        samples = _numbers(rows, (len(rows), dimension, dimension))
+        if samples is not None:
+            return samples
         return np.array(
             [_require_matrix(s, dimension, f"{path}.matrix-samples[{i}]")
              for i, s in enumerate(rows)]

@@ -121,6 +121,46 @@ def test_interp_rows_match_interp_row(m, fractions, node_picks):
         assert np.array_equal(row, expect)
 
 
+def _masked_interp_rows(nodes, weights, s):
+    """interp_rows by full (S, M) masks: every node within 1e-14 times the
+    span of a point is a hit, and the first hit wins."""
+    diff = s[:, None] - nodes
+    hit = np.abs(diff) <= 1e-14 * (nodes[-1] - nodes[0])
+    on_node = hit.any(axis=1)
+    diff[hit] = 1.0
+    rows = weights / diff
+    rows[on_node] = 0.0
+    rows[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 130),
+    st.floats(-5.0, 5.0),
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(-0.1, 1.1), max_size=20),
+    st.lists(st.tuples(st.integers(0, 129), st.sampled_from([-1.2, -1.0, -0.5, 0.0, 0.5, 1.0, 1.2])),
+             max_size=20),
+    st.integers(0, 2**32 - 1),
+)
+def test_interp_rows_match_the_masked_rows_bit_for_bit(m, a, length, fractions, near, seed):
+    # points on a node, within the on-node tolerance of one (either side,
+    # at its edge) and just outside it, next to arbitrary points, also
+    # beyond both ends
+    nodes = lobatto_nodes(m, a, a + length)
+    w = barycentric_weights(m)
+    tol = 1e-14 * (nodes[-1] - nodes[0])
+    picks = [(j % m, f) for j, f in near]
+    s = np.concatenate([
+        a + length * np.array(fractions),
+        [nodes[j] + f * tol for j, f in picks],
+        np.random.default_rng(seed).choice(nodes, 5),
+    ])
+    assert np.array_equal(interp_rows(nodes, w, s), _masked_interp_rows(nodes, w, s))
+
+
 def _cumulative_by_columns(nodes):
     m = len(nodes)
     unit = lobatto_nodes(m, -1.0, 1.0)

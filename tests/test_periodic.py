@@ -10,6 +10,7 @@ own Schur form.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,25 +278,41 @@ def test_long_sourced_march_does_not_drift():
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+# an element budget that cuts the test marches into blocks of 14 to 256
+# steps, so that a stage-loop reference can follow them across block edges
+_SMALL_BUDGET = 256
+
+
+def _small_block(y0, with_source):
+    """``_rk4``'s block length for Y shaped like y0 under _SMALL_BUDGET."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
+        return periodic._block_steps(y0, with_source)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("with_source", [False, True])
-def test_rk4_raises_when_the_march_blows_up(with_source):
-    # R(hA) ~ 5e4 per step for 300 steps: far past the double range
-    steps = periodic._BLOCK + 44
+def test_rk4_raises_when_the_march_blows_up(with_source, monkeypatch):
+    # R(hA) ~ 5e4 per step for a block and 44 steps: far past the double range
+    monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
+    block = periodic._block_steps(np.eye(2), with_source)
+    steps = block + 44
     times = np.linspace(0.0, 1.0, steps + 1)
     a = 1e4 * np.eye(2)
     stages = _constant_stages(a, steps)
     source = (lambda t: np.ones((len(t), 1)), np.eye(2)) if with_source else None
     with pytest.raises(NumericalError, match="RK4 march blew up"):
-        periodic._rk4(times, stages, np.eye(2), [0, periodic._BLOCK, steps], source=source)
+        periodic._rk4(times, stages, np.eye(2), [0, block, steps], source=source)
 
 
 @st.composite
 def _march_cases(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
+    with_source = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    steps = draw(st.integers(periodic._BLOCK + 1, 2 * periodic._BLOCK + 40))
+    block = _small_block(np.zeros((n, m * n if with_source else n)), with_source)
+    steps = draw(st.integers(block + 1, 2 * block + 40))
     pattern = draw(st.sampled_from(["scattered", "every", "runs"]))
     if pattern == "every":
         # every grid index, as ode_monodromy keeps them
@@ -306,20 +323,20 @@ def _march_cases(draw):
         before, after = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         keep = sorted({
             k
-            for edge in range(periodic._BLOCK, steps, periodic._BLOCK)
+            for edge in range(block, steps, block)
             for k in range(edge - before, min(edge + after, steps) + 1)
         })
     else:
-        edges = [0, periodic._BLOCK - 1, periodic._BLOCK, periodic._BLOCK + 1, steps, -1]
+        edges = [0, block - 1, block, block + 1, steps, -1]
         keep = draw(st.lists(st.sampled_from(edges + list(range(steps + 1))), max_size=8))
-        keep = draw(st.permutations(keep + [0, periodic._BLOCK, periodic._BLOCK]))
-    return n, m, seed, steps, keep
+        keep = draw(st.permutations(keep + [0, block, block]))
+    return n, m, with_source, seed, steps, keep
 
 
 @settings(max_examples=75, deadline=None)
-@given(_march_cases(), st.booleans())
-def test_rk4_matches_stage_loop_across_blocks(case, with_source):
-    n, m, seed, steps, keep = case
+@given(_march_cases())
+def test_rk4_matches_stage_loop_across_blocks(case):
+    n, m, with_source, seed, steps, keep = case
     rng = np.random.default_rng(seed)
     period = rng.uniform(0.5, 2.0)
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (rng.integers(1, 6), n, n)), period)
@@ -332,24 +349,30 @@ def test_rk4_matches_stage_loop_across_blocks(case, with_source):
     def rows(t):
         return np.cos(np.outer(t, freq) + phase)
 
-    if with_source:
-        y0 = rng.uniform(-1.0, 1.0, (n, m * n))
-        got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
-        ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)
-    else:
-        y0 = rng.uniform(-1.0, 1.0, (n, n))
-        got = periodic._rk4(times, stages, y0, keep)
-        ref = _stage_loop(coeff, lambda t: 0.0, times, y0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
+        if with_source:
+            y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+            got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
+            ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)
+        else:
+            y0 = rng.uniform(-1.0, 1.0, (n, n))
+            got = periodic._rk4(times, stages, y0, keep)
+            ref = _stage_loop(coeff, lambda t: 0.0, times, y0)
     ref = ref[keep]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_rk4_matches_stage_loop_with_a_many_mode_coefficient():
+def test_rk4_matches_stage_loop_with_a_many_mode_coefficient(monkeypatch):
     # 300 samples give 151 modes, so the coefficient's phase table is built
     # in two levels (b = 12); the march still matches the textbook loop
     rng = np.random.default_rng(8)
-    n, m, steps, period = 2, 5, periodic._BLOCK + 37, 1.3
+    n, m, period = 2, 5, 1.3
+    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+    monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
+    block = periodic._block_steps(y0, True)
+    steps = 8 * block + 37
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (300, n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
@@ -360,25 +383,97 @@ def test_rk4_matches_stage_loop_with_a_many_mode_coefficient():
     def rows(t):
         return np.cos(np.outer(t, freq) + phase)
 
-    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
-    keep = [0, periodic._BLOCK, steps]
+    keep = [0, block, steps]
     got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
     ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("with_source", [False, True])
+def test_march_memory_does_not_grow_with_the_step_count(with_source):
+    # blocks are cut to a fixed element budget, so a march four times as
+    # long peaks at about the same allocation: only the kept snapshots
+    # are stored, and every per-step array lives for one block
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    y0 = np.eye(2)
+    source = (lambda t: np.ones((len(t), 1)), np.eye(2)) if with_source else None
+    block = periodic._block_steps(y0, with_source)
+
+    def peak(steps):
+        times = np.linspace(0.0, 1.0, steps + 1)
+        stages = _constant_stages(a, steps)
+        tracemalloc.start()
+        try:
+            periodic._rk4(times, stages, y0, [steps], source=source)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(3 * block + 5), peak(12 * block + 20)
+    assert long <= 1.1 * short
+    # and a block's own temporaries are a few copies of the budget
+    assert short <= 16 * 8 * periodic._BUDGET
+
+
+def _sequential_composites(d, suffix, ends=None):
+    """The composites of ``_composites`` one step at a time: D1 then D2 is
+    D1 + D2 + D2 D1."""
+    out = np.empty_like(d)
+    acc = np.zeros_like(d[0])
+    if not suffix:
+        for k in range(len(d)):
+            acc = acc + d[k] + d[k] @ acc
+            out[k] = acc
+        return out
+    ends = {len(d)} if ends is None else set(ends)
+    for k in range(len(d) - 1, -1, -1):
+        if k + 1 in ends:
+            acc = np.zeros_like(d[0])
+        acc = d[k] + acc + acc @ d[k]
+        out[k] = acc
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["prefix", "suffix", "segments"]),
+)
+@example(2, 1, 0, "segments")
+@example(2, 256, 1, "segments")
+@example(2, 257, 2, "prefix")
+def test_two_level_scan_matches_sequential_composition(n, length, seed, kind):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-0.2, 0.2, (length, n, n))
+    ends = None
+    if kind == "segments":
+        # ascending exclusive ends with the last at ``length``; runs of
+        # consecutive ends make one-step segments
+        picks = rng.integers(1, length + 1, rng.integers(0, 8))
+        first = rng.integers(1, length + 1)
+        picks = np.concatenate([picks, np.arange(first, min(first + 3, length + 1))])
+        ends = np.union1d(picks, [length])
+    got = periodic._composites(d, kind != "prefix", ends)
+    ref = _sequential_composites(d, kind != "prefix", ends)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
 def _einsum_source_maps(h, am, a1, g, rows, rows_mid):
-    """Step offsets by one einsum over (S, 3, n, n) factors and a reshape copy."""
+    """Step offsets by one einsum over gain-free (S, 3, n, n) factors and
+    a reshape copy, with G applied to each contracted block."""
     n = g.shape[0]
     eye = np.eye(n)
     h = h[:, None, None]
     am2 = am @ am
     m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
     mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    factors = np.stack([m0 @ g, mm @ g, np.broadcast_to(g, m0.shape)], axis=1)
+    factors = np.stack([m0, mm, np.broadcast_to(eye, m0.shape)], axis=1)
     ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1) * (h / 6.0)
-    q = np.einsum("ksac,ksj->kajc", factors, ell, optimize=True)
-    return q.reshape(len(h), n, -1)
+    q = np.einsum("ksac,ksj->kjac", factors, ell, optimize=True) @ g
+    return q.transpose(0, 2, 1, 3).reshape(len(h), n, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,16 +490,19 @@ def test_source_maps_match_einsum_reference(n, m, steps, seed):
     am, a1 = rng.uniform(-2.0, 2.0, (2, steps, n, n))
     g = rng.uniform(-1.0, 1.0, (n, n))
     rows, rows_mid = rng.uniform(-1.0, 1.0, (steps + 1, m)), rng.uniform(-1.0, 1.0, (steps, m))
-    # the per-step offsets rebuilt from the factor and row form:
-    # block j of Q[k] is sum_s L[k, s, j] F[k, s], i.e. sum_s kron(L[k, s], F[k, s])
-    factors, ell = periodic._source_maps(h, am, a1, g, rows, rows_mid)
-    assert factors.shape == (steps, 3, n, n) and ell.shape == (steps, 3, m)
-    got = np.array([sum(np.kron(ell[k, s], factors[k, s]) for s in range(3))
+    # the per-step offsets rebuilt from the gain-free factors and the rows:
+    # block j of Q[k] is (sum_s L[k, s, j] F[k, s]) G with F[k, 2] = h/6 I
+    f0, fm = periodic._source_maps(h, am, a1)
+    assert f0.shape == fm.shape == (steps, n, n)
+    f1 = (h / 6.0)[:, None, None] * np.eye(n)
+    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1)
+    factors = np.stack([f0, fm, f1], axis=1)
+    got = np.array([sum(np.kron(ell[k, s], factors[k, s] @ g) for s in range(3))
                     for k in range(steps)])
     ref = _einsum_source_maps(h, am, a1, g, rows, rows_mid)
     assert got.shape == ref.shape == (steps, n, m * n)
     # rounding is relative to the summands, which may cancel in the result
-    size = max(np.max(sum(np.abs(np.kron(ell[k, s], factors[k, s])) for s in range(3)))
+    size = max(np.max(sum(np.abs(np.kron(ell[k, s], factors[k, s] @ g)) for s in range(3)))
                for k in range(steps))
     assert np.max(np.abs(got - ref)) <= 1e-15 * size
 
