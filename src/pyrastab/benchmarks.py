@@ -15,16 +15,15 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .fields import ConstantCoefficient, LinearField, TrigCoefficient, parse_field
+from .fields import ConstantCoefficient, LinearField, TrigCoefficient
+from .problemio import describe_problem
 from .problems import DelayFeedback, EquilibriumProblem, PeriodicLinearProblem
 
 __all__ = [
     "ExpectedFact",
     "CatalogCase",
     "CATALOG",
-    "BUILTIN_FIELDS",
     "get_case",
-    "builtin_field",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -51,36 +50,7 @@ class CatalogCase:
         return self.make()
 
     def document(self) -> dict:
-        from .problemio import describe_problem
-
         return describe_problem(self.problem(), name=self.name)
-
-
-# ---------------------------------------------------------------------------
-# builtin vector fields usable from problem documents
-
-
-def _registry():
-    focus = np.array([[0.05, -1.0], [1.0, 0.05]])
-    return {
-        "scalar-growth": (1, lambda: LinearField(np.array([[0.05]]))),
-        "scalar-decay": (1, lambda: LinearField(np.array([[-1.0]]))),
-        "scalar-cubic": (1, lambda: parse_field(("0.05 * x1 - x1^3",), ())),
-        "focus": (2, lambda: LinearField(focus.copy())),
-    }
-
-
-BUILTIN_FIELDS = _registry()
-
-
-def builtin_field(name: str):
-    """Resolve a builtin field name to (dimension, field instance)."""
-    try:
-        dim, factory = BUILTIN_FIELDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_FIELDS))
-        raise KeyError(f"unknown builtin field {name!r}; known: {known}")
-    return dim, factory()
 
 
 # ---------------------------------------------------------------------------

@@ -125,29 +125,17 @@ class CharacteristicMatrix:
         lam = complex(lam)
         return self._value(lam, np.exp(-lam * self.delay))
 
-    def _value(self, lam: complex, decay: complex) -> np.ndarray:
-        # decay = exp(-lam T), shared with _dvalue in dlog
+    def _value(self, lam, decay) -> np.ndarray:
+        # Delta at lam, one point or an (S, 1, 1) stack; decay = exp(-lam T),
+        # shared with _dvalue in dlog
         return lam * self._eye - self.jacobian - self.alpha * (1.0 - decay) * self.gain
 
     def _dvalue(self, decay: complex) -> np.ndarray:
         return self._eye - self.alpha * self.delay * decay * self.gain
 
     def det_batch(self, lams: np.ndarray) -> np.ndarray:
-        lams = np.asarray(lams, dtype=complex)
-        n = self.dimension
-        if n == 1:
-            j = complex(self.jacobian[0, 0])
-            k = complex(self.gain[0, 0])
-            return lams - j - self.alpha * (1.0 - np.exp(-lams * self.delay)) * k
-        eye = np.eye(n)
-        mats = (
-            lams[:, None, None] * eye
-            - self.jacobian
-            - self.alpha
-            * (1.0 - np.exp(-lams[:, None, None] * self.delay))
-            * self.gain
-        )
-        return np.linalg.det(mats)
+        lams = np.asarray(lams, dtype=complex)[:, None, None]
+        return np.linalg.det(self._value(lams, np.exp(-lams * self.delay)))
 
     def dlog(self, lam: complex) -> complex:
         # d'(lam)/d(lam) = trace(Delta^{-1} Delta') by the Jacobi formula
@@ -221,12 +209,19 @@ def default_region(cm: CharacteristicMatrix, tol: Tolerances = DEFAULT) -> Regio
     """Right-half-plane window guaranteed to contain every unstable root.
 
     Any root with Re lambda >= 0 obeys |lambda| <= ||J|| + 2|alpha| ||K||,
-    so re_max adds 1 for slack; the imaginary cap matches the resonance
-    window used by the exclusion rules.
+    so re_max adds 1 for slack; the imaginary cap reaches at least the
+    resonant lines the exclusion rules search (``_resonant_lines``).
     """
     bound = cm.norm_bound + 1.0
-    omega = 4.0 * np.pi / cm.delay * (5 + cm.dimension)
+    omega = 2.0 * np.pi / cm.delay * _resonant_lines(cm.dimension)
     return Region(tol.tol_axis, bound, max(omega, bound))
+
+
+def _resonant_lines(n: int) -> int:
+    """The resonance window of dimension n: the resonant lines 2 pi k i / T
+    with |k| <= 2 (5 + n), searched by the exclusion rules and covered by
+    the default region."""
+    return 2 * (5 + n)
 
 
 @dataclass(frozen=True)
@@ -257,9 +252,7 @@ class SpectrumReport:
 
     @property
     def all_roots(self) -> tuple[Root, ...]:
-        both = list(self.roots) + list(self.marginal)
-        both.sort(key=lambda r: (-r.value.real, r.value.imag))
-        return tuple(both)
+        return tuple(sorted((*self.roots, *self.marginal), key=_root_order))
 
     def unstable_count(self) -> int:
         """Algebraic count of ``roots`` right of the axis band."""
@@ -270,6 +263,12 @@ class SpectrumReport:
         if not self.roots:
             return None
         return max(self.roots, key=lambda r: r.value.real)
+
+
+def _root_order(root: Root) -> tuple[float, float]:
+    """The order roots are listed in, which fixes the envelopes: descending
+    real part, then ascending imaginary part."""
+    return (-root.value.real, root.value.imag)
 
 
 def _root_record(cm: CharacteristicMatrix, z: complex, mult: int, tol: Tolerances) -> Root:
@@ -417,8 +416,8 @@ def _spectrum(
             main.append(rec)
         # else: only reachable through boundary nudging; the root belongs
         # to the exterior and is dropped
-    main.sort(key=lambda r: (-r.value.real, r.value.imag))
-    marginal.sort(key=lambda r: (-r.value.real, r.value.imag))
+    main.sort(key=_root_order)
+    marginal.sort(key=_root_order)
     return SpectrumReport(region, cm.alpha, tuple(main), tuple(marginal))
 
 
@@ -735,7 +734,7 @@ def _resonant_pairs(
     """Eigenvalues ``eigs`` of J of the form lambda* + 2 pi n i / delay with
     lambda* > 0, sorted by descending real part; ``scale`` is 1 + ||J||."""
     base = 2.0 * np.pi / delay
-    n_max = int(np.ceil(2.0 * (5 + len(eigs))))
+    n_max = _resonant_lines(len(eigs))
     hits = []
     for eig in eigs:
         if eig.real <= tol.tol_axis * scale:

@@ -7,8 +7,8 @@ of linear fields.  Periodic coefficients known only through uniform
 samples are reconstructed by trigonometric interpolation.  The two
 coefficient classes evaluate a whole array of times at once through
 ``batch``; their scalar call is the one-time case of it.  A trigonometric
-coefficient also samples a whole uniform grid at once through ``on_grid``,
-by one inverse FFT.
+coefficient also samples a whole uniform grid of one period at once
+through ``on_grid``, by one inverse FFT.
 """
 
 from __future__ import annotations
@@ -216,27 +216,22 @@ class TrigCoefficient:
         phase = (high[:, :, None] * low[:, None, :]).reshape(len(times), tiers * b)
         return (phase.view(float) @ self._folded).reshape(len(times), n, n)
 
-    def on_grid(self, span: float, intervals: int) -> np.ndarray:
-        """The interpolant at the times j span / intervals, j = 0..intervals,
+    def on_grid(self, intervals: int) -> np.ndarray:
+        """The interpolant at the times j period / intervals, j = 0..intervals,
         shape (intervals + 1, n, n).
 
-        When ``span`` is a whole number q of periods, mode k at those times
-        is the grid's frequency k q mod intervals, so folding the weighted
-        coefficients into those bins is exact there, and one inverse real
-        FFT of the folded half spectrum samples every time (Trefethen,
-        *Spectral Methods in MATLAB*, ch. 3).  A mode beyond the grid's
-        Nyquist frequency folds onto its alias, which takes the same
-        values on the grid, so no sample aliases.  Any other span goes
-        through ``batch``.
+        Mode k at those times is the grid's frequency k mod intervals, so
+        folding the weighted coefficients into those bins is exact there,
+        and one inverse real FFT of the folded half spectrum samples every
+        time (Trefethen, *Spectral Methods in MATLAB*, ch. 3).  A mode
+        beyond the grid's Nyquist frequency folds onto its alias, which
+        takes the same values on the grid, so no sample aliases.
         """
         n = self.dimension
-        q = round(span / self.period)
-        if q < 1 or abs(span - q * self.period) > 4.0 * np.finfo(float).eps * span:
-            return self.batch(np.arange(intervals + 1) * (span / intervals))
         # Re(c w^b) at bin b > intervals / 2 is Re(conj(c) w^(intervals - b));
         # interior bins count twice in the Hermitian spectrum, and irfft
         # drops the imaginary part of the zero and Nyquist bins
-        bins = np.arange(len(self._coef)) * q % intervals
+        bins = np.arange(len(self._coef)) % intervals
         mirror = 2 * bins > intervals
         half = np.zeros((intervals // 2 + 1, n * n), dtype=complex)
         np.add.at(

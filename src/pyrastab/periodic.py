@@ -31,11 +31,13 @@ coefficients.
 
 Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
 uniform grid of 2 steps intervals, except that the delay monodromy adds
-its quadrature marks.  A coefficient with its own uniform-grid
-evaluation (a ``TrigCoefficient``, by one inverse FFT) is sampled on that
-grid at once, and only the marks that replaced or sit between base
-points, and the midpoints beside them, go through its ``batch``; any
-other coefficient is sampled through ``coefficient_on`` at every time.
+its quadrature marks.  ``_stage_coefficients`` alone samples the
+coefficient a march reads: given ``steps``, a coefficient with its own
+uniform-grid evaluation (a ``TrigCoefficient``, by one inverse FFT) is
+sampled on that grid at once, and only the marks that replaced or sit
+between base points, and the midpoints beside them, go through its
+``batch``; any other coefficient is sampled through ``coefficient_on`` at
+every time.
 
 The exclusion rules use the common-eigenvector reduction that
 ``equilibria`` defines for both settings.
@@ -43,6 +45,7 @@ The exclusion rules use the common-eigenvector reduction that
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -109,30 +112,33 @@ _Source = tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]
 
 
 def _stage_coefficients(
-    coefficient_on: Callable[[np.ndarray], np.ndarray],
-    times: np.ndarray,
-    uniform: np.ndarray | None = None,
+    problem: PeriodicLinearProblem, times: np.ndarray, steps: int | None = None
 ) -> _Stages:
     """A at the grid points and at the step midpoints of ``times``, every
-    coefficient an RK4 march over that grid reads; ``coefficient_on`` is
-    called on _SAMPLE_BATCH times at a time.
+    coefficient an RK4 march over that grid reads; ``problem.coefficient_on``
+    is called on _SAMPLE_BATCH times at a time.
 
-    ``uniform``, when given, is A at j T / (2 S), j = 0..2S, with
-    T = times[-1]: the base points linspace(0, T, S + 1) at even j and their
-    midpoints at odd j.  A grid entry that is bitwise its base point reads
-    its value there, and so does the midpoint of a step between two
-    consecutive base points.  Only the other times go through
-    ``coefficient_on``: marks that replaced or sit between base points, and
-    the midpoints beside them.
+    ``steps``, when given, says that ``times`` holds the base points
+    linspace(0, T, steps + 1), T = problem.period, perhaps with marks added.
+    A coefficient with its own uniform-grid evaluation ``on_grid`` (a
+    ``TrigCoefficient``) is then sampled at j T / (2 steps), j = 0..2 steps,
+    at once: the base points at even j and their midpoints at odd j.  A grid
+    entry that is bitwise its base point reads its value there, and so does
+    the midpoint of a step between two consecutive base points.  Only the
+    other times go through ``coefficient_on``: marks that replaced or sit
+    between base points, and the midpoints beside them.
     """
 
     def sampled(x: np.ndarray) -> np.ndarray:
         blocks = range(0, len(x), _SAMPLE_BATCH)
-        return np.concatenate([coefficient_on(x[lo : lo + _SAMPLE_BATCH]) for lo in blocks])
+        return np.concatenate([problem.coefficient_on(x[lo : lo + _SAMPLE_BATCH])
+                               for lo in blocks])
 
     mids = times[:-1] + 0.5 * np.diff(times)
-    if uniform is None:
+    on_grid = getattr(problem.coefficient, "on_grid", None)
+    if steps is None or on_grid is None:
         return sampled(times), sampled(mids)
+    uniform = np.asarray(on_grid(2 * steps), dtype=float)
 
     def read(x: np.ndarray, hit: np.ndarray, j: np.ndarray) -> np.ndarray:
         out = np.empty((len(x),) + uniform.shape[1:])
@@ -141,8 +147,7 @@ def _stage_coefficients(
             out[~hit] = sampled(x[~hit])
         return out
 
-    steps = (len(uniform) - 1) // 2
-    base = np.linspace(0.0, times[-1], steps + 1)
+    base = np.linspace(0.0, problem.period, steps + 1)
     k = np.minimum(np.searchsorted(base, times), steps)
     on = base[k] == times
     between = on[:-1] & on[1:] & (np.diff(k) == 1)
@@ -422,7 +427,7 @@ class MonodromyODE:
         if r - t0 <= 1e-13 * self.period:
             return self.values[idx].copy()
         times = np.array([t0, r])
-        stages = _stage_coefficients(self.problem.coefficient_on, times)
+        stages = _stage_coefficients(self.problem, times)
         return _rk4(times, stages, self.values[idx], [1])[0]
 
 
@@ -438,9 +443,7 @@ def ode_monodromy(
         raise InputError(f"steps must be even, got {steps}")
     eye = np.eye(problem.dimension)
     times = np.linspace(0.0, problem.period, steps + 1)
-    stages = _stage_coefficients(
-        problem.coefficient_on, times, problem.coefficient_on_grid(2 * steps)
-    )
+    stages = _stage_coefficients(problem, times, steps)
     values = _rk4(times, stages, eye, np.arange(steps + 1))
     coarse = _rk4(times[::2], (stages[0][::2], stages[0][1::2]), eye, [-1])
     scale = max(1.0, spectral_norm(values[-1]))
@@ -450,6 +453,12 @@ def ode_monodromy(
 
 # ---------------------------------------------------------------------------
 # Floquet decomposition Y(t) = P(t) expm(B t)
+
+
+def _multiplier_order(mu: complex) -> tuple[float, float, float]:
+    """The order multipliers are listed in, which fixes the envelopes:
+    descending modulus, then ascending real and imaginary part."""
+    return (-abs(mu), mu.real, mu.imag)
 
 
 @dataclass(frozen=True)
@@ -525,7 +534,7 @@ def floquet_decompose(
             f"matrix logarithm residual {resid:.3e} exceeds {tol.tol_log:.1e}"
         )
     branches = []
-    for mu in sorted(eigs, key=lambda z: (-abs(z), z.real, z.imag)):
+    for mu in sorted(eigs, key=_multiplier_order):
         mu = complex(mu)
         on_cut = mu.real < 0.0 and abs(mu.imag) <= 1e-9 * abs(mu)
         branches.append(BranchPoint(mu, np.log(mu) / monodromy.period, on_cut))
@@ -594,7 +603,7 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     # greedy clustering: each multiplier joins the first cluster whose
     # centre, the mean of its members, lies within tol_one of it
     kept = [complex(e) for e in eigs if abs(e) > tol.mu_floor]
-    kept.sort(key=lambda z: (-abs(z), z.real, z.imag))
+    kept.sort(key=_multiplier_order)
     members: list[list[complex]] = []
     centres = np.empty(len(kept), dtype=complex)
     for e in kept:
@@ -619,7 +628,7 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     for v, c in zip(values, members):
         alg, geo = next(counts) if len(c) > 1 else (1, 1)
         entries.append(MultiplierEntry(v, max(len(c), alg), geo))
-    entries.sort(key=lambda e: (-abs(e.value), e.value.real, e.value.imag))
+    entries.sort(key=lambda e: _multiplier_order(e.value))
     return MultiplierReport(
         tuple(entries),
         outside,
@@ -740,9 +749,7 @@ def dde_monodromy(
         raise NumericalError("history node missing from the time grid")
 
     # the two forms march separately and share only these samples of A + alpha K
-    stages = _stage_coefficients(
-        problem.coefficient_on, times, problem.coefficient_on_grid(2 * steps)
-    )
+    stages = _stage_coefficients(problem, times, steps)
     stages = (stages[0] + gain, stages[1] + gain)
 
     # --- integral form -----------------------------------------------------
@@ -811,18 +818,18 @@ def check_determining_invariance(
     mono = ode_monodromy(problem) if monodromy is None else monodromy
     if mono.problem is not problem:
         raise InputError("the monodromy was built for a different problem")
-    _, g_ode = cluster_multiplicity(mono.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
-    gs = []
-    for m in (nodes, 2 * nodes):
-        dde = dde_monodromy(problem, nodes=m, tol=tol)
-        _, g = cluster_multiplicity(dde.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)
-        gs.append(g)
-    if gs[0] != gs[1]:
+    # built one at a time, each only once the one before has its multiplicity
+    controlled = (dde_monodromy(problem, nodes=m, tol=tol).matrix for m in (nodes, 2 * nodes))
+    g_ode, g_dde, g_refined = (
+        cluster_multiplicity(mat, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)[1]
+        for mat in itertools.chain([mono.matrix], controlled)
+    )
+    if g_dde != g_refined:
         raise InconclusiveMultiplicityError(
-            f"geometric multiplicity at 1 changed from {gs[0]} to {gs[1]} "
+            f"geometric multiplicity at 1 changed from {g_dde} to {g_refined} "
             f"under grid refinement ({nodes} -> {2 * nodes} nodes)"
         )
-    return DeterminingInvariance(g_ode, gs[0], gs[1])
+    return DeterminingInvariance(g_ode, g_dde, g_refined)
 
 
 # ---------------------------------------------------------------------------
@@ -886,11 +893,8 @@ def periodic_verdicts(
         scale = max(1.0, spectral_norm(monodromy.matrix))
         negligible = spectral_norm(decomp.generator) * period <= tol.tol_log * scale
         res_b = 0.0 if negligible else relative_commutator(gain, decomp.generator)
-        # relative_commutator(gain, P(t)) at every sample at once
         ps = decomp._periodic_factors(np.linspace(0.0, period, _COMMUTING_SAMPLES))
-        comm = np.linalg.norm(gain @ ps - ps @ gain, axis=(1, 2))
-        denom = np.linalg.norm(gain) * np.linalg.norm(ps, axis=(1, 2))
-        res_p = float(np.max(np.divide(comm, denom, out=np.zeros_like(comm), where=denom > 0)))
+        res_p = max(relative_commutator(gain, p) for p in ps)
     except NumericalError:
         detail = "Floquet decomposition unavailable"
         h_comm_b = Hypothesis("gain commutes with the Floquet generator", False, detail)

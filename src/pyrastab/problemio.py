@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .benchmarks import builtin_field
 from .equilibria import Region
 from .errors import InputError
 from .expressions import DomainError
@@ -57,6 +56,14 @@ _TOP_KEYS = {
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
 _COEFFICIENT_SAMPLES = 128
 
+# the vector fields a document may name as ``builtin``: name -> (dimension, factory)
+_BUILTIN_FIELDS = {
+    "scalar-growth": (1, lambda: LinearField(np.array([[0.05]]))),
+    "scalar-decay": (1, lambda: LinearField(np.array([[-1.0]]))),
+    "scalar-cubic": (1, lambda: parse_field(("0.05 * x1 - x1^3",), ())),
+    "focus": (2, lambda: LinearField(np.array([[0.05, -1.0], [1.0, 0.05]]))),
+}
+
 
 @dataclass(frozen=True)
 class ProblemDocument:
@@ -92,7 +99,10 @@ def _require_mapping(value, path: str) -> dict:
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the double range
+        out = np.inf
     if not np.isfinite(out):
         raise InputError(f"{path}: number must be finite")
     return out
@@ -207,15 +217,15 @@ def _parse_field(spec, kind: str, dimension: int, path: str):
              for i, s in enumerate(rows)]
         )
     name = _require_string(spec["builtin"], f"{path}.builtin")
-    try:
-        dim, field = builtin_field(name)
-    except KeyError as err:
-        raise InputError(f"{path}.builtin: {err.args[0]}") from None
+    if name not in _BUILTIN_FIELDS:
+        known = ", ".join(sorted(_BUILTIN_FIELDS))
+        raise InputError(f"{path}.builtin: unknown builtin field {name!r}; known: {known}")
+    dim, factory = _BUILTIN_FIELDS[name]
     if dim != dimension:
         raise InputError(
             f"{path}.builtin: field {name!r} has dimension {dim}, document says {dimension}"
         )
-    return field
+    return factory()
 
 
 def parse_document(obj) -> ProblemDocument:

@@ -168,16 +168,6 @@ class PeriodicLinearProblem:
             out[i] = self.coefficient(float(t))
         return out
 
-    def coefficient_on_grid(self, intervals: int) -> np.ndarray | None:
-        """A(j T / intervals) for j = 0..intervals, shape (intervals + 1, n, n),
-        from the coefficient's own uniform-grid evaluation ``on_grid(T,
-        intervals)``; None when it has none, and the caller samples through
-        :meth:`coefficient_on`."""
-        on_grid = getattr(self.coefficient, "on_grid", None)
-        if on_grid is None:
-            return None
-        return np.asarray(on_grid(self.period, intervals), dtype=float)
-
 
 def validate_equilibrium(problem: EquilibriumProblem) -> float:
     """The field residual ||f(x*)|| at the problem's point.

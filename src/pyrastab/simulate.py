@@ -176,6 +176,7 @@ class Trajectory:
         return np.linalg.norm(self.states - reference[None, :], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is reported through blown_at
 def integrate(
     field: Callable[[np.ndarray], np.ndarray],
     feedback: DelayFeedback,
@@ -198,9 +199,9 @@ def integrate(
 
     A `LinearField` takes the affine interval march (`_affine_march`),
     which calls no field: its step maps are built once, each interval's
-    steps are one doubling scan, and a field whose step maps overflow
-    falls back to the stage loop.  Every other field runs the stage loop
-    below, four field calls per step.
+    steps are one doubling scan, and a field whose step maps or doubling
+    levels overflow falls back to the stage loop.  Every other field runs
+    the stage loop below, four field calls per step.
     """
     delay = feedback.delay
     gain = feedback.gain
@@ -236,9 +237,9 @@ def integrate(
     if isinstance(field, LinearField):
         if field.matrix.shape != gain.shape:
             raise InputError("field dimension does not match the gain")
-        maps = _step_maps(field.matrix, gain, h)
-        if np.all(np.isfinite(maps)):
-            last, blown_at = _affine_march(field.matrix, gain, history, maps, h, m, xs, fs, limit)
+        march = _affine_march(field.matrix, gain, history, h, m, xs, fs, limit)
+        if march is not None:
+            last, blown_at = march
             times = np.arange(last + 1) * h
             return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
     blown_at: Optional[float] = None
@@ -292,7 +293,8 @@ def _step_maps(a: np.ndarray, gain: np.ndarray, h: float) -> np.ndarray:
     x+ - x = D x + E0 d0 + Em dm + E1 d1.  The stage recurrences of the
     stage loop run on the four (n, 4n) unit blocks, so I + D = R(h (A + K))
     is RK4's stability polynomial and E1 = -(h/6) K.  Maps beyond the
-    double range come back non-finite, without a warning.
+    double range come back non-finite, without a warning under
+    ``integrate``'s error state.
     """
     n = a.shape[0]
     x, d0, dm, d1 = (np.eye(n, 4 * n, k * n) for k in range(4))
@@ -300,25 +302,23 @@ def _step_maps(a: np.ndarray, gain: np.ndarray, h: float) -> np.ndarray:
     def rhs(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
         return a @ y + gain @ (y - yd)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(x, d0)
-        k2 = rhs(x + 0.5 * h * k1, dm)
-        k3 = rhs(x + 0.5 * h * k2, dm)
-        k4 = rhs(x + h * k3, d1)
-        return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = rhs(x, d0)
+    k2 = rhs(x + 0.5 * h * k1, dm)
+    k3 = rhs(x + 0.5 * h * k2, dm)
+    k4 = rhs(x + h * k3, d1)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _affine_march(
     a: np.ndarray,
     gain: np.ndarray,
     history: HistorySegment,
-    maps: np.ndarray,
     h: float,
     m: int,
     xs: np.ndarray,
     fs: np.ndarray,
     limit: float,
-) -> tuple[int, Optional[float]]:
+) -> Optional[tuple[int, Optional[float]]]:
     """The stage loop's RK4 steps for f(x) = A x, one delay interval at a time.
 
     Fills ``xs`` and ``fs`` (xs[0] given) and returns ``(last, blown_at)``
@@ -333,26 +333,28 @@ def _affine_march(
     those steps by E_l = (I + D)^(2^l) - I.  That is ceil(log2 m) batched
     matmuls per interval instead of m small ones.  Neither I + D nor its
     powers are stored, as their rounding would bias every step the same
-    way.  The levels are built while they stay finite; where a higher
-    power overflows, each interval is scanned in chunks the finite levels
-    cover, so every field with finite step maps keeps this path.  The
-    blow-up test runs once per interval and locates the first offending
-    step; the scan only carries values forward, so the steps before it
-    are untouched by it.
+    way.  The blow-up test runs once per interval and locates the first
+    offending step; the scan only carries values forward, so the steps
+    before it are untouched by it.
+
+    Returns None, with nothing written, when the step maps
+    (``_step_maps``) or a doubling level that an interval of m steps needs
+    overflow; the caller then runs the stage loop.  At m = 64 a level
+    overflows only when one step multiplies the state by more than about
+    4e9, and such a march passes the blow-up limit in its first step
+    unless its state is exactly zero.
     """
     n = a.shape[0]
     steps = len(xs) - 1
+    maps = _step_maps(a, gain, h)
     d = maps[:, :n]
     offsets = maps[:, n:].T  # rows act on (d0, dm, d1) side by side
     levels = [d.T]  # E_l transposed, as the scan multiplies rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        while 2 ** len(levels) < m:
-            e = levels[-1]
-            nxt = 2.0 * e + e @ e
-            if not np.all(np.isfinite(nxt)):
-                break
-            levels.append(nxt)
-    chunk = 2 ** len(levels)  # the finite levels scan this many steps
+    while 2 ** len(levels) < m and np.all(np.isfinite(levels[-1])):
+        e = levels[-1]
+        levels.append(2.0 * e + e @ e)
+    if not (np.all(np.isfinite(maps)) and np.all(np.isfinite(levels[-1]))):
+        return None
 
     def delayed_nodes(lo: int, hi: int) -> np.ndarray:
         # the stage loop's delayed_point(i) for lo <= i < hi
@@ -373,22 +375,18 @@ def _affine_march(
                 fs[lo:hi] - fs[lo + 1 : hi + 1]
             )
         first = 0 if j0 == 0 else j0 + 1  # first grid point whose fs is unset
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = xs[j0 + 1 : j1 + 1]  # a view: the scan runs in place
-            new[:] = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
-            for k0 in range(0, j1 - j0, chunk):
-                u = new[k0 : k0 + chunk]
-                y = xs[j0 + k0]
-                u[0] += y + d @ y
-                for l, e in enumerate(levels):
-                    s = 2**l
-                    if s >= len(u):
-                        break
-                    u[s:] = u[s:] + u[:-s] + u[:-s] @ e
-            seg = xs[first : j1 + 1]
-            fs[first : j1 + 1] = seg @ a.T + (seg - nodes[first - j0 :]) @ gain.T
-            finite = np.isfinite(new).all(axis=1)
-            bad = ~finite | (np.abs(new) > limit).any(axis=1)
+        new = xs[j0 + 1 : j1 + 1]  # a view: the scan runs in place
+        new[:] = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
+        new[0] += xs[j0] + d @ xs[j0]
+        for l, e in enumerate(levels):
+            s = 2**l
+            if s >= len(new):
+                break
+            new[s:] = new[s:] + new[:-s] + new[:-s] @ e
+        seg = xs[first : j1 + 1]
+        fs[first : j1 + 1] = seg @ a.T + (seg - nodes[first - j0 :]) @ gain.T
+        finite = np.isfinite(new).all(axis=1)
+        bad = ~finite | (np.abs(new) > limit).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             j = j0 + i  # the offending step

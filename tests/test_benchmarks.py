@@ -9,7 +9,7 @@ Hopf closed form, and time-domain growth signs.
 import numpy as np
 import pytest
 
-from pyrastab.benchmarks import CATALOG, builtin_field, case_names, get_case
+from pyrastab.benchmarks import CATALOG, case_names, get_case
 from pyrastab.equilibria import (
     characteristic_matrix,
     critical_gain,
@@ -147,14 +147,6 @@ def test_catalog_has_enough_excluded_equilibria():
 def test_get_case_rejects_unknown():
     with pytest.raises(KeyError):
         get_case("no-such-case")
-
-
-def test_builtin_fields_resolve():
-    for name in ("scalar-growth", "scalar-decay", "scalar-cubic", "focus"):
-        dim, fld = builtin_field(name)
-        assert fld.dimension == dim
-    with pytest.raises(KeyError):
-        builtin_field("bogus")
 
 
 def test_case_documents_round_trip_digest():

@@ -67,6 +67,17 @@ def test_catalog_envelope_is_unchanged(name, tmp_path):
     assert catalog_envelope(name, str(tmp_path)) == _golden()[name]
 
 
+def test_multiplier_one_is_counted_alike_from_both_call_sites():
+    # the multiplier report and the determining-center check both take the
+    # geometric multiplicity at 1 of the same ODE monodromy; the envelope
+    # test above ties these golden values to the code
+    periodic = {name: env["results"] for name, env in _golden().items()
+                if env["results"]["kind"] == "periodic-linear"}
+    assert len(periodic) == 5
+    for res in periodic.values():
+        assert res["multipliers"]["unit_geometric"] == res["determining"]["g_ode"]
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         envelopes = {name: catalog_envelope(name, workdir) for name in case_names()}

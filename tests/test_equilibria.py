@@ -440,6 +440,26 @@ def test_seeds_prove_the_aliased_count_at_n20(no_subdivision):
         find_roots(_random_draw(20, 0))
 
 
+def test_subdivision_finds_the_roots_left_of_the_axis(monkeypatch):
+    # a user region reaching left of the axis holds 40 roots of scalar-basic,
+    # more than the generator's seeds resolve, so the subdivision runs
+    halvings = []
+    original = rootfinding._halvings
+
+    def counted(cell):
+        halvings.append(cell)
+        return original(cell)
+
+    monkeypatch.setattr(rootfinding, "_halvings", counted)
+    cm = characteristic_matrix(get_case("scalar-basic").problem())
+    region = Region(-2.0, 1.0, 20.0)
+    report = find_roots(cm, region)
+    assert halvings
+    assert report.count == count_roots(cm, region) == 40
+    values = [r.value for r in report.roots]
+    assert all(v.conjugate() in values for v in values)
+
+
 def test_mirror_roots_are_exact_conjugates():
     # on the random draw n = 5, J1 the report listed +0.3629i before its
     # mirror: the order followed the last bit of the two real parts

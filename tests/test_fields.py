@@ -192,23 +192,21 @@ def test_trig_batch_matches_one_level_phase_table(m, n, smooth, seed, fractions,
 
 
 @pytest.mark.parametrize(
-    "m, q, intervals",
+    "m, intervals",
     [
-        (9, 1, 64),   # odd sample count
-        (8, 1, 64),   # even: the Nyquist mode at its cosine representative
-        (12, 1, 4),   # 7 modes on 4 intervals: modes fold past the grid's Nyquist
-        (11, 1, 5),   # folding onto an odd grid
-        (8, 3, 32),   # the coefficient's own period is span / 3
-        (10, 2, 6),   # period span / 2 and folding together
+        (9, 64),   # odd sample count
+        (8, 64),   # even: the Nyquist mode at its cosine representative
+        (12, 4),   # 7 modes on 4 intervals: modes fold past the grid's Nyquist
+        (11, 5),   # folding onto an odd grid
     ],
 )
-def test_trig_on_grid_matches_batch(m, q, intervals):
-    rng = np.random.default_rng(m * 100 + q * 10 + intervals)
+def test_trig_on_grid_matches_batch(m, intervals):
+    rng = np.random.default_rng(m * 100 + 10 + intervals)
     samples = rng.uniform(-1.0, 1.0, (m, 2, 2))
-    span = 2.7
-    coeff = TrigCoefficient(samples, span / q)
-    got = coeff.on_grid(span, intervals)
-    ref = coeff.batch(np.arange(intervals + 1) * (span / intervals))
+    period = 2.7
+    coeff = TrigCoefficient(samples, period)
+    got = coeff.on_grid(intervals)
+    ref = coeff.batch(np.arange(intervals + 1) * (period / intervals))
     assert got.shape == ref.shape == (intervals + 1, 2, 2)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -217,24 +215,6 @@ def test_trig_on_grid_reproduces_the_samples():
     # on the samples' own grid the interpolant is the samples themselves
     rng = np.random.default_rng(5)
     samples = rng.uniform(-1.0, 1.0, (256, 2, 2))
-    got = TrigCoefficient(samples, 2.0).on_grid(2.0, 256)
+    got = TrigCoefficient(samples, 2.0).on_grid(256)
     assert np.max(np.abs(got[:-1] - samples)) <= 1e-15 * np.max(np.abs(samples))
     assert np.array_equal(got[-1], got[0])
-
-
-@pytest.mark.parametrize("ratio, fft", [(1.5, False), (0.5, False), (2.0, True)])
-def test_trig_on_grid_takes_the_batch_path_off_whole_periods(monkeypatch, ratio, fft):
-    # cos(4 pi t / P) is also 1.5 P periodic, but 1.5 P is no whole number of
-    # the coefficient's periods P, so the grid's times go through batch
-    period, intervals = 1.3, 24
-    ts = np.arange(16) * (period / 16)
-    samples = np.cos(4 * np.pi * ts / period)[:, None, None] * np.array([[1.0, 0.5], [0.0, -2.0]])
-    coeff = TrigCoefficient(samples, period)
-    span = ratio * period
-    ref = coeff.batch(np.arange(intervals + 1) * (span / intervals))
-    calls = []
-    batch = coeff.batch
-    monkeypatch.setattr(coeff, "batch", lambda times: calls.append(len(times)) or batch(times))
-    got = coeff.on_grid(span, intervals)
-    assert calls == ([] if fft else [intervals + 1])
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -168,3 +168,49 @@ def test_checker_sees_spectral_imports(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("import numpy as np\nfrom .fields import LinearField\n")
     assert _internal_imports(clean) == {"fields"}
+
+
+# --- every internal import is at module level ------------------------------------
+#
+# A function-level import of a sibling module hides an import cycle; the
+# modules are layered so that none is needed.
+
+
+def _function_level_imports(path: Path) -> list[str]:
+    """Imports of pyrastab modules inside a function or method of ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom):
+                internal = node.level > 0 or (node.module or "").split(".")[0] == "pyrastab"
+            elif isinstance(node, ast.Import):
+                internal = any(a.name.split(".")[0] == "pyrastab" for a in node.names)
+            else:
+                continue
+            if internal:
+                found.append(f"line {node.lineno}: in {getattr(func, 'name', 'lambda')}")
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_no_function_level_internal_import(path):
+    assert _function_level_imports(path) == []
+
+
+def test_checker_sees_function_level_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from .errors import InputError\n"
+        "def f():\n"
+        "    from .problemio import describe_problem\n"
+        "    import json\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import pyrastab.periodic\n"
+        "        from pyrastab import equilibria\n"
+    )
+    assert _function_level_imports(bad) == ["line 4: in f", "line 8: in g", "line 9: in g"]

@@ -342,7 +342,7 @@ def test_rk4_matches_stage_loop_across_blocks(case):
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (rng.integers(1, 6), n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
-    stages = periodic._stage_coefficients(coeff.batch, times)
+    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
     freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
     g = rng.uniform(-1.0, 1.0, (n, n))
 
@@ -376,7 +376,7 @@ def test_rk4_matches_stage_loop_with_a_many_mode_coefficient(monkeypatch):
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (300, n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
-    stages = periodic._stage_coefficients(coeff.batch, times)
+    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
     freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
     g = rng.uniform(-1.0, 1.0, (n, n))
 
@@ -833,7 +833,6 @@ def test_grid_sampling_matches_the_per_time_path(name):
     prob = get_case(name).problem()
     coeff = prob.coefficient
     plain = _periodic(lambda t: coeff(t), prob.period, prob.feedback.gain)
-    assert plain.coefficient_on_grid(64) is None
     a, b = ode_monodromy(prob).matrix, ode_monodromy(plain).matrix
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
     a, b = dde_monodromy(prob, nodes=16), dde_monodromy(plain, nodes=16)
@@ -841,7 +840,7 @@ def test_grid_sampling_matches_the_per_time_path(name):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
 
-def test_stage_coefficients_sample_only_the_off_grid_times():
+def test_stage_coefficients_sample_only_the_off_grid_times(monkeypatch):
     # on a delay grid, base points that survive the marks and the midpoints
     # between two of them are read from the uniform samples; the marks that
     # replaced or sit between base points, and the midpoints beside them,
@@ -851,15 +850,16 @@ def test_stage_coefficients_sample_only_the_off_grid_times():
     marks = period + lobatto_nodes(2 * nodes - 1, -period, 0.0)
     times = periodic._aligned_times(marks, period, steps)
     base = np.linspace(0.0, period, steps + 1)
+    ref = periodic._stage_coefficients(prob, times)
     sampled = []
+    coefficient_on = PeriodicLinearProblem.coefficient_on
 
-    def coefficient_on(t):
+    def recorded(self, t):
         sampled.extend(t)
-        return prob.coefficient_on(t)
+        return coefficient_on(self, t)
 
-    uniform = prob.coefficient_on_grid(2 * steps)
-    got = periodic._stage_coefficients(coefficient_on, times, uniform)
-    ref = periodic._stage_coefficients(prob.coefficient_on, times)
+    monkeypatch.setattr(PeriodicLinearProblem, "coefficient_on", recorded)
+    got = periodic._stage_coefficients(prob, times, steps)
     for x, y in zip(got, ref):
         assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
     on = np.isin(times, base)
@@ -869,6 +869,25 @@ def test_stage_coefficients_sample_only_the_off_grid_times():
     # every mark but the ends is off the base grid here, and costs at most
     # itself and the two midpoints beside it
     assert 0 < len(sampled) <= 3 * len(marks)
+
+
+@pytest.mark.parametrize("kind", ["trig", "constant", "callable"])
+def test_stage_coefficients_read_a_grid_evaluation_only_when_there_is_one(kind):
+    # a TrigCoefficient samples the march grid itself; a constant or a plain
+    # callable has no grid evaluation and keeps the per-time path
+    rng = np.random.default_rng(8)
+    period, steps = 1.7, 12
+    trig = TrigCoefficient(rng.standard_normal((8, 3, 3)), period)
+    coeff = {"trig": trig, "constant": ConstantCoefficient(np.eye(3)),
+             "callable": lambda t: np.cos(2 * np.pi * t / period) * np.eye(3)}[kind]
+    prob = _periodic(coeff, period, 0.2 * np.eye(3))
+    assert hasattr(coeff, "on_grid") == (kind == "trig")
+    times = np.linspace(0.0, period, steps + 1)
+    got = periodic._stage_coefficients(prob, times, steps)
+    ref = periodic._stage_coefficients(prob, times)
+    for x, y in zip(got, ref):
+        assert x.shape == y.shape
+        assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
 
 
 # --- determining centers -------------------------------------------------------------

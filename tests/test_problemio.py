@@ -100,6 +100,15 @@ def test_builtin_document():
     assert prob.jacobian()[0, 0] == pytest.approx(0.05)
 
 
+def test_builtin_fields_resolve():
+    for name, dim in (("scalar-growth", 1), ("scalar-decay", 1), ("scalar-cubic", 1), ("focus", 2)):
+        doc = parse_document(_scalar_doc(dimension=dim, field={"builtin": name},
+                                         gain=np.eye(dim).tolist()))
+        assert doc.field.dimension == dim
+    with pytest.raises(InputError, match=r"^\$\.field\.builtin: unknown builtin field 'bogus'"):
+        parse_document(_scalar_doc(field={"builtin": "bogus"}))
+
+
 @pytest.mark.parametrize(
     "mutate, path",
     [
@@ -134,6 +143,18 @@ def test_builtin_document():
             lambda d: d.update(region={"re_min": 1.0, "re_max": 0.0, "im_max": 1.0}),
             "$.region",
         ),
+        # integers beyond the double range, which JSON reads exactly
+        (lambda d: d.update(gain=[[10**400]]), "$.gain[0][0]: number must be finite"),
+        (lambda d: d.update(delay=10**400), "$.delay: number must be finite"),
+        (lambda d: d.update(field={"expressions": ["a * x1"], "params": {"a": -10**400}}),
+         "$.field.params.a: number must be finite"),
+        (lambda d: d.update(region={"re_min": 0.0, "re_max": 10**400, "im_max": 1.0}),
+         "$.region.re_max: number must be finite"),
+        (lambda d: d.update(tolerances={"tol_res": 10**400}),
+         "$.tolerances.tol_res: number must be finite"),
+        (lambda d: d.update(kind="periodic-linear", period=d["delay"],
+                            field={"matrix-samples": [[[0.1]], [[10**400]], [[0.1]], [[0.1]]]}),
+         "$.field.matrix-samples[1][0][0]: number must be finite"),
     ],
 )
 def test_diagnostics_name_the_offending_path(mutate, path):
@@ -225,6 +246,7 @@ _SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-5, 70),
+    st.sampled_from([10**400, -10**400]),  # beyond the double range
     st.floats(allow_nan=True, allow_infinity=True, width=64),
     st.text(max_size=8),
 )

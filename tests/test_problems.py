@@ -267,16 +267,3 @@ def test_coefficient_on_falls_back_for_plain_callables(times):
     batch = prob.coefficient_on(np.array(times))
     for row, t in zip(batch, times):
         assert np.array_equal(row, coeff(t))
-
-
-def test_coefficient_on_grid_uses_the_coefficient_evaluation():
-    # a TrigCoefficient samples the grid itself; a constant or a plain
-    # callable has no grid evaluation and keeps the per-time path
-    prob = _trig_problem(8)
-    grid = prob.coefficient_on_grid(12)
-    ref = prob.coefficient_on(np.arange(13) * (_PERIOD / 12))
-    assert grid.shape == (13, 3, 3)
-    assert np.max(np.abs(grid - ref)) <= 1e-14 * np.max(np.abs(ref))
-    fb = DelayFeedback(0.2 * np.eye(2), _PERIOD)
-    for coeff in (ConstantCoefficient(np.eye(2)), lambda t: np.eye(2)):
-        assert PeriodicLinearProblem(coeff, _PERIOD, fb).coefficient_on_grid(12) is None

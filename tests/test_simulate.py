@@ -223,7 +223,7 @@ def _linear_runs(draw):
         blow_up = 10.0 ** rng.uniform(1.0, 9.0)
         hist = perturbed_history(np.zeros(n), delay, 10.0 ** rng.uniform(-6.0, 0.0),
                                  seed=int(rng.integers(1000)))
-        return matrix, gain, hist, t_end, dt, blow_up
+        return matrix, gain, hist, t_end, dt, blow_up, regime
     # A = s I + O(1): one step multiplies the state by about (h s)^4 / 24
     power = draw(st.floats(20.0, 200.0)) if regime == "finite-first" else 303.0
     s = (24.0 * 10.0**power) ** 0.25 / h
@@ -238,20 +238,22 @@ def _linear_runs(draw):
         # 1e6..1e8 after the first step, below the limit 1e9; non-finite after the second
         point = signs * 10.0 ** rng.uniform(-297.0, -295.0, n)
     hist = HistorySegment.from_constant(point, delay)
-    return matrix, gain, hist, t_end, dt, blow_up
+    return matrix, gain, hist, t_end, dt, blow_up, regime
 
 
 @settings(max_examples=80, deadline=None)
 @given(_linear_runs())
 def test_affine_march_matches_stage_loop(run):
-    matrix, gain, hist, t_end, dt, blow_up = run
+    matrix, gain, hist, t_end, dt, blow_up, regime = run
     fb = DelayFeedback(gain, hist.delay)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the stage loop's overflow
         ref = integrate(lambda x: matrix @ x, fb, hist, t_end, dt=dt, blow_up=blow_up)
     with _field_calls() as calls:
         got = integrate(LinearField(matrix), fb, hist, t_end, dt=dt, blow_up=blow_up)
-    assert calls == []  # every regime drawn takes the affine march
+    # a moderate march takes the affine march; one that grows by 1e20 or
+    # more per step may overflow a doubling level and take the stage loop
+    assert calls == [] or regime != "moderate"
     assert len(got) == len(ref)
     assert got.blown_at == ref.blown_at
     assert np.array_equal(got.times, ref.times)
@@ -313,15 +315,15 @@ def test_affine_march_matches_stage_loop_over_a_long_run():
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-def test_overflowing_doubling_maps_scan_in_chunks():
+def test_overflowing_doubling_maps_fall_back_to_the_stage_loop():
     # (I + D)^32 - I overflows for A = 1e6 at h = 1/64 while the step maps
-    # stay finite: the scan must use only the finite doubling levels, or
-    # inf * 0 turns the resting zero state into nan
+    # stay finite: the stage loop runs, and keeps the resting zero state at
+    # exactly zero where inf * 0 in a doubling level would give nan
     fb = DelayFeedback(np.array([[0.3]]), 1.0)
     hist = HistorySegment.from_constant(np.zeros(1), 1.0)
     with _field_calls() as calls:
         traj = integrate(LinearField(np.array([[1e6]])), fb, hist, 2.0)
-    assert calls == []
+    assert len(calls) == 4 * 128 + 1  # four field calls per step, one at the start
     assert traj.blown_at is None and len(traj) == 129
     assert np.all(traj.states == 0.0) and np.all(traj.derivs == 0.0)
 
