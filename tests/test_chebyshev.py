@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 
@@ -123,15 +123,21 @@ def test_interp_rows_match_interp_row(m, fractions, node_picks):
 
 def _masked_interp_rows(nodes, weights, s):
     """interp_rows by full (S, M) masks: every node within 1e-14 times the
-    span of a point is a hit, and the first hit wins."""
+    span of a point is a hit, and the first hit wins; a point beyond the
+    ends that hits no node divides by the row sum's exact value."""
+    span = nodes[-1] - nodes[0]
     diff = s[:, None] - nodes
-    hit = np.abs(diff) <= 1e-14 * (nodes[-1] - nodes[0])
+    hit = np.abs(diff) <= 1e-14 * span
     on_node = hit.any(axis=1)
+    beyond = ~on_node & ((s < nodes[0]) | (s > nodes[-1]))
+    node_poly = np.prod((4.0 / span) * diff[beyond], axis=1)
     diff[hit] = 1.0
     rows = weights / diff
     rows[on_node] = 0.0
     rows[on_node, np.argmax(hit[on_node], axis=1)] = 1.0
-    rows /= rows.sum(axis=1, keepdims=True)
+    total = rows.sum(axis=1)
+    total[beyond] = np.sign(weights[-1]) * 8.0 * (len(nodes) - 1) / (span * node_poly)
+    rows /= total[:, None]
     return rows
 
 
@@ -145,6 +151,8 @@ def _masked_interp_rows(nodes, weights, s):
              max_size=20),
     st.integers(0, 2**32 - 1),
 )
+# 9.5 left of the nodes, where the alternating row sum rounds to exactly zero
+@example(m=104, a=1.1548148923823423, length=101.0, fractions=[-0.09375], near=[], seed=0)
 def test_interp_rows_match_the_masked_rows_bit_for_bit(m, a, length, fractions, near, seed):
     # points on a node, within the on-node tolerance of one (either side,
     # at its edge) and just outside it, next to arbitrary points, also
@@ -158,7 +166,40 @@ def test_interp_rows_match_the_masked_rows_bit_for_bit(m, a, length, fractions, 
         [nodes[j] + f * tol for j, f in picks],
         np.random.default_rng(seed).choice(nodes, 5),
     ])
-    assert np.array_equal(interp_rows(nodes, w, s), _masked_interp_rows(nodes, w, s))
+    rows = interp_rows(nodes, w, s)
+    assert np.all(np.isfinite(rows))
+    assert np.array_equal(rows, _masked_interp_rows(nodes, w, s))
+
+
+def _lagrange_rows(nodes, s):
+    """ell_j(s) = prod_{k != j} (s - x_k) / (x_j - x_k), one product each."""
+    m = len(nodes)
+    rows = np.empty((len(s), m))
+    for j in range(m):
+        others = np.arange(m) != j
+        rows[:, j] = np.prod((s[:, None] - nodes[others]) / (nodes[j] - nodes[others]), axis=1)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 130),
+    st.floats(-5.0, 5.0),
+    st.floats(0.5, 1e3),
+    st.lists(st.one_of(st.floats(-0.1, -1e-12), st.floats(1.0 + 1e-12, 1.1)), min_size=1, max_size=20),
+)
+@example(m=104, a=1.1548148923823423, length=101.0, fractions=[-0.09375])
+def test_interp_rows_beyond_the_ends_are_the_lagrange_products(m, a, length, fractions):
+    nodes = lobatto_nodes(m, a, a + length)
+    s = a + length * np.array(fractions)
+    rows = interp_rows(nodes, barycentric_weights(m), s)
+    ref = _lagrange_rows(nodes, s)
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    # the weights take the nodes for exact Chebyshev points, the products
+    # take them as rounded: that rounding, relative to the smallest gap,
+    # bounds how far the two may part
+    rounding = np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1])) / (nodes[1] - nodes[0])
+    assert np.max(np.abs(rows - ref) / scale) <= 4.0 * (1e-12 + rounding)
 
 
 def _cumulative_by_columns(nodes):
