@@ -22,6 +22,7 @@ from .errors import NumericalError
 
 __all__ = [
     "spectral_norm",
+    "relative_gap_bound",
     "svd_rank",
     "kernel_basis",
     "SchurForm",
@@ -34,6 +35,22 @@ def spectral_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def relative_gap_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on ||a - b||_2 / max(1, ||a||_2) from O(N^2) norms,
+    never below that ratio (up to rounding) and without an SVD.
+
+    With D = a - b, ||D||_2 <= min(||D||_F, sqrt(||D||_1 ||D||_inf)), and
+    ||a||_2 is at least the largest column norm max_j ||a e_j||_2.  A
+    rank-1 D makes the Frobenius bound exact."""
+    a = np.asarray(a)
+    d = a - np.asarray(b)
+    if d.size == 0:
+        return 0.0
+    upper = min(np.linalg.norm(d), np.sqrt(np.linalg.norm(d, 1) * np.linalg.norm(d, np.inf)))
+    lower = np.max(np.linalg.norm(a, axis=0))
+    return float(upper / max(1.0, lower))
 
 
 def svd_rank(svals: np.ndarray, n: int, rank_factor: float, floor: float = 0.0) -> int:

@@ -11,23 +11,28 @@ tolerance, so a coarse grid fails loudly instead of lying.
 
 All of them march with one RK4 routine, ``_rk4``.  The equations are
 linear, so every RK4 step is an affine map Y -> Y + D Y + Q.  The steps
-are taken in blocks cut to a fixed element budget on the march's widest
-per-step array, so a source-free march at n = 2 is one or two blocks.
-Per block the increments D are built from the batched coefficient
-samples with a few array products, and the offsets Q of the stepped
-form's delayed source kron(ell(t - T), -alpha K) are kept as two
-gain-free (n, n) factors per step next to the interpolation rows, the
-gain applied once per segment of steps, without materialising the
-source.  The block's maps are then composed in increment form by one
-two-level work-efficient scan, a prefix scan without a source and a
-suffix scan segmented at the kept indices with one, rather than applied
-step by step, and snapshots are stored only at the grid indices the
-caller reads, so memory stays bounded however fine the grid.  The
-fundamental solution used by the integral form and the history basis of
-the stepped form are two separate marches over the same grid, each with
-its own step maps and composites, never one stacked march, so the
-cross-check compares two constructions that share only their sampled
-coefficients.
+are taken in blocks cut to a fixed element budget at n * n elements per
+step, or 2 n * n for a sourced march, so at n = 2 a source-free march of
+16k steps is one block and a sourced one of 8k steps is one block.  Per
+block the increments D are built from the batched coefficient samples
+with a few array products, and the offsets Q of the stepped form's
+delayed source kron(ell(t - T), -alpha K) are kept as two gain-free
+(n, n) factors per step, the gain applied once per segment of steps,
+without materialising the source.  The interpolation rows ell come
+unnormalised, with those factors, in chunks of steps cut to the same
+budget on the rows' width: each row's divisor divides that step's (n, n)
+factors instead of its M terms.  The block's maps are then composed in
+increment form by one two-level work-efficient scan, a prefix scan
+without a source and a suffix scan segmented at the kept indices with
+one, rather than applied step by step, and snapshots are stored only at
+the grid indices the caller reads, so memory stays bounded however fine
+the grid.  The fundamental solution used by the integral form and the
+history basis of the stepped form are two separate marches over the same
+grid, each with its own step maps and composites, never one stacked
+march, so the cross-check compares two constructions that share only
+their sampled coefficients.  Their gap is measured by an O(N^2) upper
+bound on the relative spectral-norm difference (``relative_gap_bound``),
+never by an SVD.
 
 Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
 uniform grid of 2 steps intervals, except that the delay monodromy adds
@@ -53,7 +58,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .chebyshev import barycentric_weights, cumulative_matrix, interp_rows, lobatto_nodes
+from .chebyshev import (
+    barycentric_terms,
+    barycentric_weights,
+    cumulative_matrix,
+    interp_rows,
+    lobatto_nodes,
+)
 from .equilibria import (
     common_eigenpair,
     real_spectrum_hypothesis,
@@ -67,7 +78,7 @@ from .errors import (
     NumericalError,
     SingularMonodromyError,
 )
-from .linalg import SchurForm, cluster_multiplicity, spectral_norm
+from .linalg import SchurForm, cluster_multiplicity, relative_gap_bound, spectral_norm
 from .problems import PeriodicLinearProblem
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -92,11 +103,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # time stepping
 
-# Elements of the march's widest per-step array in one block: the step
-# increments (n * n per step) of a source-free march, the interpolation
-# rows or the source factors (M or 2 n * n) of a sourced one.  Blocks are
-# cut to this budget, which bounds their temporaries independently of
-# the grid; at n = 2 a source-free march of 16k steps is one block.
+# Elements of a march's per-step arrays in one block or chunk.  Blocks are
+# cut to _BUDGET // (n * n) steps without a source and _BUDGET // (2 n * n)
+# with one, whose block-long arrays are the increments, their composites
+# and C_{k+1}; its interpolation rows (M per step) and source factors are
+# evaluated in chunks of _BUDGET // M steps.  This bounds every temporary
+# independently of the grid; at n = 2 a source-free march of 16k steps is
+# one block.
 _BUDGET = 2**16
 
 # Times per call of a coefficient's batch evaluation, which bounds its own
@@ -105,10 +118,12 @@ _SAMPLE_BATCH = 256
 
 _Stages = tuple[np.ndarray, np.ndarray]
 
-# A delayed source R(t) = kron(rows(t), G): ``rows`` maps S times to (S, M)
-# interpolation rows and G is (n, n); in the node-major layout block j of
-# R(t) is rows(t)[j] * G.
-_Source = tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]
+# A delayed source R(t) = kron(ell(t), G): ``terms`` maps S times to the
+# unnormalised (S, M) rows and their (S,) divisors, ell = rows / divisor
+# (see ``chebyshev.barycentric_terms``), and G is (n, n); in the node-major
+# layout block j of R(t) is ell(t)[j] * G.
+_Terms = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+_Source = tuple[_Terms, np.ndarray]
 
 
 def _stage_coefficients(
@@ -268,13 +283,37 @@ def _source_maps(h: np.ndarray, am: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.stack([m0, mm]) * (h / 6.0)
 
 
+def _source_chunk(
+    t: np.ndarray, am: np.ndarray, a1: np.ndarray, after: np.ndarray, terms: _Terms
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and source factors of the steps through the grid points ``t``
+    of a sourced march (see ``_rk4``), given A at their midpoints and ends
+    and C_{k+1} at each step.
+
+    Returns the unnormalised rows at the points and at the midpoints, the
+    factors F_k + C_{k+1} F_k (2, S, n, n) and h/6 (I + C_{k+1}) (S, n, n),
+    each divided by the divisor of the rows it meets: the start and end
+    points' for F0 and the last factor, the midpoint's for Fm.
+    """
+    h = np.diff(t)
+    ell, div = terms(t)
+    ell_mid, div_mid = terms(t[:-1] + 0.5 * h)
+    f = _source_maps(h, am, a1)
+    f += after @ f
+    f[0] /= div[:-1, None, None]
+    f[1] /= div_mid[:, None, None]
+    f_end = (h / 6.0)[:, None, None] * (np.eye(am.shape[-1]) + after)
+    f_end /= div[1:, None, None]
+    return ell, ell_mid, f, f_end
+
+
 def _block_steps(y: np.ndarray, sourced: bool) -> int:
-    """Steps per block of a march of Y (n, M n): its widest per-step array
-    holds the n * n step increments without a source, and the M rows or
-    the 2 n * n source factors with one (see _BUDGET)."""
+    """Steps per block of a march of Y (n, M n): _BUDGET over n * n
+    elements per step without a source and 2 n * n with one (see
+    _BUDGET).  The M interpolation rows per step do not set the block; a
+    sourced march evaluates them in chunks of _BUDGET // M steps."""
     n = y.shape[0]
-    width = max(2 * n * n, y.shape[1] // n) if sourced else n * n
-    return max(1, _BUDGET // width)
+    return max(1, _BUDGET // (2 * n * n if sourced else n * n))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises NumericalError below
@@ -291,11 +330,11 @@ def _rk4(
     The equation is linear, so each step is an affine map
     Y -> Y + D Y + Q, and the march composes these maps per block instead
     of applying them one by one.  A block holds as many steps as the
-    element budget _BUDGET allows for the march's widest per-step array
+    element budget _BUDGET allows for the march's per-step arrays
     (``_block_steps``).  ``stages`` holds A at the grid points and
     midpoints (see ``_stage_coefficients``); ``source`` is the pair
-    (rows, G) of R(t) = kron(rows(t), G), its rows taken per block at the
-    block's grid points and midpoints.
+    (terms, G) of R(t) = kron(ell(t), G), ell the unnormalised rows that
+    ``terms`` returns divided by their divisors.
 
     Without a source, a two-level prefix scan of the block's increments
     (``_composites``) gives the composite E_k of its first k steps, and
@@ -304,11 +343,15 @@ def _rk4(
     segmented suffix scan gives C_k, the composite of steps k to the end
     of k's segment.  A segment maps Y to
     Y + C_first Y + sum_k (I + C_{k+1}) Q_k, with C_{k+1} = 0 at its last
-    step.  The gain-free factors F_k + C_{k+1} F_k (see ``_source_maps``)
-    are formed for the whole block; per segment they are contracted with
-    the start, midpoint and end rows, one matrix product each, and G is
-    applied once to the (M, n, n) result.  No composite is inverted and
-    only the kept snapshots are stored.
+    step.  The rows at the steps' start, midpoint and end points and the
+    gain-free factors F_k + C_{k+1} F_k (see ``_source_maps``) come in
+    chunks of _BUDGET // M steps that end at a segment's end, a segment
+    longer than that in a chunk of its own (``_source_chunk``); each row's
+    divisor divides the (n, n) factor it meets, so the (S, M) rows are
+    never normalised.  Per segment the factors are contracted with the
+    rows, one matrix product each, and G is applied once to the (M, n, n)
+    result.  No composite is inverted and only the kept
+    snapshots are stored.
     """
     kept, slot = np.unique(np.asarray(keep, dtype=np.intp) % len(times), return_inverse=True)
     out = np.empty((len(kept),) + y0.shape)
@@ -316,6 +359,7 @@ def _rk4(
     out[kept == 0] = y
     n = y.shape[0]
     block = _block_steps(y, source is not None)
+    chunk = max(1, _BUDGET // (y.shape[1] // n))  # steps of M-wide rows at a time
     for lo in range(0, len(times) - 1, block):
         hi = min(lo + block, len(times) - 1)
         t = times[lo : hi + 1]
@@ -329,21 +373,25 @@ def _rk4(
             out[here] = y + e[inside - lo - 1] @ y
             y = y + e[-1] @ y
             continue
-        rows, g = source
-        ell, ell_mid = rows(t), rows(t[:-1] + 0.5 * h)
+        terms, g = source
         cuts = np.union1d(inside, hi) - lo
         c = _composites(d, suffix=True, ends=cuts)
         after = np.zeros_like(c)  # C_{k+1}, zero at each segment's last step
         after[:-1] = c[1:]
         after[cuts - 1] = 0.0
-        f = _source_maps(h, a_mid, a[1:])
-        f += after @ f
-        f_end = (h / 6.0)[:, None, None] * (np.eye(n) + after)
+        top = 0  # rows and factors are held for the steps [base, top) of the block
         for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
+            if s1 > top:
+                base = s0
+                top = cuts[max(j, np.searchsorted(cuts, s0 + chunk, side="right") - 1)]
+                ell, ell_mid, f, f_end = _source_chunk(
+                    t[base : top + 1], a_mid[base:top], a[base + 1 : top + 1],
+                    after[base:top], terms)
+            r0, r1 = s0 - base, s1 - base
             offset = (
-                ell[s0:s1].T @ f[0, s0:s1].reshape(-1, n * n)
-                + ell_mid[s0:s1].T @ f[1, s0:s1].reshape(-1, n * n)
-                + ell[s0 + 1 : s1 + 1].T @ f_end[s0:s1].reshape(-1, n * n)
+                ell[r0:r1].T @ f[0, r0:r1].reshape(-1, n * n)
+                + ell_mid[r0:r1].T @ f[1, r0:r1].reshape(-1, n * n)
+                + ell[r0 + 1 : r1 + 1].T @ f_end[r0:r1].reshape(-1, n * n)
             )  # (M, n * n): block j of the offset before G
             offset = (offset.reshape(-1, n, n) @ g).transpose(1, 0, 2)
             y = y + c[s0] @ y + offset.reshape(y.shape)
@@ -594,6 +642,12 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     block, which stays meaningful for the non-normal matrices the delay
     discretization produces.  One Schur form gives both the spectrum and
     those multiplicities.
+
+    ``norm_bound`` is the exact spectral norm ||M||_2, one SVD, kept on
+    purpose: it is a field of every periodic envelope, where ``analyze``
+    passes only n x n monodromies and the SVD costs little, and a cheaper
+    bound (||M||_F, or ``relative_gap_bound``'s) would move those
+    envelopes.
     """
     mat = np.asarray(monodromy.matrix)
     form = SchurForm(mat)
@@ -648,7 +702,12 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
 class MonodromyDDE:
     """Discretized time-T solution operator of the controlled system,
     acting on history node values (node-major layout: component c of node
-    j sits at index j * N + c)."""
+    j sits at index j * N + c).
+
+    ``matrix`` is the integral form and ``matrix_stepped`` the stepped
+    form; ``cross_residual`` is an upper bound on their relative
+    spectral-norm gap ||matrix - matrix_stepped||_2 / max(1,
+    ||matrix||_2), never below it (see ``linalg.relative_gap_bound``)."""
 
     problem: PeriodicLinearProblem
     alpha: float
@@ -706,8 +765,12 @@ def dde_monodromy(
     basis polynomials and stall the convergence near 1e-3.  Stepped form:
     march the full node basis through the inhomogeneous equation, reading
     the delayed term from the interpolated history.  Both land on the
-    same operator up to discretization error; a relative gap above
-    tol_xcheck raises CrossCheckError.
+    same operator up to discretization error.  Their gap, reported as
+    ``cross_residual``, is an O(N^2) upper bound on the relative
+    spectral-norm difference ||integral - stepped||_2 / max(1,
+    ||integral||_2), N = n * nodes (see ``linalg.relative_gap_bound``),
+    never below the exact ratio; a gap above tol_xcheck raises
+    CrossCheckError.
 
     Both forms run on one time grid that contains every quadrature mark,
     as two separate RK4 marches: Y alone for the integral form, the
@@ -716,8 +779,9 @@ def dde_monodromy(
     builds its own affine step maps from them per block of steps and
     composes them with its own scans (see ``_rk4``), so no composite
     passes from one march to the other and none is inverted.  U's delayed
-    source kron(ell(t - T), -alpha K) enters through its interpolation
-    rows and two gain-free (n, n) factors per step, with -alpha K applied
+    source kron(ell(t - T), -alpha K) enters through its unnormalised
+    interpolation rows, in chunks of steps, and two gain-free (n, n)
+    factors per step that the rows' divisors divide, with -alpha K applied
     once per segment, never as a materialised (n, M n) source, and each
     march keeps its snapshots only at the marks it reads, so memory does
     not grow with the step count.
@@ -767,16 +831,16 @@ def dde_monodromy(
     integral_form = big.reshape(nodes * n, nodes * n)
 
     # --- stepped form -------------------------------------------------------
-    def delayed(t: np.ndarray) -> np.ndarray:
+    def delayed(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # -alpha K x(t - T) = kron(ell(t - T), -alpha K) @ phi, node-major
-        return interp_rows(theta, weights, t - period)
+        return barycentric_terms(theta, weights, t - period)
 
     u0 = np.zeros((n, nodes * n))
     u0[:, (nodes - 1) * n :] = np.eye(n)  # x(0) is the history's last node
     u_marks = _rk4(times, stages, u0, mark_idx[::2], source=(delayed, -gain))
     stepped = u_marks.reshape(nodes * n, nodes * n)
 
-    gap = spectral_norm(integral_form - stepped) / max(1.0, spectral_norm(integral_form))
+    gap = relative_gap_bound(integral_form, stepped)
     if gap > tol.tol_xcheck:
         raise CrossCheckError(
             f"monodromy constructions disagree by {gap:.3e} at {nodes} nodes; "

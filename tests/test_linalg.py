@@ -22,6 +22,7 @@ from pyrastab.linalg import (
     SchurForm,
     cluster_multiplicity,
     kernel_basis,
+    relative_gap_bound,
     spectral_norm,
     svd_rank,
 )
@@ -76,6 +77,46 @@ def test_spectral_norm_matches_svd():
     for _ in range(10):
         a = rng.standard_normal((4, 4))
         assert spectral_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """A real matrix a and a b with a - b random, zero or rank 1; a itself
+    is random, rank 1, tiny (so max(1, .) takes the 1) or diagonal (its
+    largest column norm is then its spectral norm)."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = {
+        "random": lambda: rng.standard_normal((n, n)),
+        "rank-1": lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+        "tiny": lambda: 1e-3 * rng.standard_normal((n, n)),
+        "diagonal": lambda: np.diag(rng.uniform(-5.0, 5.0, n)),
+    }[draw(st.sampled_from(["random", "rank-1", "tiny", "diagonal"]))]()
+    scale = 10.0 ** draw(st.integers(-12, 2))
+    d = {
+        "random": lambda: rng.standard_normal((n, n)),
+        "zero": lambda: np.zeros((n, n)),
+        "rank-1": lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+    }[draw(st.sampled_from(["random", "zero", "rank-1"]))]()
+    return a, a - scale * d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_pairs())
+def test_relative_gap_bound_is_never_below_the_svd_gap(pair):
+    # the Frobenius bound is exact for a rank-1 difference and the column
+    # bound exact for a diagonal a, where both sides may round apart by an
+    # ulp or two; no more slack than that is allowed
+    a, b = pair
+    gap = spectral_norm(a - b) / max(1.0, spectral_norm(a))
+    bound = relative_gap_bound(a, b)
+    assert bound >= gap * (1.0 - 8.0 * _EPS)
+    if not np.any(a - b):
+        assert bound == 0.0
+
+
+def test_relative_gap_bound_of_empty_matrices_is_zero():
+    assert relative_gap_bound(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
 
 
 def test_numerical_rank_on_constructed_matrices():

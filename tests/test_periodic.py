@@ -31,7 +31,7 @@ from pyrastab.equilibria import (
 )
 from pyrastab.errors import InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
-from pyrastab.linalg import cluster_multiplicity
+from pyrastab.linalg import cluster_multiplicity, spectral_norm
 from pyrastab.periodic import (
     check_determining_invariance,
     dde_monodromy,
@@ -254,6 +254,21 @@ def _constant_stages(a, steps):
     return np.broadcast_to(a, (steps + 1,) + a.shape), np.broadcast_to(a, (steps,) + a.shape)
 
 
+def _terms(rows, divisor=lambda t: np.ones(len(t))):
+    """A ``_rk4`` source's terms callable for the interpolation rows
+    ``rows``: rows(t) times divisor(t), returned with that divisor."""
+
+    def terms(t):
+        div = divisor(t)
+        return rows(t) * div[:, None], div
+
+    return terms
+
+
+def _ones(t):
+    return np.ones((len(t), 1))
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(float).eps,
     reason="long double is no wider than double here",
@@ -269,8 +284,7 @@ def test_long_sourced_march_does_not_drift():
     times = np.linspace(0.0, prob.period, steps + 1)
     stages = _constant_stages(a, steps)
     y0 = np.eye(2)
-    ones = (lambda t: np.ones((len(t), 1)), g)
-    got = periodic._rk4(times, stages, y0, [steps], source=ones)[0]
+    got = periodic._rk4(times, stages, y0, [steps], source=(_terms(_ones), g))[0]
     augmented = np.block([[a, g], [np.zeros((2, 4))]])
     z = (prob.period / steps * augmented).astype(np.longdouble)
     start = np.vstack([y0, np.eye(2)]).astype(np.longdouble)
@@ -300,7 +314,7 @@ def test_rk4_raises_when_the_march_blows_up(with_source, monkeypatch):
     times = np.linspace(0.0, 1.0, steps + 1)
     a = 1e4 * np.eye(2)
     stages = _constant_stages(a, steps)
-    source = (lambda t: np.ones((len(t), 1)), np.eye(2)) if with_source else None
+    source = (_terms(_ones), np.eye(2)) if with_source else None
     with pytest.raises(NumericalError, match="RK4 march blew up"):
         periodic._rk4(times, stages, np.eye(2), [0, block, steps], source=source)
 
@@ -349,11 +363,14 @@ def test_rk4_matches_stage_loop_across_blocks(case):
     def rows(t):
         return np.cos(np.outer(t, freq) + phase)
 
+    def divisor(t):
+        return 1.5 + np.sin(3.0 * t)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
         if with_source:
             y0 = rng.uniform(-1.0, 1.0, (n, m * n))
-            got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
+            got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows, divisor), g))
             ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)
         else:
             y0 = rng.uniform(-1.0, 1.0, (n, n))
@@ -384,7 +401,7 @@ def test_rk4_matches_stage_loop_with_a_many_mode_coefficient(monkeypatch):
         return np.cos(np.outer(t, freq) + phase)
 
     keep = [0, block, steps]
-    got = periodic._rk4(times, stages, y0, keep, source=(rows, g))
+    got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows), g))
     ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -396,7 +413,7 @@ def test_march_memory_does_not_grow_with_the_step_count(with_source):
     # are stored, and every per-step array lives for one block
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     y0 = np.eye(2)
-    source = (lambda t: np.ones((len(t), 1)), np.eye(2)) if with_source else None
+    source = (_terms(_ones), np.eye(2)) if with_source else None
     block = periodic._block_steps(y0, with_source)
 
     def peak(steps):
@@ -413,6 +430,41 @@ def test_march_memory_does_not_grow_with_the_step_count(with_source):
     assert long <= 1.1 * short
     # and a block's own temporaries are a few copies of the budget
     assert short <= 16 * 8 * periodic._BUDGET
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rk4_matches_stage_loop_with_row_chunks_shorter_than_a_segment(n, monkeypatch):
+    # M = 16 rows under _SMALL_BUDGET come in chunks of 16 steps: shorter
+    # than the longest segments (up to a block of 128 or 32 steps), which
+    # get a chunk each, and longer than runs of short segments, so chunk
+    # edges fall inside a scan block
+    rng = np.random.default_rng(40 + n)
+    m, period = 16, 1.1
+    monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
+    block = periodic._block_steps(np.zeros((n, m * n)), True)
+    chunk = _SMALL_BUDGET // m
+    steps = 3 * block + 11
+    keep = [0, 3, 4, 5, 6, 7, *range(block + 5, 2 * block, 5), 2 * block + 2, steps]
+    ends = sorted(set(keep[1:]) | set(range(block, steps, block)))
+    segments = np.diff([0] + ends)
+    assert segments.max() > chunk and sum(segments[:5]) < chunk
+    coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (3, n, n)), period)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
+    times *= period / times[-1]
+    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
+    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
+    g = rng.uniform(-1.0, 1.0, (n, n))
+    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+
+    def rows(t):
+        return np.cos(np.outer(t, freq) + phase)
+
+    def divisor(t):
+        return 0.7 + np.cos(5.0 * t) ** 2
+
+    got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows, divisor), g))
+    ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _sequential_composites(d, suffix, ends=None):
@@ -742,6 +794,22 @@ def test_multipliers_match_former_report_on_planted_spectra(mat, floor):
 
 
 # --- DDE monodromy ----------------------------------------------------------------
+
+
+_PERIODIC_CASES = ("center-periodic", "orbit-unstable", "orbit-neutral", "diag-periodic",
+                   "trig-periodic")
+
+
+@pytest.mark.parametrize("nodes", [32, 64, 128])
+@pytest.mark.parametrize("name", _PERIODIC_CASES)
+def test_cross_residual_bounds_the_svd_gap_closely_on_the_catalog(name, nodes):
+    # the O(N^2) bound is never below the exact relative gap (up to an ulp
+    # or two of rounding) and at most twice it on the periodic catalog
+    dde = dde_monodromy(get_case(name).problem(), nodes=nodes)
+    diff = dde.matrix - dde.matrix_stepped
+    gap = spectral_norm(diff) / max(1.0, spectral_norm(dde.matrix))
+    assert gap * (1.0 - 8.0 * np.finfo(float).eps) <= dde.cross_residual <= 2.0 * gap
+    assert dde.cross_residual < DEFAULT.tol_xcheck
 
 
 def test_dde_monodromy_cross_residual_small():
