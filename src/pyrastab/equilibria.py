@@ -101,7 +101,7 @@ class CharacteristicMatrix:
         if not np.isfinite(alpha):
             raise InputError("alpha must be finite")
         eye = np.eye(j.shape[0])
-        for name, val in (("jacobian", j), ("gain", k), ("_eye", eye)):
+        for name, val in (("jacobian", j), ("gain", k), ("_eye", eye), ("_neg_jacobian", -j)):
             val = val.copy()
             val.flags.writeable = False
             object.__setattr__(self, name, val)
@@ -109,10 +109,19 @@ class CharacteristicMatrix:
         object.__setattr__(self, "alpha", alpha)
         # Frobenius norms of J and K, the term sizes ``residual`` divides by
         object.__setattr__(self, "_norms", (float(np.linalg.norm(j)), float(np.linalg.norm(k))))
+        # real J and K, whatever their dtype (alpha is real): the roots come
+        # in mirror pairs
+        object.__setattr__(self, "_mirror", not (np.any(np.imag(j)) or np.any(np.imag(k))))
 
     @property
     def dimension(self) -> int:
         return self.jacobian.shape[0]
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """Whether det Delta(conj lambda) = conj det Delta(lambda), so the
+        roots are mirror-symmetric about the real axis: real J and K."""
+        return self._mirror
 
     @property
     def norm_bound(self) -> float:
@@ -127,8 +136,16 @@ class CharacteristicMatrix:
 
     def _value(self, lam, decay) -> np.ndarray:
         # Delta at lam, one point or an (S, 1, 1) stack; decay = exp(-lam T),
-        # shared with _dvalue in dlog
-        return lam * self._eye - self.jacobian - self.alpha * (1.0 - decay) * self.gain
+        # shared with _dvalue in dlog.  Two passes over the stack, -J - c K
+        # with c = alpha (1 - decay), then the diagonal (lam - J_ii) - c K_ii:
+        # bit for bit lam I - J - alpha (1 - decay) K
+        c = self.alpha * (1.0 - decay)
+        out = np.multiply(c, self.gain)
+        np.subtract(self._neg_jacobian, out, out=out)
+        diagonal = (lam - self.jacobian.diagonal()) - c * self.gain.diagonal()
+        i = np.arange(self.dimension)
+        out[..., i, i] = diagonal.reshape(out.shape[:-1])
+        return out
 
     def _dvalue(self, decay: complex) -> np.ndarray:
         return self._eye - self.alpha * self.delay * decay * self.gain
@@ -357,8 +374,12 @@ def find_roots(
     equal the window's winding count.  A larger total proves that count
     aliased and raises :class:`RootCountError`; a smaller one runs the
     subdivision search on the cells the boxes leave unexplained.  For real
-    J, K and alpha the roots off the real axis come in exact mirror pairs,
-    each certified by its own box.  Distinct roots closer together than the
+    J, K and alpha (``cm.mirror_symmetric``) the roots off the real axis
+    come in exact mirror pairs: a polished root and its mirror share one
+    box half-width, one residual test and one box count, and every count
+    on a rectangle symmetric about the real axis (the window, the axis
+    band, a real root's box) walks the upper half of its boundary alone,
+    with the phase sum doubled.  Distinct roots closer together than the
     usual box (about 1e-7 of the region scale) keep separate boxes when
     Newton tells them apart; points Newton cannot tell apart merge into one
     cluster entry.  What stays non-rigorous is the winding count itself: a
@@ -381,8 +402,6 @@ def _spectrum(
     half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
     band = Rect(-half, half, -region.im_max, region.im_max)
     seeds = _generator_eigenvalues(cm, rect)
-    # real J and K, whatever their dtype: the roots come in mirror pairs
-    conjugate = not (np.any(np.imag(cm.jacobian)) or np.any(np.imag(cm.gain)))
 
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
@@ -390,7 +409,7 @@ def _spectrum(
     def roots_in(box: Rect) -> list[tuple[complex, int]]:
         return find_roots_rect(
             cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region,
-            seeds, conjugate,
+            seeds, cm.mirror_symmetric,
         )
 
     pairs = roots_in(rect)
@@ -427,7 +446,14 @@ def count_roots(
     tol: Tolerances = DEFAULT,
 ) -> int:
     """Argument-principle count alone (no extraction); cheaper than
-    :func:`find_roots` when only the number matters."""
+    :func:`find_roots` when only the number matters.
+
+    For real J and K (``cm.mirror_symmetric``) the window, symmetric about
+    the real axis, is counted on the upper half of its boundary alone with
+    the phase sum doubled, half the determinant evaluations of the whole
+    boundary; a complex J or K takes the whole boundary.  Either way the
+    count rests on a sampled boundary phase in floating point, with no
+    interval arithmetic."""
     region = region or default_region(cm, tol)
     rect = region.rect()
     n, _ = count_with_nudge(
@@ -437,6 +463,7 @@ def count_roots(
         1e-13 * region.scale,
         region.scale,
         tol.tol_region,
+        conjugate=cm.mirror_symmetric,
     )
     return n
 

@@ -357,49 +357,64 @@ def _rk4(
     out = np.empty((len(kept),) + y0.shape)
     y = np.array(y0, dtype=float)
     out[kept == 0] = y
-    n = y.shape[0]
     block = _block_steps(y, source is not None)
-    chunk = max(1, _BUDGET // (y.shape[1] // n))  # steps of M-wide rows at a time
     for lo in range(0, len(times) - 1, block):
         hi = min(lo + block, len(times) - 1)
-        t = times[lo : hi + 1]
-        h = np.diff(t)
-        a, a_mid = stages[0][lo : hi + 1], stages[1][lo:hi]
-        d = _step_maps(h, a[:-1], a_mid, a[1:])
         here = slice(*np.searchsorted(kept, [lo, hi], side="right"))
-        inside = kept[here]  # kept grid indices in (lo, hi]
-        if source is None:
-            e = _composites(d, suffix=False)
-            out[here] = y + e[inside - lo - 1] @ y
-            y = y + e[-1] @ y
-            continue
-        terms, g = source
-        cuts = np.union1d(inside, hi) - lo
-        c = _composites(d, suffix=True, ends=cuts)
-        after = np.zeros_like(c)  # C_{k+1}, zero at each segment's last step
-        after[:-1] = c[1:]
-        after[cuts - 1] = 0.0
-        top = 0  # rows and factors are held for the steps [base, top) of the block
-        for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
-            if s1 > top:
-                base = s0
-                top = cuts[max(j, np.searchsorted(cuts, s0 + chunk, side="right") - 1)]
-                ell, ell_mid, f, f_end = _source_chunk(
-                    t[base : top + 1], a_mid[base:top], a[base + 1 : top + 1],
-                    after[base:top], terms)
-            r0, r1 = s0 - base, s1 - base
-            offset = (
-                ell[r0:r1].T @ f[0, r0:r1].reshape(-1, n * n)
-                + ell_mid[r0:r1].T @ f[1, r0:r1].reshape(-1, n * n)
-                + ell[r0 + 1 : r1 + 1].T @ f_end[r0:r1].reshape(-1, n * n)
-            )  # (M, n * n): block j of the offset before G
-            offset = (offset.reshape(-1, n, n) @ g).transpose(1, 0, 2)
-            y = y + c[s0] @ y + offset.reshape(y.shape)
-            if j < len(inside):
-                out[here.start + j] = y
+        y = _rk4_block(times[lo : hi + 1], stages[0][lo : hi + 1], stages[1][lo:hi],
+                       y, kept[here] - lo, out[here], source)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(out))):
         raise NumericalError("RK4 march blew up")
     return out[slot]
+
+
+def _rk4_block(
+    t: np.ndarray,
+    a: np.ndarray,
+    a_mid: np.ndarray,
+    y: np.ndarray,
+    inside: np.ndarray,
+    out: np.ndarray,
+    source: _Source | None,
+) -> np.ndarray:
+    """One block of ``_rk4`` through the grid points ``t``, with A at them
+    (``a``) and at their midpoints (``a_mid``): writes Y at the block's
+    kept steps ``inside`` (ascending, in 1..S) to ``out`` and returns Y at
+    its end.  The block's step increments and composites are locals, so
+    they are freed before the next block's are built."""
+    n = y.shape[0]
+    d = _step_maps(np.diff(t), a[:-1], a_mid, a[1:])
+    if source is None:
+        e = _composites(d, suffix=False)
+        out[:] = y + e[inside - 1] @ y
+        return y + e[-1] @ y
+    terms, g = source
+    chunk = max(1, _BUDGET // (y.shape[1] // n))  # steps of M-wide rows at a time
+    cuts = np.union1d(inside, len(d))
+    c = _composites(d, suffix=True, ends=cuts)
+    del d  # folded into c; not held while the source chunks are built
+    after = np.zeros_like(c)  # C_{k+1}, zero at each segment's last step
+    after[:-1] = c[1:]
+    after[cuts - 1] = 0.0
+    top = 0  # rows and factors are held for the steps [base, top) of the block
+    for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
+        if s1 > top:
+            base = s0
+            top = cuts[max(j, np.searchsorted(cuts, s0 + chunk, side="right") - 1)]
+            ell, ell_mid, f, f_end = _source_chunk(
+                t[base : top + 1], a_mid[base:top], a[base + 1 : top + 1],
+                after[base:top], terms)
+        r0, r1 = s0 - base, s1 - base
+        offset = (
+            ell[r0:r1].T @ f[0, r0:r1].reshape(-1, n * n)
+            + ell_mid[r0:r1].T @ f[1, r0:r1].reshape(-1, n * n)
+            + ell[r0 + 1 : r1 + 1].T @ f_end[r0:r1].reshape(-1, n * n)
+        )  # (M, n * n): block j of the offset before G
+        offset = (offset.reshape(-1, n, n) @ g).transpose(1, 0, 2)
+        y = y + c[s0] @ y + offset.reshape(y.shape)
+        if j < len(inside):
+            out[j] = y
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,22 @@
 Counts zeros inside axis-aligned rectangles by summing phase increments of
 ``f`` along the boundary, refining each segment until its phase step is
 unambiguous; rectangles whose boundary passes too close to a zero are
-nudged outward by a tiny amount.
+nudged outward by a tiny amount (the argument-principle count of
+Kravanja & Van Barel, LNM 1727, 2000).  For a function the caller
+declares real, f(conj z) = conj f(z), the zeros are mirror-symmetric
+about the real axis, and a rectangle symmetric about that axis is
+counted on the upper half of its boundary alone, from (re1, 0) to
+(re0, 0), with the phase sum doubled.
 
 Extraction runs Newton on the logarithmic derivative from seeds the caller
 supplies; :func:`pyrastab.equilibria.find_roots` passes the eigenvalues of
 a Chebyshev collocation of the delay equation's generator, whose order it
 derives from the region and the norm bound of the characteristic matrix.
 A seed decides no count and no multiplicity.  Each polished point is
-certified by the winding count of a small box around it; the boxes are
-disjoint, and their counts must add up to the rectangle's count.  A surplus
+certified by the winding count of a small box around it; for a real
+function a point above the axis and its exact mirror share one box
+half-width, one residual test and one count.  The boxes are disjoint,
+and their counts must add up to the rectangle's count.  A surplus
 proves that count aliased and raises; a shortfall runs the recursive
 subdivision, with Newton from each cell's centre, on the cells the boxes
 leave unexplained.  Exact multiple roots terminate without infinite
@@ -88,19 +95,53 @@ class Rect:
         )
 
 
-def _boundary_vertices(rect: Rect, max_spacing: float) -> np.ndarray:
-    corners = [
-        complex(rect.re0, rect.im0),
-        complex(rect.re1, rect.im0),
-        complex(rect.re1, rect.im1),
-        complex(rect.re0, rect.im1),
-    ]
-    pieces = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = int(np.ceil(abs(b - a) / max_spacing))
-        n = min(max(n, 8), 4096)
-        pieces.append(a + (b - a) * (np.arange(n) / n))
-    return np.concatenate(pieces)
+def _edge_count(length: float, max_spacing: float) -> int:
+    """Points on an edge: ceil(length / max_spacing), at least 8 and at
+    most 4096."""
+    return min(max(int(np.ceil(length / max_spacing)), 8), 4096)
+
+
+def _edge(a: complex, b: complex, n: int) -> np.ndarray:
+    """n evenly spaced points from a towards b, b left out."""
+    return a + (b - a) * (np.arange(n) / n)
+
+
+def _boundary_vertices(rect: Rect, max_spacing: float, half: bool = False) -> np.ndarray:
+    """The counting path: the closed boundary counterclockwise from
+    (re0, im0), or with ``half`` the open upper half from (re1, 0) up the
+    right edge, along the top and down to (re0, 0), both ends included.
+    A half edge gets half its full edge's points, rounded up, so no
+    segment is longer than on the closed path."""
+    if not half:
+        corners = [
+            complex(rect.re0, rect.im0),
+            complex(rect.re1, rect.im0),
+            complex(rect.re1, rect.im1),
+            complex(rect.re0, rect.im1),
+        ]
+        return np.concatenate([_edge(a, b, _edge_count(abs(b - a), max_spacing))
+                               for a, b in zip(corners, corners[1:] + corners[:1])])
+    side = -(-_edge_count(rect.height, max_spacing) // 2)
+    top = _edge_count(rect.width, max_spacing)
+    return np.concatenate([
+        _edge(complex(rect.re1, 0.0), complex(rect.re1, rect.im1), side),
+        _edge(complex(rect.re1, rect.im1), complex(rect.re0, rect.im1), top),
+        _edge(complex(rect.re0, rect.im1), complex(rect.re0, 0.0), side),
+        [complex(rect.re0, 0.0)],
+    ])
+
+
+def _checked(d: np.ndarray, rect: Rect) -> np.ndarray:
+    """The boundary values ``d`` of ``rect``, once none overflowed and none
+    vanishes."""
+    if not np.all(np.isfinite(d)):
+        raise NumericalError(
+            "characteristic function overflowed on the counting boundary; "
+            "shrink the region"
+        )
+    if np.any(np.abs(d) < _TINY):
+        raise BoundaryRootError(f"zero on the boundary of {rect}")
+    return d
 
 
 def winding_count(
@@ -108,27 +149,32 @@ def winding_count(
     rect: Rect,
     max_spacing: float,
     min_segment: float,
+    conjugate: bool = False,
 ) -> int:
     """Number of zeros (with multiplicity) of ``f`` inside ``rect``.
+
+    ``conjugate`` declares f(conj z) = conj f(z).  On a rectangle
+    symmetric about the real axis (im0 == -im1) the phase is then summed
+    on the upper half of the boundary alone, from (re1, 0) to (re0, 0),
+    and doubled: the lower half is its mirror image traversed backwards,
+    and turns the phase by the same amount.  Each half edge gets half the
+    full edge's points, rounded up, and both axis points are vertices.
+    Otherwise the whole boundary is walked.  Either way the phase is
+    sampled in floating point, with no interval arithmetic.
 
     Raises :class:`BoundaryRootError` when refinement drives a boundary
     segment below ``min_segment`` without resolving its phase step, or
     when ``f`` vanishes at a boundary node.
     """
-    verts = _boundary_vertices(rect, max_spacing)
-    z0 = verts
-    z1 = np.roll(verts, -1)
-    d0 = np.asarray(f(z0), dtype=complex)
-    d1 = np.roll(d0, -1)
+    half = conjugate and rect.im0 == -rect.im1
+    verts = _boundary_vertices(rect, max_spacing, half)
+    d = _checked(np.asarray(f(verts), dtype=complex), rect)
+    if half:
+        z0, z1, d0, d1 = verts[:-1], verts[1:], d[:-1], d[1:]
+    else:
+        z0, z1, d0, d1 = verts, np.roll(verts, -1), d, np.roll(d, -1)
     total = 0.0
     for _ in range(200):
-        if not np.all(np.isfinite(d0)):
-            raise NumericalError(
-                "characteristic function overflowed on the counting boundary; "
-                "shrink the region"
-            )
-        if np.any(np.abs(d0) < _TINY):
-            raise BoundaryRootError(f"zero on the boundary of {rect}")
         ratio = d1 / d0
         dphi = np.angle(ratio)
         dmod = np.abs(np.log(np.abs(ratio)))
@@ -140,7 +186,7 @@ def winding_count(
         if np.any(np.abs(z1r - z0r) < min_segment):
             raise BoundaryRootError(f"unresolvable phase step on the boundary of {rect}")
         zm = 0.5 * (z0r + z1r)
-        dm = np.asarray(f(zm), dtype=complex)
+        dm = _checked(np.asarray(f(zm), dtype=complex), rect)
         z0 = np.concatenate([z0r, zm])
         z1 = np.concatenate([zm, z1r])
         d0 = np.concatenate([d0r, dm])
@@ -149,6 +195,8 @@ def winding_count(
             raise NumericalError(f"boundary refinement exploded on {rect}")
     else:
         raise BoundaryRootError(f"boundary refinement did not settle on {rect}")
+    if half:
+        total *= 2.0
     n = total / (2.0 * np.pi)
     ni = int(np.round(n))
     if abs(total - 2.0 * np.pi * ni) > 1e-6 * (1.0 + abs(total)) + 1e-9:
@@ -165,15 +213,22 @@ def count_with_nudge(
     min_segment: float,
     scale: float,
     budget: float,
+    conjugate: bool = False,
 ) -> tuple[int, Rect]:
     """Count zeros, inflating the rectangle outward (up to ``budget * scale``)
     when a zero obstructs the boundary.  Returns the count and the rectangle
-    actually used; the caller classifies extracted roots by value."""
+    actually used; the caller classifies extracted roots by value.
+
+    ``conjugate`` declares f(conj z) = conj f(z); only on a rectangle
+    symmetric about the real axis does a try then count on the upper half
+    of the boundary alone (see :func:`winding_count`), and the inflation
+    keeps such a rectangle symmetric.  Every try samples the boundary
+    phase in floating point, with no interval arithmetic."""
     eps = 0.0
     for _ in range(10):
         r = rect if eps == 0.0 else rect.inflate(eps)
         try:
-            return winding_count(f, r, max_spacing, min_segment), r
+            return winding_count(f, r, max_spacing, min_segment, conjugate), r
         except BoundaryRootError:
             eps = max(eps * 8.0, 1e-12 * scale)
             if eps > budget * scale:
@@ -255,8 +310,8 @@ def _polished_seeds(
     """Newton from every seed near ``outer``: distinct (point, last step)
     pairs.  Two points are one root when they lie within four last steps
     (and 1e-12 scale) of each other.  With ``conjugate`` only seeds with
-    Im >= 0 run: a point within that distance of the real axis is put on
-    it, and every other point comes with its exact mirror."""
+    Im >= 0 run, and a point within that distance of the real axis is put
+    on it: each point above the axis stands for its exact mirror too."""
     near = outer.inflate(_SEED_MARGIN * scale)
     points: list[tuple[complex, float]] = []
     for seed in seeds:
@@ -276,8 +331,6 @@ def _polished_seeds(
             z = complex(z.real, 0.0 if on_axis else abs(z.imag))
         if all(abs(z - p) > max(4.0 * last, 4.0 * q, 1e-12 * scale) for p, q in points):
             points.append((z, last))
-    if conjugate:
-        points += [(z.conjugate(), last) for z, last in points if z.imag]
     return points
 
 
@@ -301,28 +354,37 @@ def find_roots_rect(
     certified by the winding count of a box around it, of half-width about
     ``1e-7 * scale``, shrunk to fit the rectangle and to stay clear of the
     other points and boxes, so distinct roots closer together than the
-    usual box keep separate boxes.  A seed decides no count and no
+    usual box keep separate boxes.  With ``conjugate`` a polished point
+    above the axis and its mirror are certified as one pair: one
+    half-width that clears both boxes, one residual test and one box
+    count, which the mirror box shares.  Every count on a rectangle
+    symmetric about the real axis (the window, a real root's box, a cell
+    cut across the real axis) then walks the upper half of its boundary
+    alone (see :func:`winding_count`).  A seed decides no count and no
     multiplicity: the boxes are disjoint, their counts must add up to the
     rectangle's count, a surplus proves that count aliased and raises
     :class:`RootCountError`, and a shortfall is searched by subdivision,
     only in the cells whose count the certified boxes leave unexplained.
     """
     min_segment = 1e-13 * scale
-    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget)
+    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget, conjugate)
     # certified roots: (centre, half-width, winding count of the box)
     boxes: list[tuple[complex, float, int]] = []
 
     def certify(
-        cell: Rect, z: complex, last: float, others: Sequence[complex] = ()
+        cell: Rect, z: complex, last: float, others: Sequence[complex] = (), pair: bool = False
     ) -> tuple[complex, float, int] | None:
         """Certify the polished point z by the count of a box inside
         ``cell``, clear of the certified boxes and of the ``others``;
-        the box joins them when it holds a zero."""
+        the box joins them when it holds a zero.  With ``pair`` the box
+        around conj z, of the same half-width, must fit too, and joins
+        them with the same count."""
+        centres = (z, z.conjugate()) if pair else (z,)
         w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
         room = min(
-            [cell.distance_to_boundary(z)]
-            + [_linf(z - c) - cw for c, cw, _ in boxes]
-            + [0.5 * _linf(z - p) for p in others]
+            [cell.distance_to_boundary(c) for c in centres]
+            + [_linf(c - b) - bw for c in centres for b, bw, _ in boxes]
+            + [0.5 * _linf(c - p) for c in centres for p in others if p != c]
         )
         if room <= w:
             # a cut or another root passed within the usual box of z: shrink
@@ -332,13 +394,13 @@ def find_roots_rect(
             return None
         box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
         try:
-            inside = winding_count(f, box, w, 1e-3 * w)
+            inside = winding_count(f, box, w, 1e-3 * w, conjugate)
         except BoundaryRootError:
             return None
         if inside == 0:
             return None
-        boxes.append((z, w, inside))
-        return boxes[-1]
+        boxes.extend((c, w, inside) for c in centres)
+        return z, w, inside
 
     def split(cell: Rect, count: int) -> list[tuple[Rect, int]] | None:
         held = [b for b in boxes if _holds(cell, b)]
@@ -347,7 +409,7 @@ def find_roots_rect(
             if not all(any(_holds(p, b) for p in parts) for b in held):
                 continue
             try:
-                counts = [winding_count(f, p, max_spacing, min_segment) for p in parts]
+                counts = [winding_count(f, p, max_spacing, min_segment, conjugate) for p in parts]
             except BoundaryRootError:
                 continue
             if sum(counts) == count:
@@ -355,8 +417,11 @@ def find_roots_rect(
         return None
 
     points = _polished_seeds(dlog, seeds, outer, scale, conjugate)
-    for i, (z, last) in enumerate(points):
-        certify(outer, z, last, [p for j, (p, _) in enumerate(points) if j != i])
+    every = [z for z, _ in points] + [z.conjugate() for z, _ in points if conjugate and z.imag]
+    for z, last in points:
+        # a mirror outside the rectangle is no root of it: z goes alone
+        pair = conjugate and z.imag != 0.0 and outer.contains(z.conjugate())
+        certify(outer, z, last, every, pair)
 
     stack: list[tuple[Rect, int]] = [(outer, total)]
     guard = 0

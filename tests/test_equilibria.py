@@ -118,6 +118,29 @@ def test_dlog_is_the_jacobi_trace_bit_for_bit(n, seed, complex_j, complex_k):
         assert cm.dlog(lam) == expect
 
 
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("complex_k", [False, True])
+def test_value_stack_is_the_formula_bit_for_bit(n, complex_k):
+    # Delta is built as -J - c K plus its diagonal (lam - J_ii) - c K_ii,
+    # c = alpha (1 - exp(-lam T)); it must round exactly as
+    # lam I - J - alpha (1 - exp(-lam T)) K, for a stack and for the scalar
+    # lam that dlog passes
+    rng = np.random.default_rng(n)
+    j = rng.normal(size=(n, n))
+    k = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_k else 0.0)
+    cm = CharacteristicMatrix(j, k, 2.0 * np.pi, -0.7)
+    lams = np.concatenate([[0.0, 1.5, -2j], rng.normal(size=150) + 10j * rng.normal(size=150)])
+    stack = lams.astype(complex)[:, None, None]
+    decay = np.exp(-stack * cm.delay)
+    assert np.array_equal(cm._value(stack, decay),
+                          stack * np.eye(n) - cm.jacobian - cm.alpha * (1.0 - decay) * cm.gain)
+    for lam in lams[:8]:
+        lam = complex(lam)
+        decay = np.exp(-lam * cm.delay)
+        assert np.array_equal(cm._value(lam, decay),
+                              lam * np.eye(n) - cm.jacobian - cm.alpha * (1.0 - decay) * cm.gain)
+
+
 def test_characteristic_matrix_validation():
     with pytest.raises(InputError):
         CharacteristicMatrix(np.eye(2), np.eye(3), 1.0)
@@ -1045,21 +1068,133 @@ def test_commuting_spectrum_matches_the_lambert_w_oracle(blocks, delay, seed):
         assert root.algebraic == mult
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a root cluster next to the window's edge aliases the count")
 @pytest.mark.parametrize(
     "blocks, delay, seed",
     [
         # a double root pair at 0.0141 +- 2.2211i; the window's scale is 828
-        ([("off", -0.3, 2), ("off", -0.3, 2)], 2.0 * np.pi, 2),
-        # two double roots at 0.0302 +- 0.0011i; the window's scale is 584
-        ([("focus", 0.05, 0), ("off", -0.3, 0), ("focus", 0.05, 0)], 1.0, 76),
+        pytest.param(
+            [("off", -0.3, 2), ("off", -0.3, 2)], 2.0 * np.pi, 2, id="pair",
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason="a root cluster next to the window's edge aliases the count")),
+        # two double roots at 0.0302 +- 0.0011i; the window's scale is 584.
+        # One segment of the whole left edge spans both; on the upper half
+        # the real axis is a vertex between them, and the count resolves
+        pytest.param(
+            [("focus", 0.05, 0), ("off", -0.3, 0), ("focus", 0.05, 0)], 1.0, 76,
+            id="cluster"),
     ],
-    ids=["pair", "cluster"],
 )
 def test_count_resolves_a_multiple_root_next_to_the_edge(blocks, delay, seed):
     cm, factors = _commuting_pair(blocks, delay, seed)
     assert count_roots(cm) == sum(_factor_roots(factors, delay, default_region(cm)).values())
+
+
+# --- the upper-half count of a real characteristic function -------------------
+
+
+def _distance_to_boundary(z, rect):
+    """Euclidean distance from z to the boundary of ``rect``."""
+    dx = max(rect.re0 - z.real, 0.0, z.real - rect.re1)
+    dy = max(rect.im0 - z.imag, 0.0, z.imag - rect.im1)
+    return float(np.hypot(dx, dy)) if dx or dy else rect.distance_to_boundary(z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from([1.0, 2.0 * np.pi]),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_upper_half_count_matches_the_whole_boundary(n, delay, alpha, seed):
+    # real J and K: the doubled phase on the upper half of a rectangle
+    # symmetric about the real axis counts what the whole boundary counts at
+    # a quarter of the spacing, on the default window and on a small box
+    # around a real root.  J's eigenvalues start 1 to 2 off the imaginary
+    # axis, on both sides, so most draws keep their roots off the window's
+    # left edge.
+    rng = np.random.default_rng(seed)
+    rates = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+    j = np.diag(rates) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    cm = CharacteristicMatrix(j, 0.3 * rng.normal(size=(n, n)) / np.sqrt(n), delay, alpha)
+    assert cm.mirror_symmetric
+    region = default_region(cm)
+    rect = region.rect()
+    spacing = _spacing_for(cm, rect)
+    # roots within one boundary step of an edge can alias a count (ROADMAP
+    # item 1); the generator's eigenvalues locate them
+    roots = equilibria._generator_eigenvalues(cm, rect)
+    step = _boundary_step(cm, region)
+    assume(all(_distance_to_boundary(z, rect) >= step for z in roots))
+    floor = 1e-13 * region.scale
+    assert (rootfinding.winding_count(cm.det_batch, rect, spacing, floor, conjugate=True)
+            == rootfinding.winding_count(cm.det_batch, rect, spacing / 4.0, floor))
+    # a real root right of -1 / T, where |exp(-lambda T)| <= e
+    real = [z.real for z in roots if z.imag == 0.0 and z.real > -1.0 / delay]
+    if real:
+        x = min(real, key=abs)
+        w = min([0.1] + [abs(z - x) / 4.0 for z in roots if z != x])
+        box = rootfinding.Rect(x - w, x + w, -w, w)
+        assert (rootfinding.winding_count(cm.det_batch, box, w, 1e-3 * w, conjugate=True)
+                == rootfinding.winding_count(cm.det_batch, box, w / 4.0, 1e-3 * w))
+
+
+def test_a_complex_gain_is_counted_on_the_whole_boundary(monkeypatch):
+    # a complex gain breaks the mirror symmetry: both roots in the window lie
+    # above the real axis, and the doubled upper half would not even count
+    # an integer
+    rate, gain, delay = 0.2, 0.5j, 2.0 * np.pi
+    cm = scalar_characteristic(rate, gain, delay)
+    assert not cm.mirror_symmetric
+    region = default_region(cm)
+    rect = region.rect()
+    with pytest.raises(NumericalError, match="non-integer"):
+        rootfinding.winding_count(cm.det_batch, rect, _spacing_for(cm, rect),
+                                  1e-13 * region.scale, conjugate=True)
+    lowest = []
+    original = CharacteristicMatrix.det_batch
+
+    def spy(self, lams):
+        lowest.append(np.min(np.imag(lams)))
+        return original(self, lams)
+
+    monkeypatch.setattr(CharacteristicMatrix, "det_batch", spy)
+    oracle = _branch_roots(rate, gain, delay, region)
+    assert len(oracle) == 2 and all(z.imag > 0.0 for z in oracle)
+    assert count_roots(cm) == 2
+    assert min(lowest) == -region.im_max
+    values = [r.value for r in find_roots(cm, region).roots]
+    assert sorted(values, key=lambda z: z.real) == pytest.approx(
+        sorted(oracle, key=lambda z: z.real), abs=1e-10)
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (10, 0)])
+def test_a_mirror_pair_takes_one_box_count(n, seed, monkeypatch):
+    # k root pairs and r real roots in the window: k + r box counts, where
+    # certifying each root on its own takes 2k + r, and the same roots
+    cm = _random_draw(n, seed)
+    region = default_region(cm)
+    calls = []
+    original = rootfinding.winding_count
+
+    def counted(f, rect, *args):
+        calls.append(rect)
+        return original(f, rect, *args)
+
+    monkeypatch.setattr(rootfinding, "winding_count", counted)
+    paired = find_roots(cm, region)
+    pairs = sum(r.value.imag > 0.0 for r in paired.roots)
+    real = sum(r.value.imag == 0.0 for r in paired.roots)
+    assert pairs and real and len(paired.roots) == 2 * pairs + real
+    assert len(calls) == 1 + pairs + real  # the window, then the boxes
+    calls.clear()
+    monkeypatch.setattr(CharacteristicMatrix, "mirror_symmetric", property(lambda self: False))
+    alone = find_roots(cm, region)
+    assert len(calls) == 1 + 2 * pairs + real
+    assert [r.algebraic for r in alone.roots] == [r.algebraic for r in paired.roots]
+    assert [r.value for r in alone.roots] == pytest.approx(
+        [r.value for r in paired.roots], abs=1e-12 * region.scale)
 
 
 def test_commuting_rules_witness_a_near_scalar_jacobian():

@@ -66,6 +66,33 @@ def test_winding_count_rejects_boundary_zero():
     f, _ = _poly([1.0 + 0.0j])  # exactly on the right edge
     with pytest.raises(BoundaryRootError):
         winding_count(f, Rect(-1, 1, -1, 1), 0.2, 1e-12)
+    # on the upper half it is the path's first vertex
+    with pytest.raises(BoundaryRootError):
+        winding_count(f, Rect(-1, 1, -1, 1), 0.2, 1e-12, conjugate=True)
+
+
+def test_upper_half_count_of_a_real_polynomial():
+    # real coefficients: the zeros lie on the axis or in mirror pairs, and
+    # the upper half of a rectangle symmetric about the axis counts them
+    # all from about half the samples; an asymmetric one takes the whole
+    # boundary
+    f, _ = _poly([0.3 + 0.4j, 0.3 - 0.4j, -0.2, 0.5, 0.5, 1.5 + 0.2j, 1.5 - 0.2j])
+    sampled = []
+
+    def g(z):
+        sampled.append(np.asarray(z))
+        return f(z)
+
+    def samples(rect, conjugate):
+        sampled.clear()
+        assert winding_count(g, rect, 0.2, 1e-12, conjugate) == 5
+        return np.concatenate(sampled)
+
+    whole = samples(Rect(-1, 1, -1, 1), False)
+    half = samples(Rect(-1, 1, -1, 1), True)
+    assert whole.imag.min() == -1.0 and half.imag.min() == 0.0
+    assert len(half) <= 0.55 * len(whole)
+    assert samples(Rect(-1, 1, -0.5, 1), True).imag.min() == -0.5
 
 
 def test_count_with_nudge_steps_off_a_boundary_zero():
