@@ -18,6 +18,7 @@ scalar equation m = lambda + k (1 - exp(-m T)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -304,12 +305,11 @@ def _spacing_for(cm: CharacteristicMatrix, rect: Rect) -> float:
     return min(osc, poly)
 
 
-_GENERATOR_ORDER_CAP = 32   # most Chebyshev intervals N of the generator collocation
-_GENERATOR_SIZE_CAP = 512   # and at most this many unknowns n (N + 1)
+_GENERATOR_SIZE_CAP = 512   # most unknowns n (N + 1) of the generator collocation
 
 
 def _generator_order(cm: CharacteristicMatrix, rect: Rect) -> int:
-    """Collocation order N for seeding the roots in the window ``rect``.
+    """First collocation order N for seeding the roots in the window ``rect``.
 
     A root with Re lambda >= x obeys |lambda| <= ||J|| + |alpha| (1 +
     exp(-x T)) ||K||, at most norm_bound max(1, exp(-x T)); so every root
@@ -318,35 +318,40 @@ def _generator_order(cm: CharacteristicMatrix, rect: Rect) -> int:
     [-1, 1], a root's eigenfunction exp(lambda theta) is exp(c s) up to a
     factor, |c| <= r T / 2, and the Chebyshev coefficients of exp(c s) fall
     off factorially once the degree passes |c|: so N = ceil(r T / 2) + 4,
-    at least 8.  The caps keep N <= 32 and n (N + 1) <= 512 (N >= 2);
-    beyond them the seeds are coarser and the subdivision finds what they
-    miss.  The axis band searched beside the window (|Re| <= 1 / T) uses
-    the same N, so the window's seeds do not depend on whether it is.
+    at least 8.  The size cap keeps n (N + 1) <= 512 (N >= 2); beyond it
+    the seeds are coarser, and a shortfall re-seeds from doubled orders up
+    to the same cap (see :func:`find_roots`).  The axis band searched beside
+    the window (|Re| <= 1 / T) reuses the window's seeds, so they do not
+    depend on whether it is searched.
     """
     reach = max(abs(complex(x, y)) for x in (rect.re0, rect.re1) for y in (rect.im0, rect.im1))
     growth = np.exp(min(-rect.re0 * cm.delay, 50.0))
     radius = min(reach, cm.norm_bound * max(1.0, growth))
     order = max(8, int(np.ceil(0.5 * cm.delay * radius)) + 4)
-    return max(2, min(order, _GENERATOR_ORDER_CAP, _GENERATOR_SIZE_CAP // cm.dimension - 1))
+    return max(2, min(order, _GENERATOR_SIZE_CAP // cm.dimension - 1))
 
 
-def _generator_eigenvalues(cm: CharacteristicMatrix, rect: Rect) -> np.ndarray:
-    """Eigenvalues of the Chebyshev collocation of the infinitesimal
-    generator of x' = (J + alpha K) x - alpha K x(t - T) on C([-T, 0]).
+def _generator_eigenvalues(cm: CharacteristicMatrix, order: int) -> np.ndarray:
+    """Eigenvalues of the order-``order`` Chebyshev collocation of the
+    infinitesimal generator of x' = (J + alpha K) x - alpha K x(t - T) on
+    C([-T, 0]).
 
     The state is sampled at N + 1 Lobatto nodes of [-T, 0]; every node but
     theta = 0 carries the derivative of the interpolant, and theta = 0
     carries the delay equation itself (Breda, Maset & Vermiglio, SIAM J.
     Sci. Comput. 27, 2005).  Its n (N + 1) eigenvalues approximate the
-    characteristic roots of smallest modulus; they only seed Newton.
+    characteristic roots of smallest modulus; they only seed Newton.  For
+    real J and K the collocation is built in real arithmetic, whatever
+    their dtype, so its real eigenvalues come out real and its complex ones
+    in exact mirror pairs.
     """
-    n, order = cm.dimension, _generator_order(cm, rect)
+    n = cm.dimension
+    jac, gain = (cm.jacobian.real, cm.gain.real) if cm.mirror_symmetric else (cm.jacobian, cm.gain)
     nodes = lobatto_nodes(order + 1, -cm.delay, 0.0)
-    dtype = np.result_type(cm.jacobian, cm.gain)
-    gen = np.kron(differentiation_matrix(nodes), np.eye(n)).astype(dtype)
+    gen = np.kron(differentiation_matrix(nodes), np.eye(n)).astype(np.result_type(jac, gain))
     gen[-n:] = 0.0
-    gen[-n:, -n:] = cm.jacobian + cm.alpha * cm.gain
-    gen[-n:, :n] = -cm.alpha * cm.gain
+    gen[-n:, -n:] = jac + cm.alpha * gain
+    gen[-n:, :n] = -cm.alpha * gain
     return np.linalg.eigvals(gen)
 
 
@@ -365,25 +370,27 @@ def find_roots(
     tol_axis are kept.
 
     Newton starts from the eigenvalues of a Chebyshev collocation of the
-    delay equation's infinitesimal generator on [-T, 0], computed once per
-    call, of order N = ceil(r T / 2) + 4, at least 8, where r bounds |lambda|
-    over the region's window by its extent and ``cm.norm_bound``; N <= 32
-    and n (N + 1) <= 512 cap its cost.  A seed decides no count and
-    no multiplicity: every multiplicity is the winding count of a box
-    around the polished root, the boxes are disjoint, and their total must
-    equal the window's winding count.  A larger total proves that count
-    aliased and raises :class:`RootCountError`; a smaller one runs the
-    subdivision search on the cells the boxes leave unexplained.  For real
-    J, K and alpha (``cm.mirror_symmetric``) the roots off the real axis
-    come in exact mirror pairs: a polished root and its mirror share one
-    box half-width, one residual test and one box count, and every count
-    on a rectangle symmetric about the real axis (the window, the axis
-    band, a real root's box) walks the upper half of its boundary alone,
-    with the phase sum doubled.  Distinct roots closer together than the
-    usual box (about 1e-7 of the region scale) keep separate boxes when
-    Newton tells them apart; points Newton cannot tell apart merge into one
-    cluster entry.  What stays non-rigorous is the winding count itself: a
-    sampled boundary phase in floating point, with no interval arithmetic.
+    delay equation's infinitesimal generator on [-T, 0], of order N =
+    ceil(r T / 2) + 4, at least 8, where r bounds |lambda| over the region's
+    window by its extent and ``cm.norm_bound``; n (N + 1) <= 512 caps its
+    cost.  A seed decides no count and no multiplicity: every multiplicity
+    is the winding count of a box around the polished root, the boxes are
+    disjoint, and their total must equal the window's winding count.  A
+    larger total proves that count aliased and raises
+    :class:`RootCountError`.  A smaller one re-seeds from the collocation
+    at 2N, 4N, ..., the last order cut to the size cap, each order computed
+    at most once per call, and raises :class:`RootCountError` once the
+    orders run out.  For real J, K and alpha (``cm.mirror_symmetric``) the
+    roots off the real axis come in exact mirror pairs: a polished root
+    and its mirror share one box half-width, one residual test and one box
+    count, and every count on a rectangle symmetric about the real axis
+    (the window, the axis band, a real root's box) walks the upper half of
+    its boundary alone, with the phase sum doubled.  Distinct roots closer
+    together than the usual box (about 1e-7 of the region scale) keep
+    separate boxes when Newton tells them apart; points Newton cannot tell
+    apart merge into one cluster entry.  What stays non-rigorous is the
+    winding count itself: a sampled boundary phase in floating point, with
+    no interval arithmetic.
     """
     return _spectrum(cm, region or default_region(cm, tol), tol, scan_band=region is None)
 
@@ -395,13 +402,19 @@ def _spectrum(
     rect = region.rect()
     scale = region.scale
     # The extractor certifies a root by a winding count in a box of
-    # half-width about 1e-7 scale that must clear its cell; a band only
+    # half-width about 1e-7 scale that must clear its rectangle; a band only
     # 2 tol_axis wide cannot hold that box around a root at Re = 0, so
     # the band is widened, to at most 1 / T (|exp(-lambda T)| <= e on it),
     # and roots outside |Re| <= tol_axis (main window or exterior) are dropped.
     half = max(tol.tol_axis, min(1e-5 * scale, 1.0 / cm.delay))
     band = Rect(-half, half, -region.im_max, region.im_max)
-    seeds = _generator_eigenvalues(cm, rect)
+    cap = _GENERATOR_SIZE_CAP // cm.dimension - 1
+    orders = [_generator_order(cm, rect)]
+    while orders[-1] < cap:
+        orders.append(min(2 * orders[-1], cap))
+    # a shortfall draws the next order; each order's seeds are computed
+    # once, on first use, and the band reuses the window's
+    batch = functools.cache(lambda order: _generator_eigenvalues(cm, order))
 
     def accept(z: complex) -> bool:
         return cm.residual(z) <= tol.tol_res
@@ -409,7 +422,7 @@ def _spectrum(
     def roots_in(box: Rect) -> list[tuple[complex, int]]:
         return find_roots_rect(
             cm.det_batch, cm.dlog, box, accept, _spacing_for(cm, box), scale, tol.tol_region,
-            seeds, cm.mirror_symmetric,
+            map(batch, orders), cm.mirror_symmetric,
         )
 
     pairs = roots_in(rect)

@@ -33,8 +33,8 @@ class NumericalError(PyrastabError, ArithmeticError):
 
 class RootCountError(NumericalError):
     """Argument-principle count and extracted roots disagree: certified
-    roots hold more zeros than the count, or subdivision cannot account for
-    it; carries the offending region in the message."""
+    roots hold more zeros than the count, or every batch of seeds leaves
+    part of it unexplained; carries the offending region in the message."""
 
 
 class ContinuationError(NumericalError):

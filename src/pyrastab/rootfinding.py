@@ -10,19 +10,20 @@ about the real axis, and a rectangle symmetric about that axis is
 counted on the upper half of its boundary alone, from (re1, 0) to
 (re0, 0), with the phase sum doubled.
 
-Extraction runs Newton on the logarithmic derivative from seeds the caller
-supplies; :func:`pyrastab.equilibria.find_roots` passes the eigenvalues of
-a Chebyshev collocation of the delay equation's generator, whose order it
-derives from the region and the norm bound of the characteristic matrix.
-A seed decides no count and no multiplicity.  Each polished point is
-certified by the winding count of a small box around it; for a real
-function a point above the axis and its exact mirror share one box
-half-width, one residual test and one count.  The boxes are disjoint,
+Extraction runs Newton on the logarithmic derivative from batches of
+seeds the caller supplies; :func:`pyrastab.equilibria.find_roots` passes
+the eigenvalues of a Chebyshev collocation of the delay equation's
+generator, whose order it derives from the region and the norm bound of
+the characteristic matrix, and doubles that order, up to a size cap,
+for each further batch.  A seed decides no count and no multiplicity.
+Each polished point is certified by the winding count of a small box
+around it; for a real function a point above the axis and its exact
+mirror share one box half-width, one residual test and one count.  The boxes are disjoint,
 and their counts must add up to the rectangle's count.  A surplus
-proves that count aliased and raises; a shortfall runs the recursive
-subdivision, with Newton from each cell's centre, on the cells the boxes
-leave unexplained.  Exact multiple roots terminate without infinite
-refinement, because a box count, not Newton, gives the multiplicity.
+proves that count aliased and raises; a shortfall draws the next batch
+of seeds, and raises once the batches run out.  Exact multiple roots
+terminate without infinite refinement, because a box count, not Newton,
+gives the multiplicity.
 
 What stays non-rigorous is the count itself: a boundary phase sampled in
 floating point, with no interval arithmetic, so a phase that turns by
@@ -32,7 +33,7 @@ nearly 2 pi between two samples reads as a small step and aliases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -282,24 +283,6 @@ def _newton(
     return None
 
 
-def _holds(cell: Rect, box: tuple[complex, float, int]) -> bool:
-    """Whether the certified ``box`` (centre, half-width, count) lies
-    strictly inside ``cell``."""
-    z, w, _ = box
-    return cell.distance_to_boundary(z) > w
-
-
-def _halvings(cell: Rect) -> Iterator[tuple[Rect, Rect]]:
-    """Cuts across the longer side of ``cell`` at a few fractions."""
-    for frac in (0.5, 0.44, 0.56, 0.37, 0.63, 0.3, 0.7):
-        if cell.width >= cell.height:
-            cut = cell.re0 + frac * cell.width
-            yield Rect(cell.re0, cut, cell.im0, cell.im1), Rect(cut, cell.re1, cell.im0, cell.im1)
-        else:
-            cut = cell.im0 + frac * cell.height
-            yield Rect(cell.re0, cell.re1, cell.im0, cut), Rect(cell.re0, cell.re1, cut, cell.im1)
-
-
 def _polished_seeds(
     dlog: Callable[[complex], complex],
     seeds: Sequence[complex],
@@ -309,14 +292,16 @@ def _polished_seeds(
 ) -> list[tuple[complex, float]]:
     """Newton from every seed near ``outer``: distinct (point, last step)
     pairs.  Two points are one root when they lie within four last steps
-    (and 1e-12 scale) of each other.  With ``conjugate`` only seeds with
-    Im >= 0 run, and a point within that distance of the real axis is put
-    on it: each point above the axis stands for its exact mirror too."""
+    (and 1e-12 scale) of each other.  With ``conjugate`` a seed below the
+    axis runs only when its mirror is not near ``outer``, a point within
+    that distance of the real axis is put on it, and every other point is
+    put on its seed's side: each point stands for its exact mirror too."""
     near = outer.inflate(_SEED_MARGIN * scale)
     points: list[tuple[complex, float]] = []
     for seed in seeds:
         seed = complex(seed)
-        if not near.contains(seed) or (conjugate and seed.imag < 0.0):
+        if not near.contains(seed) or (conjugate and seed.imag < 0.0
+                                       and near.contains(seed.conjugate())):
             continue
         if conjugate and seed.imag == 0.0:
             # the collocation can split a close complex pair into two real
@@ -328,7 +313,7 @@ def _polished_seeds(
         z, last = polished
         if conjugate:
             on_axis = abs(z.imag) <= max(4.0 * last, 1e-12 * scale)
-            z = complex(z.real, 0.0 if on_axis else abs(z.imag))
+            z = complex(z.real, 0.0 if on_axis else np.copysign(z.imag, seed.imag))
         if all(abs(z - p) > max(4.0 * last, 4.0 * q, 1e-12 * scale) for p, q in points):
             points.append((z, last))
     return points
@@ -342,126 +327,81 @@ def find_roots_rect(
     max_spacing: float,
     scale: float,
     budget: float = 1e-5,
-    seeds: Sequence[complex] = (),
+    seeds: Iterable[Sequence[complex]] = (),
     conjugate: bool = False,
 ) -> list[tuple[complex, int]]:
     """All zeros of ``f`` in ``rect`` as (location, multiplicity) pairs.
 
-    ``accept`` is the residual test a polished candidate must pass.  Newton
-    runs first from the ``seeds`` within 1e-3 ``scale`` of ``rect``;
-    ``conjugate`` declares f(conj z) = conj f(z), and then the roots off the
-    real axis are reported in exact mirror pairs.  Each polished point is
-    certified by the winding count of a box around it, of half-width about
-    ``1e-7 * scale``, shrunk to fit the rectangle and to stay clear of the
-    other points and boxes, so distinct roots closer together than the
-    usual box keep separate boxes.  With ``conjugate`` a polished point
-    above the axis and its mirror are certified as one pair: one
-    half-width that clears both boxes, one residual test and one box
-    count, which the mirror box shares.  Every count on a rectangle
-    symmetric about the real axis (the window, a real root's box, a cell
-    cut across the real axis) then walks the upper half of its boundary
-    alone (see :func:`winding_count`).  A seed decides no count and no
-    multiplicity: the boxes are disjoint, their counts must add up to the
-    rectangle's count, a surplus proves that count aliased and raises
-    :class:`RootCountError`, and a shortfall is searched by subdivision,
-    only in the cells whose count the certified boxes leave unexplained.
+    ``accept`` is the residual test a polished candidate must pass.
+    ``seeds`` is an iterable of seed batches, taken in turn: Newton runs
+    from the batch's seeds within 1e-3 ``scale`` of ``rect``, the polished
+    points are certified, and no further batch is drawn once the certified
+    boxes hold the rectangle's count.  ``conjugate`` declares f(conj z) =
+    conj f(z); then a seed below the axis runs only when its mirror is not
+    near ``rect``, each polished point stands for its mirror too, and the
+    roots off the real axis are reported in exact mirror pairs.  Each
+    polished point is certified by the winding count of a box around it,
+    of half-width about ``1e-7 * scale``, shrunk to fit the rectangle and
+    to stay clear of the other points and boxes, so distinct roots closer
+    together than the usual box keep separate boxes.  With ``conjugate`` a
+    polished point off the axis and its mirror inside the rectangle are
+    certified as one pair: one half-width that clears both boxes, one
+    residual test and one box count, which the mirror box shares.  Every
+    count on a rectangle symmetric about the real axis (the rectangle, a
+    real root's box) then walks the upper half of its boundary alone (see
+    :func:`winding_count`).  A seed decides no count and no multiplicity:
+    the boxes are disjoint, and their counts must add up to the
+    rectangle's count.  A surplus proves that count aliased, and a
+    shortfall left when the batches run out is unexplained; both raise
+    :class:`RootCountError`.
     """
-    min_segment = 1e-13 * scale
-    total, outer = count_with_nudge(f, rect, max_spacing, min_segment, scale, budget, conjugate)
+    total, outer = count_with_nudge(f, rect, max_spacing, 1e-13 * scale, scale, budget, conjugate)
     # certified roots: (centre, half-width, winding count of the box)
     boxes: list[tuple[complex, float, int]] = []
 
-    def certify(
-        cell: Rect, z: complex, last: float, others: Sequence[complex] = (), pair: bool = False
-    ) -> tuple[complex, float, int] | None:
+    def certify(z: complex, last: float, others: Sequence[complex], pair: bool) -> None:
         """Certify the polished point z by the count of a box inside
-        ``cell``, clear of the certified boxes and of the ``others``;
+        ``outer``, clear of the certified boxes and of the ``others``;
         the box joins them when it holds a zero.  With ``pair`` the box
         around conj z, of the same half-width, must fit too, and joins
         them with the same count."""
         centres = (z, z.conjugate()) if pair else (z,)
         w = max(_CLUSTER_REL * (scale + abs(z)), 4.0 * last)
         room = min(
-            [cell.distance_to_boundary(c) for c in centres]
+            [outer.distance_to_boundary(c) for c in centres]
             + [_linf(c - b) - bw for c in centres for b, bw, _ in boxes]
             + [0.5 * _linf(c - p) for c in centres for p in others if p != c]
         )
         if room <= w:
-            # a cut or another root passed within the usual box of z: shrink
-            # the box to fit
+            # an edge or another root passed within the usual box of z:
+            # shrink the box to fit
             w = max(0.5 * room, 4.0 * last)
         if not (room > max(w, 1e-12 * scale) and accept(z)):
-            return None
+            return
         box = Rect(z.real - w, z.real + w, z.imag - w, z.imag + w)
         try:
             inside = winding_count(f, box, w, 1e-3 * w, conjugate)
         except BoundaryRootError:
-            return None
-        if inside == 0:
-            return None
-        boxes.extend((c, w, inside) for c in centres)
-        return z, w, inside
+            return
+        if inside:
+            boxes.extend((c, w, inside) for c in centres)
 
-    def split(cell: Rect, count: int) -> list[tuple[Rect, int]] | None:
-        held = [b for b in boxes if _holds(cell, b)]
-        for parts in _halvings(cell):
-            # a cut through a certified box would lose its count
-            if not all(any(_holds(p, b) for p in parts) for b in held):
-                continue
-            try:
-                counts = [winding_count(f, p, max_spacing, min_segment, conjugate) for p in parts]
-            except BoundaryRootError:
-                continue
-            if sum(counts) == count:
-                return list(zip(parts, counts))
-        return None
-
-    points = _polished_seeds(dlog, seeds, outer, scale, conjugate)
-    every = [z for z, _ in points] + [z.conjugate() for z, _ in points if conjugate and z.imag]
-    for z, last in points:
-        # a mirror outside the rectangle is no root of it: z goes alone
-        pair = conjugate and z.imag != 0.0 and outer.contains(z.conjugate())
-        certify(outer, z, last, every, pair)
-
-    stack: list[tuple[Rect, int]] = [(outer, total)]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 20_000:
-            raise RootCountError(f"subdivision exploded inside {outer}")
-        cell, count = stack.pop()
-        rest = count - sum(b[2] for b in boxes if _holds(cell, b))
-        if rest < 0:
+    held = 0
+    for batch in seeds:
+        points = _polished_seeds(dlog, batch, outer, scale, conjugate)
+        every = [z for z, _ in points] + [z.conjugate() for z, _ in points if conjugate and z.imag]
+        for z, last in points:
+            # a mirror outside the rectangle is no root of it: z goes alone
+            pair = conjugate and z.imag != 0.0 and outer.contains(z.conjugate())
+            certify(z, last, every, pair)
+        held = sum(m for _, _, m in boxes)
+        if held > total:
             raise RootCountError(
-                f"certified boxes hold {count - rest} zero(s) inside {cell}, "
-                f"which counts {count}: the count aliased"
+                f"certified boxes hold {held} zero(s) inside {outer}, "
+                f"which counts {total}: the count aliased"
             )
-        if rest == 0:
-            continue
-
-        # Newton from the centre certifies what the seeds left unexplained:
-        # all of it, or a part that the halvings below keep whole
-        polished = _newton(dlog, cell.center, cell, scale)
-        box = None if polished is None else certify(cell, *polished)
-        if box is not None and box[2] == rest:
-            continue
-        if cell.diag < 1e-9 * scale:
-            raise RootCountError(f"could not resolve {rest} zero(s) inside {cell}")
-        parts = split(cell, count)
-        if parts is None:
-            raise RootCountError(f"no admissible split line for {cell}")
-        stack.extend(parts)
-
-    found = []
-    for z, w, m in boxes:
-        # the subdivision certifies each root on its own: a box that holds
-        # its own centre's mirror is reported on the axis, and one that
-        # holds the mirror of a root above the axis at that mirror
-        if conjugate and _linf(z.conjugate() - z) < w:
-            z = complex(z.real, 0.0)
-        elif conjugate and z.imag < 0.0:
-            z = next((c.conjugate() for c, _, k in boxes
-                      if k == m and _linf(c.conjugate() - z) < w), z)
-        found.append((z, m))
-    found.sort(key=lambda t: (t[0].real, t[0].imag))
-    return found
+        if held == total:
+            break
+    if held < total:
+        raise RootCountError(f"the seeds explain {held} of the {total} zero(s) inside {outer}")
+    return sorted(((z, m) for z, _, m in boxes), key=lambda t: (t[0].real, t[0].imag))

@@ -437,48 +437,82 @@ def _random_draw(n, seed):
 
 
 @pytest.fixture
-def no_subdivision(monkeypatch):
-    def refuse(cell):
-        raise AssertionError(f"the subdivision ran on {cell}")
+def orders(monkeypatch):
+    """The collocation orders whose eigenvalues the test computed, in turn."""
+    used = []
+    original = equilibria._generator_eigenvalues
 
-    monkeypatch.setattr(rootfinding, "_halvings", refuse)
+    def recorded(cm, order):
+        used.append(order)
+        return original(cm, order)
+
+    monkeypatch.setattr(equilibria, "_generator_eigenvalues", recorded)
+    return used
+
+
+@pytest.fixture
+def first_order_only(orders):
+    # the seeds at the first order explain the count: no re-seeding
+    yield
+    assert len(orders) == 1, f"re-seeded at orders {orders}"
 
 
 @pytest.mark.parametrize("name", _EQUILIBRIUM_CASES)
-def test_seeds_explain_every_catalog_equilibrium(name, no_subdivision):
+def test_seeds_explain_every_catalog_equilibrium(name, first_order_only):
     cm = characteristic_matrix(get_case(name).problem())
     assert find_roots(cm).count == count_roots(cm)
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (2, 5, 10) for seed in (0, 1, 2)])
-def test_seeds_explain_the_random_draws(n, seed, no_subdivision):
+def test_seeds_explain_the_random_draws(n, seed, first_order_only):
     cm = _random_draw(n, seed)
     assert find_roots(cm).count == count_roots(cm)
 
 
-def test_seeds_prove_the_aliased_count_at_n20(no_subdivision):
+def test_seeds_prove_the_aliased_count_at_n20(first_order_only):
     # the window's winding count aliases to 16 (ROADMAP item 1); the
     # certified boxes around the polished seeds hold 18 zeros
     with pytest.raises(RootCountError, match="aliased"):
         find_roots(_random_draw(20, 0))
 
 
-def test_subdivision_finds_the_roots_left_of_the_axis(monkeypatch):
-    # a user region reaching left of the axis holds 40 roots of scalar-basic,
-    # more than the generator's seeds resolve, so the subdivision runs
-    halvings = []
-    original = rootfinding._halvings
-
-    def counted(cell):
-        halvings.append(cell)
-        return original(cell)
-
-    monkeypatch.setattr(rootfinding, "_halvings", counted)
+def test_a_shortfall_re_seeds_from_doubled_orders(monkeypatch, orders):
+    # a user region reaching left of the axis holds 40 roots of scalar-basic;
+    # the first order, 68, seeds them all, and from order 8 the seeds fall
+    # short until the order has doubled to 64
     cm = characteristic_matrix(get_case("scalar-basic").problem())
     region = Region(-2.0, 1.0, 20.0)
+    want = find_roots(cm, region)
+    assert orders == [68]
+    orders.clear()
+    monkeypatch.setattr(equilibria, "_generator_order", lambda cm, rect: 8)
     report = find_roots(cm, region)
-    assert halvings
+    assert orders == [8, 16, 32, 64]
     assert report.count == count_roots(cm, region) == 40
+    assert [r.algebraic for r in report.roots] == [r.algebraic for r in want.roots]
+    values = [r.value for r in report.roots]
+    assert values == pytest.approx([r.value for r in want.roots], abs=1e-12)
+    assert all(v.conjugate() in values for v in values)
+
+
+def test_real_gains_typed_complex_seed_in_real_arithmetic():
+    # a gain path stores its gains as complex: the generator built in
+    # complex arithmetic put real roots about 1e-19 below the axis, where
+    # the seeds of a real problem are skipped
+    real = CharacteristicMatrix(np.array([[0.05]]), np.array([[0.5]]), 2 * np.pi)
+    typed = CharacteristicMatrix(np.array([[0.05]]), np.array([[0.5 + 0j]]), 2 * np.pi)
+    order = equilibria._generator_order(real, default_region(real).rect())
+    assert np.array_equal(equilibria._generator_eigenvalues(typed, order),
+                          equilibria._generator_eigenvalues(real, order))
+
+
+def test_find_roots_in_a_left_reaching_region_next_to_a_near_jordan_pair():
+    # the subdivision found no admissible split line in this user region
+    cm = CharacteristicMatrix(np.array([[-0.13, -0.47], [0.82, 0.53]]), -0.56 * np.eye(2),
+                              2 * np.pi)
+    region = Region(-0.53, 1.1, 33.5)
+    report = find_roots(cm, region)
+    assert report.count == count_roots(cm, region) == 64
     values = [r.value for r in report.roots]
     assert all(v.conjugate() in values for v in values)
 
@@ -1124,7 +1158,7 @@ def test_upper_half_count_matches_the_whole_boundary(n, delay, alpha, seed):
     spacing = _spacing_for(cm, rect)
     # roots within one boundary step of an edge can alias a count (ROADMAP
     # item 1); the generator's eigenvalues locate them
-    roots = equilibria._generator_eigenvalues(cm, rect)
+    roots = equilibria._generator_eigenvalues(cm, equilibria._generator_order(cm, rect))
     step = _boundary_step(cm, region)
     assume(all(_distance_to_boundary(z, rect) >= step for z in roots))
     floor = 1e-13 * region.scale

@@ -114,7 +114,7 @@ def test_find_roots_rect_simple_zeros():
         if k > 1 and np.min(np.abs(np.subtract.outer(zeros, zeros))[~np.eye(k, dtype=bool)]) < 0.2:
             continue
         f, dlog = _poly(zeros)
-        pairs = find_roots_rect(f, dlog, rect, lambda z: True, 0.2, 1.0)
+        pairs = find_roots_rect(f, dlog, rect, lambda z: True, 0.2, 1.0, seeds=[zeros + 1e-3])
         assert sorted(m for _, m in pairs) == [1] * k
         for z, _ in pairs:
             assert min(abs(z - w) for w in zeros) < 1e-9
@@ -122,7 +122,8 @@ def test_find_roots_rect_simple_zeros():
 
 def test_find_roots_rect_reports_multiplicity():
     f, dlog = _poly([0.3 - 0.2j, 0.3 - 0.2j, -0.4 + 0.5j])
-    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0)
+    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0,
+                            seeds=[[0.31 - 0.2j, -0.41 + 0.5j]])
     by_mult = sorted(pairs, key=lambda p: p[1])
     assert [m for _, m in by_mult] == [1, 2]
     assert by_mult[0][0] == pytest.approx(-0.4 + 0.5j, abs=1e-9)
@@ -144,18 +145,13 @@ def test_winding_count_flags_overflow():
         winding_count(f, Rect(-1000.0, 1000.0, -1000.0, 1000.0), 100.0, 1e-12)
 
 
-def test_seeds_alone_certify_a_pair_closer_than_the_usual_box(monkeypatch):
+def test_seeds_alone_certify_a_pair_closer_than_the_usual_box():
     # the usual box (half-width 1e-7) would hold both zeros; the seeds tell
-    # them apart, so each gets a box of its own and no subdivision runs
+    # them apart, so each gets a box of its own
     zeros = [0.1 + 0.2j, 0.1 + 0.2j + 3e-9]
     f, dlog = _poly(zeros + [-0.5 - 0.3j])
-
-    def refuse(cell):
-        raise AssertionError(f"the subdivision ran on {cell}")
-
-    monkeypatch.setattr(rootfinding, "_halvings", refuse)
     seeds = [z + 1e-11 for z in zeros] + [-0.5 - 0.3j]
-    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0, seeds=seeds)
+    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0, seeds=[seeds])
     assert [m for _, m in pairs] == [1, 1, 1]
     assert [z for z, _ in pairs] == pytest.approx(sorted(zeros + [-0.5 - 0.3j], key=lambda z: z.real),
                                                   abs=1e-13)
@@ -168,19 +164,50 @@ def test_a_surplus_of_certified_zeros_proves_the_count_aliased(monkeypatch):
     monkeypatch.setattr(rootfinding, "count_with_nudge", lambda f, rect, *args: (1, rect))
     with pytest.raises(RootCountError, match="aliased"):
         find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0,
-                        seeds=[0.3, -0.4j])
+                        seeds=[[0.3, -0.4j]])
 
 
-def test_conjugate_roots_are_exact_mirrors_with_and_without_seeds():
-    # a double pair stalls Newton short of full accuracy, from wherever it
-    # starts; the rectangle is not symmetric about the real axis, so neither
-    # are the cells of the subdivision
+def test_a_later_batch_supplies_the_zero_the_first_missed():
+    # the first batch seeds one of the two zeros; the second explains the
+    # count, and no third batch is drawn
+    zeros = [0.3 + 0.1j, -0.4 - 0.5j]
+    f, dlog = _poly(zeros)
+    batches = iter([[zeros[0] + 1e-3], [z + 1e-3 for z in zeros], [0.0]])
+    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0, seeds=batches)
+    assert [m for _, m in pairs] == [1, 1]
+    assert [z for z, _ in pairs] == pytest.approx(sorted(zeros, key=lambda z: z.real), abs=1e-12)
+    assert next(batches) == [0.0]
+
+
+def test_batches_that_never_explain_the_count_are_refused():
+    f, dlog = _poly([0.3 + 0.1j, -0.4 - 0.5j])
+    with pytest.raises(RootCountError, match="explain 1 of the 2 zero"):
+        find_roots_rect(f, dlog, Rect(-1, 1, -1, 1), lambda z: True, 0.2, 1.0,
+                        seeds=[[0.31 + 0.1j], [0.3 + 0.11j]])
+
+
+def test_conjugate_roots_are_exact_mirrors_in_one_batch_or_two():
+    # a double pair stalls Newton short of full accuracy; the rectangle is
+    # not symmetric about the real axis, so its count walks the whole
+    # boundary, and the pairs are still reported as exact mirrors, whether
+    # the second batch is needed or not
     zeros = [0.3 + 0.4j, 0.3 - 0.4j, -0.2, -0.6 + 0.1j, -0.6 - 0.1j]
     f, dlog = _poly(zeros + zeros[:2])
-    for seeds in ((), [z + 1e-3 for z in zeros]):
+    seeds = [z + 1e-3 for z in zeros]
+    for batches in ([seeds], [seeds[:1], seeds[2:]]):
         pairs = find_roots_rect(f, dlog, Rect(-1, 1, -0.9, 1.3), lambda z: True, 0.2, 1.0,
-                                seeds=seeds, conjugate=True)
+                                seeds=batches, conjugate=True)
         values = [z for z, _ in pairs]
         assert len(values) == 5 and all(z.conjugate() in values for z in values)
         assert values == pytest.approx(sorted(zeros, key=lambda z: (z.real, z.imag)), abs=1e-7)
         assert [m for z, m in pairs if abs(abs(z.imag) - 0.4) < 1e-6] == [2, 2]
+
+
+def test_conjugate_search_finds_a_root_below_the_axis_whose_mirror_is_outside():
+    # the rectangle reaches further below the axis than above it: -1.2i is
+    # inside, its mirror is not, and its seed below the axis runs
+    f, dlog = _poly([0.2, 1.2j, -1.2j])
+    pairs = find_roots_rect(f, dlog, Rect(-1, 1, -1.5, 1.0), lambda z: True, 0.2, 1.0,
+                            seeds=[[0.21, -1.19j, 1.19j]], conjugate=True)
+    assert [m for _, m in pairs] == [1, 1]
+    assert [z for z, _ in pairs] == pytest.approx([-1.2j, 0.2], abs=1e-12)
