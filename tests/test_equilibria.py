@@ -506,7 +506,7 @@ def test_real_gains_typed_complex_seed_in_real_arithmetic():
                           equilibria._generator_eigenvalues(real, order))
 
 
-def test_find_roots_in_a_left_reaching_region_next_to_a_near_jordan_pair():
+def test_find_roots_in_the_left_reaching_region_the_subdivision_could_not_split():
     # the subdivision found no admissible split line in this user region
     cm = CharacteristicMatrix(np.array([[-0.13, -0.47], [0.82, 0.53]]), -0.56 * np.eye(2),
                               2 * np.pi)
