@@ -143,12 +143,19 @@ def cmd_hopf(args) -> int:
 # locus
 
 
+# most samples one locus path may hold: every gain is built up front, one
+# complex n x n matrix per sample, and each sample takes a root search
+_MAX_SAMPLES = 10**4
+
+
 def parse_path_spec(spec: str, dimension: int) -> GainPath:
     """Gain paths for root-locus sweeps.
 
     real:a:b:n    K(s) = s I          for s in [a, b]
     imag:a:b:n    K(s) = i s I        (complex gain, scalar reduction)
     ray:t:r0:r1:n K(s) = s e^{it} I   for s in [r0, r1]
+
+    A count n above ``_MAX_SAMPLES`` is refused before any gain is built.
     """
     parts = spec.split(":")
     if not parts or parts[0] not in ("real", "imag", "ray"):
@@ -165,6 +172,8 @@ def parse_path_spec(spec: str, dimension: int) -> GainPath:
         raise InputError(f"path spec {spec!r}: numbers must be finite")
     if count < 1:
         raise InputError("path spec: sample count must be at least 1")
+    if count > _MAX_SAMPLES:
+        raise InputError(f"path spec: sample count must be at most {_MAX_SAMPLES}")
     if parts[0] == "ray":
         theta, lo, hi = nums
         direction = complex(math.cos(theta), math.sin(theta))

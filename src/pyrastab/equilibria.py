@@ -91,6 +91,8 @@ class CharacteristicMatrix:
         k = k.astype(complex) if np.iscomplexobj(k) else k.astype(float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise InputError("jacobian must be square")
+        if j.shape[0] == 0:
+            raise InputError("jacobian must be at least 1 x 1")
         if k.shape != j.shape:
             raise InputError(
                 f"gain shape {k.shape} does not match jacobian shape {j.shape}"
@@ -320,9 +322,11 @@ def _generator_order(cm: CharacteristicMatrix, rect: Rect) -> int:
     off factorially once the degree passes |c|: so N = ceil(r T / 2) + 4,
     at least 8.  The size cap keeps n (N + 1) <= 512 (N >= 2); beyond it
     the seeds are coarser, and a shortfall re-seeds from doubled orders up
-    to the same cap (see :func:`find_roots`).  The axis band searched beside
-    the window (|Re| <= 1 / T) reuses the window's seeds, so they do not
-    depend on whether it is searched.
+    to the same cap (see :func:`find_roots`).  The cap holds for a scalar
+    gain too, whose collocation is split into n blocks of N + 1 (see
+    :func:`_generator_eigenvalues`), so the orders do not depend on the
+    path.  The axis band searched beside the window (|Re| <= 1 / T) reuses
+    the window's seeds, so they do not depend on whether it is searched.
     """
     reach = max(abs(complex(x, y)) for x in (rect.re0, rect.re1) for y in (rect.im0, rect.im1))
     growth = np.exp(min(-rect.re0 * cm.delay, 50.0))
@@ -344,15 +348,49 @@ def _generator_eigenvalues(cm: CharacteristicMatrix, order: int) -> np.ndarray:
     real J and K the collocation is built in real arithmetic, whatever
     their dtype, so its real eigenvalues come out real and its complex ones
     in exact mirror pairs.
+
+    A scalar gain K = k I splits the collocation: conjugated by I (x) Q,
+    where J = Q T Q* is a Schur form, it is block upper triangular with
+    one (N + 1) x (N + 1) block per eigenvalue mu of J, the differentiation
+    matrix with its last row [-alpha k, 0, ..., 0, mu + alpha k].  Its
+    spectrum is the union of those blocks' spectra, at a cost of n (N + 1)^3
+    in place of (n (N + 1))^3.  The arithmetic follows the dtype of J and
+    K: real blocks for real mu, and for real J and K one complex block per
+    pair mu, conj mu, whose eigenvalues are mirrored for the partner.  Any
+    other gain takes the full n (N + 1) collocation.  The order, and so
+    the size cap n (N + 1) <= 512, is the caller's for either path.
     """
     n = cm.dimension
     jac, gain = (cm.jacobian.real, cm.gain.real) if cm.mirror_symmetric else (cm.jacobian, cm.gain)
-    nodes = lobatto_nodes(order + 1, -cm.delay, 0.0)
-    gen = np.kron(differentiation_matrix(nodes), np.eye(n)).astype(np.result_type(jac, gain))
-    gen[-n:] = 0.0
-    gen[-n:, -n:] = jac + cm.alpha * gain
-    gen[-n:, :n] = -cm.alpha * gain
-    return np.linalg.eigvals(gen)
+    diff = differentiation_matrix(lobatto_nodes(order + 1, -cm.delay, 0.0))
+    dtype = np.result_type(jac, gain)
+    k = gain[0, 0]
+    if not np.array_equal(gain, k * np.eye(n)):
+        gen = np.kron(diff, np.eye(n)).astype(dtype)
+        gen[-n:] = 0.0
+        gen[-n:, -n:] = jac + cm.alpha * gain
+        gen[-n:, :n] = -cm.alpha * gain
+        return np.linalg.eigvals(gen)
+
+    def spectra(mu: np.ndarray) -> np.ndarray:
+        blocks = np.zeros((len(mu), order + 1, order + 1), dtype=np.result_type(mu, k))
+        blocks[:, :-1] = diff[:-1]
+        blocks[:, -1, 0] = -cm.alpha * k
+        blocks[:, -1, -1] = mu + cm.alpha * k
+        return np.linalg.eigvals(blocks).ravel()
+
+    mu = np.linalg.eigvals(jac)
+    if dtype.kind == "c":
+        return spectra(mu)
+    # real J and k: dgeev returns real mu as real and complex mu in exact
+    # conjugate pairs, so the blocks of Im mu < 0 are the mirrors of those
+    # of Im mu > 0
+    parts = [spectra(mu.real[mu.imag == 0.0])]
+    upper = mu[mu.imag > 0.0]
+    if len(upper):
+        upper = spectra(upper)
+        parts += [upper, upper.conj()]
+    return np.concatenate(parts)
 
 
 def find_roots(
@@ -373,7 +411,10 @@ def find_roots(
     delay equation's infinitesimal generator on [-T, 0], of order N =
     ceil(r T / 2) + 4, at least 8, where r bounds |lambda| over the region's
     window by its extent and ``cm.norm_bound``; n (N + 1) <= 512 caps its
-    cost.  A seed decides no count and no multiplicity: every multiplicity
+    size.  A scalar gain K = k I splits the collocation exactly over the
+    eigenvalues of J, into n blocks of N + 1 whose eigenvalues cost n (N +
+    1)^3 in place of (n (N + 1))^3; the cap fixes the orders for either
+    path.  A seed decides no count and no multiplicity: every multiplicity
     is the winding count of a box around the polished root, the boxes are
     disjoint, and their total must equal the window's winding count.  A
     larger total proves that count aliased and raises

@@ -397,6 +397,15 @@ def test_locus_rejects_bad_path_spec(case_file, capsys):
         assert "input error" in err
 
 
+@pytest.mark.parametrize("spec", ["real:-1:1:100000000", "ray:0.7:0:1:10001"])
+def test_locus_refuses_a_sample_count_above_the_cap(case_file, capsys, spec):
+    # every gain of the path is built before the first root search: 10^8
+    # samples asked for about 28 GB
+    code, out, err = _run(capsys, ["locus", case_file("scalar-basic"), spec])
+    assert code == 2 and out == ""
+    assert f"sample count must be at most {cli._MAX_SAMPLES}" in err
+
+
 @pytest.mark.parametrize("spec", ["ray:nan:0:1:3", "ray:inf:0:1:3", "real:nan:1:3"])
 def test_locus_rejects_a_non_finite_path_number(case_file, capsys, spec):
     code, out, err = _run(capsys, ["locus", case_file("scalar-basic"), spec])

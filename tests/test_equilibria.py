@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pyrastab import equilibria, reports, rootfinding
 from pyrastab.benchmarks import case_names, get_case
+from pyrastab.chebyshev import differentiation_matrix, lobatto_nodes
 from pyrastab.equilibria import (
     _assign_traces,
     _expanded_positions,
@@ -85,6 +86,12 @@ def _equilibrium(jac, gain, delay):
     )
 
 
+def _near_scalar(value):
+    """S (value I) S^-1: a multiple of the identity up to rounding."""
+    s = np.random.default_rng(0).normal(size=(2, 2)) + 2.0 * np.eye(2)
+    return s @ (value * np.eye(2)) @ np.linalg.inv(s)
+
+
 # --- characteristic matrix ---------------------------------------------------
 
 
@@ -148,6 +155,13 @@ def test_characteristic_matrix_validation():
         CharacteristicMatrix(np.eye(2), np.eye(2), -1.0)
     with pytest.raises(InputError):
         CharacteristicMatrix(np.zeros((2, 3)), np.eye(2), 1.0)
+
+
+def test_characteristic_matrix_refuses_an_empty_jacobian():
+    # a 0 x 0 problem counted 0 roots while find_roots divided by its
+    # dimension
+    with pytest.raises(InputError, match="^jacobian must be at least 1 x 1$"):
+        CharacteristicMatrix(np.zeros((0, 0)), np.zeros((0, 0)), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -506,6 +520,82 @@ def test_real_gains_typed_complex_seed_in_real_arithmetic():
                           equilibria._generator_eigenvalues(real, order))
 
 
+def _former_generator_eigenvalues(cm, order):
+    """The full n (N + 1) collocation, which every gain took before a scalar
+    gain was split over the eigenvalues of J: the oracle for the split."""
+    n = cm.dimension
+    jac, gain = (cm.jacobian.real, cm.gain.real) if cm.mirror_symmetric else (cm.jacobian, cm.gain)
+    nodes = lobatto_nodes(order + 1, -cm.delay, 0.0)
+    gen = np.kron(differentiation_matrix(nodes), np.eye(n)).astype(np.result_type(jac, gain))
+    gen[-n:] = 0.0
+    gen[-n:, -n:] = jac + cm.alpha * gain
+    gen[-n:, :n] = -cm.alpha * gain
+    return np.linalg.eigvals(gen)
+
+
+def _nearest_matching(got, want):
+    """Indices pairing ``got`` with ``want`` at the least total distance."""
+    return scipy.optimize.linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from(["real", "complex", "zero"]),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=8, complex_jac=True, kind="zero", alpha=1.0, seed=0)
+def test_scalar_gain_seeds_match_the_full_collocation(n, complex_jac, kind, alpha, seed):
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(n, n)) / np.sqrt(n)
+    if complex_jac:
+        jac = jac + 1j * rng.normal(size=(n, n)) / np.sqrt(n)
+    k = {"real": rng.normal(), "complex": complex(*rng.normal(size=2)), "zero": 0.0}[kind]
+    cm = CharacteristicMatrix(jac, k * np.eye(n), 2 * np.pi, alpha)
+    order = equilibria._generator_order(cm, default_region(cm).rect())
+    got = equilibria._generator_eigenvalues(cm, order)
+    want = _former_generator_eigenvalues(cm, order)
+    assert len(got) == len(want) == n * (order + 1)
+    if n == 1:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    rows, cols = _nearest_matching(got, want)
+    gap = np.abs(got[rows] - want[cols]) / np.maximum(1.0, np.abs(want[cols]))
+    assert gap.max() <= 1e-10
+    if not (complex_jac or kind == "complex"):
+        # real-typed input: the seeds are closed under exact conjugation,
+        # and an isolated real eigenvalue of the full collocation is matched
+        # by an exactly real seed
+        assert sorted(got, key=lambda z: (z.real, z.imag)) == sorted(
+            np.conj(got), key=lambda z: (z.real, z.imag))
+        for i, j in zip(rows, cols):
+            others = np.delete(want, j)
+            if want[j].imag == 0.0 and np.min(np.abs(others - want[j])) > 1e-6:
+                assert got[i].imag == 0.0
+
+
+@pytest.mark.parametrize("jac, gain", [
+    # a Jordan block: every root is double, and the full collocation splits
+    # each double eigenvalue where the blocks keep it
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3 * np.eye(2)),
+    # a sample of `locus ... ray:0.7:...`: a complex scalar gain
+    (np.array([[0.05, -1.0], [1.0, 0.05]]), 0.4 * np.exp(0.7j) * np.eye(2)),
+    (np.array([[0.05, -1.0], [1.0, 0.05]]), np.zeros((2, 2))),
+    (_near_scalar(0.05), 0.3 * np.eye(2)),
+], ids=["jordan", "ray", "no-gain", "near-scalar"])
+def test_find_roots_answers_alike_through_either_seed_path(jac, gain, monkeypatch):
+    cm = CharacteristicMatrix(jac, gain, 2 * np.pi)
+    split = find_roots(cm)
+    monkeypatch.setattr(equilibria, "_generator_eigenvalues", _former_generator_eigenvalues)
+    full = find_roots(cm)
+    assert split.count == full.count and split.roots
+    for got, want in ((split.roots, full.roots), (split.marginal, full.marginal)):
+        assert [(r.algebraic, r.geometric) for r in got] == [(r.algebraic, r.geometric) for r in want]
+        assert [r.value for r in got] == pytest.approx(
+            [r.value for r in want], abs=1e-12 * split.region.scale)
+
+
 def test_find_roots_in_the_left_reaching_region_the_subdivision_could_not_split():
     # the subdivision found no admissible split line in this user region
     cm = CharacteristicMatrix(np.array([[-0.13, -0.47], [0.82, 0.53]]), -0.56 * np.eye(2),
@@ -642,12 +732,6 @@ def test_resonating_center_dimensions():
     assert dim0 == 0
     dim2, _ = resonating_center(j, delay, 2)
     assert dim2 == 0
-
-
-def _near_scalar(value):
-    """S (value I) S^-1: a multiple of the identity up to rounding."""
-    s = np.random.default_rng(0).normal(size=(2, 2)) + 2.0 * np.eye(2)
-    return s @ (value * np.eye(2)) @ np.linalg.inv(s)
 
 
 def test_resonating_center_of_a_near_scalar_jacobian():
