@@ -117,8 +117,14 @@ def cmd_analyze(args) -> int:
 # hopf
 
 
+# most hopf samples over all branches: each is built up front, about 0.45 KB with its row
+_MAX_HOPF_SAMPLES = 10**5
+
+
 def cmd_hopf(args) -> int:
     started = time.perf_counter()
+    if len(args.branches) * args.samples > _MAX_HOPF_SAMPLES:
+        raise InputError(f"hopf: branches x samples must be at most {_MAX_HOPF_SAMPLES}")
     family = hopf_curves(args.rate, args.delay, tuple(args.branches), args.samples)
     header, rows = reports.hopf_table(family)
     if args.json:

@@ -9,7 +9,8 @@ delay exactly, so the delayed argument at grid points lands on a stored
 grid point and at stage midpoints on a stored interval midpoint.  The
 delay term then carries no interpolation error beyond the cubic dense
 output, which keeps time-domain growth rates comparable with spectral
-predictions.
+predictions.  Before t = 0 the dense output is the history's not-a-knot
+spline in the same Hermite form, read once per run on those points.
 
 A `LinearField` is marched one delay interval at a time (the method of
 steps; Bellen & Zennaro, *Numerical Methods for Delay Differential
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.interpolate
+import scipy.linalg
 
 from .errors import InputError
 from .expressions import DomainError
@@ -45,7 +46,8 @@ __all__ = [
 
 
 class HistorySegment:
-    """An initial function on [-T, 0] with cubic interpolation.
+    """An initial function on [-T, 0]: the not-a-knot cubic spline through
+    its samples, stored as knot values and slopes, evaluated by `Trajectory.sample`.
 
     The segment is the state of the delay equation: integration starts
     from a whole function, not a point.
@@ -66,7 +68,7 @@ class HistorySegment:
             raise InputError("history grid must start at -delay < 0")
         self.grid = grid
         self.values = values
-        self._spline = scipy.interpolate.CubicSpline(grid, values, axis=0)
+        self._cubic = Trajectory(grid, values, _not_a_knot_slopes(grid, values))
 
     @property
     def delay(self) -> float:
@@ -84,9 +86,9 @@ class HistorySegment:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         slack = 1e-9 * self.delay
-        if np.any(s < self.grid[0] - slack) or np.any(s > slack):
+        if not np.all((s >= self.grid[0] - slack) & (s <= slack)):
             raise InputError("history evaluated outside [-delay, 0]")
-        return self._spline(np.clip(s, self.grid[0], 0.0))
+        return self._cubic.sample(np.clip(s, self.grid[0], 0.0))
 
     @classmethod
     def from_constant(cls, point: np.ndarray, delay: float) -> "HistorySegment":
@@ -98,14 +100,34 @@ class HistorySegment:
     def from_callable(
         cls, fun: Callable[[float], np.ndarray], delay: float, samples: int = 129
     ) -> "HistorySegment":
+        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 4:
+            raise InputError(f"history samples must be an integer of at least 4, got {samples!r}")
         grid = np.linspace(-delay, 0.0, samples)
         values = np.array([np.asarray(fun(s), dtype=float).reshape(-1) for s in grid])
         return cls(grid, values)
 
 
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot spline through (x, y), len(x) >= 4 (de Boor,
+    *A Practical Guide to Splines*, ch. IV): scipy's `CubicSpline` rows."""
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]
+    ab = np.array([  # upper, main and lower diagonals
+        np.r_[0.0, w0, dx[:-1]],
+        np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+        np.r_[dx[1:], w1, 0.0],
+    ])
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    b[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / w0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+    return scipy.linalg.solve_banded((1, 1), ab, b, check_finite=False)
+
+
 _HISTORY_SAMPLES = 33
-# most RK4 steps one run may take, per delay or in all: the state and
-# derivative arrays are allocated up front, 16 n bytes per step
+# most RK4 steps one run may take, per delay or in all: the arrays are
+# allocated up front, 16 n bytes per step of the run and of the delay
 _MAX_STEPS = 10**6
 
 
@@ -152,7 +174,7 @@ class Trajectory:
         """Cubic Hermite evaluation at arbitrary times inside the run."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < self.times[0]) or np.any(t > self.times[-1] * (1 + 1e-12) + 1e-300):
+        if not np.all((t >= self.times[0]) & (t <= self.times[-1] * (1 + 1e-12) + 1e-300)):
             raise InputError("sample time outside the stored trajectory")
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self) - 2)
         h = self.times[idx + 1] - self.times[idx]
@@ -229,7 +251,11 @@ def integrate(
     def rhs(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
         return np.asarray(field(x), dtype=float) + gain @ (x - xd)
 
-    xs = np.empty((steps + 1, n))
+    # nodes[i] is x((i - m) h): m history values, then the run's states xs
+    nodes = np.empty((m + steps + 1, n))
+    nodes[:m] = history(np.arange(-m, 0) * h)
+    past_mid = history((np.arange(-m, 0) + 0.5) * h)
+    xs = nodes[m:]
     fs = np.empty((steps + 1, n))
     xs[0] = history.final
     scale = max(1.0, float(np.max(np.abs(history.values))))
@@ -237,31 +263,24 @@ def integrate(
     if isinstance(field, LinearField):
         if field.matrix.shape != gain.shape:
             raise InputError("field dimension does not match the gain")
-        march = _affine_march(field.matrix, gain, history, h, m, xs, fs, limit)
+        march = _affine_march(field.matrix, gain, nodes, past_mid, h, fs, limit)
         if march is not None:
             last, blown_at = march
             times = np.arange(last + 1) * h
             return Trajectory(times, xs[: last + 1], fs[: last + 1], blown_at)
     blown_at: Optional[float] = None
-
-    def delayed_point(i: int) -> np.ndarray:
-        # grid-aligned delayed value: index i may reach into the history
-        if i >= 0:
-            return xs[i]
-        return history(i * h)
-
-    fs[0] = rhs(xs[0], delayed_point(-m))
+    fs[0] = rhs(xs[0], nodes[0])
     last = steps
     for j in range(steps):
         t = j * h
         jb = j - m  # index of t - T on the grid
         k1 = fs[j]
         if jb + 1 <= 0:
-            d_mid = history((jb + 0.5) * h)
+            d_mid = past_mid[j]
         else:
             # both endpoints of the delayed interval are already computed
             d_mid = 0.5 * (xs[jb] + xs[jb + 1]) + (h / 8.0) * (fs[jb] - fs[jb + 1])
-        d_end = delayed_point(jb + 1)
+        d_end = nodes[j + 1]
         try:
             k2 = rhs(xs[j] + 0.5 * h * k1, d_mid)
             k3 = rhs(xs[j] + 0.5 * h * k2, d_mid)
@@ -312,20 +331,19 @@ def _step_maps(a: np.ndarray, gain: np.ndarray, h: float) -> np.ndarray:
 def _affine_march(
     a: np.ndarray,
     gain: np.ndarray,
-    history: HistorySegment,
+    nodes: np.ndarray,
+    past_mid: np.ndarray,
     h: float,
-    m: int,
-    xs: np.ndarray,
     fs: np.ndarray,
     limit: float,
 ) -> Optional[tuple[int, Optional[float]]]:
     """The stage loop's RK4 steps for f(x) = A x, one delay interval at a time.
 
-    Fills ``xs`` and ``fs`` (xs[0] given) and returns ``(last, blown_at)``
-    as the stage loop sets them.  Per interval, the delayed nodes,
-    midpoints and ends of all its steps are gathered at once: from batched
-    history calls on the first interval, and after it from the previous
-    interval's ``xs`` and ``fs`` through the stage loop's Hermite midpoint.
+    Fills xs = ``nodes[m:]`` and ``fs`` (xs[0] given), m = len(past_mid), and
+    returns ``(last, blown_at)`` as the stage loop sets them.  Per interval,
+    the delayed nodes and ends of all its steps are one slice of ``nodes``,
+    and its midpoints are ``past_mid`` on the first interval, after it the
+    previous interval's xs and ``fs`` through the stage loop's Hermite midpoint.
     The step offsets c are then one matmul, and the steps y+ = y + D y + c
     are one Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986):
     with the interval's start state folded into the first offset, level l
@@ -345,6 +363,8 @@ def _affine_march(
     unless its state is exactly zero.
     """
     n = a.shape[0]
+    m = len(past_mid)
+    xs = nodes[m:]
     steps = len(xs) - 1
     maps = _step_maps(a, gain, h)
     d = maps[:, :n]
@@ -356,18 +376,11 @@ def _affine_march(
     if not (np.all(np.isfinite(maps)) and np.all(np.isfinite(levels[-1]))):
         return None
 
-    def delayed_nodes(lo: int, hi: int) -> np.ndarray:
-        # the stage loop's delayed_point(i) for lo <= i < hi
-        if lo >= 0:
-            return xs[lo:hi]
-        past = history(np.arange(lo, min(hi, 0)) * h)
-        return np.concatenate([past, xs[: max(hi, 0)]])
-
     for j0 in range(0, steps, m):
         j1 = min(j0 + m, steps)
-        nodes = delayed_nodes(j0 - m, j1 - m + 1)  # for grid points j0..j1
+        delayed = nodes[j0 : j1 + 1]  # for grid points j0..j1
         if j0 == 0:
-            mids = history((np.arange(j1) - m + 0.5) * h)
+            mids = past_mid[:j1]
         else:
             # fs[j0], filled with the previous interval, feeds the last midpoint
             lo, hi = j0 - m, j1 - m
@@ -376,7 +389,7 @@ def _affine_march(
             )
         first = 0 if j0 == 0 else j0 + 1  # first grid point whose fs is unset
         new = xs[j0 + 1 : j1 + 1]  # a view: the scan runs in place
-        new[:] = np.concatenate([nodes[:-1], mids, nodes[1:]], axis=1) @ offsets
+        new[:] = np.concatenate([delayed[:-1], mids, delayed[1:]], axis=1) @ offsets
         new[0] += xs[j0] + d @ xs[j0]
         for l, e in enumerate(levels):
             s = 2**l
@@ -384,7 +397,7 @@ def _affine_march(
                 break
             new[s:] = new[s:] + new[:-s] + new[:-s] @ e
         seg = xs[first : j1 + 1]
-        fs[first : j1 + 1] = seg @ a.T + (seg - nodes[first - j0 :]) @ gain.T
+        fs[first : j1 + 1] = seg @ a.T + (seg - delayed[first - j0 :]) @ gain.T
         finite = np.isfinite(new).all(axis=1)
         bad = ~finite | (np.abs(new) > limit).any(axis=1)
         if bad.any():

@@ -354,6 +354,16 @@ def test_hopf_input_errors_exit_2(capsys, argv, message):
     assert message in err
 
 
+def test_hopf_refuses_a_sample_count_above_the_cap(capsys):
+    # every sample of every branch is built before the table is written
+    code, out, err = _run(capsys, ["hopf", "0.05", "6.28", "--samples", "100000000"])
+    assert code == 2 and out == ""
+    assert f"must be at most {cli._MAX_HOPF_SAMPLES}" in err
+    code, _, _ = _run(capsys, ["hopf", "0.05", "6.28", "--branches", "0", "1", "--samples",
+                               str(cli._MAX_HOPF_SAMPLES // 2 + 1)])
+    assert code == 2
+
+
 def test_hopf_empty_branches_gives_header_only(capsys):
     code, out, _ = _run(capsys, ["hopf", "0.05", "6.28", "--branches"])
     assert code == 0

@@ -10,6 +10,9 @@ names its modules list in theirs.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,3 +217,24 @@ def test_checker_sees_function_level_imports(tmp_path):
         "        from pyrastab import equilibria\n"
     )
     assert _function_level_imports(bad) == ["line 4: in f", "line 8: in g", "line 9: in g"]
+
+
+# --- what importing the package loads ----------------------------------------------
+#
+# Import time is most of every command's start-up.  The package and its
+# command line need scipy.linalg and scipy.special; an interpolation or
+# optimisation subpackage coming back would cost its import on every run.
+
+
+def test_package_import_loads_no_scipy_interpolate_or_optimize():
+    # a fresh interpreter: the test files import scipy.optimize themselves
+    probe = (
+        "import sys, pyrastab, pyrastab.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(_SRC.parent)},
+    ).stdout.split()
+    assert "scipy.linalg" in out
+    assert [m for m in out if m.split(".")[1] in ("interpolate", "optimize")] == []

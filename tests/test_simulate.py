@@ -12,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,54 @@ def test_history_grid_validation():
         HistorySegment(
             np.array([-1.0, -0.5, -0.2, 0.1]), np.zeros((4, 1))
         )  # must end at 0
+
+
+@st.composite
+def _history_samples(draw):
+    # uniform grids of 4 to 200 points, or grids whose largest gap is at
+    # most 5 times their smallest; values of magnitude 1e-8 to 1e3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    delay = draw(st.floats(1e-2, 1e2))
+    m = draw(st.integers(4, 200))
+    if draw(st.booleans()):
+        grid = np.linspace(-delay, 0.0, m)
+    else:
+        ends = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 5.0, m - 1))])
+        grid = delay * (ends / ends[-1]) - delay
+    scale = 10.0 ** draw(st.floats(-8.0, 3.0))
+    return grid, scale * rng.uniform(-1.0, 1.0, (m, n)), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(_history_samples())
+def test_history_is_the_not_a_knot_spline(drawn):
+    # scipy's CubicSpline, whose default end condition is not-a-knot, is the
+    # oracle; the history evaluates the same spline in Hermite form
+    grid, values, rng = drawn
+    hist = HistorySegment(grid, values)
+    oracle = scipy.interpolate.CubicSpline(grid, values, axis=0)
+    s = np.concatenate([rng.uniform(grid[0], 0.0, 64), 0.5 * (grid[:-1] + grid[1:])])
+    got = hist(s)
+    assert got.shape == (s.size, values.shape[1])
+    assert np.max(np.abs(got - oracle(s))) <= 1e-13 * np.max(np.abs(values))
+    assert np.array_equal(hist(grid), values)  # knot values are exact
+    assert hist(float(s[0])).shape == (values.shape[1],)
+    assert np.array_equal(hist(float(s[0])), got[0])
+
+
+def test_history_refuses_non_finite_times():
+    hist = HistorySegment.from_constant(np.ones(2), 1.0)
+    for bad in (float("nan"), float("inf"), -float("inf"), [-0.5, float("nan")]):
+        with pytest.raises(InputError, match="outside"):
+            hist(bad)
+
+
+def test_history_from_callable_refuses_a_non_integer_sample_count():
+    for bad in (5.0, "9", True, 3, -1):
+        with pytest.raises(InputError, match="samples"):
+            HistorySegment.from_callable(lambda s: [s], 1.0, samples=bad)
+    assert HistorySegment.from_callable(lambda s: [s], 1.0, samples=np.int64(5)).grid.size == 5
 
 
 def test_perturbed_history_is_seeded_and_bounded():
@@ -183,6 +232,26 @@ def test_linear_field_must_match_the_gain():
     hist = HistorySegment.from_constant(np.ones(2), 1.0)
     with pytest.raises(InputError):
         integrate(LinearField(np.array([[-1.0]])), fb, hist, 2.0)
+
+
+@pytest.mark.parametrize("field", [LinearField(np.array([[0.05]])), parse_field(("0.05 * x1",))],
+                         ids=["linear", "expression"])
+def test_a_run_reads_the_history_twice(field):
+    # once on the step grid before t = 0 and once at its interval midpoints,
+    # however many steps read them; the run crosses three delay intervals
+    fb = DelayFeedback(np.array([[0.3]]), 1.0)
+    hist = perturbed_history(np.zeros(1), 1.0, 1e-6, seed=2)
+    calls = []
+    original = HistorySegment.__call__
+
+    def counted(self, s):
+        calls.append(np.shape(s))
+        return original(self, s)
+
+    with mock.patch.object(HistorySegment, "__call__", counted):
+        traj = integrate(field, fb, hist, 3.0)
+    assert len(traj) == 193 and traj.blown_at is None
+    assert calls == [(64,), (64,)]
 
 
 # --- the affine interval march against the stage loop ------------------------------
@@ -341,6 +410,13 @@ def test_overflowing_step_maps_fall_back_to_the_stage_loop():
 
 
 # --- trajectories and growth fits ---------------------------------------------------
+
+
+def test_trajectory_sample_refuses_non_finite_times():
+    traj = Trajectory(np.linspace(0.0, 1.0, 5), np.ones((5, 2)), np.zeros((5, 2)))
+    for bad in (float("nan"), float("inf"), [0.5, float("nan")]):
+        with pytest.raises(InputError, match="outside"):
+            traj.sample(bad)
 
 
 def test_trajectory_deviations_use_reference():
