@@ -70,7 +70,7 @@ def main() -> None:
     )
     dde = dde_monodromy(problem, nodes=48)
     print(f"delay monodromy on {dde.n_nodes} nodes, "
-          f"integral-vs-stepped gap {dde.cross_residual:.1e}")
+          f"integral-vs-collocation gap {dde.cross_residual:.1e}")
     report = multipliers(dde, DEFAULT.replace(mu_floor=FLOOR))
     print()
     print(f"multipliers above {FLOOR} vs exp(root * T):")

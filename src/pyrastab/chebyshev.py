@@ -1,12 +1,14 @@
 """Chebyshev-Lobatto collocation primitives.
 
 Nodes are stored ascending on the target interval.  Interpolation goes
-through the barycentric formula, whose terms and row divisors come from
-one kernel; the cumulative integration matrix maps node values of a
-function to node values of its antiderivative (zero at the left
-endpoint) via Chebyshev coefficient space, so it is spectrally accurate
-for smooth integrands.  The differentiation matrix maps node
-values to the node values of the interpolant's derivative.
+through the barycentric formula; the cumulative integration matrix maps
+node values of a function to node values of its antiderivative (zero at
+the left endpoint) via Chebyshev coefficient space, so it is spectrally
+accurate for smooth integrands.  The differentiation matrix maps node
+values to the node values of the interpolant's derivative.  The delay
+monodromy reads all three: the interpolation rows that carry a history
+to the quadrature marks, the cumulative matrix of its integral form and
+the differentiation matrix of its collocation form.
 
 Both matrices depend on the interval only through its length, a scalar
 factor.  The unit-interval matrices are therefore built once per node
@@ -24,7 +26,6 @@ from numpy.polynomial import chebyshev as cheb
 __all__ = [
     "lobatto_nodes",
     "barycentric_weights",
-    "barycentric_terms",
     "interp_rows",
     "interp_row",
     "chebyshev_coefficients",
@@ -51,20 +52,15 @@ def barycentric_weights(m: int) -> np.ndarray:
     return w
 
 
-def barycentric_terms(
-    nodes: np.ndarray, weights: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalised barycentric rows and their divisors: the terms
-    w_j / (s_k - x_j), shape (S, M), and the divisor of each row, shape
-    (S,), so that the interpolation rows are ``terms / divisor[:, None]``
-    (the second barycentric form; Berrut & Trefethen, SIAM Rev. 46, 2004).
-    A caller that contracts the rows with a per-point factor may divide
-    that factor instead.
+def interp_rows(nodes: np.ndarray, weights: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows ell_k with interpolant(s_k) = ell_k @ values_at_nodes, shape
+    (S, M): the terms w_j / (s_k - x_j) over their row sum (the second
+    barycentric form; Berrut & Trefethen, SIAM Rev. 46, 2004).
 
     A point within 1e-14 times the span of a node gets that node's unit
-    vector over the divisor 1.  The nodes are ascending, so the nodes a
-    point may sit on are the two beside its ``searchsorted`` position; the
-    lower one wins when both are that close.
+    vector.  The nodes are ascending, so the nodes a point may sit on are
+    the two beside its ``searchsorted`` position; the lower one wins when
+    both are that close.
 
     Beyond either end every s - x_j has one sign, so the alternating row
     sum cancels to rounding noise (even to zero) at a tenth of the span
@@ -80,22 +76,14 @@ def barycentric_terms(
     left_hit = np.abs(s - nodes[right - 1]) <= tol
     on_node = left_hit | (np.abs(s - nodes[right]) <= tol)
     outside = ~on_node & ((s < nodes[0]) | (s > nodes[-1]))
-    terms = np.subtract.outer(s, nodes)
-    node_poly = np.prod((4.0 / span) * terms[outside], axis=1)
+    rows = np.subtract.outer(s, nodes)
+    node_poly = np.prod((4.0 / span) * rows[outside], axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(weights, terms, out=terms)  # on-node rows are replaced below
-    terms[on_node] = 0.0
-    terms[on_node, (right - left_hit)[on_node]] = 1.0
-    divisor = terms.sum(axis=1)
+        np.divide(weights, rows, out=rows)  # on-node rows are replaced below
+    rows[on_node] = 0.0
+    rows[on_node, (right - left_hit)[on_node]] = 1.0
+    divisor = rows.sum(axis=1)
     divisor[outside] = np.sign(weights[-1]) * 8.0 * (m - 1) / (span * node_poly)
-    return terms, divisor
-
-
-def interp_rows(nodes: np.ndarray, weights: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows ell_k with interpolant(s_k) = ell_k @ values_at_nodes, shape
-    (S, M): the ``barycentric_terms`` of each point divided by their
-    divisor."""
-    rows, divisor = barycentric_terms(nodes, weights, s)
     rows /= divisor[:, None]
     return rows
 

@@ -5,34 +5,30 @@ x' = A(t) x, comes from fixed-step RK4 with a Richardson error estimate.
 The delay one propagates a history segment on [-T, 0] through one period
 of x' = A(t) x + alpha K [x(t) - x(t-T)] and is discretized on a
 Chebyshev-Lobatto grid in two independent ways -- a variation-of-constants
-integral form and direct time stepping of the interpolated history basis
--- which must agree; their disagreement is reported and fenced by a
-tolerance, so a coarse grid fails loudly instead of lying.
+integral form and a Chebyshev collocation of the delay equation -- which
+must agree; their disagreement is reported and fenced by a tolerance, so
+a coarse grid fails loudly instead of lying.
 
-All of them march with one RK4 routine, ``_rk4``.  The equations are
-linear, so every RK4 step is an affine map Y -> Y + D Y + Q.  The steps
-are taken in blocks cut to a fixed element budget at n * n elements per
-step, or 2 n * n for a sourced march, so at n = 2 a source-free march of
-16k steps is one block and a sourced one of 8k steps is one block.  Per
-block the increments D are built from the batched coefficient samples
-with a few array products, and the offsets Q of the stepped form's
-delayed source kron(ell(t - T), -alpha K) are kept as two gain-free
-(n, n) factors per step, the gain applied once per segment of steps,
-without materialising the source.  The interpolation rows ell come
-unnormalised, with those factors, in chunks of steps cut to the same
-budget on the rows' width: each row's divisor divides that step's (n, n)
-factors instead of its M terms.  The block's maps are then composed in
-increment form by one two-level work-efficient scan, a prefix scan
-without a source and a suffix scan segmented at the kept indices with
-one, rather than applied step by step, and snapshots are stored only at
-the grid indices the caller reads, so memory stays bounded however fine
-the grid.  The fundamental solution used by the integral form and the
-history basis of the stepped form are two separate marches over the same
-grid, each with its own step maps and composites, never one stacked
-march, so the cross-check compares two constructions that share only
-their sampled coefficients.  Their gap is measured by an O(N^2) upper
-bound on the relative spectral-norm difference (``relative_gap_bound``),
-never by an SVD.
+Both forms read the history through the same quadrature marks, the
+2 nodes - 1 Lobatto points of the doubled grid.  The integral form
+marches the fundamental solution of A(t) + alpha K through a time grid
+that contains every mark; the collocation form solves one dense linear
+system on the marks themselves.  They share only sampled inputs, A +
+alpha K at the marks and the rows that interpolate the history from its
+nodes to the marks, never a march, so the cross-check compares two
+constructions.  Their gap is measured by an O(N^2) upper bound on the
+relative spectral-norm difference (``relative_gap_bound``), never by an
+SVD.
+
+Every march runs through one RK4 routine, ``_rk4``.  The equations are
+linear, so every RK4 step is an affine map Y -> Y + D Y.  The steps are
+taken in blocks cut to a fixed element budget at n * n elements per step,
+so at n = 2 a march of 16k steps is one block.  Per block the increments
+D are built from the batched coefficient samples with a few array
+products and composed in increment form by one two-level work-efficient
+prefix scan, rather than applied step by step, and snapshots are stored
+only at the grid indices the caller reads, so memory stays bounded
+however fine the grid.
 
 Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
 uniform grid of 2 steps intervals, except that the delay monodromy adds
@@ -53,15 +49,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .chebyshev import (
-    barycentric_terms,
     barycentric_weights,
     cumulative_matrix,
+    differentiation_matrix,
     interp_rows,
     lobatto_nodes,
 )
@@ -103,13 +98,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # time stepping
 
-# Elements of a march's per-step arrays in one block or chunk.  Blocks are
-# cut to _BUDGET // (n * n) steps without a source and _BUDGET // (2 n * n)
-# with one, whose block-long arrays are the increments, their composites
-# and C_{k+1}; its interpolation rows (M per step) and source factors are
-# evaluated in chunks of _BUDGET // M steps.  This bounds every temporary
-# independently of the grid; at n = 2 a source-free march of 16k steps is
-# one block.
+# Elements of a march's per-step arrays in one block: blocks are cut to
+# _BUDGET // (n * n) steps, whose block-long arrays are the increments and
+# their composites.  This bounds every temporary independently of the
+# grid; at n = 2 a march of 16k steps is one block.
 _BUDGET = 2**16
 
 # Times per call of a coefficient's batch evaluation, which bounds its own
@@ -117,13 +109,6 @@ _BUDGET = 2**16
 _SAMPLE_BATCH = 256
 
 _Stages = tuple[np.ndarray, np.ndarray]
-
-# A delayed source R(t) = kron(ell(t), G): ``terms`` maps S times to the
-# unnormalised (S, M) rows and their (S,) divisors, ell = rows / divisor
-# (see ``chebyshev.barycentric_terms``), and G is (n, n); in the node-major
-# layout block j of R(t) is ell(t)[j] * G.
-_Terms = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-_Source = tuple[_Terms, np.ndarray]
 
 
 def _stage_coefficients(
@@ -193,20 +178,20 @@ def _step_maps(
     return (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _scan(x: np.ndarray, restart: np.ndarray | None, flip: bool) -> np.ndarray:
-    """Inclusive scan of increments x (L, n, n) in array order, starting
-    afresh at every index where ``restart`` is set.
+def _scan(x: np.ndarray) -> np.ndarray:
+    """Inclusive prefix scan of step increments x (L, n, n): entry k is the
+    composite increment of steps 0..k.
 
-    The accumulated map a joined with the next entry b is a + b + b a, or
-    a + b + a b if ``flip`` (a scan run backwards in time).  Two levels, a
-    work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the entries are
-    cut into about sqrt(L) runs, each run is composed sequentially with all
-    runs in step, the run totals are scanned by the same routine, and
-    every entry is joined to the total before its run; about two products
-    per entry.  The runs are stored position-major, so each sequential
-    step reads and writes contiguous (runs, n, n) slabs.  A zero increment
-    is exactly the identity map, so padding to whole runs, and joining an
-    entry past a restart to zero, are exact.
+    Map D1 followed by map D2 is the map D1 + D2 + D2 D1, so composites
+    stay in increment form and I + D is never stored (see ``_step_maps``).
+    Two levels, a work-efficient scan (Blelloch, CMU-CS-90-190, 1990): the
+    entries are cut into about sqrt(L) runs, each run is composed
+    sequentially with all runs in step, the run totals are scanned by the
+    same routine, and every entry is joined to the total before its run;
+    about two products per entry.  The runs are stored position-major, so
+    each sequential step reads and writes contiguous (runs, n, n) slabs.  A
+    zero increment is exactly the identity map, so padding to whole runs
+    is exact.
     """
     size = len(x)
     if size == 1:
@@ -217,152 +202,53 @@ def _scan(x: np.ndarray, restart: np.ndarray | None, flip: bool) -> np.ndarray:
     flat = np.zeros((runs * run,) + shape)
     flat[:size] = x
     c = flat.reshape((runs, run) + shape).swapaxes(0, 1).copy()  # c[j, i]: entry i run + j
-    if restart is not None:
-        flags = np.zeros(runs * run, dtype=bool)
-        flags[:size] = restart
-        restart = flags.reshape(runs, run).T
-        fresh_at = restart.any(axis=1).tolist()
     for j in range(1, run):
         prev, cur = c[j - 1], c[j]
-        if restart is not None and fresh_at[j]:
-            prev = np.where(restart[j, :, None, None], 0.0, prev)
-        joined = prev @ cur if flip else cur @ prev
+        joined = cur @ prev
         cur += prev
         cur += joined
     if runs > 1:
-        totals = _scan(c[-1], None if restart is None else restart.any(axis=0), flip)
-        lead, body = totals[:-1], c[:, 1:]
-        if restart is not None:
-            fresh = np.logical_or.accumulate(restart[:, 1:], axis=0)
-            lead = np.where(fresh[..., None, None], 0.0, lead)
-        joined = lead @ body if flip else body @ lead
+        lead, body = _scan(c[-1])[:-1], c[:, 1:]
+        joined = body @ lead
         body += lead
         body += joined
     return c.swapaxes(0, 1).reshape((-1,) + shape)[:size]
 
 
-def _composites(
-    d: np.ndarray, suffix: bool, ends: np.ndarray | None = None
-) -> np.ndarray:
-    """Inclusive scans of step increments d (S, n, n): entry k is the
-    composite increment of steps 0..k, or of steps k..S-1 if ``suffix``.
-    A suffix scan may be cut into segments by their exclusive ``ends``
-    (ascending, the last one S): entry k then composes steps k to the end
-    of k's segment.
-
-    Map D1 followed by map D2 is the map D1 + D2 + D2 D1, so composites
-    stay in increment form and I + D is never stored (see ``_step_maps``).
-    """
-    if not suffix:
-        return _scan(d, None, flip=False)
-    restart = None
-    if ends is not None:
-        restart = np.zeros(len(d), dtype=bool)
-        restart[len(d) - np.asarray(ends)] = True
-    return _scan(d[::-1], restart, flip=True)[::-1]
-
-
-def _source_maps(h: np.ndarray, am: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Gain-free step factors (2, S, n, n) of a source R(t) = kron(rows(t),
-    G): with F = [F0, Fm] and F1 = h/6 I, one RK4 step maps Y to
-    Y + D[k] Y + Q[k], where block j of Q[k] is
-    (rows0[k, j] F0[k] + rowsm[k, j] Fm[k] + rows1[k, j] F1[k]) G for the
-    rows at the step's start, midpoint and end.
-
-    With R0, Rm, R1 the source at those three times,
-    Q = h/6 [M0 R0 + Mm Rm + R1], M0 = I + h Am + h^2/2 Am^2
-    + h^3/4 A1 Am^2 and Mm = 4 I + h (Am + A1) + h^2/2 A1 Am; as every R
-    is kron(ell, G), F = h/6 [M0, Mm] and G is left to the caller, which
-    applies it once to a contracted offset.  Q itself is never formed.
-    """
-    eye = np.eye(am.shape[-1])
-    h = h[:, None, None]
-    am2 = am @ am
-    m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
-    mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    return np.stack([m0, mm]) * (h / 6.0)
-
-
-def _source_chunk(
-    t: np.ndarray, am: np.ndarray, a1: np.ndarray, after: np.ndarray, terms: _Terms
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and source factors of the steps through the grid points ``t``
-    of a sourced march (see ``_rk4``), given A at their midpoints and ends
-    and C_{k+1} at each step.
-
-    Returns the unnormalised rows at the points and at the midpoints, the
-    factors F_k + C_{k+1} F_k (2, S, n, n) and h/6 (I + C_{k+1}) (S, n, n),
-    each divided by the divisor of the rows it meets: the start and end
-    points' for F0 and the last factor, the midpoint's for Fm.
-    """
-    h = np.diff(t)
-    ell, div = terms(t)
-    ell_mid, div_mid = terms(t[:-1] + 0.5 * h)
-    f = _source_maps(h, am, a1)
-    f += after @ f
-    f[0] /= div[:-1, None, None]
-    f[1] /= div_mid[:, None, None]
-    f_end = (h / 6.0)[:, None, None] * (np.eye(am.shape[-1]) + after)
-    f_end /= div[1:, None, None]
-    return ell, ell_mid, f, f_end
-
-
-def _block_steps(y: np.ndarray, sourced: bool) -> int:
-    """Steps per block of a march of Y (n, M n): _BUDGET over n * n
-    elements per step without a source and 2 n * n with one (see
-    _BUDGET).  The M interpolation rows per step do not set the block; a
-    sourced march evaluates them in chunks of _BUDGET // M steps."""
+def _block_steps(y: np.ndarray) -> int:
+    """Steps per block of a march of Y (n, n): _BUDGET over the n * n
+    elements per step (see _BUDGET)."""
     n = y.shape[0]
-    return max(1, _BUDGET // (2 * n * n if sourced else n * n))
+    return max(1, _BUDGET // (n * n))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up raises NumericalError below
 def _rk4(
-    times: np.ndarray,
-    stages: _Stages,
-    y0: np.ndarray,
-    keep: np.ndarray | list[int],
-    source: _Source | None = None,
+    times: np.ndarray, stages: _Stages, y0: np.ndarray, keep: np.ndarray | list[int]
 ) -> np.ndarray:
-    """Classical RK4 for Y' = A(t) Y + R(t) through ``times``; returns Y at
-    the grid indices ``keep``, stacked in their order.
+    """Classical RK4 for Y' = A(t) Y through ``times``; returns Y at the
+    grid indices ``keep``, stacked in their order.
 
-    The equation is linear, so each step is an affine map
-    Y -> Y + D Y + Q, and the march composes these maps per block instead
-    of applying them one by one.  A block holds as many steps as the
-    element budget _BUDGET allows for the march's per-step arrays
-    (``_block_steps``).  ``stages`` holds A at the grid points and
-    midpoints (see ``_stage_coefficients``); ``source`` is the pair
-    (terms, G) of R(t) = kron(ell(t), G), ell the unnormalised rows that
-    ``terms`` returns divided by their divisors.
-
-    Without a source, a two-level prefix scan of the block's increments
-    (``_composites``) gives the composite E_k of its first k steps, and
-    every kept snapshot in the block is Y_lo + E_k Y_lo at once.  With a
-    source, the block is cut into segments at its kept indices, and one
-    segmented suffix scan gives C_k, the composite of steps k to the end
-    of k's segment.  A segment maps Y to
-    Y + C_first Y + sum_k (I + C_{k+1}) Q_k, with C_{k+1} = 0 at its last
-    step.  The rows at the steps' start, midpoint and end points and the
-    gain-free factors F_k + C_{k+1} F_k (see ``_source_maps``) come in
-    chunks of _BUDGET // M steps that end at a segment's end, a segment
-    longer than that in a chunk of its own (``_source_chunk``); each row's
-    divisor divides the (n, n) factor it meets, so the (S, M) rows are
-    never normalised.  Per segment the factors are contracted with the
-    rows, one matrix product each, and G is applied once to the (M, n, n)
-    result.  No composite is inverted and only the kept
-    snapshots are stored.
+    The equation is linear, so each step is an affine map Y -> Y + D Y,
+    and the march composes these maps per block instead of applying them
+    one by one.  A block holds as many steps as the element budget
+    _BUDGET allows for the march's per-step arrays (``_block_steps``).
+    ``stages`` holds A at the grid points and midpoints (see
+    ``_stage_coefficients``).  A two-level prefix scan of the block's
+    increments (``_scan``) gives the composite E_k of its first k steps,
+    and every kept snapshot in the block is Y_lo + E_k Y_lo at once.  No
+    composite is inverted and only the kept snapshots are stored.
     """
     kept, slot = np.unique(np.asarray(keep, dtype=np.intp) % len(times), return_inverse=True)
     out = np.empty((len(kept),) + y0.shape)
     y = np.array(y0, dtype=float)
     out[kept == 0] = y
-    block = _block_steps(y, source is not None)
+    block = _block_steps(y)
     for lo in range(0, len(times) - 1, block):
         hi = min(lo + block, len(times) - 1)
         here = slice(*np.searchsorted(kept, [lo, hi], side="right"))
         y = _rk4_block(times[lo : hi + 1], stages[0][lo : hi + 1], stages[1][lo:hi],
-                       y, kept[here] - lo, out[here], source)
+                       y, kept[here] - lo, out[here])
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(out))):
         raise NumericalError("RK4 march blew up")
     return out[slot]
@@ -375,46 +261,15 @@ def _rk4_block(
     y: np.ndarray,
     inside: np.ndarray,
     out: np.ndarray,
-    source: _Source | None,
 ) -> np.ndarray:
     """One block of ``_rk4`` through the grid points ``t``, with A at them
     (``a``) and at their midpoints (``a_mid``): writes Y at the block's
     kept steps ``inside`` (ascending, in 1..S) to ``out`` and returns Y at
     its end.  The block's step increments and composites are locals, so
     they are freed before the next block's are built."""
-    n = y.shape[0]
-    d = _step_maps(np.diff(t), a[:-1], a_mid, a[1:])
-    if source is None:
-        e = _composites(d, suffix=False)
-        out[:] = y + e[inside - 1] @ y
-        return y + e[-1] @ y
-    terms, g = source
-    chunk = max(1, _BUDGET // (y.shape[1] // n))  # steps of M-wide rows at a time
-    cuts = np.union1d(inside, len(d))
-    c = _composites(d, suffix=True, ends=cuts)
-    del d  # folded into c; not held while the source chunks are built
-    after = np.zeros_like(c)  # C_{k+1}, zero at each segment's last step
-    after[:-1] = c[1:]
-    after[cuts - 1] = 0.0
-    top = 0  # rows and factors are held for the steps [base, top) of the block
-    for j, (s0, s1) in enumerate(zip(np.concatenate([[0], cuts[:-1]]), cuts)):
-        if s1 > top:
-            base = s0
-            top = cuts[max(j, np.searchsorted(cuts, s0 + chunk, side="right") - 1)]
-            ell, ell_mid, f, f_end = _source_chunk(
-                t[base : top + 1], a_mid[base:top], a[base + 1 : top + 1],
-                after[base:top], terms)
-        r0, r1 = s0 - base, s1 - base
-        offset = (
-            ell[r0:r1].T @ f[0, r0:r1].reshape(-1, n * n)
-            + ell_mid[r0:r1].T @ f[1, r0:r1].reshape(-1, n * n)
-            + ell[r0 + 1 : r1 + 1].T @ f_end[r0:r1].reshape(-1, n * n)
-        )  # (M, n * n): block j of the offset before G
-        offset = (offset.reshape(-1, n, n) @ g).transpose(1, 0, 2)
-        y = y + c[s0] @ y + offset.reshape(y.shape)
-        if j < len(inside):
-            out[j] = y
-    return y
+    e = _scan(_step_maps(np.diff(t), a[:-1], a_mid, a[1:]))
+    out[:] = y + e[inside - 1] @ y
+    return y + e[-1] @ y
 
 
 # ---------------------------------------------------------------------------
@@ -717,18 +572,19 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
 class MonodromyDDE:
     """Discretized time-T solution operator of the controlled system,
     acting on history node values (node-major layout: component c of node
-    j sits at index j * N + c).
+    j sits at index j * n + c).
 
-    ``matrix`` is the integral form and ``matrix_stepped`` the stepped
-    form; ``cross_residual`` is an upper bound on their relative
-    spectral-norm gap ||matrix - matrix_stepped||_2 / max(1,
-    ||matrix||_2), never below it (see ``linalg.relative_gap_bound``)."""
+    ``matrix`` is the integral form and ``matrix_collocated`` the
+    collocation form (see :func:`dde_monodromy`); ``cross_residual`` is an
+    upper bound on their relative spectral-norm gap ||matrix -
+    matrix_collocated||_2 / max(1, ||matrix||_2), never below it (see
+    ``linalg.relative_gap_bound``)."""
 
     problem: PeriodicLinearProblem
     alpha: float
     nodes: np.ndarray
     matrix: np.ndarray
-    matrix_stepped: np.ndarray
+    matrix_collocated: np.ndarray
     cross_residual: float
 
     @property
@@ -758,12 +614,69 @@ def _integer_at_least(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _integral_form(
+    y_fine: np.ndarray, sigma: np.ndarray, resample: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    """The integral form of the delay monodromy (see :func:`dde_monodromy`)
+    from the fundamental solution ``y_fine`` (P, n, n) of A + alpha K at
+    the P marks T + ``sigma``, with ``resample`` and ``gain`` as in
+    ``_collocation``."""
+    fine, nodes = resample.shape
+    n = gain.shape[0]
+    y_marks = y_fine[::2]  # Y(T + theta_i)
+    w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
+    # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
+    integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
+    cumulative = cumulative_matrix(sigma)[::2] @ integrand.reshape(fine, nodes * n * n)
+    # big[i, :, j, :] = -Y(T + theta_i) cumulative[i, j], one batched product
+    big = (y_marks[:, None] @ -cumulative.reshape(nodes, nodes, n, n)).transpose(0, 2, 1, 3)
+    big[:, :, nodes - 1, :] += y_marks
+    return big.reshape(nodes * n, nodes * n)
+
+
+def _collocation(
+    marks: np.ndarray, a_marks: np.ndarray, resample: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    """Monodromy of x' = B(t) x - G phi(t - T), collocated at the P
+    Lobatto ``marks`` on [0, T]: B at the marks is ``a_marks`` (P, n, n), G
+    is ``gain`` and ``resample`` (P, M) interpolates the history phi from
+    its M nodes to the marks less T.  Mark 2 i is T plus history node i.
+
+    With D the differentiation matrix on the marks, the values X of x at
+    the marks solve L X = R Phi, L = D kron I - blockdiag(B at the marks)
+    and R = resample kron (-G), whose first block rows are replaced by
+    x(0) = phi(0), the history's last node.  The monodromy is every other
+    block row of L^-1 R.  L and R are built transposed, so L^T and R^T are
+    C-ordered and L and R Fortran-ordered, and LAPACK factors and solves
+    them in place, without a copy of either.
+    """
+    fine, n = a_marks.shape[:2]
+    nodes = resample.shape[1]
+    eye = np.eye(n)
+    lt = np.zeros((fine, n, fine, n))  # lt[q, b, p, a] = L[p n + a, q n + b]
+    diff_t = differentiation_matrix(marks).T
+    for c in range(n):
+        lt[:, c, :, c] = diff_t
+    p = np.arange(fine)
+    lt[p, :, p, :] -= a_marks.transpose(0, 2, 1)
+    lt[:, :, 0, :] = 0.0
+    lt[0, :, 0, :] = eye
+    rt = resample.T[:, None, :, None] * -gain.T[:, None, :]  # rt[j, b, p, a] = R[p n + a, j n + b]
+    rt[:, :, 0, :] = 0.0
+    rt[-1, :, 0, :] = eye
+    lu = scipy.linalg.lu_factor(lt.reshape(fine * n, fine * n).T, overwrite_a=True,
+                                check_finite=False)
+    x = scipy.linalg.lu_solve(lu, rt.reshape(nodes * n, fine * n).T, overwrite_b=True,
+                              check_finite=False)
+    return x[np.arange(fine * n).reshape(fine, n)[::2].ravel()]
+
+
 def dde_monodromy(
     problem: PeriodicLinearProblem,
     alpha: float = 1.0,
     nodes: int = 64,
     tol: Tolerances = DEFAULT,
-    steps: int | None = None,
+    steps: int = 2048,
 ) -> MonodromyDDE:
     """Build the delay monodromy twice and cross-check.
 
@@ -773,51 +686,38 @@ def dde_monodromy(
         x(T + theta) = Y(T + theta) [ phi(0)
                         - int_{-T}^{theta} Y(T + s)^{-1} alpha K phi(s) ds ],
 
-    and phi is collocated on the Lobatto grid.  The integrand pairs the
-    degree-(M-1) interpolation basis with a smooth matrix factor, so the
-    quadrature runs on the doubled Lobatto grid (which contains the
-    history nodes); sampling it on the coarse grid alone would alias the
-    basis polynomials and stall the convergence near 1e-3.  Stepped form:
-    march the full node basis through the inhomogeneous equation, reading
-    the delayed term from the interpolated history.  Both land on the
-    same operator up to discretization error.  Their gap, reported as
-    ``cross_residual``, is an O(N^2) upper bound on the relative
-    spectral-norm difference ||integral - stepped||_2 / max(1,
-    ||integral||_2), N = n * nodes (see ``linalg.relative_gap_bound``),
-    never below the exact ratio; a gap above tol_xcheck raises
-    CrossCheckError.
+    and phi is collocated on the Lobatto grid of ``nodes`` points.  The
+    integrand pairs the degree-(M-1) interpolation basis with a smooth
+    matrix factor, so the quadrature runs on the doubled Lobatto grid of
+    2 nodes - 1 marks (which contains the history nodes); sampling it on
+    the coarse grid alone would alias the basis polynomials and stall the
+    convergence near 1e-3.  Y comes from one RK4 march of ``steps`` steps
+    on a grid that contains every mark (see ``_rk4``).
 
-    Both forms run on one time grid that contains every quadrature mark,
-    as two separate RK4 marches: Y alone for the integral form, the
-    history basis U for the stepped form.  They share only the samples of
-    A + alpha K, taken in batches of a fixed number of times; each march
-    builds its own affine step maps from them per block of steps and
-    composes them with its own scans (see ``_rk4``), so no composite
-    passes from one march to the other and none is inverted.  U's delayed
-    source kron(ell(t - T), -alpha K) enters through its unnormalised
-    interpolation rows, in chunks of steps, and two gain-free (n, n)
-    factors per step that the rows' divisors divide, with -alpha K applied
-    once per segment, never as a materialised (n, M n) source, and each
-    march keeps its snapshots only at the marks it reads, so memory does
-    not grow with the step count.
+    Collocation form: x' = (A(t) + alpha K) x - alpha K phi(t - T) is
+    collocated at the same marks (Butcher, Ma, Bueler, Averina & Szabo,
+    Int. J. Numer. Meth. Eng. 59, 2004), one dense solve of size
+    n (2 nodes - 1) and no march (see ``_collocation``).
+
+    The two forms share only sampled inputs: A + alpha K at the marks,
+    taken from the march's samples, and the rows that interpolate phi from
+    its nodes to the marks.  Both land on the same operator up to
+    discretization error.  Their gap, reported as ``cross_residual``, is
+    an O(N^2) upper bound on the relative spectral-norm difference
+    ||integral - collocated||_2 / max(1, ||integral||_2), N = n * nodes
+    (see ``linalg.relative_gap_bound``), never below the exact ratio; a
+    gap above tol_xcheck, or one that is not a number, raises
+    CrossCheckError.
     """
     nodes = _integer_at_least(nodes, "nodes", 4)
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
-    if steps is None:
-        # The stepped form integrates the interpolation basis, whose
-        # higher derivatives grow polynomially with the node count; a
-        # fixed step budget would let its RK4 error outrun the spectral
-        # integral form and trip the cross-check on refinement.
-        steps = max(2048, nodes * nodes)
     steps = _integer_at_least(steps, "steps", 16)
     n = problem.dimension
     period = problem.period
     gain = alpha * problem.feedback.gain
     theta = lobatto_nodes(nodes, -period, 0.0)
-    weights = barycentric_weights(nodes)
-    fine = 2 * nodes - 1
-    sigma = lobatto_nodes(fine, -period, 0.0)  # sigma[2i] == theta[i]
+    sigma = lobatto_nodes(2 * nodes - 1, -period, 0.0)  # sigma[2i] == theta[i]
     marks = period + sigma
 
     times = _aligned_times(marks, period, steps)
@@ -827,41 +727,23 @@ def dde_monodromy(
     if np.any(np.abs(times[mark_idx] - marks) > 1e-10 * period):
         raise NumericalError("history node missing from the time grid")
 
-    # the two forms march separately and share only these samples of A + alpha K
+    # the two forms share only these samples of A + alpha K and the rows
     stages = _stage_coefficients(problem, times, steps)
     stages = (stages[0] + gain, stages[1] + gain)
+    resample = interp_rows(theta, barycentric_weights(nodes), sigma)
 
-    # --- integral form -----------------------------------------------------
-    y_fine = _rk4(times, stages, np.eye(n), mark_idx)  # Y(T + sigma_p)
-    y_marks = y_fine[::2]                               # Y(T + theta_i)
-    quad_fine = cumulative_matrix(sigma)
-    w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
-    resample = interp_rows(theta, weights, sigma)
-    # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
-    integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
-    cumulative = quad_fine[::2] @ integrand.reshape(fine, nodes * n * n)
-    # big[i, :, j, :] = -Y(T + theta_i) cumulative[i, j], one batched product
-    big = (y_marks[:, None] @ -cumulative.reshape(nodes, nodes, n, n)).transpose(0, 2, 1, 3)
-    big[:, :, nodes - 1, :] += y_marks
-    integral_form = big.reshape(nodes * n, nodes * n)
+    # each form is built by a helper, so its temporaries are freed on return
+    integral_form = _integral_form(_rk4(times, stages, np.eye(n), mark_idx), sigma, resample,
+                                   gain)
+    collocated = _collocation(marks, stages[0][mark_idx], resample, gain)
 
-    # --- stepped form -------------------------------------------------------
-    def delayed(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # -alpha K x(t - T) = kron(ell(t - T), -alpha K) @ phi, node-major
-        return barycentric_terms(theta, weights, t - period)
-
-    u0 = np.zeros((n, nodes * n))
-    u0[:, (nodes - 1) * n :] = np.eye(n)  # x(0) is the history's last node
-    u_marks = _rk4(times, stages, u0, mark_idx[::2], source=(delayed, -gain))
-    stepped = u_marks.reshape(nodes * n, nodes * n)
-
-    gap = relative_gap_bound(integral_form, stepped)
-    if gap > tol.tol_xcheck:
+    gap = relative_gap_bound(integral_form, collocated)
+    if not gap <= tol.tol_xcheck:
         raise CrossCheckError(
             f"monodromy constructions disagree by {gap:.3e} at {nodes} nodes; "
             "refine the grid"
         )
-    return MonodromyDDE(problem, alpha, theta, integral_form, stepped, float(gap))
+    return MonodromyDDE(problem, alpha, theta, integral_form, collocated, float(gap))
 
 
 # ---------------------------------------------------------------------------

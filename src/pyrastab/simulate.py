@@ -176,6 +176,9 @@ class Trajectory:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t >= self.times[0]) & (t <= self.times[-1] * (1 + 1e-12) + 1e-300)):
             raise InputError("sample time outside the stored trajectory")
+        if len(self) == 1:  # a run stopped at its first step: no interval to interpolate
+            out = np.repeat(self.states, len(t), axis=0)
+            return out[0] if scalar else out
         idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self) - 2)
         h = self.times[idx + 1] - self.times[idx]
         u = np.clip((t - self.times[idx]) / h, 0.0, 1.0)[:, None]

@@ -8,7 +8,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from pyrastab import chebyshev
 from pyrastab.chebyshev import (
-    barycentric_terms,
     barycentric_weights,
     chebyshev_coefficients,
     cumulative_matrix,
@@ -170,28 +169,6 @@ def test_interp_rows_match_the_masked_rows_bit_for_bit(m, a, length, fractions, 
     rows = interp_rows(nodes, w, s)
     assert np.all(np.isfinite(rows))
     assert np.array_equal(rows, _masked_interp_rows(nodes, w, s))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 130),
-    st.floats(-5.0, 5.0),
-    st.floats(1e-3, 1e3),
-    st.lists(st.floats(-0.1, 1.1), max_size=20),
-    st.integers(0, 2**32 - 1),
-)
-def test_interp_rows_are_the_terms_over_their_divisor_bit_for_bit(m, a, length, fractions, seed):
-    # the march divides its per-step factors by the divisors instead of the
-    # rows: both must come from the one kernel interp_rows uses, on a node,
-    # between nodes and beyond both ends
-    nodes = lobatto_nodes(m, a, a + length)
-    w = barycentric_weights(m)
-    s = np.concatenate([a + length * np.array(fractions),
-                        np.random.default_rng(seed).choice(nodes, 5)])
-    terms, divisor = barycentric_terms(nodes, w, s)
-    assert terms.shape == (len(s), m) and divisor.shape == (len(s),)
-    assert np.array_equal(interp_rows(nodes, w, s), terms / divisor[:, None])
-    assert np.array_equal(divisor[-5:], np.ones(5))
 
 
 def _lagrange_rows(nodes, s):

@@ -29,7 +29,7 @@ from pyrastab.equilibria import (
     find_roots,
     scalar_characteristic,
 )
-from pyrastab.errors import InputError, NumericalError
+from pyrastab.errors import CrossCheckError, InputError, NumericalError
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
 from pyrastab.linalg import cluster_multiplicity, spectral_norm
 from pyrastab.periodic import (
@@ -254,86 +254,43 @@ def _constant_stages(a, steps):
     return np.broadcast_to(a, (steps + 1,) + a.shape), np.broadcast_to(a, (steps,) + a.shape)
 
 
-def _terms(rows, divisor=lambda t: np.ones(len(t))):
-    """A ``_rk4`` source's terms callable for the interpolation rows
-    ``rows``: rows(t) times divisor(t), returned with that divisor."""
-
-    def terms(t):
-        div = divisor(t)
-        return rows(t) * div[:, None], div
-
-    return terms
-
-
-def _ones(t):
-    return np.ones((len(t), 1))
-
-
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-    reason="long double is no wider than double here",
-)
-def test_long_sourced_march_does_not_drift():
-    # with rows = 1 (M = 1) and constant A and G the sourced march is RK4 on
-    # [Y; I]' = [[A, G], [0, 0]] [Y; I], so over N steps it is R(h Ã)^N
-    # applied to [Y0; I]; the reference is that power in long double
-    prob = get_case("center-periodic").problem()
-    a = prob.coefficient_at(0.0)
-    g = np.array([[0.3, -0.2], [0.1, 0.4]])
-    steps = 16384
-    times = np.linspace(0.0, prob.period, steps + 1)
-    stages = _constant_stages(a, steps)
-    y0 = np.eye(2)
-    got = periodic._rk4(times, stages, y0, [steps], source=(_terms(_ones), g))[0]
-    augmented = np.block([[a, g], [np.zeros((2, 4))]])
-    z = (prob.period / steps * augmented).astype(np.longdouble)
-    start = np.vstack([y0, np.eye(2)]).astype(np.longdouble)
-    expect = (np.linalg.matrix_power(_rk4_stability(z), steps) @ start)[:2].astype(float)
-    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-
-
-# an element budget that cuts the test marches into blocks of 14 to 256
+# an element budget that cuts the test marches into blocks of 28 to 256
 # steps, so that a stage-loop reference can follow them across block edges
 _SMALL_BUDGET = 256
 
 
-def _small_block(y0, with_source):
+def _small_block(y0):
     """``_rk4``'s block length for Y shaped like y0 under _SMALL_BUDGET."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
-        return periodic._block_steps(y0, with_source)
+        return periodic._block_steps(y0)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("with_source", [False, True])
-def test_rk4_raises_when_the_march_blows_up(with_source, monkeypatch):
+def test_rk4_raises_when_the_march_blows_up(monkeypatch):
     # R(hA) ~ 5e4 per step for a block and 44 steps: far past the double range
     monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
-    block = periodic._block_steps(np.eye(2), with_source)
+    block = periodic._block_steps(np.eye(2))
     steps = block + 44
     times = np.linspace(0.0, 1.0, steps + 1)
     a = 1e4 * np.eye(2)
     stages = _constant_stages(a, steps)
-    source = (_terms(_ones), np.eye(2)) if with_source else None
     with pytest.raises(NumericalError, match="RK4 march blew up"):
-        periodic._rk4(times, stages, np.eye(2), [0, block, steps], source=source)
+        periodic._rk4(times, stages, np.eye(2), [0, block, steps])
 
 
 @st.composite
 def _march_cases(draw):
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 4))
-    with_source = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
-    block = _small_block(np.zeros((n, m * n if with_source else n)), with_source)
+    block = _small_block(np.zeros((n, n)))
     steps = draw(st.integers(block + 1, 2 * block + 40))
     pattern = draw(st.sampled_from(["scattered", "every", "runs"]))
     if pattern == "every":
         # every grid index, as ode_monodromy keeps them
         keep = list(range(steps + 1))
     elif pattern == "runs":
-        # consecutive indices on both sides of each block edge: one-step
-        # segments for the sourced march
+        # consecutive indices on both sides of each block edge
         before, after = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         keep = sorted({
             k
@@ -344,39 +301,24 @@ def _march_cases(draw):
         edges = [0, block - 1, block, block + 1, steps, -1]
         keep = draw(st.lists(st.sampled_from(edges + list(range(steps + 1))), max_size=8))
         keep = draw(st.permutations(keep + [0, block, block]))
-    return n, m, with_source, seed, steps, keep
+    return n, seed, steps, keep
 
 
 @settings(max_examples=75, deadline=None)
 @given(_march_cases())
 def test_rk4_matches_stage_loop_across_blocks(case):
-    n, m, with_source, seed, steps, keep = case
+    n, seed, steps, keep = case
     rng = np.random.default_rng(seed)
     period = rng.uniform(0.5, 2.0)
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (rng.integers(1, 6), n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
     stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
-    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
-    g = rng.uniform(-1.0, 1.0, (n, n))
-
-    def rows(t):
-        return np.cos(np.outer(t, freq) + phase)
-
-    def divisor(t):
-        return 1.5 + np.sin(3.0 * t)
-
+    y0 = rng.uniform(-1.0, 1.0, (n, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
-        if with_source:
-            y0 = rng.uniform(-1.0, 1.0, (n, m * n))
-            got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows, divisor), g))
-            ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)
-        else:
-            y0 = rng.uniform(-1.0, 1.0, (n, n))
-            got = periodic._rk4(times, stages, y0, keep)
-            ref = _stage_loop(coeff, lambda t: 0.0, times, y0)
-    ref = ref[keep]
+        got = periodic._rk4(times, stages, y0, keep)
+    ref = _stage_loop(coeff, lambda t: 0.0, times, y0)[keep]
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -385,43 +327,35 @@ def test_rk4_matches_stage_loop_with_a_many_mode_coefficient(monkeypatch):
     # 300 samples give 151 modes, so the coefficient's phase table is built
     # in two levels (b = 12); the march still matches the textbook loop
     rng = np.random.default_rng(8)
-    n, m, period = 2, 5, 1.3
-    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
+    n, period = 2, 1.3
+    y0 = rng.uniform(-1.0, 1.0, (n, n))
     monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
-    block = periodic._block_steps(y0, True)
+    block = periodic._block_steps(y0)
     steps = 8 * block + 37
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (300, n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
     stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
-    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
-    g = rng.uniform(-1.0, 1.0, (n, n))
-
-    def rows(t):
-        return np.cos(np.outer(t, freq) + phase)
-
     keep = [0, block, steps]
-    got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows), g))
-    ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
+    got = periodic._rk4(times, stages, y0, keep)
+    ref = _stage_loop(coeff, lambda t: 0.0, times, y0)[keep]
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("with_source", [False, True])
-def test_march_memory_does_not_grow_with_the_step_count(with_source):
+def test_march_memory_does_not_grow_with_the_step_count():
     # blocks are cut to a fixed element budget, so a march four times as
     # long peaks at about the same allocation: only the kept snapshots
     # are stored, and every per-step array lives for one block
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     y0 = np.eye(2)
-    source = (_terms(_ones), np.eye(2)) if with_source else None
-    block = periodic._block_steps(y0, with_source)
+    block = periodic._block_steps(y0)
 
     def peak(steps):
         times = np.linspace(0.0, 1.0, steps + 1)
         stages = _constant_stages(a, steps)
         tracemalloc.start()
         try:
-            periodic._rk4(times, stages, y0, [steps], source=source)
+            periodic._rk4(times, stages, y0, [steps])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -432,143 +366,44 @@ def test_march_memory_does_not_grow_with_the_step_count(with_source):
     assert short <= 16 * 8 * periodic._BUDGET
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_rk4_matches_stage_loop_with_row_chunks_shorter_than_a_segment(n, monkeypatch):
-    # M = 16 rows under _SMALL_BUDGET come in chunks of 16 steps: shorter
-    # than the longest segments (up to a block of 128 or 32 steps), which
-    # get a chunk each, and longer than runs of short segments, so chunk
-    # edges fall inside a scan block
-    rng = np.random.default_rng(40 + n)
-    m, period = 16, 1.1
-    monkeypatch.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
-    block = periodic._block_steps(np.zeros((n, m * n)), True)
-    chunk = _SMALL_BUDGET // m
-    steps = 3 * block + 11
-    keep = [0, 3, 4, 5, 6, 7, *range(block + 5, 2 * block, 5), 2 * block + 2, steps]
-    ends = sorted(set(keep[1:]) | set(range(block, steps, block)))
-    segments = np.diff([0] + ends)
-    assert segments.max() > chunk and sum(segments[:5]) < chunk
-    coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (3, n, n)), period)
-    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
-    times *= period / times[-1]
-    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
-    freq, phase = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2 * np.pi, m)
-    g = rng.uniform(-1.0, 1.0, (n, n))
-    y0 = rng.uniform(-1.0, 1.0, (n, m * n))
-
-    def rows(t):
-        return np.cos(np.outer(t, freq) + phase)
-
-    def divisor(t):
-        return 0.7 + np.cos(5.0 * t) ** 2
-
-    got = periodic._rk4(times, stages, y0, keep, source=(_terms(rows, divisor), g))
-    ref = _stage_loop(coeff, lambda t: np.kron(rows(np.array([t]))[0], g), times, y0)[keep]
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def _sequential_composites(d, suffix, ends=None):
-    """The composites of ``_composites`` one step at a time: D1 then D2 is
+def _sequential_composites(d):
+    """The prefix composites of ``_scan`` one step at a time: D1 then D2 is
     D1 + D2 + D2 D1."""
     out = np.empty_like(d)
     acc = np.zeros_like(d[0])
-    if not suffix:
-        for k in range(len(d)):
-            acc = acc + d[k] + d[k] @ acc
-            out[k] = acc
-        return out
-    ends = {len(d)} if ends is None else set(ends)
-    for k in range(len(d) - 1, -1, -1):
-        if k + 1 in ends:
-            acc = np.zeros_like(d[0])
-        acc = d[k] + acc + acc @ d[k]
+    for k in range(len(d)):
+        acc = acc + d[k] + d[k] @ acc
         out[k] = acc
     return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.integers(1, 300),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["prefix", "suffix", "segments"]),
-)
-@example(2, 1, 0, "segments")
-@example(2, 256, 1, "segments")
-@example(2, 257, 2, "prefix")
-def test_two_level_scan_matches_sequential_composition(n, length, seed, kind):
+@given(st.integers(1, 3), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example(2, 1, 0)
+@example(2, 256, 1)
+@example(2, 257, 2)
+def test_two_level_scan_matches_sequential_composition(n, length, seed):
     rng = np.random.default_rng(seed)
     d = rng.uniform(-0.2, 0.2, (length, n, n))
-    ends = None
-    if kind == "segments":
-        # ascending exclusive ends with the last at ``length``; runs of
-        # consecutive ends make one-step segments
-        picks = rng.integers(1, length + 1, rng.integers(0, 8))
-        first = rng.integers(1, length + 1)
-        picks = np.concatenate([picks, np.arange(first, min(first + 3, length + 1))])
-        ends = np.union1d(picks, [length])
-    got = periodic._composites(d, kind != "prefix", ends)
-    ref = _sequential_composites(d, kind != "prefix", ends)
+    got = periodic._scan(d)
+    ref = _sequential_composites(d)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
-def _einsum_source_maps(h, am, a1, g, rows, rows_mid):
-    """Step offsets by one einsum over gain-free (S, 3, n, n) factors and
-    a reshape copy, with G applied to each contracted block."""
-    n = g.shape[0]
-    eye = np.eye(n)
-    h = h[:, None, None]
-    am2 = am @ am
-    m0 = eye + h * am + (0.5 * h * h) * am2 + (0.25 * h**3) * (a1 @ am2)
-    mm = 4.0 * eye + h * (am + a1) + (0.5 * h * h) * (a1 @ am)
-    factors = np.stack([m0, mm, np.broadcast_to(eye, m0.shape)], axis=1)
-    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1) * (h / 6.0)
-    q = np.einsum("ksac,ksj->kjac", factors, ell, optimize=True) @ g
-    return q.transpose(0, 2, 1, 3).reshape(len(h), n, -1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.integers(2, 40),
-    st.integers(1, 300),
-    st.integers(0, 2**32 - 1),
-)
-@example(1, 2, 1, 969)  # the three summands cancel: the error is 1.5e-15 of the result
-def test_source_maps_match_einsum_reference(n, m, steps, seed):
-    rng = np.random.default_rng(seed)
-    h = rng.uniform(1e-3, 0.5, steps)
-    am, a1 = rng.uniform(-2.0, 2.0, (2, steps, n, n))
-    g = rng.uniform(-1.0, 1.0, (n, n))
-    rows, rows_mid = rng.uniform(-1.0, 1.0, (steps + 1, m)), rng.uniform(-1.0, 1.0, (steps, m))
-    # the per-step offsets rebuilt from the gain-free factors and the rows:
-    # block j of Q[k] is (sum_s L[k, s, j] F[k, s]) G with F[k, 2] = h/6 I
-    f0, fm = periodic._source_maps(h, am, a1)
-    assert f0.shape == fm.shape == (steps, n, n)
-    f1 = (h / 6.0)[:, None, None] * np.eye(n)
-    ell = np.stack([rows[:-1], rows_mid, rows[1:]], axis=1)
-    factors = np.stack([f0, fm, f1], axis=1)
-    got = np.array([sum(np.kron(ell[k, s], factors[k, s] @ g) for s in range(3))
-                    for k in range(steps)])
-    ref = _einsum_source_maps(h, am, a1, g, rows, rows_mid)
-    assert got.shape == ref.shape == (steps, n, m * n)
-    # rounding is relative to the summands, which may cancel in the result
-    size = max(np.max(sum(np.abs(np.kron(ell[k, s], factors[k, s] @ g)) for s in range(3)))
-               for k in range(steps))
-    assert np.max(np.abs(got - ref)) <= 1e-15 * size
-
-
-def test_dde_stepped_form_matches_stage_loop_reference():
-    from pyrastab.chebyshev import barycentric_weights, interp_row, lobatto_nodes
+def test_dde_collocated_form_matches_stage_loop_reference():
+    # the history basis marched by the textbook loop through
+    # U' = (A + G) U - G phi(t - T); at 2048 steps its RK4 error is about
+    # 5e-11 of the result (8e-10 at 1024), and the collocation's own error
+    # at 16 nodes about 3e-11
+    from pyrastab.chebyshev import barycentric_weights, interp_row
 
     prob = get_case("trig-periodic").problem()
-    nodes, steps, period = 6, 64, prob.period
+    nodes, steps, period = 16, 2048, prob.period
     gain = prob.feedback.gain
     theta = lobatto_nodes(nodes, -period, 0.0)
     weights = barycentric_weights(nodes)
-    marks = period + lobatto_nodes(2 * nodes - 1, -period, 0.0)
-    times = np.union1d(np.linspace(0.0, period, steps + 1), marks)
+    times = np.union1d(np.linspace(0.0, period, steps + 1), period + theta)
     times = times[np.concatenate([[True], np.diff(times) > 1e-13 * period])]
     times[-1] = period
 
@@ -581,12 +416,10 @@ def test_dde_stepped_form_matches_stage_loop_reference():
         times,
         history(0.0),
     )
-    idx = [int(np.argmin(np.abs(times - m))) for m in marks[::2]]
+    idx = [int(np.argmin(np.abs(times - m))) for m in period + theta]
     ref = np.concatenate([u[i] for i in idx])
-    # a grid this coarse fails the cross-check; only the stepped form is compared
-    loose = DEFAULT.replace(tol_xcheck=1.0)
-    got = dde_monodromy(prob, nodes=nodes, tol=loose, steps=steps).matrix_stepped
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    got = dde_monodromy(prob, nodes=nodes).matrix_collocated
+    assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # --- Floquet decomposition ------------------------------------------------------
@@ -806,10 +639,59 @@ def test_cross_residual_bounds_the_svd_gap_closely_on_the_catalog(name, nodes):
     # the O(N^2) bound is never below the exact relative gap (up to an ulp
     # or two of rounding) and at most twice it on the periodic catalog
     dde = dde_monodromy(get_case(name).problem(), nodes=nodes)
-    diff = dde.matrix - dde.matrix_stepped
+    diff = dde.matrix - dde.matrix_collocated
     gap = spectral_norm(diff) / max(1.0, spectral_norm(dde.matrix))
     assert gap * (1.0 - 8.0 * np.finfo(float).eps) <= dde.cross_residual <= 2.0 * gap
     assert dde.cross_residual < DEFAULT.tol_xcheck
+
+
+@pytest.mark.parametrize("name", _PERIODIC_CASES)
+def test_cross_check_catches_a_collocation_with_the_gain_sign_flipped(name, monkeypatch):
+    # the collocation of x' = (A + K) x + K phi(t - T) instead of - K phi:
+    # the constructions then disagree far above tol_xcheck
+    collocation = periodic._collocation
+
+    def flipped(marks, a_marks, resample, gain):
+        return collocation(marks, a_marks, resample, -gain)
+
+    monkeypatch.setattr(periodic, "_collocation", flipped)
+    with pytest.raises(CrossCheckError, match="disagree"):
+        dde_monodromy(get_case(name).problem(), nodes=32)
+
+
+@st.composite
+def _constant_problems(draw):
+    """A constant J = S core S^-1 with ``planted`` dimensions of multiplier 1
+    at T = 2 pi (blocks 0 and the rotation of frequency 1) beside a random
+    block, S a rotation with scales in [e^-0.5, e^0.5], a random gain, and
+    a node count."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, planted = [], draw(st.integers(0, n))
+    dim = 0
+    while dim < planted:
+        rotation = planted - dim >= 2 and draw(st.booleans())
+        blocks.append(np.array([[0.0, -1.0], [1.0, 0.0]]) if rotation else np.zeros((1, 1)))
+        dim += len(blocks[-1])
+    if n > dim:
+        blocks.append(rng.uniform(-0.5, 0.5, (n - dim, n - dim)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = q * np.exp(rng.uniform(-0.5, 0.5, n))
+    j = s @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(s)
+    gain = rng.uniform(-0.5, 0.5, (n, n))
+    nodes = draw(st.integers(16, 48))
+    return _periodic(ConstantCoefficient(j), 2 * np.pi, gain), nodes, planted
+
+
+@settings(max_examples=8, deadline=None)
+@given(_constant_problems())
+def test_collocation_agrees_with_the_integral_form_on_constant_problems(case):
+    prob, nodes, planted = case
+    dde = dde_monodromy(prob, nodes=nodes)
+    assert dde.cross_residual <= DEFAULT.tol_xcheck
+    at_one = [cluster_multiplicity(m, 1.0 + 0.0j, DEFAULT.tol_one, DEFAULT.rank_factor)[1]
+              for m in (dde.matrix, dde.matrix_collocated)]
+    assert at_one == [planted, planted]
 
 
 def test_dde_monodromy_cross_residual_small():
@@ -889,7 +771,7 @@ def test_dde_monodromy_plain_callable_matches_batched_coefficient():
     a = dde_monodromy(trig, nodes=16)
     b = dde_monodromy(plain, nodes=16)
     assert b.cross_residual <= DEFAULT.tol_xcheck
-    for x, y in ((a.matrix, b.matrix), (a.matrix_stepped, b.matrix_stepped)):
+    for x, y in ((a.matrix, b.matrix), (a.matrix_collocated, b.matrix_collocated)):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
     assert b.cross_residual == pytest.approx(a.cross_residual, abs=1e-12)
 
@@ -904,7 +786,7 @@ def test_grid_sampling_matches_the_per_time_path(name):
     a, b = ode_monodromy(prob).matrix, ode_monodromy(plain).matrix
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
     a, b = dde_monodromy(prob, nodes=16), dde_monodromy(plain, nodes=16)
-    for x, y in ((a.matrix, b.matrix), (a.matrix_stepped, b.matrix_stepped)):
+    for x, y in ((a.matrix, b.matrix), (a.matrix_collocated, b.matrix_collocated)):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
 

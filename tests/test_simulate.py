@@ -217,6 +217,18 @@ def test_blow_up_truncates_with_flag():
     assert np.all(np.isfinite(traj.states))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_one_point_trajectory_samples_its_stored_state():
+    # the first step overflows, so the run keeps only its start
+    field = LinearField(np.array([[8e77]]))
+    fb = DelayFeedback(np.array([[0.1]]), 1.0)
+    hist = HistorySegment.from_constant(np.array([1e7]), 1.0)
+    traj = integrate(field, fb, hist, 2.0, dt=1.0 / 64)
+    assert len(traj) == 1 and traj.blown_at is not None
+    assert np.array_equal(traj.sample(0.0), traj.states[0])
+    assert np.array_equal(traj.sample([0.0, 0.0]), traj.states[[0, 0]])
+
+
 def test_integrate_rejects_non_finite_t_end():
     field = LinearField(np.array([[-1.0]]))
     fb = DelayFeedback(np.array([[0.5]]), 1.0)
