@@ -48,7 +48,8 @@ class SingularMonodromyError(NumericalError):
 
 
 class InconclusiveMultiplicityError(NumericalError):
-    """Geometric multiplicity estimate changed under grid refinement; the
+    """Geometric multiplicity estimate changed under grid refinement, or a
+    singular value sits too close to the rank threshold to decide; the
     discretization does not certify a value."""
 
 

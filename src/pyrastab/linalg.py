@@ -11,6 +11,20 @@ the answer survives non-normality (raw singular-value thresholds
 against a badly scaled matrix do not); a ``SchurForm`` is computed once
 per matrix, real for a real matrix, gives its eigenvalues, and reorders
 a copy of itself for each cluster.
+
+The dimension of one kernel needs no Schur form when the matrix splits
+into an invertible A11 and a small trailing A22: dim ker [[A11, A12],
+[A21, A22]] = dim ker S, S = A22 - A21 A11^-1 A12, since a kernel vector
+(v1, v2) has v1 = -A11^-1 A12 v2.  ``schur_complement`` gives S from one LU
+of A11, with LAPACK's estimate of 1 / ||A11^-1||_1.  The delay monodromy's
+multiplicity at 1 (``periodic``) is the n x n S of M - I, split before the
+n columns of phi(0).  No kernel vector is lost: one with phi(0) = 0 would
+be a periodic solution vanishing at t = 0, which is zero.  S is the ODE's
+Y(T) - I up to the discretization, so its rank rule has the floor tol_one,
+the radius the ODE's Schur rule counts within.  Guard rails: an A11 whose
+estimate falls below a fixed absolute floor raises NumericalError, and a
+singular value of S between 10 tol_one and a fixed multiple of it raises
+InconclusiveMultiplicityError.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ __all__ = [
     "relative_gap_bound",
     "svd_rank",
     "kernel_basis",
+    "schur_complement",
     "SchurForm",
     "cluster_multiplicity",
 ]
@@ -67,6 +82,37 @@ def kernel_basis(a: np.ndarray, rank_factor: float = 1e4, floor: float = 0.0) ->
     a = np.atleast_2d(np.asarray(a))
     _, svals, vh = scipy.linalg.svd(a)
     return vh[svd_rank(svals, max(a.shape), rank_factor, floor):].conj().T
+
+
+def schur_complement(a: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """The Schur complement S = A22 - A21 A11^-1 A12 of the square ``a``
+    split before its last ``k`` rows and columns (A22 is k x k), and an
+    estimate of 1 / ||A11^-1||_1, the 1-norm distance from A11 to the
+    singular matrices.
+
+    One LU of A11 (LAPACK ``getrf``) serves the k solves (``getrs``) and the
+    estimate, rcond ||A11||_1 from ``gecon``.  A matrix that is not finite,
+    or an exactly zero pivot, raises NumericalError; how close to singular
+    A11 may come is for the caller to judge from the estimate.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not 0 <= k <= a.shape[0]:
+        raise ValueError("a Schur complement needs a square matrix and 0 <= k <= its size")
+    m = a.shape[0] - k
+    if not np.isfinite(a).all():
+        raise NumericalError("a Schur complement needs a finite matrix")
+    if m == 0:
+        return a.copy(), np.inf
+    a11 = np.array(a[:m, :m], order="F")
+    getrf, gecon, getrs = scipy.linalg.lapack.get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                                               (a11,))
+    anorm = np.linalg.norm(a11, 1)
+    lu, piv, info = getrf(a11, overwrite_a=True)
+    if info != 0:
+        raise NumericalError("the leading block of the Schur complement is singular")
+    rcond, _ = gecon(lu, anorm, norm="1")
+    x, _ = getrs(lu, piv, a[:m, m:])
+    return a[m:, m:] - a[m:, :m] @ x, float(rcond * anorm)
 
 
 def _within(eigs: np.ndarray, value: complex, band: float) -> np.ndarray:

@@ -46,7 +46,6 @@ The exclusion rules use the common-eigenvector reduction that
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +72,14 @@ from .errors import (
     NumericalError,
     SingularMonodromyError,
 )
-from .linalg import SchurForm, cluster_multiplicity, relative_gap_bound, spectral_norm
+from .linalg import (
+    SchurForm,
+    cluster_multiplicity,
+    relative_gap_bound,
+    schur_complement,
+    spectral_norm,
+    svd_rank,
+)
 from .problems import PeriodicLinearProblem
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -624,7 +630,10 @@ def _integral_form(
     fine, nodes = resample.shape
     n = gain.shape[0]
     y_marks = y_fine[::2]  # Y(T + theta_i)
-    w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
+    try:
+        w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
+    except np.linalg.LinAlgError as err:
+        raise NumericalError("fundamental solution is singular at a quadrature mark") from err
     # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
     integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
     cumulative = cumulative_matrix(sigma)[::2] @ integrand.reshape(fine, nodes * n * n)
@@ -749,6 +758,51 @@ def dde_monodromy(
 # ---------------------------------------------------------------------------
 # determining-center invariance
 
+# Floor on 1 / ||A11^-1||_1, the distance from the leading block A11 of
+# M - I to the singular matrices (see ``_unit_geometric``), below which the
+# Schur complement is not trusted.  It is an absolute bound: a large
+# multiplier makes ||A11|| large and the relative rcond small without A11
+# coming near singular.  On the five periodic catalog cases at 16-128 nodes
+# the bound is 0.059 on center-periodic (multiplier 2.87e5, rcond 1.8e-7)
+# and 0.24-0.74 on the others, at least 590 times this floor; on random
+# problems with n <= 6 and gains in [-0.5, 0.5] it stayed above 2e-3.
+_A11_FLOOR = 1e-4
+
+# S counts a singular value at most tol_one as zero, and one in
+# (10 tol_one, _BAND * 10 tol_one] raises InconclusiveMultiplicityError.
+# Eliminating the history's interior leaves the periodicity condition on
+# phi(0) alone, so S is the ODE's Y(T) - I up to the discretization, and
+# its singular values measure how far the ODE multipliers lie from 1: hence
+# g_ode's radius tol_one.  The gain moves a multiplier of M near 1 by about
+# a factor |1 - k T|, so a singular value of S in the band may belong to a
+# multiplier of M within tol_one of 1, which the Schur rule on M would
+# count.  On the periodic catalog at 16-128 nodes the zero singular values
+# are at most 2.0e-8 (orbit-neutral at 16 nodes; 1.9e-10 from 32 nodes),
+# 49x below tol_one, and the others at least 0.39 (trig-periodic), 39x
+# above the band.
+_BAND = 1e3
+
+
+def _unit_geometric(matrix: np.ndarray, n: int, tol: Tolerances) -> int:
+    """dim ker(M - I) of the delay monodromy M of an n-dimensional problem,
+    from the n x n Schur complement S of M - I split before the n columns
+    of phi(0) (see ``check_determining_invariance``, _A11_FLOOR and _BAND).
+    """
+    s, bound = schur_complement(matrix - np.eye(len(matrix)), n)
+    if not bound >= _A11_FLOOR:
+        raise NumericalError(
+            f"leading block of M - I is {bound:.3e} from singular, below {_A11_FLOOR:.0e}"
+        )
+    svals = scipy.linalg.svdvals(s)
+    low = 10.0 * tol.tol_one
+    near = svals[(svals > low) & (svals <= _BAND * low)]
+    if len(near):
+        raise InconclusiveMultiplicityError(
+            f"singular value {near[-1]:.3e} of the Schur complement of M - I lies "
+            f"between {low:.1e} and {_BAND * low:.1e}"
+        )
+    return n - svd_rank(svals, n, tol.rank_factor, tol.tol_one)
+
 
 @dataclass(frozen=True)
 class DeterminingInvariance:
@@ -770,6 +824,20 @@ def check_determining_invariance(
     """Geometric multiplicity of multiplier 1, uncontrolled vs controlled
     at full feedback strength.
 
+    The uncontrolled value is the Schur rule of ``cluster_multiplicity`` on
+    the n x n ODE monodromy.  The controlled value is dim ker(M - I) of the
+    delay monodromy M, N = n * nodes rows, from the n x n Schur complement
+    S = A22 - A21 A11^-1 A12 of M - I split before the n columns of phi(0):
+    one LU of A11, n solves and the singular values of S, with the rank
+    rule ``svd_rank(., n, rank_factor, tol_one)``.  No kernel vector is
+    lost, because a periodic solution with phi(0) = 0 is zero.  S is the
+    ODE's Y(T) - I up to the discretization, so it is held to the radius
+    tol_one that g_ode's Schur rule counts within.  Two guard rails keep S
+    honest: an A11 whose distance to singular, 1 / ||A11^-1||_1 estimated
+    by LAPACK ``gecon``, is below a fixed floor raises NumericalError, and
+    a singular value of S between 10 tol_one and a fixed multiple of it
+    raises InconclusiveMultiplicityError.
+
     The controlled value is recomputed on a doubled grid; if refinement
     changes it the discretization has not converged and the check raises
     rather than certify a wrong dimension.  ``monodromy`` is the problem's
@@ -779,11 +847,11 @@ def check_determining_invariance(
     mono = ode_monodromy(problem) if monodromy is None else monodromy
     if mono.problem is not problem:
         raise InputError("the monodromy was built for a different problem")
+    g_ode = cluster_multiplicity(mono.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)[1]
     # built one at a time, each only once the one before has its multiplicity
-    controlled = (dde_monodromy(problem, nodes=m, tol=tol).matrix for m in (nodes, 2 * nodes))
-    g_ode, g_dde, g_refined = (
-        cluster_multiplicity(mat, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)[1]
-        for mat in itertools.chain([mono.matrix], controlled)
+    g_dde, g_refined = (
+        _unit_geometric(dde_monodromy(problem, nodes=m, tol=tol).matrix, problem.dimension, tol)
+        for m in (nodes, 2 * nodes)
     )
     if g_dde != g_refined:
         raise InconclusiveMultiplicityError(

@@ -23,6 +23,7 @@ from pyrastab.linalg import (
     cluster_multiplicity,
     kernel_basis,
     relative_gap_bound,
+    schur_complement,
     spectral_norm,
     svd_rank,
 )
@@ -144,6 +145,34 @@ def test_kernel_basis_spans_the_kernel():
 
 def test_kernel_basis_full_rank_is_empty():
     assert kernel_basis(np.eye(3)).shape == (3, 0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_schur_complement_inverts_the_trailing_block_of_the_inverse(dtype, k):
+    # S^-1 is the trailing k x k block of a^-1, and the estimate of
+    # 1 / ||A11^-1||_1 is never below it and at most a few times above
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((6, 6)).astype(dtype)
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((6, 6))
+    s, bound = schur_complement(a, k)
+    assert s.shape == (k, k) and s.dtype == a.dtype
+    if k:
+        assert np.linalg.inv(s) == pytest.approx(np.linalg.inv(a)[6 - k:, 6 - k:], abs=1e-12)
+    if k == 6:
+        assert bound == np.inf
+    else:
+        exact = 1.0 / np.linalg.norm(np.linalg.inv(a[:6 - k, :6 - k]), 1)
+        assert exact * (1.0 - 1e-12) <= bound <= 3.0 * exact
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_schur_complement_raises_a_numerical_error_on_a_singular_or_non_finite_block(bad):
+    a = np.eye(4)
+    a[1, 1] = bad
+    with pytest.raises(NumericalError):
+        schur_complement(a, 1)
 
 
 def _similar(rng, block):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pyrastab import periodic
@@ -29,9 +29,14 @@ from pyrastab.equilibria import (
     find_roots,
     scalar_characteristic,
 )
-from pyrastab.errors import CrossCheckError, InputError, NumericalError
+from pyrastab.errors import (
+    CrossCheckError,
+    InconclusiveMultiplicityError,
+    InputError,
+    NumericalError,
+)
 from pyrastab.fields import ConstantCoefficient, TrigCoefficient
-from pyrastab.linalg import cluster_multiplicity, spectral_norm
+from pyrastab.linalg import cluster_multiplicity, schur_complement, spectral_norm
 from pyrastab.periodic import (
     check_determining_invariance,
     dde_monodromy,
@@ -659,16 +664,10 @@ def test_cross_check_catches_a_collocation_with_the_gain_sign_flipped(name, monk
         dde_monodromy(get_case(name).problem(), nodes=32)
 
 
-@st.composite
-def _constant_problems(draw):
-    """A constant J = S core S^-1 with ``planted`` dimensions of multiplier 1
-    at T = 2 pi (blocks 0 and the rotation of frequency 1) beside a random
-    block, S a rotation with scales in [e^-0.5, e^0.5], a random gain, and
-    a node count."""
-    n = draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks, planted = [], draw(st.integers(0, n))
-    dim = 0
+def _planted_block(draw, rng, n, planted):
+    """A real n x n matrix S core S^-1 with ``planted`` dimensions of
+    eigenvalue 0 or +-i (multiplier 1 at T = 2 pi) beside a random block."""
+    blocks, dim = [], 0
     while dim < planted:
         rotation = planted - dim >= 2 and draw(st.booleans())
         blocks.append(np.array([[0.0, -1.0], [1.0, 0.0]]) if rotation else np.zeros((1, 1)))
@@ -677,7 +676,19 @@ def _constant_problems(draw):
         blocks.append(rng.uniform(-0.5, 0.5, (n - dim, n - dim)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = q * np.exp(rng.uniform(-0.5, 0.5, n))
-    j = s @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(s)
+    return s @ scipy.linalg.block_diag(*blocks) @ np.linalg.inv(s)
+
+
+@st.composite
+def _constant_problems(draw):
+    """A constant J = S core S^-1 with ``planted`` dimensions of multiplier 1
+    at T = 2 pi (blocks 0 and the rotation of frequency 1) beside a random
+    block, S a rotation with scales in [e^-0.5, e^0.5], a random gain, and
+    a node count."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planted = draw(st.integers(0, n))
+    j = _planted_block(draw, rng, n, planted)
     gain = rng.uniform(-0.5, 0.5, (n, n))
     nodes = draw(st.integers(16, 48))
     return _periodic(ConstantCoefficient(j), 2 * np.pi, gain), nodes, planted
@@ -692,6 +703,28 @@ def test_collocation_agrees_with_the_integral_form_on_constant_problems(case):
     at_one = [cluster_multiplicity(m, 1.0 + 0.0j, DEFAULT.tol_one, DEFAULT.rank_factor)[1]
               for m in (dde.matrix, dde.matrix_collocated)]
     assert at_one == [planted, planted]
+
+
+# strongly non-normal: ||J||_2 is about 637, and the fundamental solution of
+# J + K reaches |Y| ~ 3e45 and cond ~ 9e17 at the quadrature marks
+_SINGULAR_J = np.array([[-3.326, -13.87, 25.011, 32.801],
+                        [-44.398, -180.926, 315.266, 416.829],
+                        [5.464, 23.022, -42.115, -55.0],
+                        [-23.727, -97.295, 171.14, 225.728]])
+_SINGULAR_K = np.array([[-0.203, 0.418, -0.417, -0.355],
+                        [-0.121, -0.241, 0.116, 0.195],
+                        [0.204, 0.274, -0.325, 0.246],
+                        [-0.254, 0.036, -0.279, 0.312]])
+
+
+@pytest.mark.parametrize("nodes", [16, 32])
+def test_dde_monodromy_raises_a_numerical_error_on_a_singular_fundamental_solution(nodes):
+    # the integral form's solve with Y at the marks finds an exact zero pivot
+    prob = _periodic(ConstantCoefficient(_SINGULAR_J), 2 * np.pi, _SINGULAR_K)
+    with pytest.raises(NumericalError, match="singular"):
+        dde_monodromy(prob, nodes=nodes)
+    with pytest.raises(NumericalError, match="singular"):
+        check_determining_invariance(prob, nodes=nodes)
 
 
 def test_dde_monodromy_cross_residual_small():
@@ -864,6 +897,130 @@ def test_determining_invariance_trivial_and_one_dimensional():
     neutral = get_case("orbit-neutral").problem()
     inv1 = check_determining_invariance(neutral, nodes=32)
     assert (inv1.g_ode, inv1.g_dde) == (1, 1) and inv1.equal
+
+
+def _unit_band_margin(mat, n):
+    """The smallest ratio between a singular value of the Schur complement
+    of M - I and the nearest edge ``_unit_geometric`` decides at: the zero
+    threshold tol_one and the refused band (10 tol_one, _BAND 10 tol_one]."""
+    edges = DEFAULT.tol_one * np.array([1.0, 10.0, 10.0 * periodic._BAND])
+    svals = scipy.linalg.svdvals(schur_complement(mat - np.eye(len(mat)), n)[0])
+    return min(np.max([v / edges, edges / v], axis=0).min() for v in svals)
+
+
+@pytest.mark.parametrize("name", _PERIODIC_CASES)
+def test_unit_geometric_matches_the_schur_rule_on_the_catalog(name):
+    prob = get_case(name).problem()
+    mat = dde_monodromy(prob, nodes=32).matrix
+    want = cluster_multiplicity(mat, 1.0 + 0.0j, DEFAULT.tol_one, DEFAULT.rank_factor)[1]
+    assert periodic._unit_geometric(mat, prob.dimension, DEFAULT) == want
+    # the margin the _BAND comment quotes, 39x on trig-periodic
+    assert _unit_band_margin(mat, prob.dimension) >= 30.0
+    # S is the ODE's Y(T) - I up to the discretization
+    s = schur_complement(mat - np.eye(len(mat)), prob.dimension)[0]
+    gap = ode_monodromy(prob).matrix - np.eye(prob.dimension) - s
+    assert np.max(np.abs(gap)) <= 2e-3 * max(1.0, np.max(np.abs(s)))
+
+
+@st.composite
+def _unit_problems(draw):
+    """A problem, a node count and its planted multiplicity at 1 (None: not
+    planted): a constant one from ``_constant_problems``; a random
+    trigonometric one; or a constructed orbit A(t) = cos(t) S + P(t) B
+    P(t)^-1, P(t) = expm(S sin t), whose monodromy is expm(2 pi B) with B
+    planted."""
+    kind = draw(st.sampled_from(["constant", "trig", "orbit"]))
+    if kind == "constant":
+        return draw(_constant_problems())
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gain = rng.uniform(-0.5, 0.5, (n, n))
+    nodes = draw(st.integers(24, 64))
+    period = 2 * np.pi
+    if kind == "trig":
+        coeff = TrigCoefficient(rng.uniform(-0.3, 0.3, (rng.integers(1, 6), n, n)), period)
+        return _periodic(coeff, period, gain), nodes, None
+    planted = draw(st.integers(0, min(n, 2)))
+    b = _planted_block(draw, rng, n, planted)
+    s = rng.uniform(-0.5, 0.5, (n, n))
+    times = np.arange(64) * (period / 64)
+    values = []
+    for t in times:
+        p = scipy.linalg.expm(s * np.sin(t))
+        values.append(np.cos(t) * s + p @ b @ np.linalg.inv(p))
+    return _periodic(TrigCoefficient(np.array(values), period), period, gain), nodes, planted
+
+
+@settings(max_examples=15, deadline=None)
+@given(_unit_problems())
+def test_unit_geometric_matches_the_schur_rule(case):
+    prob, nodes, planted = case
+    mat = dde_monodromy(prob, nodes=nodes).matrix
+    # a multiplier of M near 1 but outside the cluster is where S, which
+    # follows the ODE's multipliers, and the Schur rule on M may differ (see
+    # the radius and band tests below)
+    dist = np.abs(np.linalg.eigvals(mat) - 1.0)
+    assume(not np.any((dist > DEFAULT.tol_one) & (dist < 0.1)))
+    want = cluster_multiplicity(mat, 1.0 + 0.0j, DEFAULT.tol_one, DEFAULT.rank_factor)[1]
+    assert periodic._unit_geometric(mat, prob.dimension, DEFAULT) == want
+    assert planted is None or want == planted
+
+
+@pytest.mark.parametrize("at_one", [2e-5, 5e-3])
+def test_unit_geometric_refuses_a_singular_value_in_the_band(at_one):
+    # M - I = diag(-1, -1, -1, at_one): A11 = -I, and S = [at_one] lies in
+    # the band (10 tol_one, _BAND 10 tol_one]
+    mat = np.eye(4) + np.diag([-1.0, -1.0, -1.0, at_one])
+    with pytest.raises(InconclusiveMultiplicityError, match="Schur complement"):
+        periodic._unit_geometric(mat, 1, DEFAULT)
+
+
+@pytest.mark.parametrize("at_one, geometric", [(5e-7, 1), (5e-6, 0), (0.5, 0)])
+def test_unit_geometric_decides_outside_the_band(at_one, geometric):
+    # zero up to tol_one; above it and below the band, a multiplier that
+    # g_ode's Schur rule would leave out too
+    mat = np.eye(4) + np.diag([-1.0, -1.0, -1.0, at_one])
+    assert periodic._unit_geometric(mat, 1, DEFAULT) == geometric
+
+
+@pytest.mark.parametrize("rates, gain, geometric", [
+    # ODE multiplier 1 + 6.3e-6, beyond tol_one; the gain moves M's to
+    # 1 + 2.2e-6, and S's singular value, 6.3e-6, lies below the band
+    ((1e-6, -1.0), -0.3, 0),
+    # ODE multiplier 1 + 6.3e-7, within tol_one; |1 - k T| = 0.058 moves
+    # M's out to 1 + 1.1e-5, where the Schur rule on M no longer counts it
+    ((1e-7,), 0.15, 1),
+])
+def test_determining_invariance_holds_s_to_the_radius_of_g_ode(rates, gain, geometric):
+    # S is the ODE's Y(T) - I: its smallest singular value is the ODE
+    # multiplier's distance from 1, whatever the gain does to M's
+    n = len(rates)
+    prob = _periodic(ConstantCoefficient(np.diag(rates)), 2 * np.pi, gain * np.eye(n))
+    mat = dde_monodromy(prob, nodes=32).matrix
+    svals = scipy.linalg.svdvals(schur_complement(mat - np.eye(len(mat)), n)[0])
+    assert svals[-1] == pytest.approx(np.expm1(2 * np.pi * rates[0]), rel=1e-3)
+    inv = check_determining_invariance(prob, nodes=32)
+    assert (inv.g_ode, inv.g_dde, inv.g_dde_refined) == (geometric,) * 3 and inv.equal
+
+
+def test_determining_invariance_refuses_a_multiplier_next_to_one():
+    # x' = r x with e^{r T} = 1 + 1e-3: S's one singular value is about
+    # 1e-3, in the band
+    prob = _scalar_problem(rate=np.log1p(1e-3) / (2 * np.pi))
+    mat = dde_monodromy(prob, nodes=32).matrix
+    svals = scipy.linalg.svdvals(schur_complement(mat - np.eye(len(mat)), 1)[0])
+    assert 10.0 * DEFAULT.tol_one < svals[0] <= periodic._BAND * 10.0 * DEFAULT.tol_one
+    with pytest.raises(InconclusiveMultiplicityError):
+        check_determining_invariance(prob, nodes=32)
+
+
+@pytest.mark.parametrize("corner", [1e-6, 0.0])
+def test_unit_geometric_refuses_a_leading_block_near_singular(corner):
+    # M - I = diag(corner, -1, -1, 0): A11's distance to singular is corner,
+    # below _A11_FLOOR, and exactly 0 is an exact zero pivot
+    mat = np.eye(4) + np.diag([corner, -1.0, -1.0, 0.0])
+    with pytest.raises(NumericalError, match="singular"):
+        periodic._unit_geometric(mat, 1, DEFAULT)
 
 
 # --- commuting structure ----------------------------------------------------------------
