@@ -13,7 +13,8 @@ is captured two ways:
   * Floquet multipliers of the time-T solution operator, obtained by
     collocating histories on a Chebyshev grid and pushing the basis
     through the equation -- built twice (variation-of-constants integral
-    vs direct stepping) with the gap between the constructions reported.
+    vs Chebyshev collocation of the delay equation) with the gap between
+    the constructions reported.
 
 Viewing the autonomous equation as T-periodic, every multiplier above
 the discretization floor must equal exp(lambda * T) for a certified

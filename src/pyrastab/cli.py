@@ -28,7 +28,7 @@ from .equilibria import (
     find_roots,
     hopf_curves,
 )
-from .errors import InputError, NumericalError
+from .errors import InconclusiveMultiplicityError, InputError, NumericalError
 from .periodic import (
     check_determining_invariance,
     multipliers,
@@ -75,17 +75,24 @@ def _analyze_periodic(problem, tol, nodes):
     mono = ode_monodromy(problem)
     report = multipliers(mono, tol)
     verdicts = periodic_verdicts(mono, tol)
-    inv = check_determining_invariance(problem, nodes=nodes, tol=tol, monodromy=mono)
-    return {
-        "kind": "periodic-linear",
-        "multipliers": report,
-        "determining": {
+    # the report and the verdicts do not depend on the determining check,
+    # so its refusal to decide is reported beside them
+    try:
+        inv = check_determining_invariance(problem, nodes=nodes, tol=tol, monodromy=mono)
+    except InconclusiveMultiplicityError as err:
+        determining = {"nodes": nodes, "refused": str(err)}
+    else:
+        determining = {
             "g_ode": inv.g_ode,
             "g_dde": inv.g_dde,
             "g_dde_refined": inv.g_dde_refined,
             "equal": inv.equal,
             "nodes": nodes,
-        },
+        }
+    return {
+        "kind": "periodic-linear",
+        "multipliers": report,
+        "determining": determining,
         "verdicts": verdicts,
     }, None, report
 

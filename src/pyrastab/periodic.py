@@ -11,14 +11,13 @@ a coarse grid fails loudly instead of lying.
 
 Both forms read the history through the same quadrature marks, the
 2 nodes - 1 Lobatto points of the doubled grid.  The integral form
-marches the fundamental solution of A(t) + alpha K through a time grid
-that contains every mark; the collocation form solves one dense linear
-system on the marks themselves.  They share only sampled inputs, A +
-alpha K at the marks and the rows that interpolate the history from its
-nodes to the marks, never a march, so the cross-check compares two
-constructions.  Their gap is measured by an O(N^2) upper bound on the
-relative spectral-norm difference (``relative_gap_bound``), never by an
-SVD.
+marches the fundamental solution of A(t) + alpha K and steps on to every
+mark; the collocation form solves one dense linear system on the marks
+themselves.  They share only sampled inputs, A + alpha K at the marks
+and the rows that interpolate the history from its nodes to the marks,
+never a march, so the cross-check compares two constructions.  Their gap
+is measured by an O(N^2) upper bound on the relative spectral-norm
+difference (``relative_gap_bound``), never by an SVD.
 
 Every march runs through one RK4 routine, ``_rk4``.  The equations are
 linear, so every RK4 step is an affine map Y -> Y + D Y.  The steps are
@@ -31,14 +30,13 @@ only at the grid indices the caller reads, so memory stays bounded
 however fine the grid.
 
 Every march grid is linspace(0, T, steps + 1) with its step midpoints, a
-uniform grid of 2 steps intervals, except that the delay monodromy adds
-its quadrature marks.  ``_stage_coefficients`` alone samples the
-coefficient a march reads: given ``steps``, a coefficient with its own
-uniform-grid evaluation (a ``TrigCoefficient``, by one inverse FFT) is
-sampled on that grid at once, and only the marks that replaced or sit
-between base points, and the midpoints beside them, go through its
-``batch``; any other coefficient is sampled through ``coefficient_on`` at
-every time.
+uniform grid of 2 steps intervals.  ``_stage_coefficients`` samples the
+coefficient a march reads: a coefficient with its own uniform-grid
+evaluation (a ``TrigCoefficient``, by one inverse FFT) on that grid at
+once, any other through ``coefficient_on``.  A time between grid points
+is reached by one rule, ``_step_to``: one RK4 step from the grid point at
+or before it, with the coefficient sampled at that step's three times.
+``MonodromyODE.value_at`` and the delay monodromy's marks both use it.
 
 The exclusion rules use the common-eigenvector reduction that
 ``equilibria`` defines for both settings.
@@ -117,47 +115,54 @@ _SAMPLE_BATCH = 256
 _Stages = tuple[np.ndarray, np.ndarray]
 
 
-def _stage_coefficients(
-    problem: PeriodicLinearProblem, times: np.ndarray, steps: int | None = None
-) -> _Stages:
-    """A at the grid points and at the step midpoints of ``times``, every
-    coefficient an RK4 march over that grid reads; ``problem.coefficient_on``
-    is called on _SAMPLE_BATCH times at a time.
+def _sampled(problem: PeriodicLinearProblem, times: np.ndarray) -> np.ndarray:
+    """A at every time through ``problem.coefficient_on``, _SAMPLE_BATCH
+    times per call."""
+    blocks = range(0, len(times), _SAMPLE_BATCH)
+    return np.concatenate([problem.coefficient_on(times[lo : lo + _SAMPLE_BATCH])
+                           for lo in blocks])
 
-    ``steps``, when given, says that ``times`` holds the base points
-    linspace(0, T, steps + 1), T = problem.period, perhaps with marks added.
+
+def _stage_coefficients(problem: PeriodicLinearProblem, steps: int) -> _Stages:
+    """A at the grid points linspace(0, T, steps + 1), T = problem.period,
+    and at their step midpoints: every coefficient an RK4 march over that
+    grid reads.
+
     A coefficient with its own uniform-grid evaluation ``on_grid`` (a
-    ``TrigCoefficient``) is then sampled at j T / (2 steps), j = 0..2 steps,
-    at once: the base points at even j and their midpoints at odd j.  A grid
-    entry that is bitwise its base point reads its value there, and so does
-    the midpoint of a step between two consecutive base points.  Only the
-    other times go through ``coefficient_on``: marks that replaced or sit
-    between base points, and the midpoints beside them.
+    ``TrigCoefficient``) is sampled at j T / (2 steps), j = 0..2 steps, at
+    once: the grid points at even j and the midpoints at odd j.  Any other
+    coefficient goes through ``coefficient_on``.
     """
-
-    def sampled(x: np.ndarray) -> np.ndarray:
-        blocks = range(0, len(x), _SAMPLE_BATCH)
-        return np.concatenate([problem.coefficient_on(x[lo : lo + _SAMPLE_BATCH])
-                               for lo in blocks])
-
-    mids = times[:-1] + 0.5 * np.diff(times)
     on_grid = getattr(problem.coefficient, "on_grid", None)
-    if steps is None or on_grid is None:
-        return sampled(times), sampled(mids)
-    uniform = np.asarray(on_grid(2 * steps), dtype=float)
+    if on_grid is not None:
+        uniform = np.asarray(on_grid(2 * steps), dtype=float)
+        return uniform[::2], uniform[1::2]
+    grid = np.linspace(0.0, problem.period, steps + 1)
+    return _sampled(problem, grid), _sampled(problem, grid[:-1] + 0.5 * np.diff(grid))
 
-    def read(x: np.ndarray, hit: np.ndarray, j: np.ndarray) -> np.ndarray:
-        out = np.empty((len(x),) + uniform.shape[1:])
-        out[hit] = uniform[j[hit]]
-        if not np.all(hit):
-            out[~hit] = sampled(x[~hit])
-        return out
 
-    base = np.linspace(0.0, problem.period, steps + 1)
-    k = np.minimum(np.searchsorted(base, times), steps)
-    on = base[k] == times
-    between = on[:-1] & on[1:] & (np.diff(k) == 1)
-    return read(times, on, 2 * k), read(mids, between, 2 * k[:-1] + 1)
+def _grid_before(grid: np.ndarray, t) -> np.ndarray:
+    """Index of the grid point at or before each time t, clipped to the
+    starts of the grid's steps, 0..len(grid) - 2."""
+    return np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+
+
+def _step_to(
+    problem: PeriodicLinearProblem, t0: np.ndarray, y0: np.ndarray, t: np.ndarray,
+    shift: np.ndarray | float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Y (P, n, n) at the times t, each one RK4 step of Y' = (A(t) + shift) Y
+    from Y = y0 at t0 <= t, and A + shift at t.
+
+    The one rule by which a march reaches a time off its grid; a t on the
+    grid has h = 0 and gets its grid value exactly.  A is sampled through
+    ``coefficient_on``, t0 and t in one call and the midpoints in another:
+    a batch evaluation may round a time differently in another grouping.
+    """
+    h = t - t0
+    a0, a1 = np.split(_sampled(problem, np.concatenate([t0, t])) + shift, 2)
+    am = _sampled(problem, t0 + 0.5 * h) + shift
+    return y0 + _step_maps(h, a0, am, a1) @ y0, a1
 
 
 def _step_maps(
@@ -344,15 +349,12 @@ class MonodromyODE:
         return y
 
     def _value_in_period(self, r: float) -> np.ndarray:
-        times = self.times
-        idx = int(np.searchsorted(times, r, side="right")) - 1
-        idx = min(max(idx, 0), len(times) - 2)
-        t0 = times[idx]
+        idx = int(_grid_before(self.times, r))
+        t0 = self.times[idx]
         if r - t0 <= 1e-13 * self.period:
             return self.values[idx].copy()
-        times = np.array([t0, r])
-        stages = _stage_coefficients(self.problem, times)
-        return _rk4(times, stages, self.values[idx], [1])[0]
+        y, _ = _step_to(self.problem, np.array([t0]), self.values[idx : idx + 1], np.array([r]))
+        return y[0]
 
 
 def ode_monodromy(
@@ -367,7 +369,7 @@ def ode_monodromy(
         raise InputError(f"steps must be even, got {steps}")
     eye = np.eye(problem.dimension)
     times = np.linspace(0.0, problem.period, steps + 1)
-    stages = _stage_coefficients(problem, times, steps)
+    stages = _stage_coefficients(problem, steps)
     values = _rk4(times, stages, eye, np.arange(steps + 1))
     coarse = _rk4(times[::2], (stages[0][::2], stages[0][1::2]), eye, [-1])
     scale = max(1.0, spectral_norm(values[-1]))
@@ -519,6 +521,13 @@ def multipliers(monodromy, tol: Tolerances = DEFAULT) -> MultiplierReport:
     discretization produces.  One Schur form gives both the spectrum and
     those multiplicities.
 
+    On a delay monodromy M the unit counts are this Schur rule on M, which
+    need not give the g_dde of :func:`check_determining_invariance` (from
+    the Schur complement of M - I, which follows the ODE's multipliers): the
+    gain moves a multiplier near 1 by about a factor |1 - k T|.  For x' =
+    1e-7 x, gain 0.15, T = 2 pi, M's multiplier is 1 + 1.09e-5, so the
+    report counts 0 at 1 while g_dde is 1.
+
     ``norm_bound`` is the exact spectral norm ||M||_2, one SVD, kept on
     purpose: it is a field of every periodic envelope, where ``analyze``
     passes only n x n monodromies and the SVD costs little, and a cheaper
@@ -596,20 +605,6 @@ class MonodromyDDE:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-
-def _aligned_times(marks: np.ndarray, period: float, steps: int) -> np.ndarray:
-    """Integration grid through [0, period] containing every mark."""
-    base = np.linspace(0.0, period, steps + 1)
-    grid = np.union1d(base, marks)
-    keep = np.concatenate([[True], np.diff(grid) > 1e-13 * period])
-    grid = grid[keep]
-    if abs(grid[-1] - period) > 1e-13 * period:
-        grid = np.append(grid, period)
-    else:
-        grid[-1] = period
-    grid[0] = 0.0
-    return grid
 
 
 def _integer_at_least(value, what: str, least: int) -> int:
@@ -701,7 +696,9 @@ def dde_monodromy(
     2 nodes - 1 marks (which contains the history nodes); sampling it on
     the coarse grid alone would alias the basis polynomials and stall the
     convergence near 1e-3.  Y comes from one RK4 march of ``steps`` steps
-    on a grid that contains every mark (see ``_rk4``).
+    on linspace(0, T, steps + 1) (see ``_rk4``), kept at the grid point at
+    or before each mark, and one RK4 step from there to the mark (see
+    ``_step_to``).
 
     Collocation form: x' = (A(t) + alpha K) x - alpha K phi(t - T) is
     collocated at the same marks (Butcher, Ma, Bueler, Averina & Szabo,
@@ -709,7 +706,7 @@ def dde_monodromy(
     n (2 nodes - 1) and no march (see ``_collocation``).
 
     The two forms share only sampled inputs: A + alpha K at the marks,
-    taken from the march's samples, and the rows that interpolate phi from
+    sampled for the steps to them, and the rows that interpolate phi from
     its nodes to the marks.  Both land on the same operator up to
     discretization error.  Their gap, reported as ``cross_residual``, is
     an O(N^2) upper bound on the relative spectral-norm difference
@@ -729,22 +726,19 @@ def dde_monodromy(
     sigma = lobatto_nodes(2 * nodes - 1, -period, 0.0)  # sigma[2i] == theta[i]
     marks = period + sigma
 
-    times = _aligned_times(marks, period, steps)
-    # the grid point nearest each mark; the left neighbour wins ties
-    mark_idx = np.clip(np.searchsorted(times, marks), 1, len(times) - 1)
-    mark_idx -= np.abs(times[mark_idx - 1] - marks) <= np.abs(times[mark_idx] - marks)
-    if np.any(np.abs(times[mark_idx] - marks) > 1e-10 * period):
-        raise NumericalError("history node missing from the time grid")
+    # Y on the uniform grid, kept at the grid point at or before each mark,
+    # then one step on to every mark, which also samples A + alpha K there
+    grid = np.linspace(0.0, period, steps + 1)
+    before = _grid_before(grid, marks)
+    stages = _stage_coefficients(problem, steps)
+    y_before = _rk4(grid, (stages[0] + gain, stages[1] + gain), np.eye(n), before)
+    y_fine, a_marks = _step_to(problem, grid[before], y_before, marks, gain)
 
-    # the two forms share only these samples of A + alpha K and the rows
-    stages = _stage_coefficients(problem, times, steps)
-    stages = (stages[0] + gain, stages[1] + gain)
+    # the two forms share only A + alpha K at the marks and these rows
     resample = interp_rows(theta, barycentric_weights(nodes), sigma)
-
     # each form is built by a helper, so its temporaries are freed on return
-    integral_form = _integral_form(_rk4(times, stages, np.eye(n), mark_idx), sigma, resample,
-                                   gain)
-    collocated = _collocation(marks, stages[0][mark_idx], resample, gain)
+    integral_form = _integral_form(y_fine, sigma, resample, gain)
+    collocated = _collocation(marks, a_marks, resample, gain)
 
     gap = relative_gap_bound(integral_form, collocated)
     if not gap <= tol.tol_xcheck:

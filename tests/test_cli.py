@@ -10,6 +10,7 @@ import scipy.optimize
 from pyrastab import cli, periodic, simulate
 from pyrastab.benchmarks import get_case
 from pyrastab.cli import main
+from pyrastab.errors import CrossCheckError
 from pyrastab.fields import ExpressionField
 from pyrastab.problemio import document_digest
 
@@ -91,6 +92,53 @@ def test_analyze_periodic_envelope(case_file, capsys):
     det = res["determining"]
     assert det["equal"] is True
     assert det["g_ode"] == 2 and det["g_dde"] == 2
+
+
+def _slow_growth_document(tmp_path):
+    """x' = r x with e^{2 pi r} = 1 + 1e-3, gain 0.3, T = 2 pi: the Schur
+    complement of M - I has the one singular value 1.001e-3, inside the
+    band the determining check refuses to decide in."""
+    doc = {
+        "kind": "periodic-linear",
+        "dimension": 1,
+        "field": {"matrix": [[float(np.log1p(1e-3) / (2 * np.pi))]]},
+        "gain": [[0.3]],
+        "delay": 2 * np.pi,
+        "period": 2 * np.pi,
+    }
+    path = tmp_path / "slow-growth.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_periodic_keeps_the_report_when_the_determining_check_refuses(
+    tmp_path, capsys
+):
+    path = _slow_growth_document(tmp_path)
+    out = tmp_path / "report.json"
+    code, _, err = _run(capsys, ["analyze", str(path), "--out", str(out), "--csv"])
+    assert code == 0, err
+    res = json.loads(out.read_text())["results"]
+    det = res["determining"]
+    assert sorted(det) == ["nodes", "refused"]
+    assert det["nodes"] == 32
+    assert "singular value 1.001e-03 of the Schur complement of M - I" in det["refused"]
+    top = res["multipliers"]["entries"][0]["value"]
+    assert top["re"] == pytest.approx(1.001, rel=1e-9)
+    assert [v["rule"] for v in res["verdicts"]] == [
+        "odd-number", "commuting-real-spectrum", "commuting-gain",
+    ]
+    assert (tmp_path / "report.csv").read_text().count("\n") >= 2
+
+
+def test_analyze_periodic_other_numerical_errors_still_exit_3(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise CrossCheckError("monodromy constructions disagree")
+
+    monkeypatch.setattr(cli, "check_determining_invariance", refuse)
+    code, out, err = _run(capsys, ["analyze", str(_slow_growth_document(tmp_path))])
+    assert code == 3 and out == ""
+    assert "disagree" in err
 
 
 def test_analyze_periodic_commuting_gain_witness_next_to_the_axis(tmp_path, capsys):

@@ -254,6 +254,12 @@ def test_long_constant_coefficient_march_does_not_drift():
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
+def _stages_on(prob, times):
+    """``_rk4`` stage samples through ``coefficient_on`` at ``times`` and
+    their step midpoints, for a grid that need not be uniform."""
+    return prob.coefficient_on(times), prob.coefficient_on(times[:-1] + 0.5 * np.diff(times))
+
+
 def _constant_stages(a, steps):
     """``_rk4`` stage samples of a constant coefficient over ``steps`` steps."""
     return np.broadcast_to(a, (steps + 1,) + a.shape), np.broadcast_to(a, (steps,) + a.shape)
@@ -318,7 +324,7 @@ def test_rk4_matches_stage_loop_across_blocks(case):
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (rng.integers(1, 6), n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
-    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
+    stages = _stages_on(_periodic(coeff, period, np.zeros((n, n))), times)
     y0 = rng.uniform(-1.0, 1.0, (n, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(periodic, "_BUDGET", _SMALL_BUDGET)
@@ -340,7 +346,7 @@ def test_rk4_matches_stage_loop_with_a_many_mode_coefficient(monkeypatch):
     coeff = TrigCoefficient(rng.uniform(-1.0, 1.0, (300, n, n)), period)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, steps))])
     times *= period / times[-1]
-    stages = periodic._stage_coefficients(_periodic(coeff, period, np.zeros((n, n))), times)
+    stages = _stages_on(_periodic(coeff, period, np.zeros((n, n))), times)
     keep = [0, block, steps]
     got = periodic._rk4(times, stages, y0, keep)
     ref = _stage_loop(coeff, lambda t: 0.0, times, y0)[keep]
@@ -396,11 +402,12 @@ def test_two_level_scan_matches_sequential_composition(n, length, seed):
     assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_dde_collocated_form_matches_stage_loop_reference():
+@pytest.mark.parametrize("form", ["matrix", "matrix_collocated"])
+def test_dde_forms_match_stage_loop_reference(form):
     # the history basis marched by the textbook loop through
-    # U' = (A + G) U - G phi(t - T); at 2048 steps its RK4 error is about
-    # 5e-11 of the result (8e-10 at 1024), and the collocation's own error
-    # at 16 nodes about 3e-11
+    # U' = (A + G) U - G phi(t - T) on a grid that contains every history
+    # node; at 2048 steps its RK4 error is about 5e-11 of the result (8e-10
+    # at 1024), and either form is within about 5e-11 of it at 16 nodes
     from pyrastab.chebyshev import barycentric_weights, interp_row
 
     prob = get_case("trig-periodic").problem()
@@ -423,8 +430,23 @@ def test_dde_collocated_form_matches_stage_loop_reference():
     )
     idx = [int(np.argmin(np.abs(times - m))) for m in period + theta]
     ref = np.concatenate([u[i] for i in idx])
-    got = dde_monodromy(prob, nodes=nodes).matrix_collocated
+    got = getattr(dde_monodromy(prob, nodes=nodes), form)
     assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name, bound", [("center-periodic", 1e-11), ("diag-periodic", 1e-14)])
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_value_at_the_quadrature_marks_matches_the_exponential(name, bound, nodes):
+    # value_at reaches a mark off the grid by one RK4 step from the grid
+    # point before it, the rule the delay monodromy's marks use; for a
+    # constant A, Y(t) = expm(A t) (largest errors 4.6e-12 and 1.7e-15)
+    prob = get_case(name).problem()
+    mono = ode_monodromy(prob)
+    a = prob.coefficient_at(0.0)
+    for mark in prob.period + lobatto_nodes(2 * nodes - 1, -prob.period, 0.0):
+        expect = scipy.linalg.expm(a * mark)
+        got = mono.value_at(float(mark))
+        assert np.max(np.abs(got - expect)) <= bound * np.max(np.abs(expect))
 
 
 # --- Floquet decomposition ------------------------------------------------------
@@ -823,17 +845,12 @@ def test_grid_sampling_matches_the_per_time_path(name):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(x))
 
 
-def test_stage_coefficients_sample_only_the_off_grid_times(monkeypatch):
-    # on a delay grid, base points that survive the marks and the midpoints
-    # between two of them are read from the uniform samples; the marks that
-    # replaced or sit between base points, and the midpoints beside them,
-    # go through coefficient_on
-    prob = get_case("orbit-neutral").problem()
-    period, steps, nodes = prob.period, 128, 8
-    marks = period + lobatto_nodes(2 * nodes - 1, -period, 0.0)
-    times = periodic._aligned_times(marks, period, steps)
-    base = np.linspace(0.0, period, steps + 1)
-    ref = periodic._stage_coefficients(prob, times)
+def test_dde_monodromy_samples_only_the_steps_to_the_marks(monkeypatch):
+    # a TrigCoefficient samples the uniform grid and its midpoints by one
+    # inverse FFT; only the one step to each of the 2 nodes - 1 marks, its
+    # start, midpoint and end, goes through coefficient_on
+    prob = get_case("trig-periodic").problem()
+    nodes = 32
     sampled = []
     coefficient_on = PeriodicLinearProblem.coefficient_on
 
@@ -842,16 +859,10 @@ def test_stage_coefficients_sample_only_the_off_grid_times(monkeypatch):
         return coefficient_on(self, t)
 
     monkeypatch.setattr(PeriodicLinearProblem, "coefficient_on", recorded)
-    got = periodic._stage_coefficients(prob, times, steps)
-    for x, y in zip(got, ref):
-        assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
-    on = np.isin(times, base)
-    mids = times[:-1] + 0.5 * np.diff(times)
-    off_mids = mids[~(on[:-1] & on[1:])]
-    assert sorted(sampled) == sorted([*times[~on], *off_mids])
-    # every mark but the ends is off the base grid here, and costs at most
-    # itself and the two midpoints beside it
+    dde_monodromy(prob, nodes=nodes)
+    marks = prob.period + lobatto_nodes(2 * nodes - 1, -prob.period, 0.0)
     assert 0 < len(sampled) <= 3 * len(marks)
+    assert set(marks) <= set(sampled)
 
 
 @pytest.mark.parametrize("kind", ["trig", "constant", "callable"])
@@ -865,9 +876,8 @@ def test_stage_coefficients_read_a_grid_evaluation_only_when_there_is_one(kind):
              "callable": lambda t: np.cos(2 * np.pi * t / period) * np.eye(3)}[kind]
     prob = _periodic(coeff, period, 0.2 * np.eye(3))
     assert hasattr(coeff, "on_grid") == (kind == "trig")
-    times = np.linspace(0.0, period, steps + 1)
-    got = periodic._stage_coefficients(prob, times, steps)
-    ref = periodic._stage_coefficients(prob, times)
+    got = periodic._stage_coefficients(prob, steps)
+    ref = _stages_on(prob, np.linspace(0.0, period, steps + 1))
     for x, y in zip(got, ref):
         assert x.shape == y.shape
         assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
@@ -1001,6 +1011,19 @@ def test_determining_invariance_holds_s_to_the_radius_of_g_ode(rates, gain, geom
     assert svals[-1] == pytest.approx(np.expm1(2 * np.pi * rates[0]), rel=1e-3)
     inv = check_determining_invariance(prob, nodes=32)
     assert (inv.g_ode, inv.g_dde, inv.g_dde_refined) == (geometric,) * 3 and inv.equal
+
+
+def test_delay_multiplier_report_unit_counts_may_differ_from_g_dde():
+    # the report counts multipliers of M within tol_one of 1 by the Schur
+    # rule; the gain moves the ODE multiplier 1 + 6.3e-7 out to M's
+    # 1 + 1.09e-5, so the report's unit counts are 0 while g_ode, g_dde and
+    # g_dde_refined, from Y(T) and the Schur complement of M - I, are 1
+    prob = _scalar_problem(rate=1e-7, gain=0.15)
+    rep = multipliers(dde_monodromy(prob, nodes=64))
+    assert (rep.unit_algebraic, rep.unit_geometric) == (0, 0)
+    assert rep.dominant.value.real == pytest.approx(1.0 + 1.09e-5, abs=1e-7)
+    inv = check_determining_invariance(prob, nodes=64)
+    assert (inv.g_ode, inv.g_dde, inv.g_dde_refined) == (1, 1, 1)
 
 
 def test_determining_invariance_refuses_a_multiplier_next_to_one():
