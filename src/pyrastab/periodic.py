@@ -36,7 +36,9 @@ evaluation (a ``TrigCoefficient``, by one inverse FFT) on that grid at
 once, any other through ``coefficient_on``.  A time between grid points
 is reached by one rule, ``_step_to``: one RK4 step from the grid point at
 or before it, with the coefficient sampled at that step's three times.
-``MonodromyODE.value_at`` and the delay monodromy's marks both use it.
+``MonodromyODE.value_at`` and the delay monodromy's marks both use it,
+each on a whole batch of times at once.  One march of A + alpha K, stepped
+on to the marks of both grids, serves every grid of a determining check.
 
 The exclusion rules use the common-eigenvector reduction that
 ``equilibria`` defines for both settings.
@@ -45,6 +47,7 @@ The exclusion rules use the common-eigenvector reduction that
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,35 +329,35 @@ class MonodromyODE:
         compounds the monodromy's error into a wrong but finite matrix.
         Within two periods (q <= 1) Y(T) is used at most once, so nothing
         compounds and even a coarse monodromy returns its own value."""
-        t = _finite_time(t)
-        period = self.period
-        if t < -1e-12 * period:
-            raise InputError("fundamental solution is only sampled forward in time")
-        q, r = divmod(max(t, 0.0), period)
-        q = int(q)
-        if r > period * (1.0 - 1e-13):
-            r = 0.0
-            q += 1
-        base = self._value_in_period(r)
-        if q == 0:
-            return base
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = base @ np.linalg.matrix_power(self.matrix, q)
-        y = _finite_value(y, t, "fundamental solution")
-        if (q - 1) * max(self.error_estimate, np.finfo(float).eps) > DEFAULT.tol_log:
-            raise NumericalError(
-                f"fundamental solution at t = {t:.6g} compounds the monodromy's "
-                f"error over {q} periods"
-            )
-        return y
+        return self._values_at([t])[0]
 
-    def _value_in_period(self, r: float) -> np.ndarray:
-        idx = int(_grid_before(self.times, r))
-        t0 = self.times[idx]
-        if r - t0 <= 1e-13 * self.period:
-            return self.values[idx].copy()
-        y, _ = _step_to(self.problem, np.array([t0]), self.values[idx : idx + 1], np.array([r]))
-        return y[0]
+    def _values_at(self, times) -> np.ndarray:
+        """Y at every time, stacked, by ``value_at``'s rule: every time off
+        the grid is reached in one ``_step_to`` call."""
+        times = np.array([_finite_time(t) for t in times])
+        period = self.period
+        if np.any(times < -1e-12 * period):
+            raise InputError("fundamental solution is only sampled forward in time")
+        q, r = np.divmod(np.maximum(times, 0.0), period)
+        wrap = r > period * (1.0 - 1e-13)
+        r[wrap] = 0.0
+        q[wrap] += 1.0
+        idx = _grid_before(self.times, r)
+        ys = self.values[idx]
+        off = r - self.times[idx] > 1e-13 * period
+        if np.any(off):
+            ys[off], _ = _step_to(self.problem, self.times[idx[off]], ys[off], r[off])
+        for i in np.flatnonzero(q):
+            t, power = times[i], int(q[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                ys[i] = ys[i] @ np.linalg.matrix_power(self.matrix, power)
+            _finite_value(ys[i], t, "fundamental solution")
+            if (power - 1) * max(self.error_estimate, np.finfo(float).eps) > DEFAULT.tol_log:
+                raise NumericalError(
+                    f"fundamental solution at t = {t:.6g} compounds the monodromy's "
+                    f"error over {power} periods"
+                )
+        return ys
 
 
 def ode_monodromy(
@@ -419,8 +422,9 @@ class FloquetDecomposition:
         return self._periodic_factors([t])[0]
 
     def _periodic_factors(self, times) -> np.ndarray:
-        """P at every time, stacked, from one batched expm."""
-        ys = np.stack([self.monodromy.value_at(t) for t in times])
+        """P at every time, stacked, from one batched ``_values_at`` and one
+        batched expm."""
+        ys = self.monodromy._values_at(times)
         times = np.array([float(t) for t in times])
         with np.errstate(over="ignore", invalid="ignore"):
             ps = ys @ scipy.linalg.expm(-self.generator * times[:, None, None])
@@ -629,12 +633,13 @@ def _integral_form(
         w_fine = np.linalg.solve(y_fine, np.broadcast_to(gain, y_fine.shape))
     except np.linalg.LinAlgError as err:
         raise NumericalError("fundamental solution is singular at a quadrature mark") from err
-    # cumulative[i, j] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
-    integrand = resample[:, :, None, None] * w_fine[:, None, :, :]
-    cumulative = cumulative_matrix(sigma)[::2] @ integrand.reshape(fine, nodes * n * n)
-    # big[i, :, j, :] = -Y(T + theta_i) cumulative[i, j], one batched product
-    big = (y_marks[:, None] @ -cumulative.reshape(nodes, nodes, n, n)).transpose(0, 2, 1, 3)
-    big[:, :, nodes - 1, :] += y_marks
+    # cumulative[i, :, j, :] = int_{-T}^{theta_i} Y(T + s)^{-1} alpha K ell_j(s) ds
+    integrand = w_fine[:, :, None, :] * resample[:, None, :, None]
+    cumulative = cumulative_matrix(sigma)[::2] @ integrand.reshape(fine, n * nodes * n)
+    # big[i, :, j, :] = -Y(T + theta_i) cumulative[i, :, j, :], one batched
+    # product that lands node-major
+    big = y_marks @ -cumulative.reshape(nodes, n, nodes * n)
+    big.reshape(nodes, n, nodes, n)[:, :, nodes - 1, :] += y_marks
     return big.reshape(nodes * n, nodes * n)
 
 
@@ -672,7 +677,7 @@ def _collocation(
                                 check_finite=False)
     x = scipy.linalg.lu_solve(lu, rt.reshape(nodes * n, fine * n).T, overwrite_b=True,
                               check_finite=False)
-    return x[np.arange(fine * n).reshape(fine, n)[::2].ravel()]
+    return x.reshape(fine, n, nodes * n)[::2].reshape(nodes * n, nodes * n)
 
 
 def dde_monodromy(
@@ -713,40 +718,57 @@ def dde_monodromy(
     ||integral - collocated||_2 / max(1, ||integral||_2), N = n * nodes
     (see ``linalg.relative_gap_bound``), never below the exact ratio; a
     gap above tol_xcheck, or one that is not a number, raises
-    CrossCheckError.
+    CrossCheckError.  ``cross_residual`` rounds differently under a
+    threaded LAPACK, whose dense LU of the collocated form depends on the
+    thread count, while g and the verdicts do not.
     """
-    nodes = _integer_at_least(nodes, "nodes", 4)
+    return next(_dde_builds(problem, alpha, (nodes,), tol, steps))
+
+
+def _dde_builds(
+    problem: PeriodicLinearProblem, alpha: float, grids: tuple[int, ...], tol: Tolerances,
+    steps: int,
+) -> Iterator[MonodromyDDE]:
+    """The delay monodromies of :func:`dde_monodromy` on grids of each of
+    ``grids`` nodes in turn, lazily, from one march of Y.
+
+    Y of A + alpha K is marched once, kept at the grid point at or before
+    every quadrature mark of every grid, and stepped on to all the marks at
+    once, which also samples A + alpha K there.  Each grid's two forms and
+    its cross-check are built only when it is asked for, from its own marks.
+    """
+    grids = [_integer_at_least(nodes, "nodes", 4) for nodes in grids]
     if not np.isfinite(alpha):
         raise InputError("alpha must be finite")
     steps = _integer_at_least(steps, "steps", 16)
     n = problem.dimension
     period = problem.period
     gain = alpha * problem.feedback.gain
-    theta = lobatto_nodes(nodes, -period, 0.0)
-    sigma = lobatto_nodes(2 * nodes - 1, -period, 0.0)  # sigma[2i] == theta[i]
-    marks = period + sigma
+    sigmas = [lobatto_nodes(2 * nodes - 1, -period, 0.0) for nodes in grids]
+    marks = period + np.concatenate(sigmas)
 
-    # Y on the uniform grid, kept at the grid point at or before each mark,
-    # then one step on to every mark, which also samples A + alpha K there
     grid = np.linspace(0.0, period, steps + 1)
     before = _grid_before(grid, marks)
     stages = _stage_coefficients(problem, steps)
     y_before = _rk4(grid, (stages[0] + gain, stages[1] + gain), np.eye(n), before)
     y_fine, a_marks = _step_to(problem, grid[before], y_before, marks, gain)
 
-    # the two forms share only A + alpha K at the marks and these rows
-    resample = interp_rows(theta, barycentric_weights(nodes), sigma)
-    # each form is built by a helper, so its temporaries are freed on return
-    integral_form = _integral_form(y_fine, sigma, resample, gain)
-    collocated = _collocation(marks, a_marks, resample, gain)
-
-    gap = relative_gap_bound(integral_form, collocated)
-    if not gap <= tol.tol_xcheck:
-        raise CrossCheckError(
-            f"monodromy constructions disagree by {gap:.3e} at {nodes} nodes; "
-            "refine the grid"
-        )
-    return MonodromyDDE(problem, alpha, theta, integral_form, collocated, float(gap))
+    cuts = np.cumsum([len(sigma) for sigma in sigmas])[:-1]
+    for nodes, sigma, y, a in zip(grids, sigmas, np.split(y_fine, cuts), np.split(a_marks, cuts)):
+        theta = lobatto_nodes(nodes, -period, 0.0)  # theta[i] == sigma[2i]
+        # the two forms share only A + alpha K at the marks and these rows
+        resample = interp_rows(theta, barycentric_weights(nodes), sigma)
+        # each form is built by a helper, so its temporaries are freed on return
+        integral_form = _integral_form(y, sigma, resample, gain)
+        collocated = _collocation(period + sigma, a, resample, gain)
+        gap = relative_gap_bound(integral_form, collocated)
+        if not gap <= tol.tol_xcheck:
+            raise CrossCheckError(
+                f"monodromy constructions disagree by {gap:.3e} at {nodes} nodes; "
+                "refine the grid"
+            )
+        yield MonodromyDDE(problem, alpha, theta, integral_form, collocated, float(gap))
+        del integral_form, collocated  # not held while the next grid's are built
 
 
 # ---------------------------------------------------------------------------
@@ -834,19 +856,20 @@ def check_determining_invariance(
 
     The controlled value is recomputed on a doubled grid; if refinement
     changes it the discretization has not converged and the check raises
-    rather than certify a wrong dimension.  ``monodromy`` is the problem's
-    ODE monodromy when the caller has already built it (it must belong to
-    ``problem``); otherwise one is built here.
+    rather than certify a wrong dimension.  Both grids' delay monodromies
+    are :func:`dde_monodromy`'s, each with its own cross-check, from one
+    march of A + alpha K stepped on to the marks of both.  ``monodromy`` is
+    the problem's ODE monodromy when the caller has already built it (it
+    must belong to ``problem``); otherwise one is built here.
     """
     mono = ode_monodromy(problem) if monodromy is None else monodromy
     if mono.problem is not problem:
         raise InputError("the monodromy was built for a different problem")
     g_ode = cluster_multiplicity(mono.matrix, 1.0 + 0.0j, tol.tol_one, tol.rank_factor)[1]
-    # built one at a time, each only once the one before has its multiplicity
-    g_dde, g_refined = (
-        _unit_geometric(dde_monodromy(problem, nodes=m, tol=tol).matrix, problem.dimension, tol)
-        for m in (nodes, 2 * nodes)
-    )
+    # dde_monodromy's alpha and steps; each grid built only once the one
+    # before has its multiplicity, and map holds no grid past its call
+    g_dde, g_refined = map(lambda dde: _unit_geometric(dde.matrix, problem.dimension, tol),
+                           _dde_builds(problem, 1.0, (nodes, 2 * nodes), tol, 2048))
     if g_dde != g_refined:
         raise InconclusiveMultiplicityError(
             f"geometric multiplicity at 1 changed from {g_dde} to {g_refined} "

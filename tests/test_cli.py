@@ -183,11 +183,21 @@ def test_analyze_periodic_builds_ode_monodromy_once(case_file, capsys, monkeypat
         builds.append(args)
         return build(*args, **kwargs)
 
+    marches = []
+    rk4 = periodic._rk4
+
+    def march(*args, **kwargs):
+        marches.append(len(args[0]))
+        return rk4(*args, **kwargs)
+
     monkeypatch.setattr(cli, "ode_monodromy", counted)
     monkeypatch.setattr(periodic, "ode_monodromy", counted)
+    monkeypatch.setattr(periodic, "_rk4", march)
     code, shared, _ = _run(capsys, ["analyze", path])
     assert code == 0
     assert len(builds) == 1
+    # the ODE march, its Richardson march, and one delay march for both grids
+    assert marches == [2049, 1025, 2049]
 
     # the same analysis with every consumer building its own monodromy
     monkeypatch.setattr(

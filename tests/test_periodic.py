@@ -50,6 +50,10 @@ from pyrastab.tolerances import DEFAULT
 from test_linalg import sorted_schur_multiplicity
 
 
+_PERIODIC_CASES = ("center-periodic", "orbit-unstable", "orbit-neutral", "diag-periodic",
+                   "trig-periodic")
+
+
 def _periodic(coeff, period, gain):
     return PeriodicLinearProblem(coeff, period, DelayFeedback(gain, period))
 
@@ -103,6 +107,42 @@ def test_ode_monodromy_value_at_wraps_periods():
     lhs = mono.value_at(t + 2.0)
     rhs = mono.value_at(t) @ mono.matrix
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _value_at_one_time(mono, t):
+    """Y(t) by the per-time rule ``value_at`` applied before it was batched:
+    t = q T + r, r just below T wrapped to the next period, one RK4 step from
+    the grid point at or before an off-grid r, then Y(T)^q."""
+    q, r = divmod(t, mono.period)
+    q = int(q)
+    if r > mono.period * (1.0 - 1e-13):
+        r, q = 0.0, q + 1
+    idx = int(periodic._grid_before(mono.times, r))
+    y = mono.values[idx]
+    if r - mono.times[idx] > 1e-13 * mono.period:
+        y = periodic._step_to(mono.problem, mono.times[idx : idx + 1], mono.values[idx : idx + 1],
+                              np.array([r]))[0][0]
+    return y @ np.linalg.matrix_power(mono.matrix, q) if q else y
+
+
+@pytest.mark.parametrize("name", _PERIODIC_CASES)
+def test_batched_values_match_value_at_one_time_at_a_time(name):
+    # the commuting samples of one period, and times beyond it on the grid,
+    # off it and just below a whole period, by one batched rule, by value_at
+    # and by the per-time rule; and the periodic factors from them
+    prob = get_case(name).problem()
+    mono = ode_monodromy(prob)
+    dec = floquet_decompose(mono)
+    period = prob.period
+    samples = np.linspace(0.0, period, periodic._COMMUTING_SAMPLES)
+    beyond = [0.5 * period, 1.5 * period, 2.5 * period, 0.3 * period, 1.3 * period,
+              2.7 * period, period * (1.0 - 1e-14), 2.0 * period * (1.0 - 1e-14), 0.0]
+    for times in (samples, beyond):
+        ys = np.stack([_value_at_one_time(mono, t) for t in times])
+        assert np.array_equal(mono._values_at(times), ys)
+        assert np.array_equal(np.stack([mono.value_at(t) for t in times]), ys)
+        expect = ys @ scipy.linalg.expm(-dec.generator * np.array(times)[:, None, None])
+        assert np.array_equal(dec._periodic_factors(times), expect)
 
 
 @pytest.mark.filterwarnings("error")
@@ -656,10 +696,6 @@ def test_multipliers_match_former_report_on_planted_spectra(mat, floor):
 # --- DDE monodromy ----------------------------------------------------------------
 
 
-_PERIODIC_CASES = ("center-periodic", "orbit-unstable", "orbit-neutral", "diag-periodic",
-                   "trig-periodic")
-
-
 @pytest.mark.parametrize("nodes", [32, 64, 128])
 @pytest.mark.parametrize("name", _PERIODIC_CASES)
 def test_cross_residual_bounds_the_svd_gap_closely_on_the_catalog(name, nodes):
@@ -670,6 +706,23 @@ def test_cross_residual_bounds_the_svd_gap_closely_on_the_catalog(name, nodes):
     gap = spectral_norm(diff) / max(1.0, spectral_norm(dde.matrix))
     assert gap * (1.0 - 8.0 * np.finfo(float).eps) <= dde.cross_residual <= 2.0 * gap
     assert dde.cross_residual < DEFAULT.tol_xcheck
+
+
+@pytest.mark.parametrize("name, nodes", [(name, 32) for name in _PERIODIC_CASES]
+                         + [("orbit-neutral", 64), ("center-periodic", 64)])
+def test_one_march_builds_both_grids_as_separate_builds_do(name, nodes):
+    # the determining check's two grids share one march of A + alpha K and
+    # one step to all their marks; each build is bitwise the one that
+    # dde_monodromy makes alone
+    prob = get_case(name).problem()
+    shared = periodic._dde_builds(prob, 1.0, (nodes, 2 * nodes), DEFAULT, 2048)
+    for m, dde in zip((nodes, 2 * nodes), shared):
+        alone = dde_monodromy(prob, nodes=m)
+        assert dde.n_nodes == m
+        assert np.array_equal(dde.nodes, alone.nodes)
+        assert np.array_equal(dde.matrix, alone.matrix)
+        assert np.array_equal(dde.matrix_collocated, alone.matrix_collocated)
+        assert dde.cross_residual == alone.cross_residual
 
 
 @pytest.mark.parametrize("name", _PERIODIC_CASES)
@@ -907,6 +960,46 @@ def test_determining_invariance_trivial_and_one_dimensional():
     neutral = get_case("orbit-neutral").problem()
     inv1 = check_determining_invariance(neutral, nodes=32)
     assert (inv1.g_ode, inv1.g_dde) == (1, 1) and inv1.equal
+
+
+def _counted(monkeypatch, *names):
+    """Calls of each of the ``periodic`` functions ``names``, recorded."""
+    calls = {name: 0 for name in names}
+
+    def counter(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(periodic, name, counter(name, getattr(periodic, name)))
+    return calls
+
+
+def test_determining_invariance_marches_once_for_both_grids(monkeypatch):
+    prob = get_case("orbit-neutral").problem()
+    mono = ode_monodromy(prob)
+    calls = _counted(monkeypatch, "_rk4", "_step_to", "_stage_coefficients", "_collocation")
+    inv = check_determining_invariance(prob, nodes=16, monodromy=mono)
+    assert (inv.g_ode, inv.g_dde, inv.g_dde_refined) == (1, 1, 1)
+    assert calls == {"_rk4": 1, "_step_to": 1, "_stage_coefficients": 1, "_collocation": 2}
+
+
+def test_determining_invariance_builds_no_second_grid_after_a_refusal(monkeypatch):
+    # the march is shared, but the doubled grid's N x N forms are built only
+    # once the first grid has its multiplicity
+    prob = get_case("orbit-neutral").problem()
+    mono = ode_monodromy(prob)
+    calls = _counted(monkeypatch, "_collocation", "_integral_form")
+
+    def refuse(*args):
+        raise InconclusiveMultiplicityError("refused")
+
+    monkeypatch.setattr(periodic, "_unit_geometric", refuse)
+    with pytest.raises(InconclusiveMultiplicityError, match="refused"):
+        check_determining_invariance(prob, nodes=16, monodromy=mono)
+    assert calls == {"_collocation": 1, "_integral_form": 1}
 
 
 def _unit_band_margin(mat, n):
