@@ -29,7 +29,7 @@ import scipy.special
 from .chebyshev import differentiation_matrix, lobatto_nodes
 from .errors import ContinuationError, InputError, NumericalError
 from .linalg import kernel_basis, spectral_norm, svd_rank
-from .problems import EquilibriumProblem, positive_finite
+from .problems import EquilibriumProblem, finite_scalar, integer, positive_finite
 from .rootfinding import Rect, count_with_nudge, find_roots_rect
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -100,9 +100,7 @@ class CharacteristicMatrix:
         if not (np.all(np.isfinite(j)) and np.all(np.isfinite(k))):
             raise InputError("jacobian and gain must be finite")
         delay = positive_finite(self.delay, "delay")
-        alpha = float(self.alpha)
-        if not np.isfinite(alpha):
-            raise InputError("alpha must be finite")
+        alpha = finite_scalar(self.alpha, "alpha")
         eye = np.eye(j.shape[0])
         for name, val in (("jacobian", j), ("gain", k), ("_eye", eye), ("_neg_jacobian", -j)):
             val = val.copy()
@@ -112,6 +110,9 @@ class CharacteristicMatrix:
         object.__setattr__(self, "alpha", alpha)
         # Frobenius norms of J and K, the term sizes ``residual`` divides by
         object.__setattr__(self, "_norms", (float(np.linalg.norm(j)), float(np.linalg.norm(k))))
+        # ||J||_2 + 2 |alpha| ||K||_2, which bounds every root with Re >= 0
+        norm_bound = spectral_norm(j) + 2.0 * abs(alpha) * spectral_norm(k)
+        object.__setattr__(self, "norm_bound", norm_bound)
         # real J and K, whatever their dtype (alpha is real): the roots come
         # in mirror pairs
         object.__setattr__(self, "_mirror", not (np.any(np.imag(j)) or np.any(np.imag(k))))
@@ -125,10 +126,6 @@ class CharacteristicMatrix:
         """Whether det Delta(conj lambda) = conj det Delta(lambda), so the
         roots are mirror-symmetric about the real axis: real J and K."""
         return self._mirror
-
-    @property
-    def norm_bound(self) -> float:
-        return spectral_norm(self.jacobian) + 2.0 * abs(self.alpha) * spectral_norm(self.gain)
 
     def with_alpha(self, alpha: float) -> "CharacteristicMatrix":
         return CharacteristicMatrix(self.jacobian, self.gain, self.delay, alpha)
@@ -205,12 +202,8 @@ class Region:
     im_max: float
 
     def __post_init__(self) -> None:
-        if not (
-            np.isfinite(self.re_min)
-            and np.isfinite(self.re_max)
-            and np.isfinite(self.im_max)
-        ):
-            raise InputError("region bounds must be finite")
+        for name in ("re_min", "re_max", "im_max"):
+            object.__setattr__(self, name, finite_scalar(getattr(self, name), f"region {name}"))
         if not (self.re_max > self.re_min and self.im_max > 0.0):
             raise InputError(
                 f"empty region: re in [{self.re_min}, {self.re_max}], "
@@ -529,13 +522,14 @@ def count_roots(
 def resonating_center(
     jacobian: np.ndarray, delay: float, n: int, tol: Tolerances = DEFAULT
 ) -> tuple[int, np.ndarray]:
-    """Eigenspace of J at the resonant point 2 pi n i / delay.
+    """Eigenspace of J at the resonant point 2 pi n i / delay, for any
+    integer n and a delay in (0, inf).
 
     Returns (dimension, orthonormal basis of shape (N, dimension)); the
     dimension is zero when the point is not an eigenvalue.
     """
     jacobian = np.asarray(jacobian)
-    target = 2j * np.pi * n / positive_finite(delay, "delay")
+    target = 2j * np.pi * integer(n, "n") / positive_finite(delay, "delay")
     basis = _kernel(target * np.eye(jacobian.shape[0]) - jacobian, jacobian, tol)
     return basis.shape[1], basis
 
@@ -565,13 +559,14 @@ class ResonanceInvariance:
 def check_resonance_invariance(
     cm: CharacteristicMatrix, n: int, tol: Tolerances = DEFAULT
 ) -> ResonanceInvariance:
-    """Compare the eigenspace of J at 2 pi n i / T with the kernel of the
-    controlled characteristic matrix at the same point.
+    """Compare the eigenspace of J at 2 pi n i / T, n any integer, with the
+    kernel of the controlled characteristic matrix at the same point.
 
     The feedback factor (1 - exp(-lambda T)) vanishes there, so the two
     dimensions agree for every gain and every alpha; this check computes
     both sides independently, with the same rank rule.
     """
+    n = integer(n, "n")
     point = 2j * np.pi * n / cm.delay
     dim_open, _ = resonating_center(cm.jacobian, cm.delay, n, tol)
     dim_ctrl = _kernel(cm.value(point), cm.jacobian, tol).shape[1]
@@ -761,13 +756,15 @@ def common_eigenpair(
 def scalar_dominant_root(
     rate: complex, gain: complex, delay: float, tol: Tolerances = DEFAULT
 ) -> complex | None:
-    """Rightmost root m, Re m > tol_axis, of m = rate + gain (1 - exp(-m T)), or None.
+    """Rightmost root m, Re m > tol_axis, of m = rate + gain (1 - exp(-m T)), or None;
+    the delay T is in (0, inf).
 
     m = rate + gain + W(x) / T, x = -gain T exp(-(rate + gain) T) (Corless et al., Adv.
     Comput. Math. 5, 1996); W is Wright omega at log x + 2 pi i b, finite as x overflows,
     Im log x in (-pi, pi]: b = 0 is the rightmost, b = +-1 cover the cut, where a zero's
     sign picks W_0 or W_-1.  Newton undoes the cancellation; a conjugate pair gives Im < 0."""
     rate, gain = complex(rate), complex(gain)
+    delay = positive_finite(delay, "delay")
     m = rate
     if gain != 0:
         s = (rate + gain) * delay
@@ -932,7 +929,8 @@ class HopfCurveFamily:
 
 def critical_gain(rate: float, delay: float, omega) -> np.ndarray:
     """Gain putting a characteristic root exactly at i omega:
-    k*(omega) = (i omega - rate) / (1 - exp(-i omega T))."""
+    k*(omega) = (i omega - rate) / (1 - exp(-i omega T)), T in (0, inf)."""
+    delay = positive_finite(delay, "delay")
     omega = np.asarray(omega, dtype=float)
     return (1j * omega - rate) / (1.0 - np.exp(-1j * omega * delay))
 
@@ -949,18 +947,16 @@ def hopf_curves(
     Each branch is a graph over the real gain axis with strictly
     decreasing real part as omega increases; that monotonicity is verified
     sample by sample and a violation raises, since it would break the
-    crossing bookkeeping built on these curves.
+    crossing bookkeeping built on these curves.  ``branches`` holds
+    nonnegative integers and ``samples`` is an integer of at least 2.
     """
     rate = positive_finite(rate, "rate")
     delay = positive_finite(delay, "delay")
-    if samples < 2:
-        raise InputError("need at least two samples per branch")
+    samples = integer(samples, "samples", 2)
     out = []
     base = 2.0 * np.pi / delay
     for m in branches:
-        m = int(m)
-        if m < 0:
-            raise InputError("branch indices must be nonnegative")
+        m = integer(m, "branch indices", 0)
         lo = m * base
         hi = (m + 1) * base
         guard = tol.hopf_guard * (hi - lo)

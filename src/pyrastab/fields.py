@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import InputError
-from .problems import positive_finite, real_matrix
+from .problems import integer, positive_finite, real_matrix
 
 __all__ = [
     "ExpressionField",
@@ -152,6 +152,11 @@ class ConstantCoefficient:
         return np.broadcast_to(self.matrix, (len(times),) + self.matrix.shape)
 
 
+# Times per phase table of ``TrigCoefficient.batch``, which bounds its
+# (times, modes) temporaries however many times one call asks for
+_BATCH_ROWS = 256
+
+
 class TrigCoefficient:
     """Trigonometric interpolant of a periodic matrix-valued function.
 
@@ -205,20 +210,24 @@ class TrigCoefficient:
         are zero-padded to the table's full tiers * b modes and stored as
         one real matrix with interleaved rows [Re c_k, -Im c_k].  Read as
         reals, the table's columns interleave [Re p_k, Im p_k] the same
-        way, so Re(sum_k p_k c_k) is one real matrix product.
+        way, so Re(sum_k p_k c_k) is one real matrix product.  The table is
+        built for _BATCH_ROWS times at a time, from the first.
         """
         times = np.asarray(times, dtype=float)
         n = self.dimension
         b, tiers = self._b, self._tiers
-        x = times[:, None] / self.period
-        low = np.exp(2j * np.pi * np.arange(b) * x)
-        high = np.exp(2j * np.pi * (b * np.arange(tiers)) * x)
-        phase = (high[:, :, None] * low[:, None, :]).reshape(len(times), tiers * b)
-        return (phase.view(float) @ self._folded).reshape(len(times), n, n)
+        out = np.empty((len(times), n * n))
+        for lo in range(0, len(times), _BATCH_ROWS):
+            x = times[lo : lo + _BATCH_ROWS, None] / self.period
+            low = np.exp(2j * np.pi * np.arange(b) * x)
+            high = np.exp(2j * np.pi * (b * np.arange(tiers)) * x)
+            phase = (high[:, :, None] * low[:, None, :]).reshape(len(x), tiers * b)
+            out[lo : lo + _BATCH_ROWS] = phase.view(float) @ self._folded
+        return out.reshape(len(times), n, n)
 
     def on_grid(self, intervals: int) -> np.ndarray:
         """The interpolant at the times j period / intervals, j = 0..intervals,
-        shape (intervals + 1, n, n).
+        shape (intervals + 1, n, n); ``intervals`` is an integer of at least 1.
 
         Mode k at those times is the grid's frequency k mod intervals, so
         folding the weighted coefficients into those bins is exact there,
@@ -227,6 +236,7 @@ class TrigCoefficient:
         beyond the grid's Nyquist frequency folds onto its alias, which
         takes the same values on the grid, so no sample aliases.
         """
+        intervals = integer(intervals, "intervals", 1)
         n = self.dimension
         # Re(c w^b) at bin b > intervals / 2 is Re(conj(c) w^(intervals - b));
         # interior bins count twice in the Hermitian spectrum, and irfft

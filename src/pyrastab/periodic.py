@@ -81,7 +81,7 @@ from .linalg import (
     spectral_norm,
     svd_rank,
 )
-from .problems import PeriodicLinearProblem
+from .problems import PeriodicLinearProblem, finite_scalar, integer
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
 
@@ -111,19 +111,9 @@ __all__ = [
 # grid; at n = 2 a march of 16k steps is one block.
 _BUDGET = 2**16
 
-# Times per call of a coefficient's batch evaluation, which bounds its own
-# temporaries (a ``TrigCoefficient``'s phase table) in the same way.
-_SAMPLE_BATCH = 256
+_MARCH_STEPS = 2048  # RK4 steps per period of a monodromy's march by default
 
 _Stages = tuple[np.ndarray, np.ndarray]
-
-
-def _sampled(problem: PeriodicLinearProblem, times: np.ndarray) -> np.ndarray:
-    """A at every time through ``problem.coefficient_on``, _SAMPLE_BATCH
-    times per call."""
-    blocks = range(0, len(times), _SAMPLE_BATCH)
-    return np.concatenate([problem.coefficient_on(times[lo : lo + _SAMPLE_BATCH])
-                           for lo in blocks])
 
 
 def _stage_coefficients(problem: PeriodicLinearProblem, steps: int) -> _Stages:
@@ -141,7 +131,7 @@ def _stage_coefficients(problem: PeriodicLinearProblem, steps: int) -> _Stages:
         uniform = np.asarray(on_grid(2 * steps), dtype=float)
         return uniform[::2], uniform[1::2]
     grid = np.linspace(0.0, problem.period, steps + 1)
-    return _sampled(problem, grid), _sampled(problem, grid[:-1] + 0.5 * np.diff(grid))
+    return problem.coefficient_on(grid), problem.coefficient_on(grid[:-1] + 0.5 * np.diff(grid))
 
 
 def _grid_before(grid: np.ndarray, t) -> np.ndarray:
@@ -163,8 +153,8 @@ def _step_to(
     a batch evaluation may round a time differently in another grouping.
     """
     h = t - t0
-    a0, a1 = np.split(_sampled(problem, np.concatenate([t0, t])) + shift, 2)
-    am = _sampled(problem, t0 + 0.5 * h) + shift
+    a0, a1 = np.split(problem.coefficient_on(np.concatenate([t0, t])) + shift, 2)
+    am = problem.coefficient_on(t0 + 0.5 * h) + shift
     return y0 + _step_maps(h, a0, am, a1) @ y0, a1
 
 
@@ -290,13 +280,6 @@ def _rk4_block(
 # ordinary monodromy
 
 
-def _finite_time(t) -> float:
-    t = float(t)
-    if not np.isfinite(t):
-        raise InputError(f"time must be finite, got {t}")
-    return t
-
-
 def _finite_value(y: np.ndarray, t: float, what: str) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise NumericalError(f"{what} overflows at t = {t:.6g}")
@@ -334,7 +317,7 @@ class MonodromyODE:
     def _values_at(self, times) -> np.ndarray:
         """Y at every time, stacked, by ``value_at``'s rule: every time off
         the grid is reached in one ``_step_to`` call."""
-        times = np.array([_finite_time(t) for t in times])
+        times = np.array([finite_scalar(t, "time") for t in times])
         period = self.period
         if np.any(times < -1e-12 * period):
             raise InputError("fundamental solution is only sampled forward in time")
@@ -361,13 +344,13 @@ class MonodromyODE:
 
 
 def ode_monodromy(
-    problem: PeriodicLinearProblem, steps: int = 2048
+    problem: PeriodicLinearProblem, steps: int = _MARCH_STEPS
 ) -> MonodromyODE:
     """Monodromy of the uncontrolled system (the delayed difference term
     vanishes on periodic solutions, so the gain plays no role here).  The
     Richardson estimate marches every other grid point, with the odd ones as
-    midpoints, so ``steps`` must be even."""
-    steps = _integer_at_least(steps, "steps", 16)
+    midpoints, so ``steps`` must be an even integer of at least 16."""
+    steps = integer(steps, "steps", 16)
     if steps % 2:
         raise InputError(f"steps must be even, got {steps}")
     eye = np.eye(problem.dimension)
@@ -412,7 +395,7 @@ class FloquetDecomposition:
         return self.monodromy.period
 
     def exponential_factor(self, t: float) -> np.ndarray:
-        t = _finite_time(t)
+        t = finite_scalar(t, "time")
         with np.errstate(over="ignore", invalid="ignore"):
             e = scipy.linalg.expm(self.generator * t)
         return _finite_value(e, t, "exponential factor")
@@ -611,14 +594,6 @@ class MonodromyDDE:
         return len(self.nodes)
 
 
-def _integer_at_least(value, what: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise InputError(f"{what} must be at least {least}, got {value}")
-    return int(value)
-
-
 def _integral_form(
     y_fine: np.ndarray, sigma: np.ndarray, resample: np.ndarray, gain: np.ndarray
 ) -> np.ndarray:
@@ -685,7 +660,7 @@ def dde_monodromy(
     alpha: float = 1.0,
     nodes: int = 64,
     tol: Tolerances = DEFAULT,
-    steps: int = 2048,
+    steps: int = _MARCH_STEPS,
 ) -> MonodromyDDE:
     """Build the delay monodromy twice and cross-check.
 
@@ -695,14 +670,15 @@ def dde_monodromy(
         x(T + theta) = Y(T + theta) [ phi(0)
                         - int_{-T}^{theta} Y(T + s)^{-1} alpha K phi(s) ds ],
 
-    and phi is collocated on the Lobatto grid of ``nodes`` points.  The
-    integrand pairs the degree-(M-1) interpolation basis with a smooth
-    matrix factor, so the quadrature runs on the doubled Lobatto grid of
-    2 nodes - 1 marks (which contains the history nodes); sampling it on
-    the coarse grid alone would alias the basis polynomials and stall the
-    convergence near 1e-3.  Y comes from one RK4 march of ``steps`` steps
-    on linspace(0, T, steps + 1) (see ``_rk4``), kept at the grid point at
-    or before each mark, and one RK4 step from there to the mark (see
+    and phi is collocated on the Lobatto grid of ``nodes`` points, an
+    integer of at least 4.  The integrand pairs the degree-(M-1)
+    interpolation basis with a smooth matrix factor, so the quadrature runs
+    on the doubled Lobatto grid of 2 nodes - 1 marks (which contains the
+    history nodes); sampling it on the coarse grid alone would alias the
+    basis polynomials and stall the convergence near 1e-3.  Y comes from
+    one RK4 march of ``steps`` steps, an integer of at least 16, on
+    linspace(0, T, steps + 1) (see ``_rk4``), kept at the grid point at or
+    before each mark, and one RK4 step from there to the mark (see
     ``_step_to``).
 
     Collocation form: x' = (A(t) + alpha K) x - alpha K phi(t - T) is
@@ -737,10 +713,9 @@ def _dde_builds(
     once, which also samples A + alpha K there.  Each grid's two forms and
     its cross-check are built only when it is asked for, from its own marks.
     """
-    grids = [_integer_at_least(nodes, "nodes", 4) for nodes in grids]
-    if not np.isfinite(alpha):
-        raise InputError("alpha must be finite")
-    steps = _integer_at_least(steps, "steps", 16)
+    grids = [integer(nodes, "nodes", 4) for nodes in grids]
+    alpha = finite_scalar(alpha, "alpha")
+    steps = integer(steps, "steps", 16)
     n = problem.dimension
     period = problem.period
     gain = alpha * problem.feedback.gain
@@ -854,9 +829,10 @@ def check_determining_invariance(
     a singular value of S between 10 tol_one and a fixed multiple of it
     raises InconclusiveMultiplicityError.
 
-    The controlled value is recomputed on a doubled grid; if refinement
-    changes it the discretization has not converged and the check raises
-    rather than certify a wrong dimension.  Both grids' delay monodromies
+    The controlled value is recomputed on a doubled grid of 2 ``nodes``
+    points, ``nodes`` an integer of at least 4; if refinement changes it
+    the discretization has not converged and the check raises rather than
+    certify a wrong dimension.  Both grids' delay monodromies
     are :func:`dde_monodromy`'s, each with its own cross-check, from one
     march of A + alpha K stepped on to the marks of both.  ``monodromy`` is
     the problem's ODE monodromy when the caller has already built it (it
@@ -869,7 +845,7 @@ def check_determining_invariance(
     # dde_monodromy's alpha and steps; each grid built only once the one
     # before has its multiplicity, and map holds no grid past its call
     g_dde, g_refined = map(lambda dde: _unit_geometric(dde.matrix, problem.dimension, tol),
-                           _dde_builds(problem, 1.0, (nodes, 2 * nodes), tol, 2048))
+                           _dde_builds(problem, 1.0, (nodes, 2 * nodes), tol, _MARCH_STEPS))
     if g_dde != g_refined:
         raise InconclusiveMultiplicityError(
             f"geometric multiplicity at 1 changed from {g_dde} to {g_refined} "

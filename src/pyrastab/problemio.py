@@ -33,6 +33,7 @@ from .problems import (
     DelayFeedback,
     EquilibriumProblem,
     PeriodicLinearProblem,
+    integer,
     positive_finite,
     validate_equilibrium,
 )
@@ -106,12 +107,6 @@ def _require_number(value, path: str) -> float:
     if not np.isfinite(out):
         raise InputError(f"{path}: number must be finite")
     return out
-
-
-def _require_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{path}: expected an integer, got {type(value).__name__}")
-    return value
 
 
 def _require_string(value, path: str) -> str:
@@ -239,7 +234,7 @@ def parse_document(obj) -> ProblemDocument:
     kind = _require_string(top["kind"], "$.kind")
     if kind not in _KINDS:
         raise InputError(f"$.kind: expected one of {', '.join(_KINDS)}")
-    dimension = _require_int(top["dimension"], "$.dimension")
+    dimension = integer(top["dimension"], "$.dimension")
     if not 1 <= dimension <= 64:
         raise InputError("$.dimension: must be between 1 and 64")
     field = _parse_field(top["field"], kind, dimension, "$.field")

@@ -23,6 +23,8 @@ __all__ = [
     "validate_equilibrium",
     "real_array",
     "real_matrix",
+    "integer",
+    "finite_scalar",
     "positive_finite",
 ]
 
@@ -53,14 +55,32 @@ def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
     return arr
 
 
-def positive_finite(value, what: str) -> float:
-    """``value`` as a float, refused unless 0 < value < inf."""
+def integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int, refused unless it is an int or a numpy integer
+    (not a bool, a float or a string) of at least ``least``, when given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise InputError(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
+def finite_scalar(value, what: str) -> float:
+    """``value`` as a float, refused if it is infinite or nan."""
     value = float(value)
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value}")
+    return value
+
+
+def positive_finite(value, what: str) -> float:
+    """:func:`finite_scalar` of a ``value`` in (0, inf); a nan, like a value
+    at most 0, is refused as not positive."""
+    value = float(value)
     if not value > 0.0:
         raise InputError(f"{what} must be positive, got {value}")
-    return value
+    return finite_scalar(value, what)
 
 
 @dataclass(frozen=True)

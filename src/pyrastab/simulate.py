@@ -34,7 +34,7 @@ import scipy.linalg
 from .errors import InputError
 from .expressions import DomainError
 from .fields import LinearField
-from .problems import DelayFeedback, positive_finite, real_array
+from .problems import DelayFeedback, integer, positive_finite, real_array
 
 __all__ = [
     "HistorySegment",
@@ -100,9 +100,8 @@ class HistorySegment:
     def from_callable(
         cls, fun: Callable[[float], np.ndarray], delay: float, samples: int = 129
     ) -> "HistorySegment":
-        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 4:
-            raise InputError(f"history samples must be an integer of at least 4, got {samples!r}")
-        grid = np.linspace(-delay, 0.0, samples)
+        """``fun`` at ``samples`` (an integer, at least 4) times of [-delay, 0]."""
+        grid = np.linspace(-delay, 0.0, integer(samples, "history samples", 4))
         values = np.array([np.asarray(fun(s), dtype=float).reshape(-1) for s in grid])
         return cls(grid, values)
 
@@ -138,14 +137,15 @@ def perturbed_history(
     seed: Optional[int] = None,
 ) -> HistorySegment:
     """Uniform random history of the given amplitude around a point, drawn
-    at ``_HISTORY_SAMPLES`` equispaced times."""
+    at ``_HISTORY_SAMPLES`` equispaced times; ``seed`` is None or an integer
+    of at least 0."""
     point = real_array(point, "point").reshape(-1)
     delay = positive_finite(delay, "delay")
     amplitude = positive_finite(amplitude, "amplitude")
     if math.isinf(2.0 * amplitude):  # the width of the uniform range
         raise InputError(f"amplitude {amplitude:g} is too large for a uniform draw")
-    if seed is not None and seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    if seed is not None:
+        seed = integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     grid = np.linspace(-delay, 0.0, _HISTORY_SAMPLES)
     noise = rng.uniform(-amplitude, amplitude, size=(_HISTORY_SAMPLES, point.size))

@@ -282,6 +282,20 @@ def test_default_region_contains_every_unstable_root():
             assert r.value.real < region.re_max - 0.5  # never pinned at the cap
 
 
+def test_norm_bound_is_taken_once_per_matrix(monkeypatch):
+    rng = np.random.default_rng(78)
+    j, k = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    cm = CharacteristicMatrix(j, k, 1.5, alpha=-0.7)
+    assert cm.norm_bound == spectral_norm(j) + 2.0 * 0.7 * spectral_norm(k)
+
+    def refused(a):
+        raise AssertionError("a spectral norm taken after construction")
+
+    # a default-region search reads the bound twice, from the matrix alone
+    monkeypatch.setattr(equilibria, "spectral_norm", refused)
+    find_roots(cm)
+
+
 # --- marginal roots on the imaginary axis -------------------------------------
 
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -190,6 +190,19 @@ def test_trig_batch_matches_one_level_phase_table(m, n, smooth, seed, fractions,
     assert np.max(np.abs(got - ref), initial=0.0) <= tol
 
 
+def test_trig_batch_tables_many_times_in_bounded_chunks():
+    # 600 times are tabled 256 at a time from the first: the whole batch is
+    # its chunks' batches bit for bit, and as close to the one-level table
+    # as a short batch is
+    coeff = TrigCoefficient(np.random.default_rng(3).uniform(-1.0, 1.0, (9, 2, 2)), 2.7)
+    times = np.linspace(-3.0, 9.0, 600)
+    got = coeff.batch(times)
+    chunks = [coeff.batch(times[lo : lo + 256]) for lo in (0, 256, 512)]
+    assert np.array_equal(got, np.concatenate(chunks))
+    angle = 2 * np.pi * 4 * 9.0 / 2.7  # the largest mode's largest angle
+    tol = 1e-14 + 4 * np.finfo(float).eps * np.sqrt(5) * angle
+    assert np.max(np.abs(got - _direct_batch(coeff, times))) <= tol
+
 
 @pytest.mark.parametrize(
     "m, intervals",

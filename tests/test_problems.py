@@ -1,11 +1,20 @@
 """Problem containers: validation rules and equilibrium residuals."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrastab.equilibria import CharacteristicMatrix, hopf_curves, resonating_center
+from pyrastab.equilibria import (
+    CharacteristicMatrix,
+    check_resonance_invariance,
+    critical_gain,
+    hopf_curves,
+    resonating_center,
+    scalar_dominant_root,
+)
 from pyrastab.errors import InputError
 from pyrastab.fields import (
     ConstantCoefficient,
@@ -13,6 +22,7 @@ from pyrastab.fields import (
     TrigCoefficient,
     parse_field,
 )
+from pyrastab.periodic import check_determining_invariance, dde_monodromy, ode_monodromy
 from pyrastab.problemio import parse_document
 from pyrastab.problems import (
     DelayFeedback,
@@ -89,6 +99,8 @@ _SCALAR_SITES = {
     "TrigCoefficient.period": lambda v: TrigCoefficient(np.stack([_ONE] * 4), v),
     "CharacteristicMatrix.delay": lambda v: CharacteristicMatrix(_ONE, _ONE, v),
     "resonating_center.delay": lambda v: resonating_center(_ONE, v, 1),
+    "critical_gain.delay": lambda v: critical_gain(0.1, v, 1.0),
+    "scalar_dominant_root.delay": lambda v: scalar_dominant_root(0.1, 0.2, v),
     "hopf_curves.rate": lambda v: hopf_curves(v, 1.0),
     "hopf_curves.delay": lambda v: hopf_curves(0.1, v),
     "integrate.t_end": lambda v: integrate(
@@ -135,6 +147,64 @@ def test_every_matrix_and_positive_scalar_input_refuses_bad_values(build, good, 
     build(good)  # a complex matrix whose imaginary part is zero is real
     with pytest.raises(InputError):
         build(bad)
+
+
+_PERIODIC = PeriodicLinearProblem(ConstantCoefficient(-_ONE), 1.0, DelayFeedback(0.5 * _ONE, 1.0))
+_RESONANT = CharacteristicMatrix(np.array([[0.0, 0.5], [-0.5, 0.0]]), np.eye(2), 2 * np.pi)
+# each public integer argument: the name its error starts with, a good
+# value, the least value it takes (None for any integer) and the call
+_INTEGER_SITES = {
+    "ode_monodromy.steps": ("steps", 16, 16, lambda v: ode_monodromy(_PERIODIC, steps=v)),
+    "dde_monodromy.nodes": ("nodes", 4, 4, lambda v: dde_monodromy(_PERIODIC, nodes=v)),
+    "dde_monodromy.steps": ("steps", 16, 16, lambda v: dde_monodromy(_PERIODIC, 1.0, 4, steps=v)),
+    "check_determining_invariance.nodes": (
+        "nodes", 4, 4, lambda v: check_determining_invariance(_PERIODIC, nodes=v)
+    ),
+    "hopf_curves.samples": ("samples", 2, 2, lambda v: hopf_curves(0.1, 1.0, samples=v)),
+    "hopf_curves.branches": (
+        "branch indices", 0, 0, lambda v: hopf_curves(0.1, 1.0, branches=(0, v))
+    ),
+    "perturbed_history.seed": ("seed", 0, 0, lambda v: perturbed_history([0.0], 1.0, 1e-6, v)),
+    "resonating_center.n": ("n", 1, None, lambda v: resonating_center(_RESONANT.jacobian, 1.0, v)),
+    "check_resonance_invariance.n": (
+        "n", 1, None, lambda v: check_resonance_invariance(_RESONANT, v)
+    ),
+    "HistorySegment.from_callable.samples": (
+        "history samples", 4, 4, lambda v: HistorySegment.from_callable(lambda s: [s], 1.0, v)
+    ),
+    "TrigCoefficient.on_grid.intervals": (
+        "intervals", 1, 1, lambda v: TrigCoefficient(np.stack([_ONE] * 4), 1.0).on_grid(v)
+    ),
+    "$.dimension": ("$.dimension", 1, 1, lambda v: _document(dimension=v)),
+}
+
+
+@pytest.mark.parametrize(
+    "what, build, bad",
+    [
+        pytest.param(what, build, bad, id=f"{site}-{bad!r}")
+        for site, (what, good, least, build) in _INTEGER_SITES.items()
+        for bad in (2.5, True, "3", np.float64(good), *(() if least is None else (least - 1,)))
+    ],
+)
+def test_every_integer_input_refuses_bad_values(what, build, bad):
+    with pytest.raises(InputError, match=f"^{re.escape(what)}"):
+        build(bad)
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+def test_every_integer_input_takes_a_numpy_integer(site):
+    _, good, _, build = _INTEGER_SITES[site]
+    build(np.int64(good))
+
+
+def test_a_fractional_resonance_index_is_not_a_resonant_point():
+    # J has eigenvalues +-0.5 i, which 2 pi n i / T reaches at n = 0.5 for T = 2 pi
+    for bad in (0.5, np.float64(0.5)):
+        with pytest.raises(InputError, match="^n must be an integer"):
+            resonating_center(_RESONANT.jacobian, 2 * np.pi, bad)
+        with pytest.raises(InputError, match="^n must be an integer"):
+            check_resonance_invariance(_RESONANT, bad)
 
 
 @pytest.mark.parametrize("build", _ARRAY_SITES.values(), ids=_ARRAY_SITES)

@@ -100,13 +100,6 @@ def test_history_refuses_non_finite_times():
             hist(bad)
 
 
-def test_history_from_callable_refuses_a_non_integer_sample_count():
-    for bad in (5.0, "9", True, 3, -1):
-        with pytest.raises(InputError, match="samples"):
-            HistorySegment.from_callable(lambda s: [s], 1.0, samples=bad)
-    assert HistorySegment.from_callable(lambda s: [s], 1.0, samples=np.int64(5)).grid.size == 5
-
-
 def test_perturbed_history_is_seeded_and_bounded():
     a = perturbed_history(np.zeros(2), 1.0, amplitude=1e-6, seed=42)
     b = perturbed_history(np.zeros(2), 1.0, amplitude=1e-6, seed=42)
