@@ -23,6 +23,7 @@ from .equilibria import (
     GainPath,
     Region,
     characteristic_matrix,
+    default_region,
     eigenvalue_locus,
     equilibrium_verdicts,
     find_roots,
@@ -263,7 +264,11 @@ def cmd_simulate(args) -> int:
     underflow = fitted is not None and math.isinf(fitted)
     rate = None if underflow else fitted
 
-    spectrum = find_roots(characteristic_matrix(problem), tol=tol)
+    # unstable_count and dominant_root read only the roots right of the axis
+    # band, so the default window is searched alone: the marginal roots that
+    # find_roots would add from a band search are never reported here
+    cm = characteristic_matrix(problem)
+    spectrum = find_roots(cm, default_region(cm, tol), tol)
     unstable = spectrum.unstable_count()
     predicted_unstable = unstable > 0
     observed_unstable = trajectory.blown_at is not None or (rate is not None and rate > 0.0)

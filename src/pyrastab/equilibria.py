@@ -29,7 +29,7 @@ import scipy.special
 from .chebyshev import differentiation_matrix, lobatto_nodes
 from .errors import ContinuationError, InputError, NumericalError
 from .linalg import kernel_basis, spectral_norm, svd_rank
-from .problems import EquilibriumProblem, finite_scalar, integer, positive_finite
+from .problems import EquilibriumProblem, finite_scalar, integer, positive_finite, square_matrix
 from .rootfinding import Rect, count_with_nudge, find_roots_rect
 from .tolerances import DEFAULT, Tolerances
 from .verdicts import Hypothesis, Verdict
@@ -522,13 +522,14 @@ def count_roots(
 def resonating_center(
     jacobian: np.ndarray, delay: float, n: int, tol: Tolerances = DEFAULT
 ) -> tuple[int, np.ndarray]:
-    """Eigenspace of J at the resonant point 2 pi n i / delay, for any
-    integer n and a delay in (0, inf).
+    """Eigenspace of J at the resonant point 2 pi n i / delay, for a
+    nonempty square J with finite entries, real or complex, any integer n
+    and a delay in (0, inf).
 
     Returns (dimension, orthonormal basis of shape (N, dimension)); the
     dimension is zero when the point is not an eigenvalue.
     """
-    jacobian = np.asarray(jacobian)
+    jacobian = square_matrix(jacobian, "jacobian")
     target = 2j * np.pi * integer(n, "n") / positive_finite(delay, "delay")
     basis = _kernel(target * np.eye(jacobian.shape[0]) - jacobian, jacobian, tol)
     return basis.shape[1], basis
@@ -953,6 +954,12 @@ def hopf_curves(
     rate = positive_finite(rate, "rate")
     delay = positive_finite(delay, "delay")
     samples = integer(samples, "samples", 2)
+    try:
+        branches = tuple(branches)
+    except TypeError:
+        raise InputError(
+            f"branch indices must be an iterable of integers, got {branches!r}"
+        ) from None
     out = []
     base = 2.0 * np.pi / delay
     for m in branches:

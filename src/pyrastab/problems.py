@@ -23,6 +23,7 @@ __all__ = [
     "validate_equilibrium",
     "real_array",
     "real_matrix",
+    "square_matrix",
     "integer",
     "finite_scalar",
     "positive_finite",
@@ -48,7 +49,21 @@ def real_array(a, what: str) -> np.ndarray:
 def real_matrix(a, what: str, stacked: bool = False) -> np.ndarray:
     """:func:`real_array` of a nonempty square matrix; with ``stacked``, of
     a nonempty (m, n, n) stack of them, checked in one pass."""
-    arr = real_array(a, what)
+    return _square(real_array(a, what), what, stacked)
+
+
+def square_matrix(a, what: str) -> np.ndarray:
+    """``a`` as a float or, if complex, a complex copy of a nonempty square
+    matrix with finite entries: :func:`real_matrix` for a matrix that may
+    be complex."""
+    arr = np.asarray(a)
+    arr = arr.astype(complex if np.iscomplexobj(arr) else float)
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must have finite entries")
+    return _square(arr, what)
+
+
+def _square(arr: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
     if arr.ndim != 2 + stacked or arr.shape[-1] != arr.shape[-2] or arr.size == 0:
         kind = "a stack of square matrices" if stacked else "a square matrix"
         raise InputError(f"{what} must be {kind}, got shape {arr.shape}")

@@ -16,10 +16,14 @@ A `LinearField` is marched one delay interval at a time (the method of
 steps; Bellen & Zennaro, *Numerical Methods for Delay Differential
 Equations*, OUP 2003): each RK4 step is then affine in the state and the
 three delayed values it reads, so the step maps are built once, an
-interval's delayed inputs are one matmul, and its steps are one
-log-depth prefix scan.  Every other field runs the generic stage loop,
-which calls the field four times per step.  Both compute the same RK4
-steps and agree to rounding.
+interval's step offsets are one or two matmuls, and its steps are one
+block lower-triangular Toeplitz product of the powers of the step map,
+built once per run.  Sub-blocks of at most ``_BUDGET // n`` steps bound
+that product's size at any dimension n; their start states are carried
+across the interval by a log-depth scan.  A run whose step map's powers
+overflow, or any other field, runs the generic stage loop, which calls the
+field four times per step.  Both compute the same RK4 steps and agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -128,6 +132,11 @@ _HISTORY_SAMPLES = 33
 # most RK4 steps one run may take, per delay or in all: the arrays are
 # allocated up front, 16 n bytes per step of the run and of the delay
 _MAX_STEPS = 10**6
+# unknowns b n of one sub-block of the affine march, whose b = min(m,
+# _BUDGET // n) steps make one block Toeplitz product of at most
+# _BUDGET^2 = 2^16 elements (see _affine_march); at n <= 4 a delay interval
+# of the default 64 steps is one sub-block
+_BUDGET = 256
 
 
 def perturbed_history(
@@ -223,10 +232,11 @@ def integrate(
     is dropped.
 
     A `LinearField` takes the affine interval march (`_affine_march`),
-    which calls no field: its step maps are built once, each interval's
-    steps are one doubling scan, and a field whose step maps or doubling
-    levels overflow falls back to the stage loop.  Every other field runs
-    the stage loop below, four field calls per step.
+    which calls no field: its step maps and their powers are built once,
+    each interval's steps are one block Toeplitz product per sub-block of
+    at most ``_BUDGET // n`` steps, and a field whose step maps or powers
+    overflow falls back to the stage loop.  Every other field runs the
+    stage loop below, four field calls per step.
     """
     delay = feedback.delay
     gain = feedback.gain
@@ -254,19 +264,20 @@ def integrate(
     def rhs(x: np.ndarray, xd: np.ndarray) -> np.ndarray:
         return np.asarray(field(x), dtype=float) + gain @ (x - xd)
 
-    # nodes[i] is x((i - m) h): m history values, then the run's states xs
-    nodes = np.empty((m + steps + 1, n))
+    # row i of buf is x((i - m) h) beside its derivative: m history values
+    # (whose derivative half is unused), then the run's states xs and fs
+    buf = np.empty((m + steps + 1, 2 * n))
+    nodes = buf[:, :n]
     nodes[:m] = history(np.arange(-m, 0) * h)
     past_mid = history((np.arange(-m, 0) + 0.5) * h)
-    xs = nodes[m:]
-    fs = np.empty((steps + 1, n))
+    xs, fs = nodes[m:], buf[m:, n:]
     xs[0] = history.final
     scale = max(1.0, float(np.max(np.abs(history.values))))
     limit = blow_up * scale
     if isinstance(field, LinearField):
         if field.matrix.shape != gain.shape:
             raise InputError("field dimension does not match the gain")
-        march = _affine_march(field.matrix, gain, nodes, past_mid, h, fs, limit)
+        march = _affine_march(field.matrix, gain, buf, past_mid, h, limit)
         if march is not None:
             last, blown_at = march
             times = np.arange(last + 1) * h
@@ -334,80 +345,171 @@ def _step_maps(a: np.ndarray, gain: np.ndarray, h: float) -> np.ndarray:
 def _affine_march(
     a: np.ndarray,
     gain: np.ndarray,
-    nodes: np.ndarray,
+    buf: np.ndarray,
     past_mid: np.ndarray,
     h: float,
-    fs: np.ndarray,
     limit: float,
 ) -> Optional[tuple[int, Optional[float]]]:
     """The stage loop's RK4 steps for f(x) = A x, one delay interval at a time.
 
-    Fills xs = ``nodes[m:]`` and ``fs`` (xs[0] given), m = len(past_mid), and
-    returns ``(last, blown_at)`` as the stage loop sets them.  Per interval,
-    the delayed nodes and ends of all its steps are one slice of ``nodes``,
-    and its midpoints are ``past_mid`` on the first interval, after it the
-    previous interval's xs and ``fs`` through the stage loop's Hermite midpoint.
-    The step offsets c are then one matmul, and the steps y+ = y + D y + c
-    are one Hillis-Steele prefix scan (Hillis & Steele, CACM 29, 1986):
-    with the interval's start state folded into the first offset, level l
-    adds to each partial sum the one 2^l steps before it, carried over
-    those steps by E_l = (I + D)^(2^l) - I.  That is ceil(log2 m) batched
-    matmuls per interval instead of m small ones.  Neither I + D nor its
-    powers are stored, as their rounding would bias every step the same
-    way.  The blow-up test runs once per interval and locates the first
-    offending step; the scan only carries values forward, so the steps
-    before it are untouched by it.
+    ``buf`` holds the m = len(past_mid) history nodes and then the run's
+    grid points, each row a state beside its derivative (see `integrate`);
+    the march fills the rows after m (the first state given) and returns
+    ``(last, blown_at)`` as the stage loop sets them.  Per interval, the
+    delayed nodes and ends of all its steps are one slice of ``buf``, and
+    its midpoints are ``past_mid`` on the first interval, after it the
+    stage loop's Hermite midpoint, linear in two consecutive rows of the
+    previous interval: the step offsets c are one matmul on the first
+    interval and two after it.
 
-    Returns None, with nothing written, when the step maps
-    (``_step_maps``) or a doubling level that an interval of m steps needs
-    overflow; the caller then runs the stage loop.  At m = 64 a level
-    overflows only when one step multiplies the state by more than about
-    4e9, and such a march passes the blow-up limit in its first step
-    unless its state is exactly zero.
+    With G_k = (I + D)^k - I, step i of a run of steps from y_0 is
+
+        y_i = y_0 + G_i y_0 + sum_{l < i} (c_l + G_{i-1-l} c_l),
+
+    so the G part of all steps is one block lower-triangular Toeplitz
+    product with (y_0, c_0, ..., c_{b-2}) (``_toeplitz``, stored transposed
+    as rows are multiplied), and the identity part is y_0 plus a
+    cumulative sum of the offsets, carried exactly.  The G_k are built once
+    per run by doubling in increment form (``_composites``); neither I + D
+    nor its powers are stored, as their rounding would bias every step the
+    same way.  An interval is cut into sub-blocks of b = min(m, _BUDGET //
+    n) steps, so the Toeplitz block holds at most _BUDGET^2 elements at
+    any n and the memory per step stays that of ``buf``; at n <= 4 and the
+    default m = 64 an interval is one sub-block.  Otherwise the sub-blocks'
+    products run as one batch from zero start states, and their true start
+    states are carried across the interval by a scan over the sub-blocks
+    (``_carry``).  The blow-up test runs once per interval and locates the
+    first offending step; the offsets are finite, as they are read from
+    the previous interval's finite rows, and a later one enters a step with
+    an exact zero weight, so the steps before the offending one are
+    untouched by it.
+
+    Returns None, with nothing written, when the step maps (``_step_maps``),
+    G_1..G_b or a scan level that an interval needs overflow; the caller
+    then runs the stage loop.  At b = 64, G_b overflows once one step grows
+    the state by more than about 1e308^(1/64) = 6e4; a run from a state
+    of the history's size then passes the default blow-up limit, 1e9
+    times that size, within two steps.
     """
     n = a.shape[0]
     m = len(past_mid)
-    xs = nodes[m:]
-    steps = len(xs) - 1
+    z = buf[m:]  # the run's rows: state, derivative
+    xs, fs = z[:, :n], z[:, n:]
+    nodes = buf[:, :n]
+    steps = len(z) - 1
     maps = _step_maps(a, gain, h)
-    d = maps[:, :n]
     offsets = maps[:, n:].T  # rows act on (d0, dm, d1) side by side
-    levels = [d.T]  # E_l transposed, as the scan multiplies rows
-    while 2 ** len(levels) < m and np.all(np.isfinite(levels[-1])):
+    e0, em, e1 = offsets[:n], offsets[n : 2 * n], offsets[2 * n :]
+    # the Hermite midpoint of rows p, q is 0.5 (x_p + x_q) + (h/8) (f_p - f_q)
+    from_lo = np.concatenate([e0 + 0.5 * em, (h / 8.0) * em])
+    from_hi = np.concatenate([e1 + 0.5 * em, -(h / 8.0) * em])
+    a_t, gain_t = a.T.copy(), gain.T.copy()
+    b = _sub_block(m, n)
+    g = _composites(maps[:, :n].T, b)  # G_k transposed, as rows are multiplied
+    full = _toeplitz(g)
+    lift, toeplitz = full[:n], full[n:]  # the rows acting on y_0, then on c_0, ..., c_{b-2}
+    blocks = -(-m // b)
+    levels = [g[b]]  # level l carries 2^l sub-blocks
+    while 2 ** len(levels) < blocks and np.all(np.isfinite(levels[-1])):
         e = levels[-1]
         levels.append(2.0 * e + e @ e)
-    if not (np.all(np.isfinite(maps)) and np.all(np.isfinite(levels[-1]))):
+    if not (np.all(np.isfinite(maps)) and np.all(np.isfinite(g))
+            and np.all(np.isfinite(levels[-1]))):
         return None
 
+    ones = np.tril(np.ones((b, b)))  # partial sums of a sub-block's offsets, exact weights
+    c = np.empty((blocks * b, n))
     for j0 in range(0, steps, m):
         j1 = min(j0 + m, steps)
-        delayed = nodes[j0 : j1 + 1]  # for grid points j0..j1
+        k = j1 - j0
+        nb = -(-k // b)
         if j0 == 0:
-            mids = past_mid[:j1]
+            delayed = np.concatenate([nodes[:k], past_mid[:k], nodes[1 : k + 1]], axis=1)
+            np.matmul(delayed, offsets, out=c[:k])
         else:
-            # fs[j0], filled with the previous interval, feeds the last midpoint
-            lo, hi = j0 - m, j1 - m
-            mids = 0.5 * (xs[lo:hi] + xs[lo + 1 : hi + 1]) + (h / 8.0) * (
-                fs[lo:hi] - fs[lo + 1 : hi + 1]
-            )
-        first = 0 if j0 == 0 else j0 + 1  # first grid point whose fs is unset
-        new = xs[j0 + 1 : j1 + 1]  # a view: the scan runs in place
-        new[:] = np.concatenate([delayed[:-1], mids, delayed[1:]], axis=1) @ offsets
-        new[0] += xs[j0] + d @ xs[j0]
-        for l, e in enumerate(levels):
-            s = 2**l
-            if s >= len(new):
-                break
-            new[s:] = new[s:] + new[:-s] + new[:-s] @ e
+            lo = j0 - m
+            np.matmul(z[lo : lo + k], from_lo, out=c[:k])
+            c[:k] += z[lo + 1 : lo + k + 1] @ from_hi
+        c[k:] = 0.0  # the last sub-block of a short interval is padded with zero offsets
+        cs = c[: nb * b].reshape(nb, b, n)
+        # each sub-block's steps from a zero start: the identity part, the G part
+        sums = ones @ cs
+        out = cs.reshape(nb, b * n)[:, :-n] @ toeplitz
+        start = xs[j0 : j0 + 1]
+        if nb > 1:
+            # the first start, then the end states of all sub-blocks but the last
+            start = _carry(np.concatenate([start, sums[:-1, -1] + out[:-1, -n:]]), levels)
+        out += start @ lift
+        grid = out.reshape(nb, b, n)
+        grid += sums
+        grid += start[:, None]
+        new = xs[j0 + 1 : j1 + 1]
+        new[:] = out.reshape(-1, n)[:k]
+        first = 0 if j0 == 0 else j0 + 1  # first grid point whose derivative is unset
         seg = xs[first : j1 + 1]
-        fs[first : j1 + 1] = seg @ a.T + (seg - delayed[first - j0 :]) @ gain.T
-        finite = np.isfinite(new).all(axis=1)
-        bad = ~finite | (np.abs(new) > limit).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
+        fs[first : j1 + 1] = seg @ a_t + (seg - nodes[first : j1 + 1]) @ gain_t
+        if not np.abs(new).max() <= limit:  # nan compares false
+            finite = np.isfinite(new).all(axis=1)
+            i = int(np.argmax(~finite | (np.abs(new) > limit).any(axis=1)))
             j = j0 + i  # the offending step
             return (j + 1 if finite[i] else j), j * h + h
     return steps, None
+
+
+def _sub_block(m: int, n: int) -> int:
+    """Steps b of one sub-block of a delay interval of m steps at dimension
+    n: min(m, _BUDGET // n), at least 1."""
+    return max(1, min(m, _BUDGET // n))
+
+
+def _composites(d_t: np.ndarray, count: int) -> np.ndarray:
+    """G_k = (I + D)^k - I for k = 0..count, transposed, shape (count + 1,
+    n, n), from ``d_t`` = D transposed: by doubling in increment form,
+    G_{p+j} = G_p + G_j + G_j G_p, so I + D is never stored.  Entries
+    beyond the double range come back non-finite."""
+    g = np.empty((count + 1, *d_t.shape))
+    g[0] = 0.0
+    g[1] = d_t
+    p = 1
+    while p < count:
+        j = min(p, count - p)
+        step = g[p + 1 : p + j + 1]
+        np.matmul(g[1 : j + 1], g[p], out=step)
+        step += g[1 : j + 1]
+        step += g[p]
+        p += j
+    return g
+
+
+def _toeplitz(g: np.ndarray) -> np.ndarray:
+    """The (b n, b n) block upper-triangular Toeplitz matrix whose block
+    (k, r) is g[r + 1 - k] for r >= k and zero below, from g of shape
+    (b + 1, n, n): a row (y_0, c_0, ..., c_{b-2}) times it is the G part
+    of steps 1..b (see ``_affine_march``).  Block row k is block row 0
+    shifted right by k blocks, so every row is one window of a zero-padded
+    copy of block row 0."""
+    b, n = len(g) - 1, g.shape[1]
+    padded = np.zeros((n, 2 * b * n))
+    padded[:, b * n :] = g[1:].transpose(1, 0, 2).reshape(n, b * n)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, b * n, axis=1)
+    return windows[:, b * n : 0 : -n].transpose(1, 0, 2).reshape(b * n, b * n)
+
+
+def _carry(heads: np.ndarray, levels: list) -> np.ndarray:
+    """Start states (S, n) of an interval's S sub-blocks, in place from
+    ``heads``: the first start state, then the end states of sub-blocks 0
+    .. S-2 from a zero start.  Sub-block s maps its start u to u + G_b u +
+    heads[s + 1], so the starts are an inclusive scan of ``heads`` whose
+    carry over p sub-blocks is (I + D)^(b p).  A Hillis-Steele scan
+    (Hillis & Steele, CACM 29, 1986): level l adds to each partial start
+    the one 2^l sub-blocks before it, carried by ``levels[l]`` = (I +
+    D)^(b 2^l) - I transposed."""
+    for l, e in enumerate(levels):
+        s = 2**l
+        if s >= len(heads):
+            break
+        heads[s:] += heads[:-s] + heads[:-s] @ e
+    return heads
 
 
 def growth_rate(

@@ -179,6 +179,13 @@ _INTEGER_SITES = {
 }
 
 
+def test_hopf_curves_refuses_branches_that_are_not_iterable():
+    # the entry above checks each index; an integer in place of the indices
+    for bad in (3, np.int64(3), 2.5):
+        with pytest.raises(InputError, match="^branch indices"):
+            hopf_curves(0.1, 1.0, branches=bad)
+
+
 @pytest.mark.parametrize(
     "what, build, bad",
     [
@@ -205,6 +212,21 @@ def test_a_fractional_resonance_index_is_not_a_resonant_point():
             resonating_center(_RESONANT.jacobian, 2 * np.pi, bad)
         with pytest.raises(InputError, match="^n must be an integer"):
             check_resonance_invariance(_RESONANT, bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros((2, 3)), np.zeros((0, 0)), np.array([[np.nan]])],
+    ids=["non-square", "0x0", "nan"],
+)
+def test_resonating_center_refuses_a_malformed_jacobian(bad):
+    with pytest.raises(InputError, match="^jacobian must"):
+        resonating_center(bad, 1.0, 1)
+
+
+def test_resonating_center_takes_a_complex_jacobian():
+    dim, basis = resonating_center(np.array([[2j * np.pi, 1.0], [0.0, 1j]]), 1.0, 1)
+    assert dim == 1 and basis.shape == (2, 1)
 
 
 @pytest.mark.parametrize("build", _ARRAY_SITES.values(), ids=_ARRAY_SITES)

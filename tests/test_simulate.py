@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from pyrastab.equilibria import Region, find_roots, scalar_characteristic
 from pyrastab.errors import InputError
 from pyrastab.fields import LinearField, parse_field
+from pyrastab import simulate
 from pyrastab.simulate import (
     HistorySegment,
     Trajectory,
@@ -387,6 +388,53 @@ def test_affine_march_matches_stage_loop_over_a_long_run():
     assert np.max(np.abs(ref.states[-64:])) > 1e4 * np.max(np.abs(ref.states[:64]))
     for x, y in ((got.states, ref.states), (got.derivs, ref.derivs)):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _assert_march_matches_stage_loop(a, gain, delay, t_end, dt=None):
+    fb = DelayFeedback(gain, delay)
+    hist = perturbed_history(np.zeros(len(a)), delay, amplitude=1e-3, seed=len(a))
+    ref = integrate(lambda x: a @ x, fb, hist, t_end, dt=dt)
+    with _field_calls() as calls:
+        got = integrate(LinearField(a), fb, hist, t_end, dt=dt)
+    assert calls == []
+    assert len(got) == len(ref) and got.blown_at is None and ref.blown_at is None
+    for x, y in ((got.states, ref.states), (got.derivs, ref.derivs)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    return got
+
+
+def test_affine_march_carries_sixteen_sub_blocks_per_interval():
+    # at n = 64 a delay interval of 64 steps is 16 sub-blocks of 4 steps,
+    # whose start states the march carries by its doubling scan
+    n = 64
+    assert simulate._sub_block(64, n) == 4
+    rng = np.random.default_rng(64)
+    a = rng.normal(size=(n, n)) / np.sqrt(n) - 1.2 * np.eye(n)
+    gain = 0.3 * np.eye(n) + 0.05 * rng.normal(size=(n, n))
+    got = _assert_march_matches_stage_loop(a, gain, 2.0, 20.0)
+    assert len(got) == 641
+
+
+def test_affine_march_ends_inside_a_sub_block():
+    # at n = 5 an interval of 64 steps is sub-blocks of 51 and 13 steps;
+    # the run's last interval has 57 steps, so it ends 6 steps into the second
+    n = 5
+    assert simulate._sub_block(64, n) == 51
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+    gain = 0.3 * np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    got = _assert_march_matches_stage_loop(a, gain, 1.0, 10.0 + 57 / 64)
+    assert len(got) == 10 * 64 + 57 + 1
+
+
+def test_affine_march_above_the_budget_takes_one_step_per_sub_block():
+    # n > _BUDGET leaves one step per sub-block: the Toeplitz block is G_1
+    # alone and the scan carries every step
+    n = simulate._BUDGET + 1
+    assert simulate._sub_block(8, n) == 1
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) / np.sqrt(n) - np.eye(n)
+    _assert_march_matches_stage_loop(a, 0.3 * np.eye(n), 1.0, 2.5, dt=1.0 / 8)
 
 
 def test_overflowing_doubling_maps_fall_back_to_the_stage_loop():

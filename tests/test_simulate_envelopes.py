@@ -25,6 +25,7 @@ import pytest
 
 from pyrastab.benchmarks import case_names, get_case
 from pyrastab.cli import main
+from test_catalog_envelopes import FIXTURE as CATALOG_FIXTURE
 from test_catalog_envelopes import canonical
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -62,6 +63,19 @@ def test_fixture_covers_the_equilibrium_catalog():
 @pytest.mark.parametrize("key", KEYS)
 def test_simulate_envelope_is_unchanged(key, tmp_path):
     assert simulate_envelope(key, str(tmp_path)) == _golden()[key]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_simulate_reports_the_spectrum_of_analyze(key):
+    # simulate searches the default window alone, analyze the window and
+    # the axis band beside it: the roots right of the band, and so the
+    # unstable count and the dominant root, must agree between the two
+    with open(CATALOG_FIXTURE) as handle:
+        roots = json.load(handle)[key.split("/seed")[0]]["results"]["spectrum"]["roots"]
+    results = _golden()[key]["results"]
+    assert results["unstable_count"] == sum(r["algebraic"] for r in roots if r["value"]["re"] > 0.0)
+    dominant = max(roots, key=lambda r: r["value"]["re"])["value"] if roots else None
+    assert results["dominant_root"] == dominant
 
 
 def regenerate() -> None:
